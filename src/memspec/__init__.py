@@ -25,7 +25,7 @@ from .pencil import (
     discretize_1d,
     nonlinear_eigenvalues_fd,
 )
-from .polyroots import RealPolynomial, all_roots, real_roots_in_interval
+from .polyroots import RealPolynomial, all_roots
 from .records import EigenvalueRecord
 from .scalar import (
     DampingBound,
@@ -76,7 +76,6 @@ __all__ = [
     "one_pole_region",
     "rational_symbol",
     "real_imag_residual",
-    "real_roots_in_interval",
     "spectral_map",
 ]
 

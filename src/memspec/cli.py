@@ -101,24 +101,22 @@ def _mode_records(spec: ProblemSpec, alpha_cap: float,
     return records
 
 
-def _region_for(spec: ProblemSpec, w_min: float, sweep: int,
-                alphas=None, samples_beta: int = 11) -> enclosure.EnclosureRegion:
+def _region_for(spec: ProblemSpec, w_min: float, alphas,
+                samples_beta: int) -> enclosure.EnclosureRegion:
     """One-pole region when possible, cloud-backed interval otherwise."""
     k = spec.kernel
     bounds = _effective_bounds(spec)
     if k.n_terms == 1:
-        return enclosure.one_pole_region(k, bounds, w_min, sweep)
-    c0, c1 = enclosure.enclosure_interval(k, bounds, w_min, sweep)
-    if alphas is None:
-        alphas = enclosure.synthetic_alpha_grid(w_min)
+        return enclosure.one_pole_region(k, bounds, w_min)
+    c0, c1 = enclosure.enclosure_interval(k, bounds, w_min)
     cloud = enclosure.boundary_cloud(k, bounds, alphas, samples_beta)
-    return enclosure.EnclosureRegion(c0, c1, None, tuple(cloud),
+    return enclosure.EnclosureRegion(c0, c1, None,
+                                     tuple(z for z, _, _ in cloud),
                                      float(np.max(alphas)))
 
 
 def cmd_essential(spec: ProblemSpec, args) -> int:
-    ess = enclosure.essential_spectrum(spec.kernel, _effective_bounds(spec),
-                                       args.sweep)
+    ess = enclosure.essential_spectrum(spec.kernel, _effective_bounds(spec))
     doc = {"intervals": [[lo, hi] for lo, hi in ess.intervals]}
     _emit(json.dumps(doc) + "\n", args.output)
     pretty = " U ".join(f"[{_fmt(lo)}, {_fmt(hi)}]" for lo, hi in ess.intervals)
@@ -166,21 +164,16 @@ def cmd_enclosure(spec: ProblemSpec, args) -> int:
         alphas = [m.alpha for m in modes]
     else:
         alphas = list(enclosure.synthetic_alpha_grid(w_min))
-    region = _region_for(spec, w_min, args.sweep)
-    cloud_rows = []
-    for alpha in alphas:
-        if bounds.is_constant:
-            betas = [bounds.b_max * alpha]
-        else:
-            betas = np.linspace(bounds.b_min * alpha, bounds.b_max * alpha,
-                                args.beta_samples)
-        for beta in betas:
-            m = scalar.ModeCoefficients(float(alpha), float(beta))
-            for z in scalar.mode_eigenvalues(k, m):
-                cloud_rows.append((z.real, z.imag, float(alpha), float(beta)))
+    if k.n_terms == 1:
+        region = enclosure.one_pole_region(k, bounds, w_min)
+    else:
+        region = enclosure.EnclosureRegion(
+            *enclosure.enclosure_interval(k, bounds, w_min))
+    cloud = enclosure.boundary_cloud(k, bounds, alphas, args.beta_samples)
     if args.format == "csv":
         lines = ["re,im,alpha,beta"]
-        lines.extend(",".join(_fmt(v) for v in row) for row in cloud_rows)
+        lines.extend(",".join(_fmt(v) for v in (z.real, z.imag, alpha, beta))
+                     for z, alpha, beta in cloud)
         _emit("\n".join(lines) + "\n", args.output)
     else:
         strips = region.one_pole
@@ -190,11 +183,11 @@ def cmd_enclosure(spec: ProblemSpec, args) -> int:
             "d0": strips.d0 if strips else None,
             "d1": strips.d1 if strips else None,
             "hat_d": strips.hat_d if strips else None,
-            "counts": {"cloud": len(cloud_rows), "alphas": len(alphas)},
+            "counts": {"cloud": len(cloud), "alphas": len(alphas)},
         }
         _emit(json.dumps(doc) + "\n", args.output)
     _info(f"enclosure interval [{_fmt(region.c0)}, {_fmt(region.c1)}], "
-          f"{len(cloud_rows)} cloud points")
+          f"{len(cloud)} cloud points")
     return 0
 
 
@@ -227,8 +220,7 @@ def cmd_discretize(spec: ProblemSpec, args) -> int:
     records = pencil.nonlinear_eigenvalues_fd(mat_a, mat_b, k, args.imag_cap)
     w_min = float(np.linalg.eigvalsh(mat_a)[0])
     stiff_eigs = np.linalg.eigvalsh(mat_a)
-    region = _region_for(spec, w_min, args.sweep, alphas=stiff_eigs,
-                         samples_beta=args.beta_samples)
+    region = _region_for(spec, w_min, stiff_eigs, args.beta_samples)
     scale = float(np.linalg.norm(mat_a, 2))
     tol = args.tolerance if args.tolerance is not None \
         else 1e-8 * (1.0 + scale)
@@ -310,18 +302,30 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
     half_ok = all(z.real <= 1e-10 for _, roots in eig_sets for z in roots)
     check("left_half_plane", half_ok)
 
-    ess = enclosure.essential_spectrum(k, bounds, args.sweep)
-    c0, c1 = enclosure.enclosure_interval(k, bounds, w_min, args.sweep)
+    ess = enclosure.essential_spectrum(k, bounds)
+    c0, c1 = enclosure.enclosure_interval(k, bounds, w_min)
     tol = 1e-10
     ess_ok = all(c0 - tol <= lo and hi <= c1 + tol
                  for lo, hi in ess.intervals)
     check("essential_in_interval", ess_ok,
           f"intervals {ess.intervals} vs [{c0}, {c1}]")
 
+    # essential_spectrum reads the branch zeros at the two bounds only,
+    # which is exact because each zero rises with the damping level
+    levels = enclosure.damping_levels(bounds)
+    grid = np.linspace(levels[0], levels[-1],
+                       args.sweep if len(levels) > 1 else 1)
+    zeros = np.array([scalar.fredholm_factor_zeros(k, bhat) for bhat in grid])
+    drop = float(np.diff(zeros, axis=0).min(initial=0.0))
+    check("branch_monotonicity", drop >= -tol,
+          f"a branch zero falls by {-drop:g} over {len(grid)} levels")
+
+    rates = np.asarray(k.rates)
     res_ok, char_ok, excl_ok = True, True, True
     for _ in range(40):
         alpha = float(rng.uniform(w_min, 10.0 * w_min))
-        bhat = float(rng.uniform(max(bounds.b_min, 1e-3), bounds.b_max))
+        bhat = float(rng.uniform(min(max(bounds.b_min, 1e-3), bounds.b_max),
+                                 bounds.b_max))
         mp = pencil.ModePencil(alpha, bhat * alpha, k)
         lam = complex(rng.normal(scale=2.0), rng.normal(scale=2.0))
         if abs(lam) < 1e-3:
@@ -332,9 +336,11 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
         want = ((-1.0) ** mp.size) * scalar.cleared_mode_polynomial(k, m)(lam)
         got = np.linalg.det(mp.system_operator() - lam * np.eye(mp.size))
         char_ok &= abs(got - want) <= 1e-10 * (1.0 + abs(want))
+        # det P(-b_j) = -a_j b_j beta prod_{i != j} (b_i - b_j), nonzero
         for j, (a_j, b_j) in enumerate(zip(k.amplitudes, k.rates)):
             det_p = np.linalg.det(mp.block_function(-b_j))
-            excl_ok &= abs(det_p) >= a_j * b_j * mp.beta / 2.0
+            want_p = -a_j * b_j * mp.beta * np.prod(np.delete(rates, j) - b_j)
+            excl_ok &= abs(det_p - want_p) <= 1e-10 * abs(want_p)
     check("equivalence_residuals", res_ok)
     check("char_poly_identity", char_ok)
     check("pole_exclusion", excl_ok)
@@ -351,19 +357,39 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
     return 1 if failures else 0
 
 
+def _checked(convert, ok, need: str):
+    """argparse type: ``convert(text)``, refused unless ``ok`` holds."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+    return parse
+
+
+_POSITIVE = _checked(float, lambda v: 0.0 < v < np.inf, "a finite number > 0")
+_NONNEGATIVE = _checked(float, lambda v: 0.0 <= v < np.inf,
+                        "a finite number >= 0")
+_TWO_OR_MORE = _checked(int, lambda v: v >= 2, "an integer >= 2")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="JSON problem description")
-    p.add_argument("--alpha-cap", type=float, default=None,
+    p.add_argument("--alpha-cap", type=_POSITIVE, default=None,
                    help="largest stiffness eigenvalue to enumerate")
-    p.add_argument("--imag-cap", type=float, default=50.0,
+    p.add_argument("--imag-cap", type=_NONNEGATIVE, default=50.0,
                    help="drop eigenvalues with |Im| above this")
-    p.add_argument("--sweep", type=int, default=129,
-                   help="damping sweep grid points")
-    p.add_argument("--beta-samples", type=int, default=11,
+    p.add_argument("--sweep", type=_TWO_OR_MORE, default=129,
+                   help="damping levels of validate's branch monotonicity "
+                        "scan")
+    p.add_argument("--beta-samples", type=_TWO_OR_MORE, default=11,
                    help="beta samples per alpha in cloud sampling")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_NONNEGATIVE, default=None,
                    help="containment / validation tolerance override")
 
 

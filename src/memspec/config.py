@@ -53,18 +53,28 @@ def _require(cond: bool, field: str, message: str) -> None:
         raise ConfigError(f"field '{field}': {message}")
 
 
+def _finite(x) -> bool:
+    """True for a finite JSON number; booleans and strings are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer literal too long for a float
+        return False
+
+
 def _parse_damping(node) -> Damping:
     _require(isinstance(node, dict), "damping", "must be an object")
     kind = node.get("kind")
     if kind == "constant":
         value = node.get("value")
-        _require(isinstance(value, (int, float)) and value >= 0,
+        _require(_finite(value) and value >= 0,
                  "damping.value", "must be a nonnegative number")
         return Damping("constant", value=float(value))
     if kind == "range":
         b_min, b_max = node.get("b_min"), node.get("b_max")
-        _require(isinstance(b_min, (int, float)), "damping.b_min", "missing")
-        _require(isinstance(b_max, (int, float)), "damping.b_max", "missing")
+        _require(_finite(b_min), "damping.b_min", "must be a finite number")
+        _require(_finite(b_max), "damping.b_max", "must be a finite number")
         _require(0 <= b_min <= b_max, "damping",
                  f"need 0 <= b_min <= b_max, got [{b_min}, {b_max}]")
         return Damping("range", b_min=float(b_min), b_max=float(b_max))
@@ -72,16 +82,17 @@ def _parse_damping(node) -> Damping:
         samples = node.get("samples")
         _require(isinstance(samples, list) and len(samples) >= 2,
                  "damping.samples", "must be a list of at least 2 numbers")
-        _require(all(isinstance(s, (int, float)) and math.isfinite(s)
-                     for s in samples),
+        _require(all(_finite(s) for s in samples),
                  "damping.samples", "values must be finite numbers")
-        b_min = float(node.get("b_min", min(samples)))
-        b_max = float(node.get("b_max", max(samples)))
+        b_min = node.get("b_min", min(samples))
+        b_max = node.get("b_max", max(samples))
+        _require(_finite(b_min), "damping.b_min", "must be a finite number")
+        _require(_finite(b_max), "damping.b_max", "must be a finite number")
         _require(all(b_min <= s <= b_max for s in samples), "damping.samples",
                  f"samples leave the declared range [{b_min}, {b_max}]")
         _require(0 <= b_min <= b_max, "damping",
                  f"need 0 <= b_min <= b_max, got [{b_min}, {b_max}]")
-        return Damping("profile_1d", b_min=b_min, b_max=b_max,
+        return Damping("profile_1d", b_min=float(b_min), b_max=float(b_max),
                        samples=tuple(float(s) for s in samples))
     raise ConfigError(f"field 'damping.kind': unknown kind {kind!r}")
 
@@ -93,15 +104,16 @@ def _parse_domain(node) -> Domain:
         lengths = node.get("lengths")
         _require(isinstance(lengths, list) and 1 <= len(lengths) <= 3,
                  "domain.lengths", "must be a list of 1 to 3 side lengths")
-        _require(all(isinstance(x, (int, float)) and x > 0 for x in lengths),
-                 "domain.lengths", "side lengths must be positive")
+        _require(all(_finite(x) and x > 0 for x in lengths),
+                 "domain.lengths", "side lengths must be positive and finite")
         return Domain("box", lengths=tuple(float(x) for x in lengths))
     if kind == "interval_fd":
         length = node.get("length", 1.0)
         grid_points = node.get("grid_points")
-        _require(isinstance(length, (int, float)) and length > 0,
-                 "domain.length", "must be positive")
-        _require(isinstance(grid_points, int) and grid_points >= 3,
+        _require(_finite(length) and length > 0,
+                 "domain.length", "must be positive and finite")
+        _require(isinstance(grid_points, int)
+                 and not isinstance(grid_points, bool) and grid_points >= 3,
                  "domain.grid_points", "must be an integer >= 3")
         return Domain("interval_fd", length=float(length),
                       grid_points=grid_points)
@@ -112,12 +124,15 @@ def load_spec(doc: dict) -> ProblemSpec:
     """Validate a parsed JSON document into a ProblemSpec."""
     _require(isinstance(doc, dict), "<root>", "must be a JSON object")
     a = doc.get("coefficient_a")
-    _require(isinstance(a, (int, float)) and a > 0,
-             "coefficient_a", "must be a positive number")
+    _require(_finite(a) and a > 0,
+             "coefficient_a", "must be a positive finite number")
     knode = doc.get("kernel")
     _require(isinstance(knode, dict) and isinstance(knode.get("a"), list)
              and isinstance(knode.get("b"), list),
              "kernel", "must be an object with lists 'a' and 'b'")
+    for key in ("a", "b"):
+        _require(all(_finite(x) for x in knode[key]), f"kernel.{key}",
+                 "values must be finite numbers")
     try:
         kern = ExponentialKernel(tuple(float(x) for x in knode["a"]),
                                  tuple(float(x) for x in knode["b"]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HypothesisError, RootFindingError
+from .errors import HypothesisError
 from .kernel import ExponentialKernel
 from .scalar import (
     DampingBound,
@@ -80,36 +80,35 @@ class EnclosureRegion:
         return False
 
 
-def _effective_grid(d: DampingBound, sweep_points: int) -> np.ndarray:
-    if sweep_points < 2:
-        raise ValueError(f"sweep_points = {sweep_points} must be >= 2")
+def damping_levels(d: DampingBound) -> tuple[float, ...]:
+    """The damping levels whose branch zeros and mode roots bound the spectrum.
+
+    These are b_min and b_max, or the one level when damping is constant; a
+    zero level is replaced by DAMPING_FLOOR to keep the branch zeros defined.
+    """
     lo = max(d.b_min, DAMPING_FLOOR)
     hi = max(d.b_max, DAMPING_FLOOR)
-    if lo == hi:
-        return np.array([lo])
-    return np.linspace(lo, hi, sweep_points)
+    return (lo,) if lo == hi else (lo, hi)
 
 
-def essential_spectrum(k: ExponentialKernel, d: DampingBound,
-                       sweep_points: int = 129) -> EssentialSpectrum:
-    """Essential-spectrum intervals from the branch-zero envelope.
+def essential_spectrum(k: ExponentialKernel,
+                       d: DampingBound) -> EssentialSpectrum:
+    """Essential-spectrum intervals from the branch zeros at b_min and b_max.
 
-    Each of the N branch zeros is monotone increasing in the damping level,
-    so the endpoints of the sweep give the interval; the interior sweep points
-    only validate monotonicity.
+    On its pole gap the j-th zero solves Khat(lam) = 1/bhat, and Khat is
+    strictly decreasing there, so the zero increases continuously with bhat.
+    The zeros over [b_min, b_max] therefore fill exactly the interval between
+    the zeros at the two bounds.
     """
     if k.dissipativity_margin(d.b_max) <= 0.0:
         raise HypothesisError(
             f"1 - b_max * sum(a_j) = {k.dissipativity_margin(d.b_max)} <= 0"
         )
-    grid = _effective_grid(d, sweep_points)
-    zeros = np.array([fredholm_factor_zeros(k, bhat) for bhat in grid])
-    diffs = np.diff(zeros, axis=0)
-    if diffs.size and diffs.min() < -1e-10:
-        raise RuntimeError("branch zeros failed monotonicity validation")
+    levels = damping_levels(d)
+    lows = fredholm_factor_zeros(k, levels[0])
+    highs = fredholm_factor_zeros(k, levels[-1]) if len(levels) > 1 else lows
     intervals: list[tuple[float, float]] = []
-    for j in range(k.n_terms):
-        lo, hi = float(zeros[0, j]), float(zeros[-1, j])
+    for lo, hi in zip(lows, highs):
         if intervals and lo - intervals[-1][1] < MERGE_GAP:
             intervals[-1] = (intervals[-1][0], hi)
         else:
@@ -122,14 +121,21 @@ def _real_parts(roots: np.ndarray) -> list[float]:
             if abs(z.imag) <= _REAL_IM_TOL * (1.0 + abs(z))]
 
 
-def enclosure_interval(k: ExponentialKernel, d: DampingBound, w_min: float,
-                       sweep_points: int = 129) -> tuple[float, float]:
+def enclosure_interval(k: ExponentialKernel, d: DampingBound,
+                       w_min: float) -> tuple[float, float]:
     """Endpoints [c0, c1] of the real part of the enclosure.
 
-    Uses the identity that the spectral map hits w_min exactly at the real
-    roots of the cleared mode polynomial with alpha = w_min, beta = bhat*w_min,
-    swept over the damping grid.  c1 is then tightened to the rightmost
-    branch zero at b_max, where the spectral map blows up.
+    The spectral map hits w_min at level bhat exactly at the real roots of
+    the cleared mode polynomial with alpha = w_min, beta = bhat * w_min.
+    Over [b_min, b_max] these roots form the preimage R of [b_min, b_max]
+    under g(lam) = (lam^2 + w_min) / (w_min * Khat(lam)).  g is continuous
+    except at the poles of Khat, where it tends to 0 < b_min (a zero b_min
+    is floored at DAMPING_FLOOR), and at the zeros of Khat, where it is
+    unbounded; so g is continuous near each extreme point of R.  Were g
+    strictly inside (b_min, b_max) there, points just beyond would lie in R
+    too.  Hence min R and max R are roots at b_min or at b_max, and these
+    two levels give c0 and c1.  c1 is then tightened to the rightmost branch
+    zero at b_max, where the spectral map blows up.
     """
     if not w_min > 0.0:
         raise ValueError(f"w_min = {w_min} must be positive")
@@ -137,27 +143,25 @@ def enclosure_interval(k: ExponentialKernel, d: DampingBound, w_min: float,
         raise HypothesisError(
             f"1 - b_max * sum(a_j) = {k.dissipativity_margin(d.b_max)} <= 0"
         )
-    grid = _effective_grid(d, sweep_points)
+    levels = damping_levels(d)
     reals: list[float] = []
-    for bhat in grid:
+    for bhat in levels:
         m = ModeCoefficients(w_min, bhat * w_min)
         reals.extend(_real_parts(mode_eigenvalues(k, m)))
+    zero = max(fredholm_factor_zeros(k, levels[-1]))
     if not reals:
         # undamped collapse: every real root sits at a pole and is filtered,
         # so the interval degenerates to the branch-zero limit
-        zero = max(fredholm_factor_zeros(k, float(grid[-1])))
-        return float(zero), float(zero)
-    c0, c1 = min(reals), max(reals)
-    c1 = max(c1, max(fredholm_factor_zeros(k, float(grid[-1]))))
-    return float(c0), float(c1)
+        return zero, zero
+    return float(min(reals)), float(max(max(reals), zero))
 
 
-def one_pole_region(k: ExponentialKernel, d: DampingBound, w_min: float,
-                    sweep_points: int = 129) -> EnclosureRegion:
+def one_pole_region(k: ExponentialKernel, d: DampingBound,
+                    w_min: float) -> EnclosureRegion:
     """Closed-form region S0 + two strips for a one-term kernel."""
     if k.n_terms != 1:
         raise ValueError("closed-form strips exist only for one-term kernels")
-    c0, c1 = enclosure_interval(k, d, w_min, sweep_points)
+    c0, c1 = enclosure_interval(k, d, w_min)
     b1 = k.rates[0]
     d0 = -0.5 * (b1 + c1)
     d1 = -0.5 * (b1 + c0)
@@ -171,18 +175,20 @@ def one_pole_region(k: ExponentialKernel, d: DampingBound, w_min: float,
     )
 
 
-def boundary_cloud(k: ExponentialKernel, d: DampingBound, alphas,
-                   samples_beta: int = 11) -> list[complex]:
+def boundary_cloud(
+        k: ExponentialKernel, d: DampingBound, alphas,
+        samples_beta: int = 11) -> list[tuple[complex, float, float]]:
     """Sampled enclosure points: mode eigenvalues over an (alpha, beta) grid.
 
-    The output order is canonical (alpha-major, beta-minor, then root order),
-    independent of any internal parallelism.
+    Each point comes as (z, alpha, beta).  The output order is canonical
+    (alpha-major, beta-minor, then root order), independent of any internal
+    parallelism.
     """
     if k.dissipativity_margin(d.b_max) <= 0.0:
         raise HypothesisError(
             f"1 - b_max * sum(a_j) = {k.dissipativity_margin(d.b_max)} <= 0"
         )
-    cloud: list[complex] = []
+    cloud: list[tuple[complex, float, float]] = []
     for alpha in alphas:
         if d.is_constant:
             betas = [d.b_max * alpha]
@@ -190,7 +196,8 @@ def boundary_cloud(k: ExponentialKernel, d: DampingBound, alphas,
             betas = np.linspace(d.b_min * alpha, d.b_max * alpha, samples_beta)
         for beta in betas:
             m = ModeCoefficients(float(alpha), float(beta))
-            cloud.extend(complex(z) for z in mode_eigenvalues(k, m))
+            cloud.extend((complex(z), m.alpha, m.beta)
+                         for z in mode_eigenvalues(k, m))
     return cloud
 
 

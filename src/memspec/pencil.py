@@ -14,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 import scipy.linalg
 
 from .errors import RootFindingError
 from .kernel import ExponentialKernel
 from .records import EigenvalueRecord
-from .scalar import ModeCoefficients
+from .scalar import ModeCoefficients, denominator_products
 
 _LIFT_TOL = 1e-6
 
@@ -247,17 +246,14 @@ def _cleared_matrix_coeffs(mat_a: np.ndarray, mat_b: np.ndarray,
     """Ascending coefficient matrices of the monic cleared matrix polynomial."""
     n = k.n_terms
     m = mat_a.shape[0]
-    rates = np.asarray(k.rates)
-    full = npp.polyfromroots(-rates).real
+    full, partial = denominator_products(k)
     eye = np.eye(m)
     coeffs = [np.zeros((m, m)) for _ in range(n + 3)]
     for deg, c in enumerate(full):
         coeffs[deg + 2] += c * eye
         coeffs[deg] += c * mat_a
-    for j, (a_j, b_j) in enumerate(zip(k.amplitudes, k.rates)):
-        others = np.delete(rates, j)
-        without = npp.polyfromroots(-others).real if others.size else np.array([1.0])
-        for deg, c in enumerate(np.atleast_1d(without)):
+    for a_j, b_j, without in zip(k.amplitudes, k.rates, partial):
+        for deg, c in enumerate(without):
             coeffs[deg] -= a_j * b_j * c * mat_b
     return coeffs
 

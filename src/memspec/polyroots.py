@@ -1,12 +1,9 @@
-"""Dense real polynomials: companion-matrix roots and Sturm real-root isolation.
+"""Dense real polynomials and their complex roots.
 
-Two independent root-finding routes are provided on purpose:
-
-* :func:`all_roots` computes every complex root from the eigenvalues of the
-  companion matrix (LAPACK Hessenberg QR via ``numpy.roots``) followed by
-  Newton polishing and conjugate-pair symmetrization.
-* :func:`real_roots_in_interval` isolates real roots with a Sturm sequence
-  and refines them by bisection, without touching the companion route.
+:func:`all_roots` computes every root of a :class:`RealPolynomial` from the
+eigenvalues of its companion matrix (LAPACK Hessenberg QR via ``numpy.roots``),
+then polishes each by Newton steps, pairs conjugates exactly, and checks a
+relative residual bound.
 """
 
 from __future__ import annotations
@@ -17,8 +14,6 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 
 from .errors import RootFindingError
-
-_TRIM_REL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -140,85 +135,3 @@ def all_roots(p: RealPolynomial, tol: float = 1e-10) -> np.ndarray:
             f"residual guarantee failed for roots {bad}", best=roots
         )
     return roots
-
-
-def _trim(c: np.ndarray, scale: float) -> np.ndarray:
-    c = np.asarray(c, dtype=float)
-    mask = np.abs(c) > _TRIM_REL * scale
-    if not mask.any():
-        return np.zeros(0)
-    last = int(np.nonzero(mask)[0][-1])
-    return c[: last + 1]
-
-
-def _sturm_chain(coeffs: np.ndarray) -> list[np.ndarray]:
-    """Sturm sequence of a float polynomial, each element max-normalized.
-
-    Division remainders below the trim threshold terminate the chain, which
-    makes the sequence behave like the chain of the square-free part.
-    """
-    p0 = np.asarray(coeffs, dtype=float)
-    p0 = p0 / np.max(np.abs(p0))
-    chain = [p0]
-    if len(p0) > 1:
-        p1 = npp.polyder(p0)
-        chain.append(p1 / np.max(np.abs(p1)))
-    while len(chain[-1]) > 1:
-        _, rem = npp.polydiv(chain[-2], chain[-1])
-        rem = _trim(rem, 1.0)
-        if rem.size == 0:
-            break
-        rem = -rem / np.max(np.abs(rem))
-        chain.append(rem)
-    return chain
-
-
-def _variations(chain: list[np.ndarray], x: float) -> int:
-    signs = []
-    for c in chain:
-        v = npp.polyval(x, c)
-        if v != 0.0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
-
-
-def real_roots_in_interval(p: RealPolynomial, lo: float, hi: float,
-                           tol: float = 1e-10) -> list[float]:
-    """Sorted distinct real roots of ``p`` in [lo, hi].
-
-    Roots are isolated by Sturm sign-variation counts and refined by bisection
-    on the counts until the bracketing interval is narrower than ``tol``.  A
-    root within ``tol`` of either endpoint is included.
-    """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if p.degree == 0:
-        return []
-    chain = _sturm_chain(np.asarray(p.scaled().coeffs))
-    a, b = lo - tol, hi + tol
-
-    def count(x0: float, x1: float) -> int:
-        return _variations(chain, x0) - _variations(chain, x1)
-
-    roots: list[float] = []
-    stack = [(a, b, count(a, b))]
-    while stack:
-        x0, x1, k = stack.pop()
-        if k <= 0:
-            continue
-        if k == 1 or x1 - x0 <= tol:
-            # refine a single root (or an unresolvable cluster) by bisection;
-            # clusters are reported once per counted root, not merged
-            while x1 - x0 > tol:
-                xm = 0.5 * (x0 + x1)
-                if count(x0, xm) >= 1:
-                    x1 = xm
-                else:
-                    x0 = xm
-            roots.extend([0.5 * (x0 + x1)] * k)
-            continue
-        xm = 0.5 * (x0 + x1)
-        kl = count(x0, xm)
-        stack.append((x0, xm, kl))
-        stack.append((xm, x1, k - kl))
-    return sorted(roots)

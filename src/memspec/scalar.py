@@ -17,7 +17,7 @@ import numpy.polynomial.polynomial as npp
 
 from .errors import HypothesisError, SingularDenominatorError
 from .kernel import POLE_GUARD, ExponentialKernel
-from .polyroots import RealPolynomial, all_roots, real_roots_in_interval
+from .polyroots import RealPolynomial, all_roots
 
 #: Denominator magnitude below which the spectral map is considered singular.
 SINGULARITY_GUARD = 1e-12
@@ -72,24 +72,19 @@ def fredholm_factor(k: ExponentialKernel, bhat: float, lam: complex) -> complex:
     return 1.0 - bhat * k.laplace(lam)
 
 
-def _fredholm_cleared(k: ExponentialKernel, bhat: float) -> RealPolynomial:
-    """(1 - bhat*Khat) * prod(lam + b_j), an N-th degree real polynomial."""
-    rates = np.asarray(k.rates)
-    full = npp.polyfromroots(-rates).real
-    acc = np.array(full)
-    for j, (a, b) in enumerate(zip(k.amplitudes, k.rates)):
-        others = np.delete(rates, j)
-        without = npp.polyfromroots(-others).real if others.size else np.array([1.0])
-        acc = npp.polysub(acc, bhat * a * b * np.pad(without, (0, acc.size - without.size)))
-    return RealPolynomial(tuple(np.atleast_1d(acc)))
+def fredholm_factor_zeros(k: ExponentialKernel, bhat: float) -> list[float]:
+    """The N real zeros of 1 - bhat * Khat, one per pole gap, ascending.
 
-
-def fredholm_factor_zeros(k: ExponentialKernel, bhat: float,
-                          tol: float = 1e-12) -> list[float]:
-    """The N real zeros of 1 - bhat * Khat, one per pole gap.
-
-    The zeros interlace the poles: exactly one lies in each interval
-    (-b_j, -b_{j-1}) with b_0 := 0, and all lie in (-b_N, 0).
+    On the gap (-b_j, -b_{j-1}), with b_0 := 0, Khat falls strictly from
+    +inf to -inf (to Khat(0) = sum(a_j) when j = 1, where the dissipativity
+    margin keeps the factor positive), so the factor rises through zero
+    exactly once.  Each zero is bisected on the partial-fraction form in the
+    offset d = lam + b_j, where the pole term a_j b_j / d carries no
+    cancellation, until its bracket is two adjacent doubles: the secular
+    equation technique of Bunch, Nielsen & Sorensen (Numer. Math. 31, 1978)
+    and LAPACK dlaed4.  The zero next to 0 is conditioned like the inverse
+    of the margin 1 - bhat * sum(a_j), so its relative error grows as the
+    margin closes.
     """
     if bhat == 0.0:
         return []
@@ -100,25 +95,21 @@ def fredholm_factor_zeros(k: ExponentialKernel, bhat: float,
             f"dissipativity margin {k.dissipativity_margin(bhat)} <= 0 at "
             f"bhat = {bhat}"
         )
-    poly = _fredholm_cleared(k, bhat)
-    zeros = real_roots_in_interval(poly, -k.rates[-1], 0.0, tol)
-    if len(zeros) != k.n_terms:
-        raise RuntimeError(
-            f"expected {k.n_terms} zeros in (-b_N, 0), found {zeros}"
-        )
-    dpoly = poly.derivative()
-    polished = []
-    for z in zeros:
-        for _ in range(3):  # bisection leaves ~tol; Newton recovers full precision
-            dv = dpoly(z)
-            if dv == 0.0:
-                break
-            step = poly(z) / dv
-            if abs(step) > tol:
-                break
-            z = z - step
-        polished.append(float(z))
-    return polished
+    rates = np.asarray(k.rates)
+    weights = bhat * np.asarray(k.amplitudes) * rates
+    shifts = rates[None, :] - rates[:, None]  # row j: lam + b_i = d + shifts
+    lo = np.zeros(k.n_terms)
+    hi = np.diff(rates, prepend=0.0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = np.flatnonzero((lo < mid) & (mid < hi))
+        if live.size == 0:
+            break
+        d = mid[live]
+        below = np.sum(weights / (d[:, None] + shifts[live]), axis=1) > 1.0
+        lo[live] = np.where(below, d, lo[live])
+        hi[live] = np.where(below, hi[live], d)
+    return (mid - rates)[::-1].tolist()
 
 
 def spectral_map(k: ExponentialKernel, bhat: float, lam: float) -> float:
@@ -143,18 +134,28 @@ def rational_symbol(k: ExponentialKernel, m: ModeCoefficients,
     return lam * lam + m.alpha - m.beta * k.laplace(lam)
 
 
+def denominator_products(k: ExponentialKernel) -> tuple[np.ndarray,
+                                                       list[np.ndarray]]:
+    """Ascending coefficients of prod_i (lam + b_i) and, for each term j, of
+    prod_{i != j} (lam + b_i): the common denominator of Khat and the
+    numerators of its partial fractions once cleared.
+    """
+    rates = np.asarray(k.rates)
+    full = npp.polyfromroots(-rates).real
+    partial = [npp.polyfromroots(-np.delete(rates, j)).real
+               for j in range(k.n_terms)]
+    return full, partial
+
+
 def cleared_mode_polynomial(k: ExponentialKernel,
                             m: ModeCoefficients) -> RealPolynomial:
     """Degree N+2 polynomial (lam^2 + alpha) prod(lam+b_j) - beta * sum-term.
 
     Coefficients are assembled exactly by convolution, never by sampling.
     """
-    rates = np.asarray(k.rates)
-    full = npp.polyfromroots(-rates).real
+    full, partial = denominator_products(k)
     acc = npp.polymul(np.array([m.alpha, 0.0, 1.0]), full)
-    for j, (a, b) in enumerate(zip(k.amplitudes, k.rates)):
-        others = np.delete(rates, j)
-        without = npp.polyfromroots(-others).real if others.size else np.array([1.0])
+    for a, b, without in zip(k.amplitudes, k.rates, partial):
         acc = npp.polysub(acc, m.beta * a * b * np.pad(without, (0, acc.size - without.size)))
     return RealPolynomial(tuple(acc))
 

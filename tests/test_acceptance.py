@@ -308,8 +308,8 @@ def test_property_suites():
             assert z.real < -1e-8  # b_min > 0 keeps the axis clear
 
         # essential spectrum inside [c0, c1] inside (-b_N, 0]
-        ess = essential_spectrum(k, d, sweep_points=2)
-        c0, c1 = enclosure_interval(k, d, alpha, sweep_points=2)
+        ess = essential_spectrum(k, d)
+        c0, c1 = enclosure_interval(k, d, alpha)
         for lo, hi in ess.intervals:
             assert c0 - 1e-9 <= lo and hi <= c1 + 1e-9
         assert -k.rates[-1] < c0 <= c1 <= 1e-12

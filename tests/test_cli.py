@@ -1,6 +1,10 @@
 """Command-line interface: output formats, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,13 @@ CONSTANT = {
     "domain": {"kind": "box", "lengths": [1.0, 4.0]},
 }
 
+TWO_TERM = {
+    "coefficient_a": 1.0,
+    "kernel": {"a": [1.0, 0.2], "b": [1.0, 1.5]},
+    "damping": {"kind": "range", "b_min": 0.5, "b_max": 0.75},
+    "domain": {"kind": "box", "lengths": [1.0, 1.0]},
+}
+
 FD = {
     "coefficient_a": 1.0,
     "kernel": {"a": [0.9], "b": [0.5]},
@@ -37,6 +48,18 @@ def config(tmp_path):
         path.write_text(json.dumps(doc))
         return str(path)
     return write
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+
+
+def run_process(argv, cwd):
+    """Run the CLI in a fresh interpreter, as a console user would."""
+    return subprocess.run(
+        [sys.executable, "-m", "memspec.cli", *argv], cwd=cwd,
+        capture_output=True, text=True, env=ENV,
+    )
 
 
 def run(capsys, argv):
@@ -137,6 +160,87 @@ def test_validate_passes(config, capsys):
     assert "PASS conjugate_symmetry" in out
     assert "PASS essential_in_interval" in out
     assert "FAIL" not in out
+
+
+def test_validate_two_term_kernel(config, capsys):
+    # the paper's two-term example; det P(-b_j) is small here because the
+    # rates 1 and 1.5 are close, which the exact identity allows for
+    code, out = run(capsys, ["validate", "--config", config(TWO_TERM)])
+    assert code == 0
+    assert "PASS pole_exclusion" in out
+    assert "PASS branch_monotonicity" in out
+
+
+def test_sweep_validation(config, capsys):
+    # --sweep sets only the density of validate's monotonicity scan
+    code, out = run(capsys, ["validate", "--config", config(GRADED),
+                             "--sweep", "2"])
+    assert code == 0
+    assert "PASS branch_monotonicity" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", config(GRADED), "--sweep", "1"])
+    assert exc.value.code == 2
+    assert "--sweep" in capsys.readouterr().err
+
+
+def _with(doc, **fields):
+    """Copy of ``doc`` with top-level and dotted fields replaced."""
+    doc = json.loads(json.dumps(doc))
+    for dotted, value in fields.items():
+        node = doc
+        *parents, leaf = dotted.split("__")
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+    return json.dumps(doc)
+
+
+BAD_INPUTS = {
+    "sweep-1": (["validate", "--sweep", "1"], json.dumps(GRADED), 2,
+                "--sweep"),
+    "beta-samples-0": (["enclosure", "--format", "csv", "--beta-samples",
+                        "0"], json.dumps(GRADED), 2, "--beta-samples"),
+    "imag-cap-negative": (["eigs", "--imag-cap", "-1"],
+                          json.dumps(CONSTANT), 2, "--imag-cap"),
+    "imag-cap-nan": (["eigs", "--imag-cap", "nan"], json.dumps(CONSTANT), 2,
+                     "--imag-cap"),
+    "alpha-cap-inf": (["eigs", "--alpha-cap", "inf"], json.dumps(CONSTANT),
+                      2, "--alpha-cap"),
+    "coefficient-bool": (["essential"], _with(GRADED, coefficient_a=True), 2,
+                         "coefficient_a"),
+    "kernel-string": (["essential"], _with(GRADED, kernel__a=["1.0"]), 2,
+                      "kernel.a"),
+    "side-overflow": (["enclosure"],
+                      json.dumps(GRADED).replace("[1.0, 1.0]", "[1e309, 1]"),
+                      2, "domain.lengths"),
+    "profile-b-min-text": (["discretize"],
+                           _with(FD, damping__b_min="low"), 2,
+                           "damping.b_min"),
+    "validate-undamped": (["validate"], _with(CONSTANT, damping__value=0.0),
+                          0, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_refused(case, tmp_path):
+    argv, text, want_code, field = BAD_INPUTS[case]
+    (tmp_path / "problem.json").write_text(text)
+    proc = run_process([*argv, "--config", "problem.json"], tmp_path)
+    assert proc.returncode == want_code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert field in proc.stderr
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # importing scipy.optimize would add about half to the console
+    # script's start-up time
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, memspec.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_validate_constant_includes_jordan(config, capsys):

@@ -1,9 +1,10 @@
-"""Essential spectrum sweep and enclosure region construction.
+"""Essential spectrum and enclosure region construction.
 
-One-term branch zeros have the closed form -b1 + bhat*a1*b1, so the sweep
+One-term branch zeros have the closed form -b1 + bhat*a1*b1, so the interval
 endpoints are checked against exact arithmetic.  The real interval [c0, c1]
 is cross-checked by plain sign-change bisection on the rational symbol, a
-route that shares no code with the polynomial solvers.
+route that shares no code with the polynomial solvers, and both are checked
+against a dense sweep of damping levels.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from memspec import (
     boundary_cloud,
     enclosure_interval,
     essential_spectrum,
+    fredholm_factor_zeros,
     mode_eigenvalues,
     one_pole_region,
     rational_symbol,
@@ -74,9 +76,44 @@ class TestEssentialSpectrum:
         assert not ess.contains(-0.6)
         assert ess.contains(-0.5 - 1e-9, tol=1e-8)
 
-    def test_sweep_validation(self, k_one, d_graded):
-        with pytest.raises(ValueError):
-            essential_spectrum(k_one, d_graded, sweep_points=1)
+
+def _dense_sweep(k, d, w_min, levels=129):
+    """Essential intervals and [c0, c1] from every level of a dense grid."""
+    grid = np.unique(np.linspace(max(d.b_min, 1e-8), max(d.b_max, 1e-8),
+                                 levels))
+    zeros = np.array([fredholm_factor_zeros(k, b) for b in grid])
+    intervals = []
+    for lo, hi in zip(zeros.min(axis=0), zeros.max(axis=0)):
+        if intervals and lo - intervals[-1][1] < 1e-10:
+            intervals[-1] = (intervals[-1][0], float(hi))
+        else:
+            intervals.append((float(lo), float(hi)))
+    reals = [z.real for b in grid
+             for z in mode_eigenvalues(k, ModeCoefficients(w_min, b * w_min))
+             if abs(z.imag) <= 1e-9 * (1.0 + abs(z))]
+    return tuple(intervals), (min(reals), max(max(reals), zeros[-1].max()))
+
+
+class TestTwoLevels:
+    def test_bounds_match_dense_sweep(self, k_one, k_wave, k_two, d_graded,
+                                      d_half):
+        # the spectrum and [c0, c1] are read at b_min and b_max only; every
+        # interior level of a dense sweep must leave them unchanged
+        rng = np.random.default_rng(41)
+        cases = [(k_one, d_graded), (k_two, d_graded), (k_wave, d_half)]
+        for _ in range(9):
+            n = int(rng.integers(1, 5))
+            rates = np.sort(rng.uniform(0.1, 10.0, n))
+            k = ExponentialKernel(tuple(rng.uniform(0.1, 1.0, n)),
+                                  tuple(rates))
+            top = float(rng.uniform(0.2, 0.95)) / k.amplitude_sum
+            low = top if rng.random() < 0.3 else float(rng.uniform(0.0, top))
+            cases.append((k, DampingBound(low, top)))
+        for k, d in cases:
+            w_min = float(rng.uniform(1.0, 50.0))
+            intervals, interval = _dense_sweep(k, d, w_min)
+            assert essential_spectrum(k, d).intervals == intervals
+            assert enclosure_interval(k, d, w_min) == interval
 
 
 class TestEnclosureInterval:

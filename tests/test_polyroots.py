@@ -1,15 +1,13 @@
-"""Polynomial container and the two independent root-finding routes.
+"""Polynomial container and the companion-matrix root finder.
 
-The companion route (all_roots) is checked against the quadratic formula and
-against known factored forms; the Sturm route (real_roots_in_interval) is
-checked against the same oracles and against the companion route, which keeps
-the two implementations mutually accountable.
+all_roots is checked against the quadratic formula and against known
+factored forms.
 """
 
 import numpy as np
 import pytest
 
-from memspec import RealPolynomial, all_roots, real_roots_in_interval
+from memspec import RealPolynomial, all_roots
 from memspec.errors import RootFindingError
 
 
@@ -116,51 +114,3 @@ class TestAllRoots:
         with pytest.raises(RootFindingError) as exc:
             all_roots(p, tol=1e-300)
         assert exc.value.best is not None
-
-
-class TestSturmRoute:
-    def test_known_roots(self):
-        p = RealPolynomial.from_roots([-2.0, 0.5, 3.0])
-        got = real_roots_in_interval(p, -10.0, 10.0, tol=1e-12)
-        assert np.allclose(got, [-2.0, 0.5, 3.0], atol=1e-10)
-
-    def test_interval_restriction(self):
-        p = RealPolynomial.from_roots([-2.0, 0.5, 3.0])
-        got = real_roots_in_interval(p, 0.0, 4.0, tol=1e-12)
-        assert np.allclose(got, [0.5, 3.0], atol=1e-10)
-
-    def test_root_at_endpoint_included(self):
-        p = RealPolynomial.from_roots([1.0, 5.0])
-        got = real_roots_in_interval(p, -1.0, 1.0, tol=1e-12)
-        assert len(got) == 1
-        assert got[0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_double_root_reported_once(self):
-        # the remainder trim makes the chain behave like that of the
-        # square-free part, so distinct locations are reported, not
-        # multiplicities
-        p = RealPolynomial.from_roots([1.0, 1.0, -2.0])
-        got = real_roots_in_interval(p, 0.0, 2.0, tol=1e-10)
-        assert len(got) == 1
-        assert got[0] == pytest.approx(1.0, abs=1e-5)
-
-    def test_complex_roots_ignored(self):
-        p = RealPolynomial((5.0, 2.0, 1.0))  # roots -1 +- 2i
-        assert real_roots_in_interval(p, -10.0, 10.0) == []
-
-    def test_invalid_interval(self):
-        p = RealPolynomial((1.0, 1.0))
-        with pytest.raises(ValueError):
-            real_roots_in_interval(p, 2.0, 2.0)
-
-    def test_agrees_with_companion_route(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            roots = np.sort(rng.uniform(-5.0, 5.0, size=5))
-            if np.min(np.diff(roots)) < 0.05:
-                continue
-            p = RealPolynomial.from_roots(roots)
-            sturm = real_roots_in_interval(p, -6.0, 6.0, tol=1e-12)
-            comp = sorted(z.real for z in all_roots(p))
-            assert np.allclose(sturm, comp, atol=1e-9)
-            assert np.allclose(sturm, roots, atol=1e-9)

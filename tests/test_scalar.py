@@ -1,10 +1,12 @@
 """Scalar spectral functions: branch zeros, spectral map, mode polynomials.
 
 One-term branch zeros have the closed form -b1 + bhat*a1*b1 and two-term
-zeros follow from the quadratic formula; both oracles are recomputed inline
-so the Sturm-based implementation is tested against independent arithmetic.
+zeros follow from the quadratic formula; both oracles are recomputed inline,
+and wide-rate kernels are checked against 50-digit mpmath roots, so the
+bisection is tested against independent arithmetic.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,6 +25,26 @@ from memspec import (
     real_imag_residual,
     spectral_map,
 )
+
+
+def mpmath_zero_oracle(k, bhat):
+    """Zeros of 1 - bhat*Khat at 50 digits, one bracketed solve per gap."""
+    with mpmath.workdps(50):
+        amps = [mpmath.mpf(a) for a in k.amplitudes]
+        rates = [mpmath.mpf(b) for b in k.rates]
+        bhat = mpmath.mpf(bhat)
+        zeros = []
+        for j, b_j in enumerate(rates):
+            def factor(lam):
+                return 1 - bhat * mpmath.fsum(
+                    a * b / (lam + b) for a, b in zip(amps, rates))
+            right = -rates[j - 1] if j else mpmath.mpf(0)
+            eps = (b_j + right) * mpmath.mpf(10) ** -40
+            zero = mpmath.findroot(factor, (-b_j + eps, right - eps),
+                                   solver="anderson")
+            assert -b_j < zero < right
+            zeros.append(zero)
+        return sorted(zeros)
 
 
 def two_term_zero_oracle(k, bhat):
@@ -80,6 +102,24 @@ class TestFredholmFactor:
             zeros = fredholm_factor_zeros(k_two, bhat)
             assert np.allclose(zeros, two_term_zero_oracle(k_two, bhat),
                                atol=1e-12)
+
+    def test_wide_rate_zeros_against_mpmath(self):
+        # N <= 12 terms with rates spread over 1e-3..1e3; the margin
+        # 1 - bhat*sum(a) stays >= 0.1, which bounds the conditioning of the
+        # zero next to 0
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            n = int(rng.integers(1, 13))
+            rates = np.sort(10.0 ** rng.uniform(-3.0, 3.0, n))
+            amps = 10.0 ** rng.uniform(-3.0, 0.0, n)
+            k = ExponentialKernel(tuple(amps), tuple(rates))
+            for share in (1e-8, float(rng.uniform(0.0, 0.9))):
+                bhat = share / k.amplitude_sum
+                got = fredholm_factor_zeros(k, bhat)
+                want = mpmath_zero_oracle(k, bhat)
+                assert len(got) == n
+                for z, w in zip(got, want):
+                    assert abs(z - w) <= 1e-13 * abs(w)
 
     def test_zeros_interlace_poles(self, k_two):
         zeros = fredholm_factor_zeros(k_two, 0.6)

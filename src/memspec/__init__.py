@@ -35,6 +35,7 @@ from .scalar import (
     fredholm_factor_zeros,
     jordan_condition,
     mode_eigenvalues,
+    mode_spectra,
     rational_symbol,
     real_imag_residual,
     spectral_map,
@@ -72,6 +73,7 @@ __all__ = [
     "min_stiffness",
     "mode_alpha",
     "mode_eigenvalues",
+    "mode_spectra",
     "nonlinear_eigenvalues_fd",
     "one_pole_region",
     "rational_symbol",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 
@@ -60,7 +59,8 @@ def enumerate_modes(a: float, box: BoxDomain, alpha_cap: float) -> list[Mode]:
     """All modes with alpha <= alpha_cap, sorted by (alpha, indices).
 
     The index bound m_j <= l_j * sqrt(alpha_cap / (a pi^2)) makes the
-    enumeration complete; multiplicities are kept as distinct entries.
+    enumeration complete; multiplicities are kept as distinct entries.  A
+    cap below the ground mode gives an empty list.
     """
     base = math.sqrt(max(alpha_cap, 0.0) / (a * math.pi ** 2))
     bounds = [max(int(math.floor(l * base)) + 1, 1) for l in box.lengths]
@@ -70,11 +70,5 @@ def enumerate_modes(a: float, box: BoxDomain, alpha_cap: float) -> list[Mode]:
         alpha = mode_alpha(a, box, idx)
         if alpha <= cap:
             modes.append(Mode(idx, alpha))
-    if not modes:
-        warnings.warn(
-            f"alpha_cap = {alpha_cap} is below the ground mode "
-            f"{min_stiffness(a, box)}; no modes enumerated",
-            stacklevel=2,
-        )
     modes.sort(key=lambda m: (m.alpha, m.indices))
     return modes

@@ -19,6 +19,7 @@ import json
 import sys
 
 import numpy as np
+import scipy.linalg
 
 from . import boxmodes, enclosure, pencil, scalar
 from .config import ProblemSpec, parse_config
@@ -27,7 +28,6 @@ from .records import EigenvalueRecord
 
 CSV_HEADER = "re,im,source,branch,residual,jordan_ok"
 
-_REAL_IM_TOL = 1e-9
 _JORDAN_FLOOR = 1e-3
 
 
@@ -66,8 +66,15 @@ def _records_csv(records, extra_lines=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _effective_bounds(spec: ProblemSpec) -> scalar.DampingBound:
-    return spec.damping.bounds()
+def _modes(spec: ProblemSpec, box: boxmodes.BoxDomain,
+           alpha_cap: float) -> list[boxmodes.Mode]:
+    """Box modes up to alpha_cap; a cap below the ground mode is refused."""
+    modes = boxmodes.enumerate_modes(spec.coefficient_a, box, alpha_cap)
+    if not modes:
+        raise ConfigError(
+            f"--alpha-cap {alpha_cap:g} is below the ground mode "
+            f"{boxmodes.min_stiffness(spec.coefficient_a, box):g}")
+    return modes
 
 
 def _mode_records(spec: ProblemSpec, alpha_cap: float,
@@ -75,14 +82,14 @@ def _mode_records(spec: ProblemSpec, alpha_cap: float,
     """Per-mode eigenvalue records for a box domain with constant damping."""
     k = spec.kernel
     b = spec.damping.value
-    box = boxmodes.BoxDomain(spec.domain.lengths)
+    modes = _modes(spec, boxmodes.BoxDomain(spec.domain.lengths), alpha_cap)
+    alphas = [mode.alpha for mode in modes]
+    spectra = scalar.mode_spectra(k, alphas, [b * alpha for alpha in alphas])
     records: list[EigenvalueRecord] = []
-    for mode in boxmodes.enumerate_modes(spec.coefficient_a, box, alpha_cap):
+    for mode, roots in zip(modes, spectra):
         m = scalar.ModeCoefficients(mode.alpha, b * mode.alpha)
         source = "m=" + "-".join(str(i) for i in mode.indices)
-        for z in scalar.mode_eigenvalues(k, m):
-            if abs(z.imag) > imag_cap:
-                continue
+        for z in roots[np.abs(roots.imag) <= imag_cap]:
             residual = abs(scalar.rational_symbol(k, m, z)) / (1.0 + m.alpha)
             if z.imag == 0.0:
                 jordan = None
@@ -101,22 +108,20 @@ def _mode_records(spec: ProblemSpec, alpha_cap: float,
     return records
 
 
-def _region_for(spec: ProblemSpec, w_min: float, alphas,
-                samples_beta: int) -> enclosure.EnclosureRegion:
-    """One-pole region when possible, cloud-backed interval otherwise."""
-    k = spec.kernel
-    bounds = _effective_bounds(spec)
-    if k.n_terms == 1:
-        return enclosure.one_pole_region(k, bounds, w_min)
-    c0, c1 = enclosure.enclosure_interval(k, bounds, w_min)
-    cloud = enclosure.boundary_cloud(k, bounds, alphas, samples_beta)
-    return enclosure.EnclosureRegion(c0, c1, None,
-                                     tuple(z for z, _, _ in cloud),
-                                     float(np.max(alphas)))
+def _fd_stencils(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """FD stencils (A, A_b) of the interval domain."""
+    n = spec.domain.grid_points
+    return pencil.discretize_1d(spec.coefficient_a, _fd_profile(spec, n), n,
+                                spec.domain.length)
+
+
+def _stiffness_eigenvalues(mat_a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal stencil A."""
+    return scipy.linalg.eigvalsh_tridiagonal(np.diag(mat_a), np.diag(mat_a, 1))
 
 
 def cmd_essential(spec: ProblemSpec, args) -> int:
-    ess = enclosure.essential_spectrum(spec.kernel, _effective_bounds(spec))
+    ess = enclosure.essential_spectrum(spec.kernel, spec.damping.bounds())
     doc = {"intervals": [[lo, hi] for lo, hi in ess.intervals]}
     _emit(json.dumps(doc) + "\n", args.output)
     pretty = " U ".join(f"[{_fmt(lo)}, {_fmt(hi)}]" for lo, hi in ess.intervals)
@@ -155,20 +160,14 @@ def cmd_enclosure(spec: ProblemSpec, args) -> int:
     if spec.domain.kind != "box":
         raise ConfigError("enclosure needs a box domain for the ground mode")
     k = spec.kernel
-    bounds = _effective_bounds(spec)
+    bounds = spec.damping.bounds()
     box = boxmodes.BoxDomain(spec.domain.lengths)
     w_min = boxmodes.min_stiffness(spec.coefficient_a, box)
     if args.alpha_cap is not None:
-        modes = boxmodes.enumerate_modes(spec.coefficient_a, box,
-                                         args.alpha_cap)
-        alphas = [m.alpha for m in modes]
+        alphas = [m.alpha for m in _modes(spec, box, args.alpha_cap)]
     else:
         alphas = list(enclosure.synthetic_alpha_grid(w_min))
-    if k.n_terms == 1:
-        region = enclosure.one_pole_region(k, bounds, w_min)
-    else:
-        region = enclosure.EnclosureRegion(
-            *enclosure.enclosure_interval(k, bounds, w_min))
+    region = enclosure.enclosure_region(k, bounds, w_min)
     cloud = enclosure.boundary_cloud(k, bounds, alphas, args.beta_samples)
     if args.format == "csv":
         lines = ["re,im,alpha,beta"]
@@ -211,50 +210,28 @@ def cmd_discretize(spec: ProblemSpec, args) -> int:
     n_points = spec.domain.grid_points
     if (k.n_terms + 2) * n_points > 2000:
         raise ConfigError(
-            f"companion size {(k.n_terms + 2) * n_points} exceeds 2000; "
-            "reduce grid_points"
+            f"realization size {(k.n_terms + 2) * n_points} exceeds 2000; "
+            "reduce domain.grid_points"
         )
-    profile = _fd_profile(spec, n_points)
-    mat_a, mat_b = pencil.discretize_1d(spec.coefficient_a, profile, n_points,
-                                        spec.domain.length)
+    mat_a, mat_b = _fd_stencils(spec)
+    stiff = _stiffness_eigenvalues(mat_a)
     records = pencil.nonlinear_eigenvalues_fd(mat_a, mat_b, k, args.imag_cap)
-    w_min = float(np.linalg.eigvalsh(mat_a)[0])
-    stiff_eigs = np.linalg.eigvalsh(mat_a)
-    region = _region_for(spec, w_min, stiff_eigs, args.beta_samples)
-    scale = float(np.linalg.norm(mat_a, 2))
+    region = enclosure.enclosure_region(k, spec.damping.bounds(),
+                                        float(stiff[0]))
     tol = args.tolerance if args.tolerance is not None \
-        else 1e-8 * (1.0 + scale)
-    inside = outside = 0
-    worst = 0.0
-    for rec in records:
-        if region.contains(rec.value, tol):
-            inside += 1
-        else:
-            outside += 1
-            worst = max(worst, _containment_violation(region, rec.value))
+        else 1e-8 * (1.0 + float(stiff[-1]))
+    violations = [region.violation(rec.value, tol) for rec in records]
+    outside = sum(v > 0.0 for v in violations)
+    inside = len(records) - outside
     report = [
         f"# inside={inside}",
         f"# outside={outside}",
-        f"# max_violation={_fmt(worst)}",
+        f"# max_violation={_fmt(max(violations, default=0.0))}",
     ]
     _emit(_records_csv(records, report), args.output)
     _info(f"{len(records)} fd eigenvalues; containment {inside} inside / "
           f"{outside} outside (tol {_fmt(tol)})")
     return 0
-
-
-def _containment_violation(region: enclosure.EnclosureRegion,
-                           lam: complex) -> float:
-    """Distance by which a point misses the region (0 when inside)."""
-    lam = complex(lam)
-    dist_real = max(region.c0 - lam.real, lam.real - region.c1, 0.0)
-    d_interval = float(np.hypot(dist_real, lam.imag))
-    if region.one_pole is None:
-        return d_interval
-    s = region.one_pole
-    dx = max(s.d0 - lam.real, lam.real - s.d1, 0.0)
-    dy = max(s.hat_d - abs(lam.imag), 0.0)
-    return min(d_interval, float(np.hypot(dx, dy)))
 
 
 def _validation_modes(spec: ProblemSpec) -> list[float]:
@@ -265,16 +242,12 @@ def _validation_modes(spec: ProblemSpec) -> list[float]:
         modes = boxmodes.enumerate_modes(spec.coefficient_a, box,
                                          25.0 * w_min)
         return [m.alpha for m in modes[:12]]
-    n_points = spec.domain.grid_points
-    profile = _fd_profile(spec, n_points)
-    mat_a, _ = pencil.discretize_1d(spec.coefficient_a, profile, n_points,
-                                    spec.domain.length)
-    return list(np.linalg.eigvalsh(mat_a)[:12])
+    return list(_stiffness_eigenvalues(_fd_stencils(spec)[0])[:12])
 
 
 def cmd_validate(spec: ProblemSpec, args) -> int:
     k = spec.kernel
-    bounds = _effective_bounds(spec)
+    bounds = spec.damping.bounds()
     alphas = _validation_modes(spec)
     w_min = min(alphas)
     rng = np.random.default_rng(0)
@@ -288,18 +261,16 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
             failures.append(name)
 
     beta_mid = 0.5 * (bounds.b_min + bounds.b_max)
-    eig_sets = []
-    for alpha in alphas:
-        m = scalar.ModeCoefficients(alpha, beta_mid * alpha)
-        eig_sets.append((m, scalar.mode_eigenvalues(k, m)))
+    spectra = scalar.mode_spectra(k, alphas,
+                                  [beta_mid * alpha for alpha in alphas])
 
     sym_ok = all(
         min(abs(np.conj(z) - w) for w in roots) <= 1e-8 * (1.0 + abs(z))
-        for _, roots in eig_sets for z in roots
+        for roots in spectra for z in roots
     )
     check("conjugate_symmetry", sym_ok)
 
-    half_ok = all(z.real <= 1e-10 for _, roots in eig_sets for z in roots)
+    half_ok = all(z.real <= 1e-10 for roots in spectra for z in roots)
     check("left_half_plane", half_ok)
 
     ess = enclosure.essential_spectrum(k, bounds)
@@ -347,7 +318,7 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
 
     if bounds.is_constant and bounds.b_max > 0.0:
         jordan_ok = True
-        for m, roots in eig_sets:
+        for roots in spectra:
             for z in roots:
                 if z.imag == 0.0 and z.real != 0.0:
                     val = scalar.jordan_condition(k, bounds.b_max, z.real)

@@ -1,35 +1,27 @@
 """Essential spectrum and numerical-range enclosures.
 
 The essential spectrum consists of at most N real intervals swept out by the
-zeros of 1 - bhat * Khat as bhat ranges over the damping bounds.  The complex
-enclosure is the real interval [c0, c1] plus, for one-term kernels, two
-vertical half-strips; for general kernels the complex part is delivered as a
-sampled boundary cloud.
+zeros of 1 - bhat * Khat as bhat ranges over the damping bounds.  The
+enclosure is the real interval [c0, c1] plus the non-real roots of mode
+symbols with alpha >= w_min and b_min <= beta / alpha <= b_max; one-term
+kernels also get two closed-form vertical half-strips around those roots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisError
 from .kernel import ExponentialKernel
-from .scalar import (
-    DampingBound,
-    ModeCoefficients,
-    fredholm_factor_zeros,
-    mode_eigenvalues,
-)
+from .scalar import DampingBound, fredholm_factor_zeros, mode_spectra
 
 #: Damping level used in place of an exact zero to keep branch zeros defined.
 DAMPING_FLOOR = 1e-8
 
 #: Branch intervals closer than this are merged.
 MERGE_GAP = 1e-10
-
-#: |Im| below this (relative) counts as a real root when collecting c0/c1.
-_REAL_IM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,31 +45,54 @@ class OnePoleStrips:
 
 @dataclass(frozen=True)
 class EnclosureRegion:
-    """Computed enclosure: real interval, optional strips, sampled cloud."""
+    """Enclosure for kernel ``kernel``, damping ``bounds`` and stiffness
+    >= ``w_min``: the real interval [c0, c1], optional one-term strips."""
 
+    kernel: ExponentialKernel
+    bounds: DampingBound
+    w_min: float
     c0: float
     c1: float
     one_pole: OnePoleStrips | None = None
-    boundary_cloud: tuple[complex, ...] = field(default_factory=tuple)
-    alpha_cap: float = float("nan")
 
-    def contains(self, lam: complex, tol: float) -> bool:
-        """Membership in the enclosure inflated by ``tol``.
+    def violation(self, lam: complex, tol: float) -> float:
+        """How far ``lam`` fails the membership test; 0 when it passes.
 
-        Real points are tested against [c0, c1].  Complex points use the
-        one-term strips when available and otherwise fall back to proximity
-        to the sampled boundary cloud.
+        A real point (|Im| <= tol) must lie within tol of [c0, c1].  For
+        lam = x + iy the mode symbol is linear in (alpha, beta):
+        beta = -2x / S with S = sum_j a_j b_j / |lam + b_j|^2 and
+        alpha = beta * Re Khat(lam) - (x^2 - y^2).  lam passes when alpha >=
+        w_min and b_min <= beta / alpha <= b_max up to the relative slack
+        tol / (1 + |lam|); the value is the shortfall beyond the slack,
+        relative to w_min and to 1 / sum(a_j), the hypothesis' cap on b_max.
         """
         lam = complex(lam)
         if abs(lam.imag) <= tol:
-            return self.c0 - tol <= lam.real <= self.c1 + tol
-        if self.one_pole is not None:
-            s = self.one_pole
-            return (s.d0 - tol <= lam.real <= s.d1 + tol
-                    and abs(lam.imag) >= s.hat_d - tol)
-        if self.boundary_cloud:
-            return min(abs(lam - z) for z in self.boundary_cloud) <= tol
-        return False
+            return max(self.c0 - tol - lam.real, lam.real - self.c1 - tol,
+                       0.0)
+        x, y = lam.real, lam.imag
+        terms = [(a * b, abs(lam + b) ** 2, x + b)
+                 for a, b in zip(self.kernel.amplitudes, self.kernel.rates)]
+        beta = -2.0 * x / sum(w / mag for w, mag, _ in terms)
+        re_khat = sum(w * re / mag for w, mag, re in terms)
+        alpha = beta * re_khat - (x * x - y * y)
+        short = 1.0 - alpha / self.w_min
+        if alpha > 0.0:
+            ratio, d = beta / alpha, self.bounds
+            short = max(short, (d.b_min - ratio) * self.kernel.amplitude_sum,
+                        (ratio - d.b_max) * self.kernel.amplitude_sum)
+        return max(short - tol / (1.0 + abs(lam)), 0.0)
+
+    def contains(self, lam: complex, tol: float) -> bool:
+        """Membership in the enclosure, relaxed by ``tol`` (see violation)."""
+        return self.violation(lam, tol) == 0.0
+
+
+def _require_margin(k: ExponentialKernel, d: DampingBound) -> None:
+    if k.dissipativity_margin(d.b_max) <= 0.0:
+        raise HypothesisError(
+            f"1 - b_max * sum(a_j) = {k.dissipativity_margin(d.b_max)} <= 0"
+        )
 
 
 def damping_levels(d: DampingBound) -> tuple[float, ...]:
@@ -100,10 +115,7 @@ def essential_spectrum(k: ExponentialKernel,
     The zeros over [b_min, b_max] therefore fill exactly the interval between
     the zeros at the two bounds.
     """
-    if k.dissipativity_margin(d.b_max) <= 0.0:
-        raise HypothesisError(
-            f"1 - b_max * sum(a_j) = {k.dissipativity_margin(d.b_max)} <= 0"
-        )
+    _require_margin(k, d)
     levels = damping_levels(d)
     lows = fredholm_factor_zeros(k, levels[0])
     highs = fredholm_factor_zeros(k, levels[-1]) if len(levels) > 1 else lows
@@ -116,17 +128,12 @@ def essential_spectrum(k: ExponentialKernel,
     return EssentialSpectrum(tuple(intervals))
 
 
-def _real_parts(roots: np.ndarray) -> list[float]:
-    return [z.real for z in roots
-            if abs(z.imag) <= _REAL_IM_TOL * (1.0 + abs(z))]
-
-
 def enclosure_interval(k: ExponentialKernel, d: DampingBound,
                        w_min: float) -> tuple[float, float]:
     """Endpoints [c0, c1] of the real part of the enclosure.
 
     The spectral map hits w_min at level bhat exactly at the real roots of
-    the cleared mode polynomial with alpha = w_min, beta = bhat * w_min.
+    the mode symbol with alpha = w_min, beta = bhat * w_min.
     Over [b_min, b_max] these roots form the preimage R of [b_min, b_max]
     under g(lam) = (lam^2 + w_min) / (w_min * Khat(lam)).  g is continuous
     except at the poles of Khat, where it tends to 0 < b_min (a zero b_min
@@ -135,24 +142,18 @@ def enclosure_interval(k: ExponentialKernel, d: DampingBound,
     strictly inside (b_min, b_max) there, points just beyond would lie in R
     too.  Hence min R and max R are roots at b_min or at b_max, and these
     two levels give c0 and c1.  c1 is then tightened to the rightmost branch
-    zero at b_max, where the spectral map blows up.
+    zero at b_max, where the spectral map blows up.  A real root always
+    exists: on (-b_1, 0) the symbol rises from -inf to
+    w_min * (1 - bhat * sum(a_j)) > 0.
     """
     if not w_min > 0.0:
         raise ValueError(f"w_min = {w_min} must be positive")
-    if k.dissipativity_margin(d.b_max) <= 0.0:
-        raise HypothesisError(
-            f"1 - b_max * sum(a_j) = {k.dissipativity_margin(d.b_max)} <= 0"
-        )
+    _require_margin(k, d)
     levels = damping_levels(d)
-    reals: list[float] = []
-    for bhat in levels:
-        m = ModeCoefficients(w_min, bhat * w_min)
-        reals.extend(_real_parts(mode_eigenvalues(k, m)))
+    spectra = mode_spectra(k, [w_min] * len(levels),
+                           [bhat * w_min for bhat in levels])
+    reals = [z.real for z in np.concatenate(spectra) if z.imag == 0.0]
     zero = max(fredholm_factor_zeros(k, levels[-1]))
-    if not reals:
-        # undamped collapse: every real root sits at a pole and is filtered,
-        # so the interval degenerates to the branch-zero limit
-        return zero, zero
     return float(min(reals)), float(max(max(reals), zero))
 
 
@@ -171,8 +172,17 @@ def one_pole_region(k: ExponentialKernel, d: DampingBound,
             f"strip height radicand {radicand} < 0; w_min too small"
         )
     return EnclosureRegion(
-        c0, c1, OnePoleStrips(float(d0), float(d1), float(np.sqrt(radicand)))
+        k, d, w_min, c0, c1,
+        OnePoleStrips(float(d0), float(d1), float(np.sqrt(radicand))),
     )
+
+
+def enclosure_region(k: ExponentialKernel, d: DampingBound,
+                     w_min: float) -> EnclosureRegion:
+    """The enclosure for stiffness >= w_min, with the strips when N = 1."""
+    if k.n_terms == 1:
+        return one_pole_region(k, d, w_min)
+    return EnclosureRegion(k, d, w_min, *enclosure_interval(k, d, w_min))
 
 
 def boundary_cloud(
@@ -180,30 +190,21 @@ def boundary_cloud(
         samples_beta: int = 11) -> list[tuple[complex, float, float]]:
     """Sampled enclosure points: mode eigenvalues over an (alpha, beta) grid.
 
-    Each point comes as (z, alpha, beta).  The output order is canonical
-    (alpha-major, beta-minor, then root order), independent of any internal
-    parallelism.
+    Each point comes as (z, alpha, beta), in alpha-major, beta-minor, then
+    root order; all modes are solved in one batched call.
     """
-    if k.dissipativity_margin(d.b_max) <= 0.0:
-        raise HypothesisError(
-            f"1 - b_max * sum(a_j) = {k.dissipativity_margin(d.b_max)} <= 0"
-        )
-    cloud: list[tuple[complex, float, float]] = []
-    for alpha in alphas:
-        if d.is_constant:
-            betas = [d.b_max * alpha]
-        else:
-            betas = np.linspace(d.b_min * alpha, d.b_max * alpha, samples_beta)
-        for beta in betas:
-            m = ModeCoefficients(float(alpha), float(beta))
-            cloud.extend((complex(z), m.alpha, m.beta)
-                         for z in mode_eigenvalues(k, m))
-    return cloud
+    _require_margin(k, d)
+    alphas = np.asarray(alphas, dtype=float)
+    betas = np.linspace(d.b_min * alphas, d.b_max * alphas,
+                        1 if d.is_constant else samples_beta, axis=1)
+    alphas = np.broadcast_to(alphas[:, None], betas.shape).ravel()
+    betas = betas.ravel()
+    spectra = mode_spectra(k, alphas, betas)
+    return [(complex(z), float(alpha), float(beta))
+            for alpha, beta, roots in zip(alphas, betas, spectra)
+            for z in roots]
 
 
-def synthetic_alpha_grid(w_min: float, alpha_cap: float | None = None,
-                         points: int = 64) -> np.ndarray:
-    """Log-spaced alpha grid from w_min up to alpha_cap (default 1e4 * w_min)."""
-    if alpha_cap is None:
-        alpha_cap = 1e4 * w_min
-    return np.geomspace(w_min, alpha_cap, points)
+def synthetic_alpha_grid(w_min: float) -> np.ndarray:
+    """64 log-spaced alpha values from w_min up to 1e4 * w_min."""
+    return np.geomspace(w_min, 1e4 * w_min, 64)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PoleProximityError
 
 #: Absolute distance below which evaluation near a pole is rejected.
@@ -93,3 +95,27 @@ class ExponentialKernel:
         if b_max < 0.0:
             raise ValueError(f"b_max = {b_max} must be nonnegative")
         return 1.0 - b_max * self.amplitude_sum
+
+    def realization(self, mat_a, factor) -> np.ndarray:
+        """Real matrix [[0, I, 0], [-A, 0, -c_j F^T], [-c_j F, 0, -b_j I]].
+
+        With c_j = sqrt(a_j b_j) and A_b = F^T F, its eigenvalues are those
+        of lam^2 + A - Khat(lam) A_b in the state (u, lam u, q_j), memory
+        variables q_j = -c_j F u / (lam + b_j) (linearization by realization,
+        Su & Bai, SIMAX 32, 2011).  A full-row-rank F adds none at a pole.
+        Leading axes of ``mat_a`` (..., n, n), ``factor`` (..., r, n) batch.
+        """
+        mat_a, factor = np.asarray(mat_a, float), np.asarray(factor, float)
+        n, r = mat_a.shape[-1], factor.shape[-2]
+        batch = np.broadcast_shapes(mat_a.shape[:-2], factor.shape[:-2])
+        size = 2 * n + self.n_terms * r
+        big = np.zeros(batch + (size, size))
+        big[..., :n, n:2 * n] = np.eye(n)
+        big[..., n:2 * n, :n] = -mat_a
+        for j, (a, b) in enumerate(zip(self.amplitudes, self.rates)):
+            c = math.sqrt(a * b)
+            mem = slice(2 * n + j * r, 2 * n + (j + 1) * r)
+            big[..., n:2 * n, mem] = -c * np.swapaxes(factor, -1, -2)
+            big[..., mem, :n] = -c * factor
+            big[..., mem, mem] = -b * np.eye(r)
+        return big

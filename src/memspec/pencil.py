@@ -3,10 +3,11 @@
 A scalar mode (alpha, beta) with an N-term kernel admits three equivalent
 matrix realizations: the (N+1)-square block function with coupling entries
 sqrt(a_j b_j beta), its (N+2)-square first-companion linearization, and a
-constant (N+2)-square system operator whose characteristic polynomial is the
-cleared mode polynomial up to the sign (-1)^(N+2).  The module also carries a
-1D finite-difference realization for spatially graded damping, solved through
-a block companion matrix of the cleared matrix polynomial.
+constant (N+2)-square system operator, the kernel's memory-variable
+realization with A = [[alpha]], F = [[sqrt(beta)]], whose characteristic
+polynomial is the cleared mode polynomial up to the sign (-1)^(N+2).  The
+1D finite-difference route for graded damping solves the same realization
+with the FD stencils.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import scipy.linalg
 from .errors import RootFindingError
 from .kernel import ExponentialKernel
 from .records import EigenvalueRecord
-from .scalar import ModeCoefficients, denominator_products
+from .scalar import ModeCoefficients, rational_symbol
 
 _LIFT_TOL = 1e-6
 
@@ -133,24 +134,7 @@ class ModePencil:
 
     def system_operator(self) -> np.ndarray:
         """Constant (N+2)-square matrix with char poly = +-(cleared symbol)."""
-        n = self.n_terms
-        big = np.zeros((n + 2, n + 2))
-        cpl = self.coupling()
-        big[0, 1] = 1.0
-        big[1, 0] = -self.alpha
-        big[1, 2:] = -cpl
-        big[2:, 0] = -cpl
-        big[np.arange(2, n + 2), np.arange(2, n + 2)] = -np.asarray(
-            self.kernel.rates
-        )
-        return big
-
-    def _symbol_value(self, lam: complex) -> complex:
-        from .scalar import rational_symbol
-
-        return rational_symbol(
-            self.kernel, ModeCoefficients(self.alpha, self.beta), lam
-        )
+        return self.kernel.realization([[self.alpha]], [[np.sqrt(self.beta)]])
 
     def lift_to_block(self, lam: complex, v1: complex) -> np.ndarray:
         """Eigenvector [v1, -(b_j + lam)^-1 B_j v1] of the block function."""
@@ -159,7 +143,9 @@ class ModePencil:
         rates = np.asarray(self.kernel.rates)
         if np.min(np.abs(rates + lam)) < 1e-12:
             raise ValueError(f"lam = {lam} is at a kernel pole")
-        if abs(self._symbol_value(lam)) * abs(v1) > _LIFT_TOL * (1.0 + self.alpha):
+        symbol = rational_symbol(
+            self.kernel, ModeCoefficients(self.alpha, self.beta), lam)
+        if abs(symbol) * abs(v1) > _LIFT_TOL * (1.0 + self.alpha):
             raise ValueError(
                 f"lam = {lam} is not an eigenvalue of the scalar symbol"
             )
@@ -241,61 +227,44 @@ def discretize_1d(a: float, b_values, n_points: int,
     return mat_a, mat_b
 
 
-def _cleared_matrix_coeffs(mat_a: np.ndarray, mat_b: np.ndarray,
-                           k: ExponentialKernel) -> list[np.ndarray]:
-    """Ascending coefficient matrices of the monic cleared matrix polynomial."""
-    n = k.n_terms
-    m = mat_a.shape[0]
-    full, partial = denominator_products(k)
-    eye = np.eye(m)
-    coeffs = [np.zeros((m, m)) for _ in range(n + 3)]
-    for deg, c in enumerate(full):
-        coeffs[deg + 2] += c * eye
-        coeffs[deg] += c * mat_a
-    for a_j, b_j, without in zip(k.amplitudes, k.rates, partial):
-        for deg, c in enumerate(without):
-            coeffs[deg] -= a_j * b_j * c * mat_b
-    return coeffs
-
-
 def nonlinear_eigenvalues_fd(mat_a: np.ndarray, mat_b: np.ndarray,
                              k: ExponentialKernel,
                              imag_cap: float = 50.0) -> list[EigenvalueRecord]:
-    """Spectrum of the discretized rational symbol via block companion.
+    """Spectrum of lam^2 + A - Khat(lam) A_b from the memory-variable
+    realization.
 
-    Clears the kernel denominators into a monic matrix polynomial of degree
-    N + 2, linearizes it into a block companion matrix, and filters spurious
-    pole roots by a residual check on the original rational form.
+    A_b = F^T F with F = sqrt(D) V^T from its eigendecomposition, keeping
+    the rows of eigenvalues above n * eps * max D: a full-row-rank F, so no
+    eigenvalue of the realization (size at most (N+2) n) sits at a pole.
+    Each residual ||T(lam) u|| / ||u|| must stay below 1e-6 ||A||_inf, or
+    RootFindingError is raised.
     """
     m = mat_a.shape[0]
-    d = k.n_terms + 2
-    if d * m > 2000:
-        raise ValueError(f"companion size {d * m} exceeds the dense limit 2000")
-    coeffs = _cleared_matrix_coeffs(mat_a, mat_b, k)
-    comp = np.zeros((d * m, d * m))
-    for blk in range(d - 1):
-        comp[blk * m:(blk + 1) * m, (blk + 1) * m:(blk + 2) * m] = np.eye(m)
-    for blk in range(d):
-        comp[(d - 1) * m:, blk * m:(blk + 1) * m] = -coeffs[blk]
-    vals, vecs = scipy.linalg.eig(comp)
-    scale = float(np.linalg.norm(mat_a, 2))
-    records: list[EigenvalueRecord] = []
-    for lam, vec in zip(vals, vecs.T):
-        if abs(lam.imag) > imag_cap:
-            continue
-        blocks = vec.reshape(d, m)
-        v = blocks[int(np.argmax(np.linalg.norm(blocks, axis=1)))]
-        if min(abs(lam + b) for b in k.rates) < 1e-10:
-            continue  # exact pole hit; always spurious
-        res = np.linalg.norm(
-            (lam * lam) * v + mat_a @ v - k.laplace(lam) * (mat_b @ v)
-        ) / np.linalg.norm(v)
-        if res > 1e-6 * scale:
-            continue
-        branch = "real" if lam.imag == 0.0 else "complex-pair"
-        records.append(
-            EigenvalueRecord(float(lam.real), float(lam.imag), "fd",
-                             branch, float(res))
+    if (k.n_terms + 2) * m > 2000:
+        raise ValueError(
+            f"realization size {(k.n_terms + 2) * m} exceeds the dense limit "
+            "2000"
         )
+    damp, vecs = scipy.linalg.eigh(mat_b)
+    rank = damp > m * np.finfo(float).eps * damp.max(initial=0.0)
+    factor = np.sqrt(damp[rank])[:, None] * vecs[:, rank].T
+    vals, vecs = scipy.linalg.eig(k.realization(mat_a, factor),
+                                  overwrite_a=True)
+    kept = np.abs(vals.imag) <= imag_cap
+    lam, u = vals[kept], vecs[:m, kept]
+    khat = sum(a * b / (lam + b) for a, b in zip(k.amplitudes, k.rates))
+    res = np.linalg.norm(
+        lam * lam * u + mat_a @ u - khat * (mat_b @ u), axis=0
+    ) / np.linalg.norm(u, axis=0)
+    bound = 1e-6 * float(np.linalg.norm(mat_a, np.inf))
+    if not np.all(res <= bound):
+        raise RootFindingError(
+            f"fd eigenvalues {lam[~(res <= bound)]} have residuals above "
+            f"{bound:g}", best=vals)
+    records = [
+        EigenvalueRecord(float(z.real), float(z.imag), "fd",
+                         "real" if z.imag == 0.0 else "complex-pair", float(r))
+        for z, r in zip(lam, res)
+    ]
     records.sort(key=lambda r: (r.re, r.im))
     return records

@@ -1,9 +1,8 @@
-"""Dense real polynomials and their complex roots.
+"""Dense real polynomials and their complex roots: an independent oracle.
 
-:func:`all_roots` computes every root of a :class:`RealPolynomial` from the
-eigenvalues of its companion matrix (LAPACK Hessenberg QR via ``numpy.roots``),
-then polishes each by Newton steps, pairs conjugates exactly, and checks a
-relative residual bound.
+No solver path uses :func:`all_roots` (companion-matrix eigenvalues via
+``numpy.roots``, Newton polish, exact conjugate pairs, a relative residual
+bound); the tests check the batched mode solver against it.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ For a kernel with Laplace transform Khat and a damping level bhat, the scalar
 machinery revolves around the factor 1 - bhat * Khat(lam) (which controls
 Fredholmness of the symbol), the map lam -> -lam^2 / (1 - bhat * Khat(lam))
 into the stiffness spectrum, and the per-mode rational symbol
-lam^2 + alpha - beta * Khat(lam) whose cleared-denominator form is a real
-polynomial of degree N + 2.
+lam^2 + alpha - beta * Khat(lam), whose roots are the eigenvalues of the
+kernel's (N+2)-square realization; its cleared polynomial of degree N + 2 is
+kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -15,15 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .errors import HypothesisError, SingularDenominatorError
-from .kernel import POLE_GUARD, ExponentialKernel
-from .polyroots import RealPolynomial, all_roots
+from .errors import HypothesisError, RootFindingError, SingularDenominatorError
+from .kernel import ExponentialKernel
+from .polyroots import RealPolynomial
 
 #: Denominator magnitude below which the spectral map is considered singular.
 SINGULARITY_GUARD = 1e-12
 
-#: Distance from a pole below which a cleared-polynomial root is suspect.
-SPURIOUS_DISTANCE = 1e-8
+#: Relative residual |g| / scale above which a mode eigenvalue is refused.
+RESIDUAL_TOL = 1e-10
+
+#: Mode eigenvalues with |Im| <= REAL_SNAP (1 + |z|) are made real.
+REAL_SNAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -134,60 +138,92 @@ def rational_symbol(k: ExponentialKernel, m: ModeCoefficients,
     return lam * lam + m.alpha - m.beta * k.laplace(lam)
 
 
-def denominator_products(k: ExponentialKernel) -> tuple[np.ndarray,
-                                                       list[np.ndarray]]:
-    """Ascending coefficients of prod_i (lam + b_i) and, for each term j, of
-    prod_{i != j} (lam + b_i): the common denominator of Khat and the
-    numerators of its partial fractions once cleared.
-    """
-    rates = np.asarray(k.rates)
-    full = npp.polyfromroots(-rates).real
-    partial = [npp.polyfromroots(-np.delete(rates, j)).real
-               for j in range(k.n_terms)]
-    return full, partial
-
-
 def cleared_mode_polynomial(k: ExponentialKernel,
                             m: ModeCoefficients) -> RealPolynomial:
     """Degree N+2 polynomial (lam^2 + alpha) prod(lam+b_j) - beta * sum-term.
 
     Coefficients are assembled exactly by convolution, never by sampling.
+    The mode solver does not use it; it is the independent oracle for the
+    characteristic polynomial of the realization.
     """
-    full, partial = denominator_products(k)
-    acc = npp.polymul(np.array([m.alpha, 0.0, 1.0]), full)
-    for a, b, without in zip(k.amplitudes, k.rates, partial):
+    rates = np.asarray(k.rates)
+    acc = npp.polymul(np.array([m.alpha, 0.0, 1.0]),
+                      npp.polyfromroots(-rates).real)
+    for j, (a, b) in enumerate(zip(k.amplitudes, k.rates)):
+        without = npp.polyfromroots(-np.delete(rates, j)).real
         acc = npp.polysub(acc, m.beta * a * b * np.pad(without, (0, acc.size - without.size)))
     return RealPolynomial(tuple(acc))
 
 
-def _spurious(k: ExponentialKernel, m: ModeCoefficients, z: complex) -> bool:
-    """True when a cleared-polynomial root at a pole fails the rational check.
+def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):
+    """g = f (z + b_j) for the mode symbol f and the pole -b_j nearest z.
 
-    The candidate is pushed out to a safe distance from the nearby pole and
-    the partial-fraction symbol is required to stay small there.
+    Returns g, g', |f| and the scale of g: its terms in magnitude, with
+    z + b_j replaced by |z| + b_j.  Newton on g stays quadratic next to a
+    pole, and rounding in z itself can meet |g| <= RESIDUAL_TOL * scale.
     """
-    dists = [abs(z + b) for b in k.rates]
-    j = int(np.argmin(dists))
-    if dists[j] >= SPURIOUS_DISTANCE:
-        return False
-    pole = -k.rates[j]
-    offset = z - pole
-    if abs(offset) < 10.0 * POLE_GUARD:
-        offset = complex(1.0, 0.0)
-    zp = pole + offset * (SPURIOUS_DISTANCE / abs(offset))
-    return abs(rational_symbol(k, m, zp)) > 1e-6 * (1.0 + m.alpha)
+    rates = np.asarray(k.rates)
+    weights = np.asarray(k.amplitudes) * rates
+    near = np.argmin(np.abs(z[..., None] + rates), axis=-1)
+    offset, reach = z + rates[near], np.abs(z) + rates[near]
+    rest, rest_deriv, rest_size = np.zeros_like(z), np.zeros_like(z), 0.0
+    for i, (w, b) in enumerate(zip(weights, rates)):
+        inv = np.where(near == i, 0.0, 1.0 / (z + b))
+        rest += w * inv
+        rest_deriv += w * inv * inv
+        rest_size += w * np.abs(inv)
+    value = (z * z + alpha) * offset - beta * (weights[near] + offset * rest)
+    deriv = (2.0 * z * offset + z * z + alpha
+             - beta * (rest - offset * rest_deriv))
+    scale = ((np.abs(z) ** 2 + alpha) * reach
+             + beta * (weights[near] + reach * rest_size))
+    return value, deriv, np.abs(value / offset), scale
 
 
-def mode_eigenvalues(k: ExponentialKernel, m: ModeCoefficients,
-                     tol: float = 1e-10) -> np.ndarray:
-    """Eigenvalues of one scalar mode, spurious pole roots removed.
+def mode_spectra(k: ExponentialKernel, alphas, betas) -> list[np.ndarray]:
+    """Eigenvalues of the modes (alphas[i], betas[i]), one array per mode.
 
-    Returns at most N+2 complex values, conjugate-closed and sorted by
-    (re, im).
+    One ``np.linalg.eigvals`` call solves the stacked realizations.  At
+    beta = 0 the memory variables decouple, N eigenvalues are the poles
+    -b_j, and the N nearest the poles are dropped; for beta > 0 none sits
+    at a pole.  Each eigenvalue takes at most three Newton steps on
+    :func:`_near_pole_form`, each kept only where |f| falls.  LAPACK returns
+    conjugate pairs adjacent, positive part first; the second is reset to
+    the conjugate of the first.  |Im| <= REAL_SNAP (1 + |z|) becomes real,
+    |g| > RESIDUAL_TOL * scale raises :class:`RootFindingError`, and each
+    array is sorted by (re, im).
     """
-    roots = all_roots(cleared_mode_polynomial(k, m), tol)
-    keep = [z for z in roots if not _spurious(k, m, z)]
-    return np.array(keep, dtype=complex)
+    rates = np.asarray(k.rates)
+    alpha = np.asarray(alphas, dtype=float).reshape(-1, 1)
+    beta = np.asarray(betas, dtype=float).reshape(-1, 1)
+    mats = k.realization(alpha[:, :, None], np.sqrt(beta)[:, :, None])
+    z = raw = np.linalg.eigvals(mats).astype(complex)
+    gap = np.abs(raw[..., None] + rates).min(axis=-1)
+    rank = np.argsort(np.argsort(gap, axis=1), axis=1)
+    keep = (beta > 0.0) | (rank >= k.n_terms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            g, dg, f, _ = _near_pole_form(k, alpha, beta, z)
+            step = z - g / dg
+            z = np.where(_near_pole_form(k, alpha, beta, step)[2] < f, step, z)
+        z = np.where(raw.imag < 0.0, np.conj(np.roll(z, 1, axis=1)), z)
+        z = np.where(np.abs(z.imag) <= REAL_SNAP * (1.0 + np.abs(z)),
+                     z.real + 0j, z)
+        g, _, _, scale = _near_pole_form(k, alpha, beta, z)
+        bad = keep & ~(np.abs(g) <= RESIDUAL_TOL * scale)
+    if bad.any():
+        raise RootFindingError(
+            f"residual guarantee failed for mode eigenvalues {z[bad]}",
+            best=z)
+    z = np.where(keep, z, np.inf)
+    z = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=1), axis=1)
+    return [row[:count] for row, count in zip(z, keep.sum(axis=1))]
+
+
+def mode_eigenvalues(k: ExponentialKernel, m: ModeCoefficients) -> np.ndarray:
+    """N+2 eigenvalues of one mode (2 when beta = 0), conjugate-closed and
+    sorted by (re, im): a one-mode call of :func:`mode_spectra`."""
+    return mode_spectra(k, [m.alpha], [m.beta])[0]
 
 
 def jordan_condition(k: ExponentialKernel, bhat: float, lam0: float) -> float:

@@ -127,6 +127,9 @@ def test_constant_damping_example(constant_example):
         for z in roots:
             if abs(z.imag) <= 50.0:
                 assert region.contains(z, 1e-8), z
+                if z.imag != 0.0:
+                    assert s.d0 - 1e-8 <= z.real <= s.d1 + 1e-8, z
+                    assert abs(z.imag) >= s.hat_d - 1e-8, z
                 checked += 1
     assert checked > 100
 

@@ -41,6 +41,14 @@ FD = {
 }
 
 
+FD_TWO_TERM = {
+    "coefficient_a": 1.0,
+    "kernel": {"a": [1.0, 0.2], "b": [1.0, 1.5]},
+    "damping": {"kind": "profile_1d", "samples": [0.5, 0.75]},
+    "domain": {"kind": "interval_fd", "length": 1.0, "grid_points": 100},
+}
+
+
 @pytest.fixture
 def config(tmp_path):
     def write(doc):
@@ -149,6 +157,23 @@ def test_discretize_csv(config, capsys):
     assert "# outside=0" in tail
 
 
+def test_discretize_two_term_all_inside(config, capsys):
+    # every FD eigenvalue solves a mode symbol whose Rayleigh quotients
+    # satisfy alpha >= w_min and b_min <= beta / alpha <= b_max, so the
+    # exact membership test passes all of them, with no slack as well; a
+    # profile that vanishes on part of the interval makes A_b singular
+    undamped_part = json.loads(_with(FD_TWO_TERM, domain__grid_points=60,
+                                     damping__samples=[0.0, 0.0, 0.0, 0.6]))
+    for doc, flags in ((FD_TWO_TERM, []), (FD_TWO_TERM, ["--tolerance", "0"]),
+                       (undamped_part, [])):
+        code, out = run(capsys, ["discretize", "--config", config(doc),
+                                 *flags])
+        assert code == 0
+        tail = [line for line in out.splitlines() if line.startswith("#")]
+        assert tail[1:] == ["# outside=0", "# max_violation=0"]
+        assert int(tail[0].split("=")[1]) > 50
+
+
 def test_discretize_needs_fd_domain(config, capsys):
     code, _ = run(capsys, ["discretize", "--config", config(GRADED)])
     assert code == 2
@@ -206,6 +231,8 @@ BAD_INPUTS = {
                      "--imag-cap"),
     "alpha-cap-inf": (["eigs", "--alpha-cap", "inf"], json.dumps(CONSTANT),
                       2, "--alpha-cap"),
+    "alpha-cap-below-ground": (["eigs", "--alpha-cap", "1"],
+                               json.dumps(CONSTANT), 2, "--alpha-cap"),
     "coefficient-bool": (["essential"], _with(GRADED, coefficient_a=True), 2,
                          "coefficient_a"),
     "kernel-string": (["essential"], _with(GRADED, kernel__a=["1.0"]), 2,

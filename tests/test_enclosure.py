@@ -12,7 +12,6 @@ import pytest
 
 from memspec import (
     DampingBound,
-    EnclosureRegion,
     ExponentialKernel,
     HypothesisError,
     ModeCoefficients,
@@ -143,10 +142,15 @@ class TestEnclosureInterval:
         assert c1 == pytest.approx(-0.275, abs=1e-12)
 
     def test_undamped_collapse(self, k_wave):
+        # zero damping is floored at 1e-8, so [c0, c1] collapses next to
+        # the pole -b_1: c1 is the branch zero -b_1 + 1e-8 a_1 b_1 and c0
+        # the mode root between the pole and that zero
         c0, c1 = enclosure_interval(k_wave, DampingBound(0.0, 0.0), 20.0)
-        assert c0 == c1
-        assert -0.5 < c0 < 0.0
-        assert abs(c0 + 0.5) == pytest.approx(1e-8 * 0.45, rel=1e-3)
+        assert abs(c1 + 0.5) == pytest.approx(1e-8 * 0.45, rel=1e-3)
+        m = ModeCoefficients(20.0, 1e-8 * 20.0)
+        oracle = _bisect_symbol_root(k_wave, m, -0.5 + 1e-11, c1)
+        assert -0.5 < c0 < c1
+        assert c0 == pytest.approx(oracle, abs=1e-15)
 
     def test_invalid_w_min(self, k_one, d_graded):
         with pytest.raises(ValueError):
@@ -171,20 +175,36 @@ class TestOnePoleRegion:
     def test_region_contains_mode_spectra(self, k_wave, d_half):
         w = 2.0 * np.pi ** 2 * 17.0 / 16.0
         region = one_pole_region(k_wave, d_half, w)
+        s = region.one_pole
         for alpha in np.linspace(w, 40.0 * w, 25):
             m = ModeCoefficients(float(alpha), 0.5 * float(alpha))
             for z in mode_eigenvalues(k_wave, m):
                 assert region.contains(z, 1e-8)
+                if z.imag != 0.0:
+                    assert s.d0 - 1e-8 <= z.real <= s.d1 + 1e-8, z
+                    assert abs(z.imag) >= s.hat_d - 1e-8, z
 
     def test_contains_logic(self):
-        region = one_pole_region(
-            ExponentialKernel((1.0,), (1.0,)), DampingBound(0.5, 0.75),
-            2.0 * np.pi ** 2,
-        )
-        s = region.one_pole
+        k = ExponentialKernel((1.0,), (1.0,))
+        w = 2.0 * np.pi ** 2
+        region = one_pole_region(k, DampingBound(0.5, 0.75), w)
         assert region.contains(complex(region.c0, 0.0), 1e-12)
         assert not region.contains(complex(region.c0 - 1e-6, 0.0), 1e-12)
-        assert region.contains(complex(s.d0, s.hat_d + 1.0), 1e-12)
+
+        def root(alpha, ratio):
+            m = ModeCoefficients(alpha, ratio * alpha)
+            return [z for z in mode_eigenvalues(k, m) if z.imag > 0][0]
+
+        # a non-real point passes exactly when it is a mode root with
+        # alpha >= w and 0.5 <= beta / alpha <= 0.75
+        assert region.contains(root(w, 0.5), 1e-12)
+        assert region.contains(root(3.0 * w, 0.75), 1e-12)
+        assert not region.contains(root(0.9 * w, 0.6), 1e-12)
+        assert not region.contains(root(3.0 * w, 0.8), 1e-12)
+        assert not region.contains(root(3.0 * w, 0.45), 1e-12)
+        # the strips are coarser than the test
+        s = region.one_pole
+        assert not region.contains(complex(s.d0, s.hat_d + 1.0), 1e-12)
         assert not region.contains(complex(s.d0, 0.5 * s.hat_d), 1e-12)
         assert not region.contains(complex(s.d1 + 1e-3, s.hat_d + 1.0), 1e-12)
 
@@ -205,13 +225,6 @@ class TestCloud:
     def test_margin_violation(self, k_one):
         with pytest.raises(HypothesisError):
             boundary_cloud(k_one, DampingBound(0.0, 2.0), [10.0])
-
-    def test_cloud_fallback_containment(self):
-        region = EnclosureRegion(-0.5, -0.25,
-                                 boundary_cloud=(complex(-0.1, 4.0),))
-        assert region.contains(complex(-0.1, 4.0 + 1e-9), 1e-8)
-        assert not region.contains(complex(-0.1, 5.0), 1e-8)
-        assert region.contains(complex(-0.3, 0.0), 1e-12)
 
     def test_synthetic_grid(self):
         grid = synthetic_alpha_grid(2.0)

@@ -6,6 +6,7 @@ the three realizations are pinned to one another through numpy's LU-based
 determinant rather than through any shared eigensolver.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from memspec import (
     nonlinear_eigenvalues_fd,
 )
 from memspec.errors import RootFindingError
+from test_scalar import mpmath_mode_roots
 
 
 @pytest.fixture
@@ -192,6 +194,30 @@ class TestNonlinearFd:
         assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) < 1e-8 * (
             1.0 + np.linalg.norm(mat_a, 2)
         )
+
+    def test_constant_profile_against_mpmath_modes(self, k_wave, k_two):
+        # a constant profile b gives A_b = b A, so the FD spectrum is the
+        # union of the mode spectra at the stencil eigenvalues
+        # mu_k = (2/h^2)(1 - cos(k pi h)), here solved at 50 digits
+        n, b = 40, 0.5
+        mat_a, mat_b = discretize_1d(1.0, np.full(n, b), n)
+        for k in (k_wave, k_two):
+            records = nonlinear_eigenvalues_fd(mat_a, mat_b, k,
+                                               imag_cap=np.inf)
+            got = np.array([r.value for r in records])
+            want = []
+            with mpmath.workdps(50):
+                h = mpmath.mpf(1) / (n + 1)
+                for j in range(1, n + 1):
+                    mu = 2 / h ** 2 * (1 - mpmath.cos(j * mpmath.pi * h))
+                    starts = mode_eigenvalues(
+                        k, ModeCoefficients(float(mu), b * float(mu)))
+                    want.extend(complex(w) for w in mpmath_mode_roots(
+                        k, mu, b * mu, starts))
+            want = np.array(want)
+            assert len(got) == len(want) == (k.n_terms + 2) * n
+            rel = np.abs(got[:, None] - want[None, :]) / np.abs(want)
+            assert max(rel.min(axis=0).max(), rel.min(axis=1).max()) <= 1e-11
 
     def test_imag_cap_filters(self, k_wave):
         n = 12

@@ -3,7 +3,8 @@
 One-term branch zeros have the closed form -b1 + bhat*a1*b1 and two-term
 zeros follow from the quadratic formula; both oracles are recomputed inline,
 and wide-rate kernels are checked against 50-digit mpmath roots, so the
-bisection is tested against independent arithmetic.
+bisection and the batched mode solver are tested against independent
+arithmetic.
 """
 
 import mpmath
@@ -21,6 +22,7 @@ from memspec import (
     fredholm_factor_zeros,
     jordan_condition,
     mode_eigenvalues,
+    mode_spectra,
     rational_symbol,
     real_imag_residual,
     spectral_map,
@@ -45,6 +47,36 @@ def mpmath_zero_oracle(k, bhat):
             assert -b_j < zero < right
             zeros.append(zero)
         return sorted(zeros)
+
+
+def mpmath_mode_roots(k, alpha, beta, starts):
+    """Roots of the cleared mode symbol at 50 digits, one secant solve from
+    each start; each must leave a relative residual below 1e-40."""
+    with mpmath.workdps(50):
+        weights = [mpmath.mpf(a) * mpmath.mpf(b)
+                   for a, b in zip(k.amplitudes, k.rates)]
+        rates = [mpmath.mpf(b) for b in k.rates]
+        alpha, beta = mpmath.mpf(alpha), mpmath.mpf(beta)
+
+        def terms(lam, factors):
+            # (lam^2 + alpha) prod(lam + b_i) and
+            # beta sum_j a_j b_j prod_{i != j} (lam + b_i)
+            return ((lam * lam + alpha) * mpmath.fprod(factors),
+                    beta * mpmath.fsum(
+                        w * mpmath.fprod(factors[:j] + factors[j + 1:])
+                        for j, w in enumerate(weights)))
+
+        def cleared(lam):
+            head, tail = terms(lam, [lam + b for b in rates])
+            return head - tail
+
+        roots = []
+        for z in starts:
+            w = mpmath.findroot(cleared, mpmath.mpc(z), verify=False)
+            head, tail = terms(abs(w), [abs(w + b) for b in rates])
+            assert abs(cleared(w)) <= 1e-40 * (head + tail)
+            roots.append(w)
+        return roots
 
 
 def two_term_zero_oracle(k, bhat):
@@ -185,11 +217,59 @@ class TestModePolynomial:
             assert abs(rational_symbol(k_two, m, z)) < 1e-8 * (1.0 + m.alpha)
             assert np.conj(z) in roots
 
+    def test_wide_rate_mode_roots_against_mpmath(self):
+        # N <= 12 terms with rates over 1e-3..1e3, four modes per kernel
+        # including beta = 0; the 50-digit roots are pairwise distinct and
+        # as many as the degree of the cleared symbol, so none is missed
+        rng = np.random.default_rng(99)
+        for _ in range(30):
+            n = int(rng.integers(1, 13))
+            rates = np.sort(10.0 ** rng.uniform(-3.0, 3.0, n))
+            amps = 10.0 ** rng.uniform(-3.0, 0.0, n)
+            k = ExponentialKernel(tuple(amps), tuple(rates))
+            alphas = 10.0 ** rng.uniform(-1.0, 4.0, 4)
+            betas = alphas * np.append(
+                rng.uniform(0.0, 0.9, 3) / k.amplitude_sum, 0.0)
+            for alpha, beta, roots in zip(alphas, betas,
+                                          mode_spectra(k, alphas, betas)):
+                assert len(roots) == (n + 2 if beta > 0.0 else 2)
+                want = [complex(w)
+                        for w in mpmath_mode_roots(k, alpha, beta, roots)]
+                for z, w in zip(roots, want):
+                    assert abs(z - w) <= 1e-13 * abs(w)
+                gaps = np.abs(np.subtract.outer(want, want))
+                np.fill_diagonal(gaps, np.inf)
+                assert gaps.min() > 1e-8 * np.abs(want).max()
+
+    def test_batched_equals_one_mode_calls(self, k_two):
+        rng = np.random.default_rng(11)
+        rates = np.sort(10.0 ** rng.uniform(-3.0, 2.5, 12))
+        k_wide = ExponentialKernel(tuple(np.full(12, 0.05)), tuple(rates))
+        for k in (k_two, k_wide):
+            alphas = 10.0 ** rng.uniform(0.0, 4.0, 40)
+            betas = alphas * rng.uniform(0.0, 0.9, 40) / k.amplitude_sum
+            betas[::7] = 0.0
+            for alpha, beta, roots in zip(alphas, betas,
+                                          mode_spectra(k, alphas, betas)):
+                one = mode_eigenvalues(k, ModeCoefficients(alpha, beta))
+                assert np.array_equal(one, roots)
+
     def test_undamped_mode_eigenvalues_are_pure_imaginary(self, k_two):
-        # beta = 0 makes the pole roots spurious; only +-i sqrt(alpha) remain
+        # at beta = 0 the memory variables decouple; their eigenvalues -b_j
+        # are dropped and only +-i sqrt(alpha) remain
         m = ModeCoefficients(9.0, 0.0)
         roots = mode_eigenvalues(k_two, m)
         assert len(roots) == 2
+        assert np.allclose(sorted(roots, key=lambda z: z.imag), [-3j, 3j],
+                           atol=1e-9)
+
+    def test_undamped_drop_survives_perturbed_poles(self, k_two, monkeypatch):
+        # the pole eigenvalues are dropped by position, not by float
+        # equality with -b_j: eigenvalues a few ulp off still go
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: eigvals(a) * (1.0 + 4e-16))
+        roots = mode_eigenvalues(k_two, ModeCoefficients(9.0, 0.0))
         assert np.allclose(sorted(roots, key=lambda z: z.imag), [-3j, 3j],
                            atol=1e-9)
 

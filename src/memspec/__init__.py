@@ -21,7 +21,6 @@ from .errors import (
 from .kernel import ExponentialKernel
 from .pencil import (
     ModePencil,
-    dense_eigenvalues,
     discretize_1d,
     nonlinear_eigenvalues_fd,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "all_roots",
     "boundary_cloud",
     "cleared_mode_polynomial",
-    "dense_eigenvalues",
     "discretize_1d",
     "enclosure_interval",
     "enumerate_modes",

@@ -12,6 +12,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
+#: Most index tuples enumerate_modes walks; a larger enumeration is refused.
+MAX_INDEX_TUPLES = 10 ** 6
+
 
 @dataclass(frozen=True)
 class BoxDomain:
@@ -60,10 +63,16 @@ def enumerate_modes(a: float, box: BoxDomain, alpha_cap: float) -> list[Mode]:
 
     The index bound m_j <= l_j * sqrt(alpha_cap / (a pi^2)) makes the
     enumeration complete; multiplicities are kept as distinct entries.  A
-    cap below the ground mode gives an empty list.
+    cap below the ground mode gives an empty list; bounds spanning more than
+    MAX_INDEX_TUPLES tuples raise ValueError before any tuple is walked.
     """
     base = math.sqrt(max(alpha_cap, 0.0) / (a * math.pi ** 2))
-    bounds = [max(int(math.floor(l * base)) + 1, 1) for l in box.lengths]
+    bounds = [int(min(l * base, MAX_INDEX_TUPLES)) + 1 for l in box.lengths]
+    if math.prod(bounds) > MAX_INDEX_TUPLES:
+        raise ValueError(
+            f"the modes below {alpha_cap:g} span at least "
+            f"{math.prod(bounds):.3g} index tuples, more than "
+            f"{MAX_INDEX_TUPLES:.0e}")
     cap = alpha_cap * (1.0 + 1e-12)
     modes = []
     for idx in itertools.product(*(range(1, b + 1) for b in bounds)):

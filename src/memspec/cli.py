@@ -19,7 +19,6 @@ import json
 import sys
 
 import numpy as np
-import scipy.linalg
 
 from . import boxmodes, enclosure, pencil, scalar
 from .config import ProblemSpec, parse_config
@@ -66,58 +65,57 @@ def _records_csv(records, extra_lines=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _modes(spec: ProblemSpec, box: boxmodes.BoxDomain,
-           alpha_cap: float) -> list[boxmodes.Mode]:
-    """Box modes up to alpha_cap; a cap below the ground mode is refused."""
-    modes = boxmodes.enumerate_modes(spec.coefficient_a, box, alpha_cap)
+def _modes(spec: ProblemSpec, box: boxmodes.BoxDomain, alpha_cap: float,
+           flag: str | None) -> list[boxmodes.Mode]:
+    """Box modes up to alpha_cap, set by ``flag`` (None: by no flag); too
+    many index tuples or a cap below the ground mode are refused."""
+    try:
+        modes = boxmodes.enumerate_modes(spec.coefficient_a, box, alpha_cap)
+    except ValueError as exc:
+        fields = "domain.lengths" + (f" or {flag}" if flag else "")
+        raise ConfigError(f"{exc}; reduce {fields}") from None
     if not modes:
         raise ConfigError(
-            f"--alpha-cap {alpha_cap:g} is below the ground mode "
+            f"{flag} {alpha_cap:g} is below the ground mode "
             f"{boxmodes.min_stiffness(spec.coefficient_a, box):g}")
     return modes
 
 
-def _mode_records(spec: ProblemSpec, alpha_cap: float,
+def _mode_records(spec: ProblemSpec, modes: list[boxmodes.Mode],
                   imag_cap: float) -> list[EigenvalueRecord]:
-    """Per-mode eigenvalue records for a box domain with constant damping."""
+    """Eigenvalue records of box modes under constant damping."""
     k = spec.kernel
     b = spec.damping.value
-    modes = _modes(spec, boxmodes.BoxDomain(spec.domain.lengths), alpha_cap)
-    alphas = [mode.alpha for mode in modes]
-    spectra = scalar.mode_spectra(k, alphas, [b * alpha for alpha in alphas])
-    records: list[EigenvalueRecord] = []
-    for mode, roots in zip(modes, spectra):
-        m = scalar.ModeCoefficients(mode.alpha, b * mode.alpha)
-        source = "m=" + "-".join(str(i) for i in mode.indices)
-        for z in roots[np.abs(roots.imag) <= imag_cap]:
-            residual = abs(scalar.rational_symbol(k, m, z)) / (1.0 + m.alpha)
-            if z.imag == 0.0:
-                jordan = None
-                if z.real != 0.0:
-                    jordan = bool(
-                        abs(scalar.jordan_condition(k, b, float(z.real)))
-                        > _JORDAN_FLOOR
-                    )
-                records.append(EigenvalueRecord(
-                    float(z.real), 0.0, source, "real", float(residual),
-                    jordan))
-            else:
-                records.append(EigenvalueRecord(
-                    float(z.real), float(z.imag), source, "complex-pair",
-                    float(residual)))
-    return records
+    alphas = np.array([mode.alpha for mode in modes])
+    spectra = scalar.mode_spectra(k, alphas, b * alphas)
+    owner = np.repeat(np.arange(len(modes)), [len(z) for z in spectra])
+    z = np.concatenate(spectra)
+    kept = np.abs(z.imag) <= imag_cap
+    z, alpha = z[kept], alphas[owner[kept]]
+    residual = np.abs(scalar.rational_symbol(
+        k, scalar.ModeCoefficients(alpha, b * alpha), z)) / (1.0 + alpha)
+    real = z.imag == 0.0
+    at = real & (z.real != 0.0)
+    jordan = np.zeros(z.shape, dtype=bool)
+    jordan[at] = np.abs(scalar.jordan_condition(k, b, z.real[at])) \
+        > _JORDAN_FLOOR
+    sources = ["m=" + "-".join(str(i) for i in mode.indices) for mode in modes]
+    return [
+        EigenvalueRecord(float(w.real), 0.0 if r else float(w.imag),
+                         sources[i], "real" if r else "complex-pair",
+                         float(res), bool(j) if a else None)
+        for w, i, res, r, a, j in zip(z, owner[kept], residual, real, at,
+                                      jordan)
+    ]
 
 
-def _fd_stencils(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """FD stencils (A, A_b) of the interval domain."""
+def _stiffness_eigenvalues(spec: ProblemSpec, index) -> np.ndarray:
+    """Eigenvalues (4a/h^2) sin^2(k pi / (2 (n+1))) of the FD stencil A at
+    the ascending 1-based positions k in ``index``, without building A."""
     n = spec.domain.grid_points
-    return pencil.discretize_1d(spec.coefficient_a, _fd_profile(spec, n), n,
-                                spec.domain.length)
-
-
-def _stiffness_eigenvalues(mat_a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric tridiagonal stencil A."""
-    return scipy.linalg.eigvalsh_tridiagonal(np.diag(mat_a), np.diag(mat_a, 1))
+    h = spec.domain.length / (n + 1)
+    angle = np.asarray(index) * np.pi / (2 * (n + 1))
+    return 4.0 * spec.coefficient_a / (h * h) * np.sin(angle) ** 2
 
 
 def cmd_essential(spec: ProblemSpec, args) -> int:
@@ -137,10 +135,12 @@ def cmd_eigs(spec: ProblemSpec, args) -> int:
         )
     box = boxmodes.BoxDomain(spec.domain.lengths)
     w_min = boxmodes.min_stiffness(spec.coefficient_a, box)
-    alpha_cap = args.alpha_cap
-    if alpha_cap is None:
-        alpha_cap = (1.1 * args.imag_cap) ** 2 + w_min
-    records = _mode_records(spec, alpha_cap, args.imag_cap)
+    if args.alpha_cap is None:
+        modes = _modes(spec, box, (1.1 * args.imag_cap) ** 2 + w_min,
+                       "--imag-cap")
+    else:
+        modes = _modes(spec, box, args.alpha_cap, "--alpha-cap")
+    records = _mode_records(spec, modes, args.imag_cap)
     if args.format == "json":
         doc = {"counts": {"eigenvalues": len(records)},
                "eigenvalues": [
@@ -164,7 +164,8 @@ def cmd_enclosure(spec: ProblemSpec, args) -> int:
     box = boxmodes.BoxDomain(spec.domain.lengths)
     w_min = boxmodes.min_stiffness(spec.coefficient_a, box)
     if args.alpha_cap is not None:
-        alphas = [m.alpha for m in _modes(spec, box, args.alpha_cap)]
+        alphas = [m.alpha
+                  for m in _modes(spec, box, args.alpha_cap, "--alpha-cap")]
     else:
         alphas = list(enclosure.synthetic_alpha_grid(w_min))
     region = enclosure.enclosure_region(k, bounds, w_min)
@@ -213,20 +214,22 @@ def cmd_discretize(spec: ProblemSpec, args) -> int:
             f"realization size {(k.n_terms + 2) * n_points} exceeds 2000; "
             "reduce domain.grid_points"
         )
-    mat_a, mat_b = _fd_stencils(spec)
-    stiff = _stiffness_eigenvalues(mat_a)
+    mat_a, mat_b = pencil.discretize_1d(
+        spec.coefficient_a, _fd_profile(spec, n_points), n_points,
+        spec.domain.length)
+    w_min, w_max = _stiffness_eigenvalues(spec, [1, n_points])
     records = pencil.nonlinear_eigenvalues_fd(mat_a, mat_b, k, args.imag_cap)
     region = enclosure.enclosure_region(k, spec.damping.bounds(),
-                                        float(stiff[0]))
+                                        float(w_min))
     tol = args.tolerance if args.tolerance is not None \
-        else 1e-8 * (1.0 + float(stiff[-1]))
-    violations = [region.violation(rec.value, tol) for rec in records]
-    outside = sum(v > 0.0 for v in violations)
+        else 1e-8 * (1.0 + float(w_max))
+    violations = region.violation([rec.value for rec in records], tol)
+    outside = int(np.count_nonzero(violations > 0.0))
     inside = len(records) - outside
     report = [
         f"# inside={inside}",
         f"# outside={outside}",
-        f"# max_violation={_fmt(max(violations, default=0.0))}",
+        f"# max_violation={_fmt(float(violations.max(initial=0.0)))}",
     ]
     _emit(_records_csv(records, report), args.output)
     _info(f"{len(records)} fd eigenvalues; containment {inside} inside / "
@@ -239,10 +242,10 @@ def _validation_modes(spec: ProblemSpec) -> list[float]:
     if spec.domain.kind == "box":
         box = boxmodes.BoxDomain(spec.domain.lengths)
         w_min = boxmodes.min_stiffness(spec.coefficient_a, box)
-        modes = boxmodes.enumerate_modes(spec.coefficient_a, box,
-                                         25.0 * w_min)
+        modes = _modes(spec, box, 25.0 * w_min, None)
         return [m.alpha for m in modes[:12]]
-    return list(_stiffness_eigenvalues(_fd_stencils(spec)[0])[:12])
+    index = np.arange(1, min(spec.domain.grid_points, 12) + 1)
+    return list(_stiffness_eigenvalues(spec, index))
 
 
 def cmd_validate(spec: ProblemSpec, args) -> int:
@@ -286,7 +289,7 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
     levels = enclosure.damping_levels(bounds)
     grid = np.linspace(levels[0], levels[-1],
                        args.sweep if len(levels) > 1 else 1)
-    zeros = np.array([scalar.fredholm_factor_zeros(k, bhat) for bhat in grid])
+    zeros = np.array(scalar.fredholm_factor_zeros(k, grid))
     drop = float(np.diff(zeros, axis=0).min(initial=0.0))
     check("branch_monotonicity", drop >= -tol,
           f"a branch zero falls by {-drop:g} over {len(grid)} levels")
@@ -317,13 +320,10 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
     check("pole_exclusion", excl_ok)
 
     if bounds.is_constant and bounds.b_max > 0.0:
-        jordan_ok = True
-        for roots in spectra:
-            for z in roots:
-                if z.imag == 0.0 and z.real != 0.0:
-                    val = scalar.jordan_condition(k, bounds.b_max, z.real)
-                    jordan_ok &= abs(val) > _JORDAN_FLOOR
-        check("jordan_condition", jordan_ok)
+        z = np.concatenate(spectra)
+        lam0 = z.real[(z.imag == 0.0) & (z.real != 0.0)]
+        val = scalar.jordan_condition(k, bounds.b_max, lam0)
+        check("jordan_condition", bool(np.all(np.abs(val) > _JORDAN_FLOOR)))
 
     return 1 if failures else 0
 
@@ -345,6 +345,9 @@ _POSITIVE = _checked(float, lambda v: 0.0 < v < np.inf, "a finite number > 0")
 _NONNEGATIVE = _checked(float, lambda v: 0.0 <= v < np.inf,
                         "a finite number >= 0")
 _TWO_OR_MORE = _checked(int, lambda v: v >= 2, "an integer >= 2")
+# the scan bisects all levels at once, in memory that grows like levels * N^2
+_SWEEP = _checked(int, lambda v: 2 <= v <= 10_000,
+                  "an integer from 2 to 10000")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -353,7 +356,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="largest stiffness eigenvalue to enumerate")
     p.add_argument("--imag-cap", type=_NONNEGATIVE, default=50.0,
                    help="drop eigenvalues with |Im| above this")
-    p.add_argument("--sweep", type=_TWO_OR_MORE, default=129,
+    p.add_argument("--sweep", type=_SWEEP, default=129,
                    help="damping levels of validate's branch monotonicity "
                         "scan")
     p.add_argument("--beta-samples", type=_TWO_OR_MORE, default=11,

@@ -55,35 +55,35 @@ class EnclosureRegion:
     c1: float
     one_pole: OnePoleStrips | None = None
 
-    def violation(self, lam: complex, tol: float) -> float:
-        """How far ``lam`` fails the membership test; 0 when it passes.
+    def violation(self, lam, tol: float):
+        """How far ``lam`` fails the membership test; 0 where it passes.
 
-        A real point (|Im| <= tol) must lie within tol of [c0, c1].  For
-        lam = x + iy the mode symbol is linear in (alpha, beta):
-        beta = -2x / S with S = sum_j a_j b_j / |lam + b_j|^2 and
-        alpha = beta * Re Khat(lam) - (x^2 - y^2).  lam passes when alpha >=
-        w_min and b_min <= beta / alpha <= b_max up to the relative slack
+        Elementwise over an array ``lam``.  A real point (|Im| <= tol) must
+        lie within tol of [c0, c1].  For lam = x + iy the mode symbol is
+        linear in (alpha, beta): beta = 2xy / Im Khat(lam) and alpha =
+        beta * Re Khat(lam) - (x^2 - y^2).  lam passes when alpha >= w_min
+        and b_min <= beta / alpha <= b_max up to the relative slack
         tol / (1 + |lam|); the value is the shortfall beyond the slack,
         relative to w_min and to 1 / sum(a_j), the hypothesis' cap on b_max.
         """
-        lam = complex(lam)
-        if abs(lam.imag) <= tol:
-            return max(self.c0 - tol - lam.real, lam.real - self.c1 - tol,
-                       0.0)
-        x, y = lam.real, lam.imag
-        terms = [(a * b, abs(lam + b) ** 2, x + b)
-                 for a, b in zip(self.kernel.amplitudes, self.kernel.rates)]
-        beta = -2.0 * x / sum(w / mag for w, mag, _ in terms)
-        re_khat = sum(w * re / mag for w, mag, re in terms)
-        alpha = beta * re_khat - (x * x - y * y)
-        short = 1.0 - alpha / self.w_min
-        if alpha > 0.0:
-            ratio, d = beta / alpha, self.bounds
-            short = max(short, (d.b_min - ratio) * self.kernel.amplitude_sum,
-                        (ratio - d.b_max) * self.kernel.amplitude_sum)
-        return max(short - tol / (1.0 + abs(lam)), 0.0)
+        lam = np.asarray(lam, dtype=complex)
+        out = np.asarray(np.maximum(np.maximum(self.c0 - tol - lam.real,
+                                               lam.real - self.c1 - tol), 0.0))
+        off = np.abs(lam.imag) > tol
+        z = lam[off]
+        x, y, khat = z.real, z.imag, self.kernel.laplace(z)
+        beta = 2.0 * x * y / khat.imag
+        alpha = beta * khat.real - (x * x - y * y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # alpha <= 0 already falls short by 1 - alpha / w_min >= 1
+            ratio = np.where(alpha > 0.0, beta / alpha, self.bounds.b_min)
+        spread = self.kernel.amplitude_sum * np.maximum(
+            self.bounds.b_min - ratio, ratio - self.bounds.b_max)
+        short = np.maximum(1.0 - alpha / self.w_min, spread)
+        out[off] = np.maximum(short - tol / (1.0 + np.abs(z)), 0.0)
+        return out[()]
 
-    def contains(self, lam: complex, tol: float) -> bool:
+    def contains(self, lam, tol: float):
         """Membership in the enclosure, relaxed by ``tol`` (see violation)."""
         return self.violation(lam, tol) == 0.0
 
@@ -116,11 +116,9 @@ def essential_spectrum(k: ExponentialKernel,
     the zeros at the two bounds.
     """
     _require_margin(k, d)
-    levels = damping_levels(d)
-    lows = fredholm_factor_zeros(k, levels[0])
-    highs = fredholm_factor_zeros(k, levels[-1]) if len(levels) > 1 else lows
+    zeros = fredholm_factor_zeros(k, damping_levels(d))
     intervals: list[tuple[float, float]] = []
-    for lo, hi in zip(lows, highs):
+    for lo, hi in zip(zeros[0], zeros[-1]):
         if intervals and lo - intervals[-1][1] < MERGE_GAP:
             intervals[-1] = (intervals[-1][0], hi)
         else:

@@ -64,28 +64,33 @@ class ExponentialKernel:
     def amplitude_sum(self) -> float:
         return sum(self.amplitudes)
 
-    def _check_poles(self, lam: complex) -> None:
-        for j, b in enumerate(self.rates):
-            if abs(lam + b) < POLE_GUARD:
-                raise PoleProximityError(lam, j, -b)
-
     def time_eval(self, t: float) -> float:
         """Evaluate K(t) for t >= 0."""
         if t < 0.0:
             raise ValueError(f"t = {t} must be nonnegative")
         return sum(a * math.exp(-b * t) for a, b in zip(self.amplitudes, self.rates))
 
-    def laplace(self, lam: complex) -> complex:
-        """Laplace transform sum_j a_j b_j / (lam + b_j)."""
-        self._check_poles(lam)
-        return sum(a * b / (lam + b) for a, b in zip(self.amplitudes, self.rates))
+    def laplace(self, lam):
+        """Laplace transform sum_j a_j b_j / (lam + b_j), elementwise over a
+        number or array ``lam``; a point within POLE_GUARD of a pole raises
+        PoleProximityError."""
+        return self._pole_sum(lam, 1)
 
-    def laplace_deriv(self, lam: complex) -> complex:
-        """Derivative of the Laplace transform, -sum_j a_j b_j / (lam + b_j)^2."""
-        self._check_poles(lam)
-        return -sum(
-            a * b / (lam + b) ** 2 for a, b in zip(self.amplitudes, self.rates)
-        )
+    def laplace_deriv(self, lam):
+        """Derivative -sum_j a_j b_j / (lam + b_j)^2, elementwise."""
+        return -self._pole_sum(lam, 2)
+
+    def _pole_sum(self, lam, power: int):
+        lam = np.asarray(lam)
+        near = np.abs(lam[..., None] + np.asarray(self.rates)) < POLE_GUARD
+        if near.any():
+            *point, j = np.argwhere(near)[0]
+            raise PoleProximityError(lam[tuple(point)].item(), int(j),
+                                     -self.rates[j])
+        total = 0.0  # terms added in rate order
+        for a, b in zip(self.amplitudes, self.rates):
+            total = total + a * b / (lam + b) ** power
+        return total
 
     def dissipativity_margin(self, b_max: float) -> float:
         """Margin 1 - b_max * sum_j a_j of the standing dissipativity assumption.

@@ -170,30 +170,6 @@ class ModePencil:
         return np.concatenate(([lam * v23[0]], v23))
 
 
-def dense_eigenvalues(mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """All eigenvalues of a dense square matrix, residual-checked.
-
-    For every returned mu there is an eigenvector v with
-    ||(M - mu) v|| <= tol * ||M||.  Sorted by (re, im).
-    """
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {mat.shape}")
-    if mat.shape[0] > 2000:
-        raise ValueError(f"size {mat.shape[0]} exceeds the dense limit 2000")
-    vals, vecs = scipy.linalg.eig(mat)
-    scale = np.linalg.norm(mat, 2) or 1.0
-    resid = np.linalg.norm(mat @ vecs - vecs * vals[None, :], axis=0)
-    bad = resid > tol * scale
-    if bad.any():
-        raise RootFindingError(
-            f"eigenvalue residuals {resid[bad]} exceed {tol * scale}",
-            best=vals,
-        )
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
-
-
 def discretize_1d(a: float, b_values, n_points: int,
                   length: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Three-point Dirichlet stencils (A, A_b) on a uniform interior grid.
@@ -252,7 +228,7 @@ def nonlinear_eigenvalues_fd(mat_a: np.ndarray, mat_b: np.ndarray,
                                   overwrite_a=True)
     kept = np.abs(vals.imag) <= imag_cap
     lam, u = vals[kept], vecs[:m, kept]
-    khat = sum(a * b / (lam + b) for a, b in zip(k.amplitudes, k.rates))
+    khat = k.laplace(lam)
     res = np.linalg.norm(
         lam * lam * u + mat_a @ u - khat * (mat_b @ u), axis=0
     ) / np.linalg.norm(u, axis=0)

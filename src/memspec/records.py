@@ -9,7 +9,7 @@ from dataclasses import dataclass
 class EigenvalueRecord:
     """One eigenvalue with provenance, residual, and branch classification.
 
-    ``source`` is either a mode index string like ``"m=1,2"`` or ``"fd"``;
+    ``source`` is either a mode index string like ``"m=1-2"`` or ``"fd"``;
     ``branch`` is ``"real"`` or ``"complex-pair"``; ``jordan_ok`` is set only
     for real eigenvalues where the chain-length condition was evaluated.
     """

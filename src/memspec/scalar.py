@@ -50,15 +50,15 @@ class DampingBound:
 
 @dataclass(frozen=True)
 class ModeCoefficients:
-    """Scalar mode data: stiffness value alpha and damping value beta."""
+    """Stiffness value alpha and damping value beta of a mode, or arrays."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
+        if not np.all(np.asarray(self.alpha) > 0.0):
             raise ValueError(f"alpha = {self.alpha} must be positive")
-        if self.beta < 0.0:
+        if np.any(np.asarray(self.beta) < 0.0):
             raise ValueError(f"beta = {self.beta} must be nonnegative")
 
     def check_bounds(self, d: DampingBound) -> None:
@@ -76,44 +76,51 @@ def fredholm_factor(k: ExponentialKernel, bhat: float, lam: complex) -> complex:
     return 1.0 - bhat * k.laplace(lam)
 
 
-def fredholm_factor_zeros(k: ExponentialKernel, bhat: float) -> list[float]:
+def fredholm_factor_zeros(k: ExponentialKernel, bhat) -> list:
     """The N real zeros of 1 - bhat * Khat, one per pole gap, ascending.
 
-    On the gap (-b_j, -b_{j-1}), with b_0 := 0, Khat falls strictly from
-    +inf to -inf (to Khat(0) = sum(a_j) when j = 1, where the dissipativity
-    margin keeps the factor positive), so the factor rises through zero
-    exactly once.  Each zero is bisected on the partial-fraction form in the
-    offset d = lam + b_j, where the pole term a_j b_j / d carries no
-    cancellation, until its bracket is two adjacent doubles: the secular
+    ``bhat`` is one damping level or a 1-D array of levels; an array gives
+    one list of zeros per level.  An undamped level 0 has no zeros (an empty
+    list).  On the gap (-b_j, -b_{j-1}), with b_0 := 0, Khat falls strictly
+    from +inf to -inf (to Khat(0) = sum(a_j) when j = 1, where the
+    dissipativity margin keeps the factor positive), so the factor rises
+    through zero exactly once.  Each zero is bisected on the partial-fraction
+    form in the offset d = lam + b_j, where the pole term a_j b_j / d carries
+    no cancellation, until its bracket is two adjacent doubles: the secular
     equation technique of Bunch, Nielsen & Sorensen (Numer. Math. 31, 1978)
-    and LAPACK dlaed4.  The zero next to 0 is conditioned like the inverse
-    of the margin 1 - bhat * sum(a_j), so its relative error grows as the
-    margin closes.
+    and LAPACK dlaed4; one bisection serves every level.  The zero next to 0
+    is conditioned like the inverse of the margin 1 - bhat * sum(a_j), so its
+    relative error grows as the margin closes.
     """
-    if bhat == 0.0:
-        return []
-    if not bhat > 0.0:
+    levels = np.asarray(bhat, dtype=float)
+    if not np.all(levels >= 0.0):
         raise ValueError(f"bhat = {bhat} must be nonnegative")
-    if k.dissipativity_margin(bhat) <= 0.0:
+    top = levels.max(initial=0.0)
+    if k.dissipativity_margin(top) <= 0.0:
         raise HypothesisError(
-            f"dissipativity margin {k.dissipativity_margin(bhat)} <= 0 at "
-            f"bhat = {bhat}"
+            f"dissipativity margin {k.dissipativity_margin(top)} <= 0 at "
+            f"bhat = {top}"
         )
-    rates = np.asarray(k.rates)
-    weights = bhat * np.asarray(k.amplitudes) * rates
+    flat, rates, n = levels.reshape(-1), np.asarray(k.rates), k.n_terms
+    # bracket i is the gap i % n of the level flat[i // n], empty when the
+    # level is 0
+    weights = flat[:, None] * np.asarray(k.amplitudes) * rates
     shifts = rates[None, :] - rates[:, None]  # row j: lam + b_i = d + shifts
-    lo = np.zeros(k.n_terms)
-    hi = np.diff(rates, prepend=0.0)
+    lo = np.zeros(flat.size * n)
+    hi = np.outer(flat > 0.0, np.diff(rates, prepend=0.0)).ravel()
     while True:
         mid = 0.5 * (lo + hi)
         live = np.flatnonzero((lo < mid) & (mid < hi))
         if live.size == 0:
             break
         d = mid[live]
-        below = np.sum(weights / (d[:, None] + shifts[live]), axis=1) > 1.0
+        below = np.sum(weights[live // n] / (d[:, None] + shifts[live % n]),
+                       axis=1) > 1.0
         lo[live] = np.where(below, d, lo[live])
         hi[live] = np.where(below, hi[live], d)
-    return (mid - rates)[::-1].tolist()
+    zeros = (mid.reshape(-1, n) - rates)[:, ::-1].tolist()
+    zeros = [row if level > 0.0 else [] for level, row in zip(flat, zeros)]
+    return zeros if levels.ndim else zeros[0]
 
 
 def spectral_map(k: ExponentialKernel, bhat: float, lam: float) -> float:
@@ -130,10 +137,10 @@ def spectral_map(k: ExponentialKernel, bhat: float, lam: float) -> float:
     return -lam * lam / f
 
 
-def rational_symbol(k: ExponentialKernel, m: ModeCoefficients,
-                    lam: complex) -> complex:
-    """Partial-fraction mode symbol lam^2 + alpha - beta * Khat(lam)."""
-    if m.beta == 0.0:
+def rational_symbol(k: ExponentialKernel, m: ModeCoefficients, lam):
+    """Partial-fraction mode symbol lam^2 + alpha - beta * Khat(lam),
+    elementwise over arrays ``lam`` and ``m``."""
+    if not np.any(m.beta):
         return lam * lam + m.alpha
     return lam * lam + m.alpha - m.beta * k.laplace(lam)
 
@@ -226,13 +233,14 @@ def mode_eigenvalues(k: ExponentialKernel, m: ModeCoefficients) -> np.ndarray:
     return mode_spectra(k, [m.alpha], [m.beta])[0]
 
 
-def jordan_condition(k: ExponentialKernel, bhat: float, lam0: float) -> float:
-    """Non-degeneracy value (2/lam0)(bhat*Khat - 1) - bhat*Khat' at a real
-    eigenvalue; nonzero means the Jordan chain has length one.
+def jordan_condition(k: ExponentialKernel, bhat: float, lam0):
+    """Non-degeneracy value (2/lam0)(bhat*Khat - 1) - bhat*Khat' at real
+    eigenvalues lam0 (a number or an array); nonzero means the Jordan chain
+    has length one.
 
     Only the constant-damping specialization is evaluated here.
     """
-    if lam0 == 0.0:
+    if np.any(lam0 == 0.0):
         raise ValueError("lam0 = 0 is excluded (the formula divides by lam0)")
     kh = k.laplace(lam0).real if bhat != 0.0 else 0.0
     khp = k.laplace_deriv(lam0).real if bhat != 0.0 else 0.0

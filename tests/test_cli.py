@@ -9,8 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memspec import DampingBound, ExponentialKernel, one_pole_region
-from memspec.cli import CSV_HEADER, main
+from memspec import (
+    DampingBound,
+    ExponentialKernel,
+    discretize_1d,
+    one_pole_region,
+)
+from memspec.cli import CSV_HEADER, _stiffness_eigenvalues, main
+from memspec.config import parse_config
 
 GRADED = {
     "coefficient_a": 1.0,
@@ -63,10 +69,11 @@ ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 
 
 def run_process(argv, cwd):
-    """Run the CLI in a fresh interpreter, as a console user would."""
+    """Run the CLI in a fresh interpreter, as a console user would; a call
+    that hangs fails the test after two minutes."""
     return subprocess.run(
         [sys.executable, "-m", "memspec.cli", *argv], cwd=cwd,
-        capture_output=True, text=True, env=ENV,
+        capture_output=True, text=True, env=ENV, timeout=120,
     )
 
 
@@ -233,6 +240,20 @@ BAD_INPUTS = {
                       2, "--alpha-cap"),
     "alpha-cap-below-ground": (["eigs", "--alpha-cap", "1"],
                                json.dumps(CONSTANT), 2, "--alpha-cap"),
+    # box-mode enumerations of 2.4e7, 5.5e11 and 1.5e10 index tuples are
+    # refused before any tuple is walked
+    "imag-cap-huge": (["eigs", "--imag-cap", "1e4"], json.dumps(CONSTANT),
+                      2, "--imag-cap"),
+    "alpha-cap-huge": (["enclosure", "--alpha-cap", "1.2e8"],
+                       json.dumps(CONSTANT), 2, "--alpha-cap"),
+    "lengths-huge-eigs": (["eigs"], _with(CONSTANT, coefficient_a=1.0,
+                                          domain__lengths=[1e4, 1e4, 1.0]),
+                          2, "domain.lengths"),
+    "lengths-huge-validate": (["validate"],
+                              _with(GRADED, domain__lengths=[1e4, 1e4, 1.0]),
+                              2, "domain.lengths"),
+    "sweep-huge": (["validate", "--sweep", "10001"], json.dumps(GRADED), 2,
+                   "--sweep"),
     "coefficient-bool": (["essential"], _with(GRADED, coefficient_a=True), 2,
                          "coefficient_a"),
     "kernel-string": (["essential"], _with(GRADED, kernel__a=["1.0"]), 2,
@@ -256,6 +277,24 @@ def test_bad_input_refused(case, tmp_path):
     assert proc.returncode == want_code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert field in proc.stderr
+
+
+def test_validate_large_fd_grid(config, capsys):
+    # the stiffness values come from the stencil's closed-form spectrum;
+    # the dense 10^6-square stencils would need several TiB
+    doc = json.loads(_with(FD, domain__grid_points=10 ** 6))
+    code, out = run(capsys, ["validate", "--config", config(doc)])
+    assert code == 0
+    assert "FAIL" not in out
+    assert "PASS branch_monotonicity" in out
+
+
+def test_stiffness_closed_form_matches_stencil(config):
+    spec = parse_config(config(json.loads(_with(
+        FD, coefficient_a=1.7, domain__length=2.5, domain__grid_points=40))))
+    mat_a, _ = discretize_1d(1.7, np.full(40, 0.3), 40, 2.5)
+    assert np.allclose(_stiffness_eigenvalues(spec, np.arange(1, 41)),
+                       np.linalg.eigvalsh(mat_a), rtol=1e-12)
 
 
 def test_cli_import_leaves_out_scipy_optimize():

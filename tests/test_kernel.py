@@ -95,6 +95,36 @@ def test_pole_guard():
         k.laplace_deriv(-0.5)
     # just outside the guard the evaluation succeeds
     assert np.isfinite(k.laplace(-0.5 + 1e-9))
+    # on an array, the first point within the guard is named with its pole
+    lam = np.array([[0.3, 1.0 + 2.0j], [-2.0 + 1e-13j, -0.5]])
+    for evaluate in (k.laplace, k.laplace_deriv):
+        with pytest.raises(PoleProximityError) as exc:
+            evaluate(lam)
+        assert (exc.value.lam, exc.value.pole_index, exc.value.pole) == \
+            (-2.0 + 1e-13j, 1, -2.0)
+
+
+def test_array_evaluation_matches_scalar_calls():
+    # a real array gives the scalar values bit for bit; on a complex array
+    # numpy may divide complex numbers differently from one element to the
+    # next and from Python, so agreement is to 1e-14 of the terms' size
+    k = ExponentialKernel((0.9, 0.1, 0.03), (0.5, 2.0, 40.0))
+    rng = np.random.default_rng(8)
+    real = rng.uniform(-60.0, 5.0, 200)
+    lam = real + 1j * rng.normal(scale=3.0, size=200)
+    for evaluate in (k.laplace, k.laplace_deriv):
+        assert np.array_equal(evaluate(real),
+                              [evaluate(float(x)) for x in real])
+    for evaluate, power in ((k.laplace, 1), (k.laplace_deriv, 2)):
+        terms = [[a * b / (complex(z) + b) ** power
+                  for a, b in zip(k.amplitudes, k.rates)] for z in lam]
+        want = [(-1) ** (power + 1) * sum(t) for t in terms]
+        size = np.array([sum(abs(x) for x in t) for t in terms])
+        got = evaluate(lam)
+        assert np.all(np.abs(got - want) <= 1e-14 * size)
+        assert np.all(np.abs(got - [evaluate(complex(z)) for z in lam])
+                      <= 1e-14 * size)
+        assert evaluate(lam.reshape(10, 20)).shape == (10, 20)
 
 
 def test_dissipativity_margin():

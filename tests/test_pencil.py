@@ -15,12 +15,10 @@ from memspec import (
     ModeCoefficients,
     ModePencil,
     cleared_mode_polynomial,
-    dense_eigenvalues,
     discretize_1d,
     mode_eigenvalues,
     nonlinear_eigenvalues_fd,
 )
-from memspec.errors import RootFindingError
 from test_scalar import mpmath_mode_roots
 
 
@@ -88,7 +86,7 @@ class TestModePencil:
 
     def test_system_operator_spectrum_matches_modes(self, k_wave):
         mp = ModePencil(40.0, 20.0, k_wave)
-        vals = dense_eigenvalues(mp.system_operator())
+        vals = np.linalg.eigvals(mp.system_operator())
         want = mode_eigenvalues(k_wave, ModeCoefficients(40.0, 20.0))
         assert len(vals) == 3
         assert np.allclose(np.sort_complex(vals), np.sort_complex(want),
@@ -116,34 +114,6 @@ class TestModePencil:
             pencil_two.lift_to_linearization(1.0, np.zeros(3))
         with pytest.raises(ValueError):
             pencil_two.lift_to_linearization(1.0, np.ones(4))
-
-
-class TestDenseEigenvalues:
-    def test_symmetric_matches_eigvalsh(self):
-        rng = np.random.default_rng(21)
-        mat = rng.normal(size=(12, 12))
-        mat = mat + mat.T
-        vals = dense_eigenvalues(mat)
-        assert np.allclose(np.sort(vals.real), np.linalg.eigvalsh(mat),
-                           atol=1e-10)
-        assert np.max(np.abs(vals.imag)) < 1e-12
-
-    def test_sorted(self):
-        vals = dense_eigenvalues(np.diag([3.0, -1.0, 2.0]))
-        assert np.allclose(vals, [-1.0, 2.0, 3.0])
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            dense_eigenvalues(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            dense_eigenvalues(np.zeros((2001, 2001)))
-
-    def test_residual_gate(self):
-        # an extreme tolerance makes the residual check fail on purpose
-        rng = np.random.default_rng(23)
-        mat = rng.normal(size=(8, 8))
-        with pytest.raises(RootFindingError):
-            dense_eigenvalues(mat, tol=1e-300)
 
 
 class TestDiscretize:

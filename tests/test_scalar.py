@@ -145,9 +145,12 @@ class TestFredholmFactor:
             rates = np.sort(10.0 ** rng.uniform(-3.0, 3.0, n))
             amps = 10.0 ** rng.uniform(-3.0, 0.0, n)
             k = ExponentialKernel(tuple(amps), tuple(rates))
-            for share in (1e-8, float(rng.uniform(0.0, 0.9))):
-                bhat = share / k.amplitude_sum
+            levels = np.array([1e-8, float(rng.uniform(0.0, 0.9))]) \
+                / k.amplitude_sum
+            batched = fredholm_factor_zeros(k, levels)
+            for bhat, row in zip(levels, batched):
                 got = fredholm_factor_zeros(k, bhat)
+                assert row == got  # one bisection for all levels, same bits
                 want = mpmath_zero_oracle(k, bhat)
                 assert len(got) == n
                 for z, w in zip(got, want):
@@ -159,6 +162,8 @@ class TestFredholmFactor:
 
     def test_undamped_has_no_zeros(self, k_one):
         assert fredholm_factor_zeros(k_one, 0.0) == []
+        assert fredholm_factor_zeros(k_one, [0.0, 0.6]) == \
+            [[], fredholm_factor_zeros(k_one, 0.6)]
 
     def test_margin_violation(self, k_one):
         with pytest.raises(HypothesisError):
@@ -292,6 +297,15 @@ class TestJordanCondition:
     def test_zero_eigenvalue_rejected(self, k_wave):
         with pytest.raises(ValueError):
             jordan_condition(k_wave, 0.5, 0.0)
+        with pytest.raises(ValueError):
+            jordan_condition(k_wave, 0.5, np.array([-1.0, 0.0]))
+
+    def test_array_matches_scalar_calls(self, k_two):
+        lam0 = np.random.default_rng(4).uniform(-3.0, 2.0, 100)
+        for bhat in (0.0, 0.6):
+            assert np.array_equal(
+                jordan_condition(k_two, bhat, lam0),
+                [jordan_condition(k_two, bhat, float(x)) for x in lam0])
 
     def test_undamped_limit(self, k_wave):
         assert jordan_condition(k_wave, 0.0, -2.0) == pytest.approx(1.0)

@@ -1,6 +1,6 @@
 """Spectra and numerical-range enclosures of memory-damped wave symbols."""
 
-from .boxmodes import BoxDomain, Mode, enumerate_modes, min_stiffness, mode_alpha
+from .boxmodes import BoxDomain, enumerate_modes, min_stiffness, mode_alpha
 from .enclosure import (
     EnclosureRegion,
     EssentialSpectrum,
@@ -25,7 +25,6 @@ from .pencil import (
     nonlinear_eigenvalues_fd,
 )
 from .polyroots import RealPolynomial, all_roots
-from .records import EigenvalueRecord
 from .scalar import (
     DampingBound,
     ModeCoefficients,
@@ -44,13 +43,11 @@ __all__ = [
     "BoxDomain",
     "ConfigError",
     "DampingBound",
-    "EigenvalueRecord",
     "EnclosureRegion",
     "EssentialSpectrum",
     "ExponentialKernel",
     "HypothesisError",
     "MemspecError",
-    "Mode",
     "ModeCoefficients",
     "ModePencil",
     "OnePoleStrips",

@@ -8,9 +8,10 @@ downstream enclosure constants only reproduce with it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 #: Most index tuples enumerate_modes walks; a larger enumeration is refused.
 MAX_INDEX_TUPLES = 10 ** 6
@@ -34,37 +35,36 @@ class BoxDomain:
         return len(self.lengths)
 
 
-@dataclass(frozen=True)
-class Mode:
-    """One Laplacian mode: index tuple and its stiffness eigenvalue."""
-
-    indices: tuple[int, ...]
-    alpha: float
-
-
-def mode_alpha(a: float, box: BoxDomain, indices) -> float:
-    """Eigenvalue a * pi^2 * sum_j m_j^2 / l_j^2 of the mode ``indices``."""
-    indices = tuple(int(m) for m in indices)
-    if len(indices) != box.dim:
-        raise ValueError(f"expected {box.dim} indices, got {len(indices)}")
-    if any(m < 1 for m in indices):
+def mode_alpha(a: float, box: BoxDomain, indices):
+    """Eigenvalues a * pi^2 * sum_j m_j^2 / l_j^2 of the modes whose index
+    tuples run along the last axis of ``indices``; the terms are added in
+    axis order."""
+    indices = np.asarray(indices)
+    if indices.shape[-1:] != (box.dim,):
+        raise ValueError(f"expected {box.dim} indices, got shape "
+                         f"{indices.shape}")
+    if np.any(indices < 1):
         raise ValueError(f"mode indices must be >= 1, got {indices}")
-    s = sum(m * m / (l * l) for m, l in zip(indices, box.lengths))
+    s = 0.0
+    for j, l in enumerate(box.lengths):
+        m = indices[..., j]
+        s = s + m * m / (l * l)
     return a * math.pi ** 2 * s
 
 
 def min_stiffness(a: float, box: BoxDomain) -> float:
     """Smallest stiffness eigenvalue (the ground mode (1, ..., 1))."""
-    return mode_alpha(a, box, (1,) * box.dim)
+    return float(mode_alpha(a, box, (1,) * box.dim))
 
 
-def enumerate_modes(a: float, box: BoxDomain, alpha_cap: float) -> list[Mode]:
-    """All modes with alpha <= alpha_cap, sorted by (alpha, indices).
+def enumerate_modes(a: float, box: BoxDomain, alpha_cap: float) -> np.ndarray:
+    """Index tuples of all modes with alpha <= alpha_cap, one per row of an
+    (M, dim) integer array, sorted by (alpha, indices).
 
     The index bound m_j <= l_j * sqrt(alpha_cap / (a pi^2)) makes the
-    enumeration complete; multiplicities are kept as distinct entries.  A
-    cap below the ground mode gives an empty list; bounds spanning more than
-    MAX_INDEX_TUPLES tuples raise ValueError before any tuple is walked.
+    enumeration complete; multiplicities are kept as distinct rows.  A cap
+    below the ground mode gives no rows; bounds spanning more than
+    MAX_INDEX_TUPLES tuples raise ValueError before the grid is built.
     """
     base = math.sqrt(max(alpha_cap, 0.0) / (a * math.pi ** 2))
     bounds = [int(min(l * base, MAX_INDEX_TUPLES)) + 1 for l in box.lengths]
@@ -73,11 +73,8 @@ def enumerate_modes(a: float, box: BoxDomain, alpha_cap: float) -> list[Mode]:
             f"the modes below {alpha_cap:g} span at least "
             f"{math.prod(bounds):.3g} index tuples, more than "
             f"{MAX_INDEX_TUPLES:.0e}")
-    cap = alpha_cap * (1.0 + 1e-12)
-    modes = []
-    for idx in itertools.product(*(range(1, b + 1) for b in bounds)):
-        alpha = mode_alpha(a, box, idx)
-        if alpha <= cap:
-            modes.append(Mode(idx, alpha))
-    modes.sort(key=lambda m: (m.alpha, m.indices))
-    return modes
+    grid = np.indices(bounds).reshape(box.dim, -1).T + 1
+    alpha = mode_alpha(a, box, grid)
+    kept = alpha <= alpha_cap * (1.0 + 1e-12)
+    grid, alpha = grid[kept], alpha[kept]
+    return grid[np.lexsort((*grid.T[::-1], alpha))]

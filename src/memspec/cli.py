@@ -23,7 +23,6 @@ import numpy as np
 from . import boxmodes, enclosure, pencil, scalar
 from .config import ProblemSpec, parse_config
 from .errors import ConfigError, HypothesisError, MemspecError
-from .records import EigenvalueRecord
 
 CSV_HEADER = "re,im,source,branch,residual,jordan_ok"
 
@@ -34,7 +33,7 @@ def _fmt(x) -> str:
     """Shortest representation capped at 12 significant digits."""
     if x is None:
         return ""
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool):
         return "true" if x else "false"
     return f"{x:.12g}"
 
@@ -51,22 +50,28 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _record_row(rec: EigenvalueRecord) -> str:
-    return ",".join([
-        _fmt(rec.re), _fmt(rec.im), rec.source, rec.branch,
-        _fmt(rec.residual), _fmt(rec.jordan_ok),
-    ])
-
-
-def _records_csv(records, extra_lines=()) -> str:
+def _emit_rows(args, z, source, residual, jordan, report=()) -> None:
+    """Eigenvalue rows from their columns, as CSV followed by the ``report``
+    lines, or as JSON; a real z (Im == 0) is printed with Im = +0."""
+    real = z.imag == 0.0
+    rows = zip(z.real.tolist(), np.where(real, 0.0, z.imag).tolist(), source,
+               np.where(real, "real", "complex-pair").tolist(),
+               residual.tolist(), jordan)
+    if args.format == "json":
+        keys = CSV_HEADER.split(",")
+        doc = {"counts": {"eigenvalues": len(z)},
+               "eigenvalues": [dict(zip(keys, row)) for row in rows]}
+        _emit(json.dumps(doc) + "\n", args.output)
+        return
     lines = [CSV_HEADER]
-    lines.extend(_record_row(r) for r in records)
-    lines.extend(extra_lines)
-    return "\n".join(lines) + "\n"
+    lines.extend(f"{x:.12g},{y:.12g},{tag},{branch},{res:.12g},{_fmt(ok)}"
+                 for x, y, tag, branch, res, ok in rows)
+    lines.extend(report)
+    _emit("\n".join(lines) + "\n", args.output)
 
 
 def _modes(spec: ProblemSpec, box: boxmodes.BoxDomain, alpha_cap: float,
-           flag: str | None) -> list[boxmodes.Mode]:
+           flag: str | None) -> np.ndarray:
     """Box modes up to alpha_cap, set by ``flag`` (None: by no flag); too
     many index tuples or a cap below the ground mode are refused."""
     try:
@@ -74,19 +79,20 @@ def _modes(spec: ProblemSpec, box: boxmodes.BoxDomain, alpha_cap: float,
     except ValueError as exc:
         fields = "domain.lengths" + (f" or {flag}" if flag else "")
         raise ConfigError(f"{exc}; reduce {fields}") from None
-    if not modes:
+    if len(modes) == 0:
         raise ConfigError(
             f"{flag} {alpha_cap:g} is below the ground mode "
             f"{boxmodes.min_stiffness(spec.coefficient_a, box):g}")
     return modes
 
 
-def _mode_records(spec: ProblemSpec, modes: list[boxmodes.Mode],
-                  imag_cap: float) -> list[EigenvalueRecord]:
-    """Eigenvalue records of box modes under constant damping."""
+def _mode_records(spec: ProblemSpec, box: boxmodes.BoxDomain,
+                  modes: np.ndarray, imag_cap: float) -> tuple:
+    """Columns z, source tag, residual and Jordan verdict (None where it is
+    not evaluated) of the eigenvalues of box modes under constant damping."""
     k = spec.kernel
     b = spec.damping.value
-    alphas = np.array([mode.alpha for mode in modes])
+    alphas = boxmodes.mode_alpha(spec.coefficient_a, box, modes)
     spectra = scalar.mode_spectra(k, alphas, b * alphas)
     owner = np.repeat(np.arange(len(modes)), [len(z) for z in spectra])
     z = np.concatenate(spectra)
@@ -99,23 +105,9 @@ def _mode_records(spec: ProblemSpec, modes: list[boxmodes.Mode],
     jordan = np.zeros(z.shape, dtype=bool)
     jordan[at] = np.abs(scalar.jordan_condition(k, b, z.real[at])) \
         > _JORDAN_FLOOR
-    sources = ["m=" + "-".join(str(i) for i in mode.indices) for mode in modes]
-    return [
-        EigenvalueRecord(float(w.real), 0.0 if r else float(w.imag),
-                         sources[i], "real" if r else "complex-pair",
-                         float(res), bool(j) if a else None)
-        for w, i, res, r, a, j in zip(z, owner[kept], residual, real, at,
-                                      jordan)
-    ]
-
-
-def _stiffness_eigenvalues(spec: ProblemSpec, index) -> np.ndarray:
-    """Eigenvalues (4a/h^2) sin^2(k pi / (2 (n+1))) of the FD stencil A at
-    the ascending 1-based positions k in ``index``, without building A."""
-    n = spec.domain.grid_points
-    h = spec.domain.length / (n + 1)
-    angle = np.asarray(index) * np.pi / (2 * (n + 1))
-    return 4.0 * spec.coefficient_a / (h * h) * np.sin(angle) ** 2
+    tags = np.array(["m=" + "-".join(map(str, idx)) for idx in modes.tolist()])
+    return (z, tags[owner[kept]].tolist(), residual,
+            np.where(at, jordan, None).tolist())
 
 
 def cmd_essential(spec: ProblemSpec, args) -> int:
@@ -140,19 +132,10 @@ def cmd_eigs(spec: ProblemSpec, args) -> int:
                        "--imag-cap")
     else:
         modes = _modes(spec, box, args.alpha_cap, "--alpha-cap")
-    records = _mode_records(spec, modes, args.imag_cap)
-    if args.format == "json":
-        doc = {"counts": {"eigenvalues": len(records)},
-               "eigenvalues": [
-                   {"re": r.re, "im": r.im, "source": r.source,
-                    "branch": r.branch, "residual": r.residual,
-                    "jordan_ok": r.jordan_ok}
-                   for r in records
-               ]}
-        _emit(json.dumps(doc) + "\n", args.output)
-    else:
-        _emit(_records_csv(records), args.output)
-    _info(f"{len(records)} eigenvalues with |Im| <= {args.imag_cap:g}")
+    z, source, residual, jordan = _mode_records(spec, box, modes,
+                                                args.imag_cap)
+    _emit_rows(args, z, source, residual, jordan)
+    _info(f"{len(z)} eigenvalues with |Im| <= {args.imag_cap:g}")
     return 0
 
 
@@ -164,11 +147,16 @@ def cmd_enclosure(spec: ProblemSpec, args) -> int:
     box = boxmodes.BoxDomain(spec.domain.lengths)
     w_min = boxmodes.min_stiffness(spec.coefficient_a, box)
     if args.alpha_cap is not None:
-        alphas = [m.alpha
-                  for m in _modes(spec, box, args.alpha_cap, "--alpha-cap")]
+        alphas = boxmodes.mode_alpha(
+            spec.coefficient_a, box,
+            _modes(spec, box, args.alpha_cap, "--alpha-cap"))
     else:
-        alphas = list(enclosure.synthetic_alpha_grid(w_min))
-    region = enclosure.enclosure_region(k, bounds, w_min)
+        alphas = enclosure.synthetic_alpha_grid(w_min)
+    if k.n_terms == 1:
+        region = enclosure.one_pole_region(k, bounds, w_min)
+    else:
+        region = enclosure.EnclosureRegion(
+            k, bounds, w_min, *enclosure.enclosure_interval(k, bounds, w_min))
     cloud = enclosure.boundary_cloud(k, bounds, alphas, args.beta_samples)
     if args.format == "csv":
         lines = ["re,im,alpha,beta"]
@@ -209,43 +197,51 @@ def cmd_discretize(spec: ProblemSpec, args) -> int:
         raise ConfigError("discretize needs an interval_fd domain")
     k = spec.kernel
     n_points = spec.domain.grid_points
-    if (k.n_terms + 2) * n_points > 2000:
+    if (k.n_terms + 2) * n_points > pencil.MAX_REALIZATION:
         raise ConfigError(
-            f"realization size {(k.n_terms + 2) * n_points} exceeds 2000; "
-            "reduce domain.grid_points"
+            f"realization size {(k.n_terms + 2) * n_points} exceeds "
+            f"{pencil.MAX_REALIZATION}; reduce domain.grid_points"
         )
     mat_a, mat_b = pencil.discretize_1d(
         spec.coefficient_a, _fd_profile(spec, n_points), n_points,
         spec.domain.length)
-    w_min, w_max = _stiffness_eigenvalues(spec, [1, n_points])
-    records = pencil.nonlinear_eigenvalues_fd(mat_a, mat_b, k, args.imag_cap)
-    region = enclosure.enclosure_region(k, spec.damping.bounds(),
-                                        float(w_min))
+    w_min, w_max = pencil.stiffness_eigenvalues(
+        spec.coefficient_a, n_points, spec.domain.length, [1, n_points])
+    lam, residual = pencil.nonlinear_eigenvalues_fd(mat_a, mat_b, k,
+                                                    args.imag_cap)
+    # containment reads only [c0, c1] and the exact (alpha, beta) test, so
+    # the one-term strips (and their hypothesis) are left to 'enclosure'
+    bounds, w_min = spec.damping.bounds(), float(w_min)
+    region = enclosure.EnclosureRegion(
+        k, bounds, w_min, *enclosure.enclosure_interval(k, bounds, w_min))
     tol = args.tolerance if args.tolerance is not None \
         else 1e-8 * (1.0 + float(w_max))
-    violations = region.violation([rec.value for rec in records], tol)
+    violations = region.violation(lam, tol)
     outside = int(np.count_nonzero(violations > 0.0))
-    inside = len(records) - outside
+    inside = len(lam) - outside
     report = [
         f"# inside={inside}",
         f"# outside={outside}",
         f"# max_violation={_fmt(float(violations.max(initial=0.0)))}",
     ]
-    _emit(_records_csv(records, report), args.output)
-    _info(f"{len(records)} fd eigenvalues; containment {inside} inside / "
+    _emit_rows(args, lam, ["fd"] * len(lam), residual, [None] * len(lam),
+               report)
+    _info(f"{len(lam)} fd eigenvalues; containment {inside} inside / "
           f"{outside} outside (tol {_fmt(tol)})")
     return 0
 
 
-def _validation_modes(spec: ProblemSpec) -> list[float]:
+def _validation_modes(spec: ProblemSpec) -> np.ndarray:
     """Small set of stiffness values used by the validate suite."""
     if spec.domain.kind == "box":
         box = boxmodes.BoxDomain(spec.domain.lengths)
         w_min = boxmodes.min_stiffness(spec.coefficient_a, box)
         modes = _modes(spec, box, 25.0 * w_min, None)
-        return [m.alpha for m in modes[:12]]
-    index = np.arange(1, min(spec.domain.grid_points, 12) + 1)
-    return list(_stiffness_eigenvalues(spec, index))
+        return boxmodes.mode_alpha(spec.coefficient_a, box, modes[:12])
+    n_points = spec.domain.grid_points
+    return pencil.stiffness_eigenvalues(
+        spec.coefficient_a, n_points, spec.domain.length,
+        np.arange(1, min(n_points, 12) + 1))
 
 
 def cmd_validate(spec: ProblemSpec, args) -> int:
@@ -264,8 +260,7 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
             failures.append(name)
 
     beta_mid = 0.5 * (bounds.b_min + bounds.b_max)
-    spectra = scalar.mode_spectra(k, alphas,
-                                  [beta_mid * alpha for alpha in alphas])
+    spectra = scalar.mode_spectra(k, alphas, beta_mid * alphas)
 
     sym_ok = all(
         min(abs(np.conj(z) - w) for w in roots) <= 1e-8 * (1.0 + abs(z))
@@ -295,19 +290,23 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
           f"a branch zero falls by {-drop:g} over {len(grid)} levels")
 
     rates = np.asarray(k.rates)
-    res_ok, char_ok, excl_ok = True, True, True
+    draws = []
     for _ in range(40):
         alpha = float(rng.uniform(w_min, 10.0 * w_min))
         bhat = float(rng.uniform(min(max(bounds.b_min, 1e-3), bounds.b_max),
                                  bounds.b_max))
-        mp = pencil.ModePencil(alpha, bhat * alpha, k)
         lam = complex(rng.normal(scale=2.0), rng.normal(scale=2.0))
-        if abs(lam) < 1e-3:
-            lam += 0.5
+        draws.append((alpha, bhat * alpha,
+                      lam + 0.5 if abs(lam) < 1e-3 else lam))
+    drawn_alphas, drawn_betas, _ = zip(*draws)
+    polys = scalar.cleared_mode_polynomial(
+        k, scalar.ModeCoefficients(drawn_alphas, drawn_betas))
+    res_ok, char_ok, excl_ok = True, True, True
+    for (alpha, beta, lam), poly in zip(draws, polys):
+        mp = pencil.ModePencil(alpha, beta, k)
         res = mp.equivalence_residual(lam)
         res_ok &= res <= 1e-12 * (1.0 + abs(lam) ** 2) * (1.0 + alpha)
-        m = scalar.ModeCoefficients(alpha, bhat * alpha)
-        want = ((-1.0) ** mp.size) * scalar.cleared_mode_polynomial(k, m)(lam)
+        want = ((-1.0) ** mp.size) * poly(lam)
         got = np.linalg.det(mp.system_operator() - lam * np.eye(mp.size))
         char_ok &= abs(got - want) <= 1e-10 * (1.0 + abs(want))
         # det P(-b_j) = -a_j b_j beta prod_{i != j} (b_i - b_j), nonzero
@@ -350,7 +349,7 @@ _SWEEP = _checked(int, lambda v: 2 <= v <= 10_000,
                   "an integer from 2 to 10000")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, formats: tuple) -> None:
     p.add_argument("--config", required=True, help="JSON problem description")
     p.add_argument("--alpha-cap", type=_POSITIVE, default=None,
                    help="largest stiffness eigenvalue to enumerate")
@@ -361,10 +360,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "scan")
     p.add_argument("--beta-samples", type=_TWO_OR_MORE, default=11,
                    help="beta samples per alpha in cloud sampling")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--output", default=None, help="output path (default stdout)")
     p.add_argument("--tolerance", type=_NONNEGATIVE, default=None,
-                   help="containment / validation tolerance override")
+                   help="containment tolerance override (discretize "
+                        "only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,25 +374,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra and enclosures of memory-damped wave symbols",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the first output format of each subcommand is its default
     handlers = {
-        "essential": cmd_essential,
-        "eigs": cmd_eigs,
-        "enclosure": cmd_enclosure,
-        "discretize": cmd_discretize,
-        "validate": cmd_validate,
+        "essential": (cmd_essential, ("json",)),
+        "eigs": (cmd_eigs, ("csv", "json")),
+        "enclosure": (cmd_enclosure, ("json", "csv")),
+        "discretize": (cmd_discretize, ("csv",)),
+        "validate": (cmd_validate, ()),
     }
-    for name, handler in handlers.items():
+    for name, (handler, formats) in handlers.items():
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_common(p, formats)
         p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.format is None:
-        args.format = "csv" if args.handler in (cmd_eigs, cmd_discretize) \
-            else "json"
     try:
         spec = parse_config(args.config)
         return args.handler(spec, args)

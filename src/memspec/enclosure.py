@@ -175,14 +175,6 @@ def one_pole_region(k: ExponentialKernel, d: DampingBound,
     )
 
 
-def enclosure_region(k: ExponentialKernel, d: DampingBound,
-                     w_min: float) -> EnclosureRegion:
-    """The enclosure for stiffness >= w_min, with the strips when N = 1."""
-    if k.n_terms == 1:
-        return one_pole_region(k, d, w_min)
-    return EnclosureRegion(k, d, w_min, *enclosure_interval(k, d, w_min))
-
-
 def boundary_cloud(
         k: ExponentialKernel, d: DampingBound, alphas,
         samples_beta: int = 11) -> list[tuple[complex, float, float]]:

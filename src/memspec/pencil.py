@@ -19,10 +19,12 @@ import scipy.linalg
 
 from .errors import RootFindingError
 from .kernel import ExponentialKernel
-from .records import EigenvalueRecord
 from .scalar import ModeCoefficients, rational_symbol
 
 _LIFT_TOL = 1e-6
+
+#: Largest realization size (N+2) n that the dense FD solve accepts.
+MAX_REALIZATION = 2000
 
 
 @dataclass(frozen=True)
@@ -203,23 +205,34 @@ def discretize_1d(a: float, b_values, n_points: int,
     return mat_a, mat_b
 
 
+def stiffness_eigenvalues(a: float, n_points: int, length: float,
+                          index) -> np.ndarray:
+    """Eigenvalues (4a/h^2) sin^2(k pi / (2 (n+1))) of the stencil A of
+    :func:`discretize_1d` at the ascending 1-based positions k in ``index``,
+    without building A."""
+    h = length / (n_points + 1)
+    angle = np.asarray(index) * np.pi / (2 * (n_points + 1))
+    return 4.0 * a / (h * h) * np.sin(angle) ** 2
+
+
 def nonlinear_eigenvalues_fd(mat_a: np.ndarray, mat_b: np.ndarray,
                              k: ExponentialKernel,
-                             imag_cap: float = 50.0) -> list[EigenvalueRecord]:
+                             imag_cap: float = 50.0
+                             ) -> tuple[np.ndarray, np.ndarray]:
     """Spectrum of lam^2 + A - Khat(lam) A_b from the memory-variable
-    realization.
+    realization, as (lam, residual) sorted by (re, im).
 
     A_b = F^T F with F = sqrt(D) V^T from its eigendecomposition, keeping
     the rows of eigenvalues above n * eps * max D: a full-row-rank F, so no
-    eigenvalue of the realization (size at most (N+2) n) sits at a pole.
-    Each residual ||T(lam) u|| / ||u|| must stay below 1e-6 ||A||_inf, or
-    RootFindingError is raised.
+    eigenvalue of the realization (size at most (N+2) n <= MAX_REALIZATION)
+    sits at a pole.  Each residual ||T(lam) u|| / ||u|| must stay below
+    1e-6 ||A||_inf, or RootFindingError is raised.
     """
     m = mat_a.shape[0]
-    if (k.n_terms + 2) * m > 2000:
+    if (k.n_terms + 2) * m > MAX_REALIZATION:
         raise ValueError(
             f"realization size {(k.n_terms + 2) * m} exceeds the dense limit "
-            "2000"
+            f"{MAX_REALIZATION}"
         )
     damp, vecs = scipy.linalg.eigh(mat_b)
     rank = damp > m * np.finfo(float).eps * damp.max(initial=0.0)
@@ -237,10 +250,5 @@ def nonlinear_eigenvalues_fd(mat_a: np.ndarray, mat_b: np.ndarray,
         raise RootFindingError(
             f"fd eigenvalues {lam[~(res <= bound)]} have residuals above "
             f"{bound:g}", best=vals)
-    records = [
-        EigenvalueRecord(float(z.real), float(z.imag), "fd",
-                         "real" if z.imag == 0.0 else "complex-pair", float(r))
-        for z, r in zip(lam, res)
-    ]
-    records.sort(key=lambda r: (r.re, r.im))
-    return records
+    order = np.lexsort((lam.imag, lam.real))
+    return lam[order], res[order]

@@ -145,21 +145,25 @@ def rational_symbol(k: ExponentialKernel, m: ModeCoefficients, lam):
     return lam * lam + m.alpha - m.beta * k.laplace(lam)
 
 
-def cleared_mode_polynomial(k: ExponentialKernel,
-                            m: ModeCoefficients) -> RealPolynomial:
+def cleared_mode_polynomial(k: ExponentialKernel, m: ModeCoefficients):
     """Degree N+2 polynomial (lam^2 + alpha) prod(lam+b_j) - beta * sum-term.
 
     Coefficients are assembled exactly by convolution, never by sampling.
     The mode solver does not use it; it is the independent oracle for the
-    characteristic polynomial of the realization.
+    characteristic polynomial of the realization.  ``m`` holding 1-D arrays
+    gives one polynomial per mode, a list; the kernel's products are built
+    once.
     """
     rates = np.asarray(k.rates)
-    acc = npp.polymul(np.array([m.alpha, 0.0, 1.0]),
-                      npp.polyfromroots(-rates).real)
+    alpha = np.asarray(m.alpha, dtype=float).reshape(-1, 1)
+    beta = np.asarray(m.beta, dtype=float).reshape(-1, 1)
+    full = npp.polyfromroots(-rates).real
+    acc = alpha * np.pad(full, (0, 2)) + np.pad(full, (2, 0))
     for j, (a, b) in enumerate(zip(k.amplitudes, k.rates)):
         without = npp.polyfromroots(-np.delete(rates, j)).real
-        acc = npp.polysub(acc, m.beta * a * b * np.pad(without, (0, acc.size - without.size)))
-    return RealPolynomial(tuple(acc))
+        acc = acc - beta * a * b * np.pad(without, (0, 3))
+    polys = [RealPolynomial(tuple(row)) for row in acc]
+    return polys if np.ndim(m.alpha) else polys[0]
 
 
 def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):

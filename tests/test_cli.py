@@ -15,7 +15,8 @@ from memspec import (
     discretize_1d,
     one_pole_region,
 )
-from memspec.cli import CSV_HEADER, _stiffness_eigenvalues, main
+from memspec.pencil import stiffness_eigenvalues
+from memspec.cli import CSV_HEADER, main
 from memspec.config import parse_config
 
 GRADED = {
@@ -168,11 +169,16 @@ def test_discretize_two_term_all_inside(config, capsys):
     # every FD eigenvalue solves a mode symbol whose Rayleigh quotients
     # satisfy alpha >= w_min and b_min <= beta / alpha <= b_max, so the
     # exact membership test passes all of them, with no slack as well; a
-    # profile that vanishes on part of the interval makes A_b singular
+    # profile that vanishes on part of the interval makes A_b singular.  A
+    # one-term kernel on a long interval has a small w_min, where the
+    # strips of 'enclosure' do not exist; containment does not need them
     undamped_part = json.loads(_with(FD_TWO_TERM, domain__grid_points=60,
                                      damping__samples=[0.0, 0.0, 0.0, 0.6]))
+    one_term_long = json.loads(_with(FD_TWO_TERM, kernel__a=[1.0],
+                                     kernel__b=[1.0], domain__length=5.0,
+                                     domain__grid_points=60))
     for doc, flags in ((FD_TWO_TERM, []), (FD_TWO_TERM, ["--tolerance", "0"]),
-                       (undamped_part, [])):
+                       (undamped_part, []), (one_term_long, [])):
         code, out = run(capsys, ["discretize", "--config", config(doc),
                                  *flags])
         assert code == 0
@@ -266,6 +272,13 @@ BAD_INPUTS = {
                            "damping.b_min"),
     "validate-undamped": (["validate"], _with(CONSTANT, damping__value=0.0),
                           0, ""),
+    # each subcommand takes only the formats it can write
+    "format-discretize-json": (["discretize", "--format", "json"],
+                               json.dumps(FD), 2, "--format"),
+    "format-essential-csv": (["essential", "--format", "csv"],
+                             json.dumps(GRADED), 2, "--format"),
+    "format-validate": (["validate", "--format", "json"], json.dumps(GRADED),
+                        2, "--format"),
 }
 
 
@@ -293,8 +306,9 @@ def test_stiffness_closed_form_matches_stencil(config):
     spec = parse_config(config(json.loads(_with(
         FD, coefficient_a=1.7, domain__length=2.5, domain__grid_points=40))))
     mat_a, _ = discretize_1d(1.7, np.full(40, 0.3), 40, 2.5)
-    assert np.allclose(_stiffness_eigenvalues(spec, np.arange(1, 41)),
-                       np.linalg.eigvalsh(mat_a), rtol=1e-12)
+    got = stiffness_eigenvalues(spec.coefficient_a, spec.domain.grid_points,
+                                spec.domain.length, np.arange(1, 41))
+    assert np.allclose(got, np.linalg.eigvalsh(mat_a), rtol=1e-12)
 
 
 def test_cli_import_leaves_out_scipy_optimize():

@@ -16,7 +16,6 @@ from .errors import (
     MemspecError,
     PoleProximityError,
     RootFindingError,
-    SingularDenominatorError,
 )
 from .kernel import ExponentialKernel
 from .pencil import (
@@ -29,14 +28,12 @@ from .scalar import (
     DampingBound,
     ModeCoefficients,
     cleared_mode_polynomial,
-    fredholm_factor,
     fredholm_factor_zeros,
     jordan_condition,
     mode_eigenvalues,
     mode_spectra,
     rational_symbol,
     real_imag_residual,
-    spectral_map,
 )
 
 __all__ = [
@@ -54,7 +51,6 @@ __all__ = [
     "PoleProximityError",
     "RealPolynomial",
     "RootFindingError",
-    "SingularDenominatorError",
     "all_roots",
     "boundary_cloud",
     "cleared_mode_polynomial",
@@ -62,7 +58,6 @@ __all__ = [
     "enclosure_interval",
     "enumerate_modes",
     "essential_spectrum",
-    "fredholm_factor",
     "fredholm_factor_zeros",
     "jordan_condition",
     "min_stiffness",
@@ -73,7 +68,6 @@ __all__ = [
     "one_pole_region",
     "rational_symbol",
     "real_imag_residual",
-    "spectral_map",
 ]
 
 __version__ = "0.1.0"

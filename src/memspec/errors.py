@@ -18,10 +18,6 @@ class PoleProximityError(MemspecError):
         )
 
 
-class SingularDenominatorError(MemspecError):
-    """Denominator of a rational expression is (numerically) zero."""
-
-
 class HypothesisError(MemspecError):
     """A standing assumption of the underlying theory is violated."""
 

@@ -50,12 +50,6 @@ class ExponentialKernel:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "rates", rates)
 
-    @classmethod
-    def from_terms(cls, terms) -> "ExponentialKernel":
-        """Build from an iterable of (amplitude, rate) pairs."""
-        terms = list(terms)
-        return cls(tuple(a for a, _ in terms), tuple(b for _, b in terms))
-
     @property
     def n_terms(self) -> int:
         return len(self.rates)
@@ -63,12 +57,6 @@ class ExponentialKernel:
     @property
     def amplitude_sum(self) -> float:
         return sum(self.amplitudes)
-
-    def time_eval(self, t: float) -> float:
-        """Evaluate K(t) for t >= 0."""
-        if t < 0.0:
-            raise ValueError(f"t = {t} must be nonnegative")
-        return sum(a * math.exp(-b * t) for a, b in zip(self.amplitudes, self.rates))
 
     def laplace(self, lam):
         """Laplace transform sum_j a_j b_j / (lam + b_j), elementwise over a

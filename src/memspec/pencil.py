@@ -6,8 +6,9 @@ sqrt(a_j b_j beta), its (N+2)-square first-companion linearization, and a
 constant (N+2)-square system operator, the kernel's memory-variable
 realization with A = [[alpha]], F = [[sqrt(beta)]], whose characteristic
 polynomial is the cleared mode polynomial up to the sign (-1)^(N+2).  The
-1D finite-difference route for graded damping solves the same realization
-with the FD stencils.
+1D finite-difference route for graded damping takes the eigenvalues of the
+same realization with the FD stencils, numpy only and without eigenvectors,
+and checks each against the tridiagonal T(lam) by inverse iteration.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RootFindingError
 from .kernel import ExponentialKernel
@@ -219,14 +219,22 @@ def nonlinear_eigenvalues_fd(mat_a: np.ndarray, mat_b: np.ndarray,
                              k: ExponentialKernel,
                              imag_cap: float = 50.0
                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum of lam^2 + A - Khat(lam) A_b from the memory-variable
-    realization, as (lam, residual) sorted by (re, im).
+    """Spectrum of T(lam) = lam^2 + A - Khat(lam) A_b from the
+    memory-variable realization, as (lam, residual) sorted by (re, im).
 
-    A_b = F^T F with F = sqrt(D) V^T from its eigendecomposition, keeping
-    the rows of eigenvalues above n * eps * max D: a full-row-rank F, so no
-    eigenvalue of the realization (size at most (N+2) n <= MAX_REALIZATION)
-    sits at a pole.  Each residual ||T(lam) u|| / ||u|| must stay below
-    1e-6 ||A||_inf, or RootFindingError is raised.
+    ``mat_a`` and ``mat_b`` must be the symmetric tridiagonal stencils of
+    :func:`discretize_1d`; a nonzero beyond the first off-diagonal raises
+    ValueError.  A_b = F^T F with F = sqrt(D) V^T from its eigendecomposition,
+    keeping the rows of eigenvalues above n * eps * max D: a full-row-rank F,
+    so no eigenvalue of the realization (size at most (N+2) n <=
+    MAX_REALIZATION) sits at a pole.  One ``np.linalg.eigvals`` call gives
+    the eigenvalues and no eigenvector.  For each lam with |Im| <= imag_cap,
+    u comes from two steps of inverse iteration on the tridiagonal T(lam),
+    from a fixed random start (a symmetric start would miss the odd modes of
+    a symmetric profile), as one Thomas sweep over all lam.  Each residual
+    ||T(lam) u|| / ||u|| must stay below 1e-6 ||A||_inf, or RootFindingError
+    is raised; a NaN eigenvalue or a zero pivot gives a non-finite residual,
+    which fails too.
     """
     m = mat_a.shape[0]
     if (k.n_terms + 2) * m > MAX_REALIZATION:
@@ -234,17 +242,38 @@ def nonlinear_eigenvalues_fd(mat_a: np.ndarray, mat_b: np.ndarray,
             f"realization size {(k.n_terms + 2) * m} exceeds the dense limit "
             f"{MAX_REALIZATION}"
         )
-    damp, vecs = scipy.linalg.eigh(mat_b)
+    for name, mat in (("mat_a", mat_a), ("mat_b", mat_b)):
+        if np.triu(mat, 2).any() or np.tril(mat, -2).any():
+            raise ValueError(f"{name} must be tridiagonal")
+    damp, vecs = np.linalg.eigh(mat_b)
     rank = damp > m * np.finfo(float).eps * damp.max(initial=0.0)
     factor = np.sqrt(damp[rank])[:, None] * vecs[:, rank].T
-    vals, vecs = scipy.linalg.eig(k.realization(mat_a, factor),
-                                  overwrite_a=True)
-    kept = np.abs(vals.imag) <= imag_cap
-    lam, u = vals[kept], vecs[:m, kept]
-    khat = k.laplace(lam)
-    res = np.linalg.norm(
-        lam * lam * u + mat_a @ u - khat * (mat_b @ u), axis=0
-    ) / np.linalg.norm(u, axis=0)
+    vals = np.linalg.eigvals(k.realization(mat_a, factor)).astype(complex)
+    lam = vals[~(np.abs(vals.imag) > imag_cap)]  # a NaN stays, and fails
+    u = np.outer(np.random.default_rng(0).standard_normal(m),
+                 np.ones_like(lam))
+    with np.errstate(all="ignore"):
+        # T(lam) with the grid along the rows and one lam per column
+        khat = k.laplace(lam)
+        lower, diag, upper = (np.diagonal(mat_a, d)[:, None]
+                              - khat * np.diagonal(mat_b, d)[:, None]
+                              for d in (-1, 0, 1))
+        diag = diag + lam * lam
+        piv, mult = diag.copy(), np.empty_like(lower)
+        for i in range(1, m):
+            mult[i - 1] = lower[i - 1] / piv[i - 1]
+            piv[i] -= mult[i - 1] * upper[i - 1]
+        for _ in range(2):
+            u = u / np.linalg.norm(u, axis=0)
+            for i in range(1, m):
+                u[i] -= mult[i - 1] * u[i - 1]
+            u[-1] /= piv[-1]
+            for i in range(m - 2, -1, -1):
+                u[i] = (u[i] - upper[i] * u[i + 1]) / piv[i]
+        t_u = diag * u
+        t_u[1:] += lower * u[:-1]
+        t_u[:-1] += upper * u[1:]
+        res = np.linalg.norm(t_u, axis=0) / np.linalg.norm(u, axis=0)
     bound = 1e-6 * float(np.linalg.norm(mat_a, np.inf))
     if not np.all(res <= bound):
         raise RootFindingError(

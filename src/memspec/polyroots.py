@@ -48,11 +48,6 @@ class RealPolynomial:
     def __call__(self, lam):
         return npp.polyval(lam, np.asarray(self.coeffs))
 
-    def derivative(self) -> "RealPolynomial":
-        if self.degree == 0:
-            raise ValueError("derivative of a constant is the zero polynomial")
-        return RealPolynomial(tuple(npp.polyder(np.asarray(self.coeffs))))
-
     def scaled(self) -> "RealPolynomial":
         """Same roots, coefficients divided by max |coeff|."""
         m = max(abs(c) for c in self.coeffs)

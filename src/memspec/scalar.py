@@ -1,12 +1,11 @@
 """Scalar spectral functions of the memory-damped wave symbol.
 
 For a kernel with Laplace transform Khat and a damping level bhat, the scalar
-machinery revolves around the factor 1 - bhat * Khat(lam) (which controls
-Fredholmness of the symbol), the map lam -> -lam^2 / (1 - bhat * Khat(lam))
-into the stiffness spectrum, and the per-mode rational symbol
-lam^2 + alpha - beta * Khat(lam), whose roots are the eigenvalues of the
-kernel's (N+2)-square realization; its cleared polynomial of degree N + 2 is
-kept as an independent oracle.
+machinery revolves around the factor 1 - bhat * Khat(lam), whose zeros
+obstruct Fredholmness of the symbol and sweep out the essential spectrum, and
+the per-mode rational symbol lam^2 + alpha - beta * Khat(lam), whose roots
+are the eigenvalues of the kernel's (N+2)-square realization; its cleared
+polynomial of degree N + 2 is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -16,12 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .errors import HypothesisError, RootFindingError, SingularDenominatorError
+from .errors import HypothesisError, RootFindingError
 from .kernel import ExponentialKernel
 from .polyroots import RealPolynomial
-
-#: Denominator magnitude below which the spectral map is considered singular.
-SINGULARITY_GUARD = 1e-12
 
 #: Relative residual |g| / scale above which a mode eigenvalue is refused.
 RESIDUAL_TOL = 1e-10
@@ -60,20 +56,6 @@ class ModeCoefficients:
             raise ValueError(f"alpha = {self.alpha} must be positive")
         if np.any(np.asarray(self.beta) < 0.0):
             raise ValueError(f"beta = {self.beta} must be nonnegative")
-
-    def check_bounds(self, d: DampingBound) -> None:
-        if not d.b_min * self.alpha <= self.beta <= d.b_max * self.alpha:
-            raise ValueError(
-                f"beta = {self.beta} outside "
-                f"[{d.b_min * self.alpha}, {d.b_max * self.alpha}]"
-            )
-
-
-def fredholm_factor(k: ExponentialKernel, bhat: float, lam: complex) -> complex:
-    """The factor 1 - bhat * Khat(lam) whose zeros obstruct Fredholmness."""
-    if bhat == 0.0:
-        return 1.0
-    return 1.0 - bhat * k.laplace(lam)
 
 
 def fredholm_factor_zeros(k: ExponentialKernel, bhat) -> list:
@@ -121,20 +103,6 @@ def fredholm_factor_zeros(k: ExponentialKernel, bhat) -> list:
     zeros = (mid.reshape(-1, n) - rates)[:, ::-1].tolist()
     zeros = [row if level > 0.0 else [] for level, row in zip(flat, zeros)]
     return zeros if levels.ndim else zeros[0]
-
-
-def spectral_map(k: ExponentialKernel, bhat: float, lam: float) -> float:
-    """Map lam to the stiffness value -lam^2 / (1 - bhat * Khat(lam)).
-
-    A real lam belongs to the spectral enclosure exactly when this value hits
-    the stiffness spectrum.
-    """
-    f = fredholm_factor(k, bhat, lam)
-    if abs(f) < SINGULARITY_GUARD:
-        raise SingularDenominatorError(
-            f"1 - bhat*Khat vanishes at lam = {lam} (|f| = {abs(f)})"
-        )
-    return -lam * lam / f
 
 
 def rational_symbol(k: ExponentialKernel, m: ModeCoefficients, lam):

@@ -3,7 +3,9 @@
 Determinants of the block function, its linearization, and the constant
 system operator are all compared against the cleared scalar polynomial, so
 the three realizations are pinned to one another through numpy's LU-based
-determinant rather than through any shared eigensolver.
+determinant rather than through any shared eigensolver.  The FD route is
+checked against the modal route, 50-digit mode roots, and the full
+eigendecomposition of a realization written out in the test.
 """
 
 import mpmath
@@ -14,6 +16,7 @@ from memspec import (
     ExponentialKernel,
     ModeCoefficients,
     ModePencil,
+    RootFindingError,
     cleared_mode_polynomial,
     discretize_1d,
     mode_eigenvalues,
@@ -202,3 +205,61 @@ class TestNonlinearFd:
         big = np.eye(700)
         with pytest.raises(ValueError):
             nonlinear_eigenvalues_fd(big, big, k_wave)
+
+    def test_refuses_non_tridiagonal_stencils(self, k_wave):
+        mat_a, mat_b = discretize_1d(1.0, np.full(10, 0.5), 10)
+        wide = mat_b.copy()
+        wide[0, 2] = wide[2, 0] = -1.0
+        with pytest.raises(ValueError, match="mat_b"):
+            nonlinear_eigenvalues_fd(mat_a, wide, k_wave)
+        with pytest.raises(ValueError, match="mat_a"):
+            nonlinear_eigenvalues_fd(wide, mat_b, k_wave)
+
+    def test_graded_vanishing_profile_matches_dense_eig(self, k_two):
+        # the profile vanishes on [0, 0.4], so A_b is singular; the oracle
+        # is the full eigendecomposition of the realization, built here
+        # from the definition [[0, I, 0], [-A, 0, -c_j F^T],
+        # [-c_j F, 0, -b_j I]] with A_b = F^T F
+        n = 30
+        x = np.arange(1, n + 1) / (n + 1)
+        mat_a, mat_b = discretize_1d(1.0, 0.8 * np.clip(x - 0.4, 0.0, None), n)
+        got, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k_two,
+                                            imag_cap=np.inf)
+        damp, vecs = np.linalg.eigh(mat_b)
+        keep = damp > n * np.finfo(float).eps * damp.max()
+        assert 0 < keep.sum() < n
+        f = np.sqrt(damp[keep])[:, None] * vecs[:, keep].T
+        r, rates = f.shape[0], np.array(k_two.rates)
+        c = np.sqrt(np.array(k_two.amplitudes) * rates)
+        realization = np.vstack([
+            np.hstack([np.zeros((n, n)), np.eye(n), np.zeros((n, 2 * r))]),
+            np.hstack([-mat_a, np.zeros((n, n)), -c[0] * f.T, -c[1] * f.T]),
+            np.hstack([np.vstack([-c[0] * f, -c[1] * f]),
+                       np.zeros((2 * r, n)),
+                       np.kron(np.diag(-rates), np.eye(r))]),
+        ])
+        want = np.linalg.eig(realization)[0]
+        assert len(got) == len(want)
+        rel = np.abs(got[:, None] - want[None, :]) / np.abs(want)
+        assert max(rel.min(axis=0).max(), rel.min(axis=1).max()) <= 1e-11
+        assert np.all(res <= 1e-6 * np.linalg.norm(mat_a, np.inf))
+
+    @pytest.mark.parametrize("spoil", [
+        lambda z: z * (1.0 + 1e-3),
+        lambda z: complex(np.nan, np.nan),
+    ], ids=["shifted", "nan"])
+    def test_spoiled_eigenvalue_fails_residual(self, k_two, monkeypatch,
+                                               spoil):
+        mat_a, mat_b = discretize_1d(
+            1.0, np.linspace(0.5, 0.75, 20), 20)
+        eigvals = np.linalg.eigvals
+
+        def spoiled(mat):
+            vals = eigvals(mat).astype(complex)
+            i = int(np.argmax(np.abs(vals)))
+            vals[i] = spoil(vals[i])
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvals", spoiled)
+        with pytest.raises(RootFindingError):
+            nonlinear_eigenvalues_fd(mat_a, mat_b, k_two, imag_cap=np.inf)

@@ -40,12 +40,6 @@ class TestRealPolynomial:
         for x in (-2.3, 0.0, 1.0, 4.5):
             assert p(x) == pytest.approx(_horner(coeffs, x), rel=1e-14)
 
-    def test_derivative(self):
-        p = RealPolynomial((5.0, 3.0, -2.0, 1.0))
-        assert p.derivative().coeffs == (3.0, -4.0, 3.0)
-        with pytest.raises(ValueError):
-            RealPolynomial((5.0,)).derivative()
-
     def test_from_roots(self):
         p = RealPolynomial.from_roots([1.0, -2.0, 1j, -1j])
         # (x-1)(x+2)(x^2+1) = x^4 + x^3 - x^2 + x - 2

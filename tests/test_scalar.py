@@ -16,16 +16,13 @@ from memspec import (
     ExponentialKernel,
     HypothesisError,
     ModeCoefficients,
-    SingularDenominatorError,
     cleared_mode_polynomial,
-    fredholm_factor,
     fredholm_factor_zeros,
     jordan_condition,
     mode_eigenvalues,
     mode_spectra,
     rational_symbol,
     real_imag_residual,
-    spectral_map,
 )
 
 
@@ -105,23 +102,8 @@ class TestCoefficientContainers:
         with pytest.raises(ValueError):
             ModeCoefficients(1.0, -0.5)
 
-    def test_check_bounds(self):
-        d = DampingBound(0.5, 0.75)
-        ModeCoefficients(10.0, 6.0).check_bounds(d)
-        with pytest.raises(ValueError):
-            ModeCoefficients(10.0, 1.0).check_bounds(d)
-
 
 class TestFredholmFactor:
-    def test_undamped_factor_is_one(self, k_one):
-        assert fredholm_factor(k_one, 0.0, 1.7) == 1.0
-
-    def test_value(self, k_one):
-        lam = 0.5
-        assert fredholm_factor(k_one, 0.6, lam) == pytest.approx(
-            1.0 - 0.6 * 1.0 / (lam + 1.0), rel=1e-14
-        )
-
     def test_one_term_zero_closed_form(self, k_wave):
         # 1 - bhat * a1 b1 / (lam + b1) = 0  iff  lam = -b1 + bhat a1 b1
         for bhat in (0.2, 0.5, 0.9):
@@ -173,25 +155,14 @@ class TestFredholmFactor:
 
 
 class TestSpectralMap:
-    def test_value(self, k_one):
-        lam = -0.3
-        f = 1.0 - 0.6 * 1.0 / (lam + 1.0)
-        assert spectral_map(k_one, 0.6, lam) == pytest.approx(
-            -lam * lam / f, rel=1e-14
-        )
-
-    def test_singular_at_branch_zero(self, k_one):
-        zero = fredholm_factor_zeros(k_one, 0.6)[0]
-        with pytest.raises(SingularDenominatorError):
-            spectral_map(k_one, 0.6, zero)
-
     def test_round_trip_through_mode_symbol(self, k_one):
-        # if g(lam) = W then lam is a root of the mode symbol with
-        # alpha = W, beta = bhat * W
+        # if the map g(lam) = -lam^2 / (1 - bhat Khat(lam)) gives W, then
+        # lam is a root of the mode symbol with alpha = W, beta = bhat * W;
+        # Khat(lam) = 1 / (lam + 1) for k_one, written out here
         bhat = 0.6
         zero = fredholm_factor_zeros(k_one, bhat)[0]
         lam = 0.5 * (zero + (-1.0))  # between the pole and the branch zero
-        w = spectral_map(k_one, bhat, lam)
+        w = -lam * lam / (1.0 - bhat / (lam + 1.0))
         assert w > 0.0
         m = ModeCoefficients(w, bhat * w)
         assert abs(rational_symbol(k_one, m, lam)) < 1e-10 * (1.0 + w)

@@ -9,7 +9,7 @@ discretize  1D finite-difference eigenvalues as CSV with containment report
 validate    run the invariant suite; exit 0 on success, 1 on failure
 
 Exit codes: 0 success, 1 validation failure, 2 configuration or hypothesis
-error.  Identical inputs and flags produce byte-identical output.
+error or an unwritable --output path.  Identical inputs and flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import sys
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 
 from . import boxmodes, enclosure, pencil, scalar
 from .config import ProblemSpec, parse_config
@@ -41,9 +42,12 @@ def _fmt(x) -> str:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"--output {output}: {exc.strerror}") from None
 
 
 def _info(msg: str) -> None:
@@ -248,7 +252,7 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
     k = spec.kernel
     bounds = spec.damping.bounds()
     alphas = _validation_modes(spec)
-    w_min = min(alphas)
+    w_min = alphas.min()
     rng = np.random.default_rng(0)
     failures: list[str] = []
 
@@ -260,16 +264,12 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
             failures.append(name)
 
     beta_mid = 0.5 * (bounds.b_min + bounds.b_max)
-    spectra = scalar.mode_spectra(k, alphas, beta_mid * alphas)
+    # every mode has the same beta / alpha, so the same number of roots
+    z = np.stack(scalar.mode_spectra(k, alphas, beta_mid * alphas))
 
-    sym_ok = all(
-        min(abs(np.conj(z) - w) for w in roots) <= 1e-8 * (1.0 + abs(z))
-        for roots in spectra for z in roots
-    )
-    check("conjugate_symmetry", sym_ok)
-
-    half_ok = all(z.real <= 1e-10 for roots in spectra for z in roots)
-    check("left_half_plane", half_ok)
+    gap = np.abs(np.conj(z)[:, :, None] - z[:, None, :]).min(axis=2)
+    check("conjugate_symmetry", bool(np.all(gap <= 1e-8 * (1.0 + abs(z)))))
+    check("left_half_plane", bool(np.all(z.real <= 1e-10)))
 
     ess = enclosure.essential_spectrum(k, bounds)
     c0, c1 = enclosure.enclosure_interval(k, bounds, w_min)
@@ -289,37 +289,44 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
     check("branch_monotonicity", drop >= -tol,
           f"a branch zero falls by {-drop:g} over {len(grid)} levels")
 
+    # 40 draws of (alpha, bhat, Re lam, Im lam), in this order
+    b_low = min(max(bounds.b_min, 1e-3), bounds.b_max)
+    alpha, bhat, re, im = np.array([
+        (rng.uniform(w_min, 10.0 * w_min), rng.uniform(b_low, bounds.b_max),
+         rng.normal(scale=2.0), rng.normal(scale=2.0)) for _ in range(40)]).T
+    beta, lam = bhat * alpha, re + 1j * im
+    lam = np.where(np.abs(lam) < 1e-3, lam + 0.5, lam)
+    mp = pencil.ModePencil(alpha, beta, k)
+
+    def check_within(name: str, discrepancy, bound) -> None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = float(np.max(discrepancy / bound))
+        check(name, bool(np.all(discrepancy <= bound)),
+              f"worst discrepancy / bound {worst:.3g}")
+
+    check_within("equivalence_residuals", mp.equivalence_residual(lam),
+                 1e-12 * (1.0 + np.abs(lam) ** 2) * (1.0 + alpha))
+    # det(S - lam I) = (-1)^(N+2) p(lam), compared on the scale
+    # sum_k |c_k| |lam|^k at which p(lam) itself is rounded
+    coeffs = scalar.cleared_mode_polynomial(
+        k, scalar.ModeCoefficients(alpha, beta)).T
+    want = (-1.0) ** mp.size * npp.polyval(lam, coeffs, tensor=False)
+    scale = npp.polyval(np.abs(lam), np.abs(coeffs), tensor=False)
+    got = np.linalg.det(mp.system_operator()
+                        - lam[:, None, None] * np.eye(mp.size))
+    check_within("char_poly_identity", np.abs(got - want),
+                 1e-10 * (1.0 + scale))
+    # det P(-b_j) = -a_j b_j beta prod_{i != j} (b_i - b_j), nonzero; the
+    # rate gaps b_i - b_j with a unit diagonal give the product
     rates = np.asarray(k.rates)
-    draws = []
-    for _ in range(40):
-        alpha = float(rng.uniform(w_min, 10.0 * w_min))
-        bhat = float(rng.uniform(min(max(bounds.b_min, 1e-3), bounds.b_max),
-                                 bounds.b_max))
-        lam = complex(rng.normal(scale=2.0), rng.normal(scale=2.0))
-        draws.append((alpha, bhat * alpha,
-                      lam + 0.5 if abs(lam) < 1e-3 else lam))
-    drawn_alphas, drawn_betas, _ = zip(*draws)
-    polys = scalar.cleared_mode_polynomial(
-        k, scalar.ModeCoefficients(drawn_alphas, drawn_betas))
-    res_ok, char_ok, excl_ok = True, True, True
-    for (alpha, beta, lam), poly in zip(draws, polys):
-        mp = pencil.ModePencil(alpha, beta, k)
-        res = mp.equivalence_residual(lam)
-        res_ok &= res <= 1e-12 * (1.0 + abs(lam) ** 2) * (1.0 + alpha)
-        want = ((-1.0) ** mp.size) * poly(lam)
-        got = np.linalg.det(mp.system_operator() - lam * np.eye(mp.size))
-        char_ok &= abs(got - want) <= 1e-10 * (1.0 + abs(want))
-        # det P(-b_j) = -a_j b_j beta prod_{i != j} (b_i - b_j), nonzero
-        for j, (a_j, b_j) in enumerate(zip(k.amplitudes, k.rates)):
-            det_p = np.linalg.det(mp.block_function(-b_j))
-            want_p = -a_j * b_j * mp.beta * np.prod(np.delete(rates, j) - b_j)
-            excl_ok &= abs(det_p - want_p) <= 1e-10 * abs(want_p)
-    check("equivalence_residuals", res_ok)
-    check("char_poly_identity", char_ok)
-    check("pole_exclusion", excl_ok)
+    gaps = rates - rates[:, None] + np.eye(len(rates))
+    want_p = (-(np.asarray(k.amplitudes) * rates)[:, None] * beta
+              * np.prod(gaps, axis=1)[:, None])
+    det_p = np.linalg.det(mp.block_function(-rates[:, None]))
+    check_within("pole_exclusion", np.abs(det_p - want_p),
+                 1e-10 * np.abs(want_p))
 
     if bounds.is_constant and bounds.b_max > 0.0:
-        z = np.concatenate(spectra)
         lam0 = z.real[(z.imag == 0.0) & (z.real != 0.0)]
         val = scalar.jordan_condition(k, bounds.b_max, lam0)
         check("jordan_condition", bool(np.all(np.abs(val) > _JORDAN_FLOOR)))
@@ -375,25 +382,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # the first output format of each subcommand is its default
-    handlers = {
-        "essential": (cmd_essential, ("json",)),
-        "eigs": (cmd_eigs, ("csv", "json")),
-        "enclosure": (cmd_enclosure, ("json", "csv")),
-        "discretize": (cmd_discretize, ("csv",)),
-        "validate": (cmd_validate, ()),
-    }
-    for name, (handler, formats) in handlers.items():
-        p = sub.add_parser(name)
-        _add_common(p, formats)
-        p.set_defaults(handler=handler)
+    formats = {"essential": ("json",), "eigs": ("csv", "json"),
+               "enclosure": ("json", "csv"), "discretize": ("csv",),
+               "validate": ()}
+    for name, choices in formats.items():
+        _add_common(sub.add_parser(name), choices)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         spec = parse_config(args.config)
-        return args.handler(spec, args)
+        # looked up per call, so a wrapped cmd_<name> attribute is the one run
+        return globals()[f"cmd_{args.command}"](spec, args)
     except (ConfigError, HypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

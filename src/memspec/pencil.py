@@ -29,7 +29,13 @@ MAX_REALIZATION = 2000
 
 @dataclass(frozen=True)
 class ModePencil:
-    """Matrix realizations of one scalar mode of the rational symbol."""
+    """Matrix realizations of scalar modes of the rational symbol.
+
+    ``alpha`` and ``beta`` are numbers or equal-shape arrays of modes.  The
+    matrix methods broadcast the modes' shape with that of ``lam`` over
+    leading axes, so ``block_function(-rates[:, None])`` on M modes has
+    shape (N, M, N+1, N+1); numbers give one matrix.
+    """
 
     alpha: float
     beta: float
@@ -47,96 +53,85 @@ class ModePencil:
         return self.n_terms + 2
 
     def coupling(self) -> np.ndarray:
-        """Row of coupling entries sqrt(a_j b_j beta)."""
-        a = np.asarray(self.kernel.amplitudes)
-        b = np.asarray(self.kernel.rates)
-        return np.sqrt(a * b * self.beta)
+        """Rows of coupling entries sqrt(a_j b_j beta), shape (..., N)."""
+        ab = np.multiply(self.kernel.amplitudes, self.kernel.rates)
+        return np.sqrt(ab * np.expand_dims(self.beta, -1))
 
-    def block_function(self, lam: complex) -> np.ndarray:
+    def _stack(self, lam, size: int) -> np.ndarray:
+        """Zero (size)-square stack over the modes and ``lam``, with the
+        memory block D + lam on the last N diagonal entries."""
+        shape = np.broadcast_shapes(np.shape(self.alpha), np.shape(lam))
+        big = np.zeros(shape + (size, size), dtype=complex)
+        mem = np.arange(size - self.n_terms, size)
+        big[..., mem, mem] = np.add(self.kernel.rates, np.expand_dims(lam, -1))
+        return big
+
+    def block_function(self, lam) -> np.ndarray:
         """(N+1)-square block matrix [[alpha + lam^2, B], [B^T, D + lam]]."""
-        n = self.n_terms
-        big = np.zeros((n + 1, n + 1), dtype=complex)
-        big[0, 0] = self.alpha + lam * lam
+        lam = np.asarray(lam)  # numbers and arrays round lam^2 alike
+        big = self._stack(lam, self.n_terms + 1)
         cpl = self.coupling()
-        big[0, 1:] = cpl
-        big[1:, 0] = cpl
-        big[np.arange(1, n + 1), np.arange(1, n + 1)] = (
-            np.asarray(self.kernel.rates) + lam
-        )
+        big[..., 0, 0] = self.alpha + lam * lam
+        big[..., 0, 1:] = cpl
+        big[..., 1:, 0] = cpl
         return big
 
-    def linearization(self, lam: complex) -> np.ndarray:
+    def linearization(self, lam) -> np.ndarray:
         """(N+2)-square companion-style linearization of the block function."""
-        n = self.n_terms
-        big = np.zeros((n + 2, n + 2), dtype=complex)
+        big = self._stack(lam, self.size)
         cpl = self.coupling()
-        big[0, 0] = -lam
-        big[0, 1] = -self.alpha
-        big[0, 2:] = -cpl
-        big[1, 0] = 1.0
-        big[1, 1] = -lam
-        big[2:, 1] = cpl
-        big[np.arange(2, n + 2), np.arange(2, n + 2)] = (
-            np.asarray(self.kernel.rates) + lam
-        )
+        big[..., 0, 0] = big[..., 1, 1] = -lam
+        big[..., 0, 1] = -self.alpha
+        big[..., 0, 2:] = -cpl
+        big[..., 1, 0] = 1.0
+        big[..., 2:, 1] = cpl
         return big
 
-    def _padded_block(self, lam: complex) -> np.ndarray:
+    def _padded_block(self, lam) -> np.ndarray:
         """Block function padded with the trivial block -lam (order H, Dhat, W)."""
-        n = self.n_terms
-        big = np.zeros((n + 2, n + 2), dtype=complex)
-        big[: n + 1, : n + 1] = self.block_function(lam)
-        big[n + 1, n + 1] = -lam
+        big = self._stack(lam, self.size)
+        big[..., :-1, :-1] = self.block_function(lam)
+        big[..., -1, -1] = -lam
         return big
 
-    def _padded_swapped(self, lam: complex) -> np.ndarray:
+    def _padded_swapped(self, lam) -> np.ndarray:
         """Padded block function with the trivial block in the middle."""
-        n = self.n_terms
-        big = np.zeros((n + 2, n + 2), dtype=complex)
+        lam = np.asarray(lam)
+        big = self._stack(lam, self.size)
         cpl = self.coupling()
-        big[0, 0] = self.alpha + lam * lam
-        big[0, 2:] = cpl
-        big[2:, 0] = cpl
-        big[1, 1] = -lam
-        big[np.arange(2, n + 2), np.arange(2, n + 2)] = (
-            np.asarray(self.kernel.rates) + lam
-        )
+        big[..., 0, 0] = self.alpha + lam * lam
+        big[..., 0, 2:] = cpl
+        big[..., 2:, 0] = cpl
+        big[..., 1, 1] = -lam
         return big
 
-    def equivalence_residual(self, lam: complex) -> float:
+    def equivalence_residual(self, lam):
         """Max entrywise residual of the two extension-equivalence identities.
 
         The permutation identity relating the two padded block functions is
         always checked; the factorization through the linearization needs the
-        middle factor block -lam to be invertible and is skipped at lam = 0.
+        middle factor block -lam to be invertible and is masked at lam = 0.
         """
         n = self.n_terms
-        perm = np.zeros((n + 2, n + 2))
-        perm[0, 0] = 1.0
-        perm[1, n + 1] = 1.0
-        perm[np.arange(2, n + 2), np.arange(1, n + 1)] = 1.0
+        perm = np.eye(n + 2)[[0, n + 1, *range(1, n + 1)]]
         lhs = self._padded_swapped(lam)
-        res = float(
-            np.max(np.abs(perm @ self._padded_block(lam) @ perm.T - lhs))
-        )
-        if lam != 0:
-            left = np.zeros((n + 2, n + 2), dtype=complex)
-            left[0, 0] = -1.0
-            left[0, 1] = -lam
-            left[1, 1] = -lam
-            left[np.arange(2, n + 2), np.arange(2, n + 2)] = 1.0
-            right = np.zeros((n + 2, n + 2), dtype=complex)
-            right[0, 0] = lam
-            right[0, 1] = 1.0
-            right[1, 0] = 1.0
-            right[np.arange(2, n + 2), np.arange(2, n + 2)] = 1.0
-            res2 = np.max(np.abs(left @ self.linearization(lam) @ right - lhs))
-            res = max(res, float(res2))
-        return res
+        res = np.max(np.abs(perm @ self._padded_block(lam) @ perm.T - lhs),
+                     axis=(-2, -1))
+        left = np.broadcast_to(np.eye(n + 2), lhs.shape).astype(complex)
+        right = left.copy()
+        left[..., 0, 0] = -1.0
+        left[..., 0, 1] = left[..., 1, 1] = -lam
+        right[..., 0, 0] = lam
+        right[..., 0, 1] = right[..., 1, 0] = 1.0
+        right[..., 1, 1] = 0.0
+        res2 = np.max(np.abs(left @ self.linearization(lam) @ right - lhs),
+                      axis=(-2, -1))
+        return np.maximum(res, np.where(np.asarray(lam) != 0, res2, 0.0))
 
     def system_operator(self) -> np.ndarray:
-        """Constant (N+2)-square matrix with char poly = +-(cleared symbol)."""
-        return self.kernel.realization([[self.alpha]], [[np.sqrt(self.beta)]])
+        """Constant (N+2)-square matrices, char poly +-(cleared symbol)."""
+        return self.kernel.realization(np.expand_dims(self.alpha, (-2, -1)),
+                                       np.sqrt(self.beta)[..., None, None])
 
     def lift_to_block(self, lam: complex, v1: complex) -> np.ndarray:
         """Eigenvector [v1, -(b_j + lam)^-1 B_j v1] of the block function."""

@@ -119,8 +119,8 @@ def cleared_mode_polynomial(k: ExponentialKernel, m: ModeCoefficients):
     Coefficients are assembled exactly by convolution, never by sampling.
     The mode solver does not use it; it is the independent oracle for the
     characteristic polynomial of the realization.  ``m`` holding 1-D arrays
-    gives one polynomial per mode, a list; the kernel's products are built
-    once.
+    gives the ascending coefficients of all modes as one (M, N+3) array,
+    one row per mode; the kernel's products are built once.
     """
     rates = np.asarray(k.rates)
     alpha = np.asarray(m.alpha, dtype=float).reshape(-1, 1)
@@ -130,8 +130,7 @@ def cleared_mode_polynomial(k: ExponentialKernel, m: ModeCoefficients):
     for j, (a, b) in enumerate(zip(k.amplitudes, k.rates)):
         without = npp.polyfromroots(-np.delete(rates, j)).real
         acc = acc - beta * a * b * np.pad(without, (0, 3))
-    polys = [RealPolynomial(tuple(row)) for row in acc]
-    return polys if np.ndim(m.alpha) else polys[0]
+    return acc if np.ndim(m.alpha) else RealPolynomial(tuple(acc[0]))
 
 
 def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):

@@ -12,6 +12,7 @@ import pytest
 from memspec import (
     DampingBound,
     ExponentialKernel,
+    ModePencil,
     discretize_1d,
     one_pole_region,
 )
@@ -209,6 +210,43 @@ def test_validate_two_term_kernel(config, capsys):
     assert "PASS branch_monotonicity" in out
 
 
+def test_validate_char_poly_near_a_root(config, capsys):
+    # a draw lands so near a root that |p(lam)| falls far below the
+    # rounding of p itself; the identity holds on the scale
+    # sum_k |c_k| |lam|^k at which p(lam) is evaluated
+    doc = {"coefficient_a": 100.0,
+           "kernel": {"a": [0.1] * 8, "b": [0.25 * j for j in range(1, 9)]},
+           "damping": {"kind": "range", "b_min": 0.3125, "b_max": 0.625},
+           "domain": {"kind": "box", "lengths": [0.2]}}
+    code, out = run(capsys, ["validate", "--config", config(doc)])
+    assert code == 0, out
+    assert "PASS char_poly_identity" in out
+
+
+@pytest.mark.parametrize("method, entry, failing", [
+    ("block_function", (0, 1), {"equivalence_residuals", "pole_exclusion"}),
+    ("system_operator", (1, 0), {"char_poly_identity"}),
+    ("linearization", (0, 1), {"equivalence_residuals"}),
+])
+def test_validate_reports_spoiled_identity(config, capsys, monkeypatch,
+                                           method, entry, failing):
+    # one realization entry off by 1e-6 relative breaks the identities that
+    # read it (the padded block function holds the block function)
+    original = getattr(ModePencil, method)
+
+    def spoiled(self, *args):
+        big = original(self, *args)
+        big[(...,) + entry] *= 1.0 + 1e-6
+        return big
+
+    monkeypatch.setattr(ModePencil, method, spoiled)
+    code, out = run(capsys, ["validate", "--config", config(TWO_TERM)])
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert {line.split()[1].rstrip(":") for line in fails} == failing
+    assert all("worst discrepancy / bound" in line for line in fails)
+
+
 def test_sweep_validation(config, capsys):
     # --sweep sets only the density of validate's monotonicity scan
     code, out = run(capsys, ["validate", "--config", config(GRADED),
@@ -279,6 +317,10 @@ BAD_INPUTS = {
                              json.dumps(GRADED), 2, "--format"),
     "format-validate": (["validate", "--format", "json"], json.dumps(GRADED),
                         2, "--format"),
+    "output-directory": (["essential", "--output", "."], json.dumps(GRADED),
+                         2, "--output"),
+    "output-missing-parent": (["eigs", "--output", "none/out.csv"],
+                              json.dumps(CONSTANT), 2, "--output"),
 }
 
 
@@ -347,6 +389,15 @@ def test_deterministic_output(config, capsys):
     _, first = run(capsys, ["eigs", "--config", path, "--alpha-cap", "300"])
     _, second = run(capsys, ["eigs", "--config", path, "--alpha-cap", "300"])
     assert first == second
+
+
+def test_parser_defaults_do_not_leak(config, capsys):
+    # one parser serves every call of a process
+    path = config(CONSTANT)
+    _, first = run(capsys, ["eigs", "--config", path, "--format", "json"])
+    _, second = run(capsys, ["eigs", "--config", path])
+    assert "eigenvalues" in json.loads(first)
+    assert second.startswith(CSV_HEADER + "\n")
 
 
 def test_output_file(config, capsys, tmp_path):

@@ -87,6 +87,30 @@ class TestModePencil:
             det = np.linalg.det(sop - lam * np.eye(pencil_two.size))
             assert det == pytest.approx(sign * poly(lam), rel=1e-10)
 
+    def test_batched_calls_match_per_mode_calls(self, k_two):
+        # lam = 0 is where the linearization identity is masked
+        rng = np.random.default_rng(21)
+        alphas = rng.uniform(1.0, 100.0, 5)
+        betas = alphas * rng.uniform(0.0, 0.8, 5)
+        lams = rng.normal(scale=2.0, size=5) + 1j * rng.normal(scale=2.0,
+                                                               size=5)
+        lams[0] = 0.0
+        batch = ModePencil(alphas, betas, k_two)
+        modes = [ModePencil(a, b, k_two)
+                 for a, b in zip(alphas.tolist(), betas.tolist())]
+        for name in ("block_function", "linearization"):
+            want = [getattr(mp, name)(lam)
+                    for mp, lam in zip(modes, lams.tolist())]
+            assert np.array_equal(getattr(batch, name)(lams), want)
+        assert np.array_equal(batch.system_operator(),
+                              [mp.system_operator() for mp in modes])
+        want = [mp.equivalence_residual(lam)
+                for mp, lam in zip(modes, lams.tolist())]
+        assert np.all(np.abs(batch.equivalence_residual(lams) - want)
+                      <= 1e-14 * (1.0 + np.abs(lams) ** 2) * (1.0 + alphas))
+        rates = np.asarray(k_two.rates)
+        assert batch.block_function(-rates[:, None]).shape == (2, 5, 3, 3)
+
     def test_system_operator_spectrum_matches_modes(self, k_wave):
         mp = ModePencil(40.0, 20.0, k_wave)
         vals = np.linalg.eigvals(mp.system_operator())

@@ -180,14 +180,14 @@ class TestModePolynomial:
             assert poly(lam) == pytest.approx(
                 rational_symbol(k_two, m, lam) * denom, rel=1e-11
             )
-        # arrays of modes give one polynomial per mode, equal to the
+        # arrays of modes give one coefficient row per mode, equal to the
         # one-mode calls
         alphas, betas = np.array([17.0, 3.5, 250.0]), np.array([5.0, 0.0, 90.0])
-        polys = cleared_mode_polynomial(k_two, ModeCoefficients(alphas, betas))
-        assert len(polys) == 3
-        for alpha, beta, got in zip(alphas, betas, polys):
+        rows = cleared_mode_polynomial(k_two, ModeCoefficients(alphas, betas))
+        assert rows.shape == (3, 5)
+        for alpha, beta, got in zip(alphas, betas, rows):
             want = cleared_mode_polynomial(k_two, ModeCoefficients(alpha, beta))
-            assert np.allclose(got.coeffs, want.coeffs, rtol=1e-14, atol=0.0)
+            assert np.allclose(got, want.coeffs, rtol=1e-14, atol=0.0)
 
     def test_undamped_symbol(self, k_one):
         m = ModeCoefficients(4.0, 0.0)

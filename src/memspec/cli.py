@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -29,13 +30,12 @@ CSV_HEADER = "re,im,source,branch,residual,jordan_ok"
 
 _JORDAN_FLOOR = 1e-3
 
+#: CSV text of the jordan_ok column: not evaluated, true, false.
+_JORDAN_TEXT = {None: "", True: "true", False: "false"}
 
-def _fmt(x) -> str:
+
+def _fmt(x: float) -> str:
     """Shortest representation capped at 12 significant digits."""
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
     return f"{x:.12g}"
 
 
@@ -58,20 +58,20 @@ def _emit_rows(args, z, source, residual, jordan, report=()) -> None:
     """Eigenvalue rows from their columns, as CSV followed by the ``report``
     lines, or as JSON; a real z (Im == 0) is printed with Im = +0."""
     real = z.imag == 0.0
-    rows = zip(z.real.tolist(), np.where(real, 0.0, z.imag).tolist(), source,
+    columns = (z.real.tolist(), np.where(real, 0.0, z.imag).tolist(), source,
                np.where(real, "real", "complex-pair").tolist(),
-               residual.tolist(), jordan)
+               residual.tolist())
     if args.format == "json":
         keys = CSV_HEADER.split(",")
         doc = {"counts": {"eigenvalues": len(z)},
-               "eigenvalues": [dict(zip(keys, row)) for row in rows]}
+               "eigenvalues": [dict(zip(keys, row))
+                               for row in zip(*columns, jordan)]}
         _emit(json.dumps(doc) + "\n", args.output)
         return
-    lines = [CSV_HEADER]
-    lines.extend(f"{x:.12g},{y:.12g},{tag},{branch},{res:.12g},{_fmt(ok)}"
-                 for x, y, tag, branch, res, ok in rows)
-    lines.extend(report)
-    _emit("\n".join(lines) + "\n", args.output)
+    cells = chain.from_iterable(zip(*columns,
+                                    map(_JORDAN_TEXT.get, jordan)))
+    table = "%.12g,%.12g,%s,%s,%.12g,%s\n" * len(z) % tuple(cells)
+    _emit(f"{CSV_HEADER}\n{table}" + "\n".join([*report, ""]), args.output)
 
 
 def _modes(spec: ProblemSpec, box: boxmodes.BoxDomain, alpha_cap: float,
@@ -161,12 +161,16 @@ def cmd_enclosure(spec: ProblemSpec, args) -> int:
     else:
         region = enclosure.EnclosureRegion(
             k, bounds, w_min, *enclosure.enclosure_interval(k, bounds, w_min))
-    cloud = enclosure.boundary_cloud(k, bounds, alphas, args.beta_samples)
+    try:
+        cloud = enclosure.boundary_cloud(k, bounds, alphas, args.beta_samples)
+    except ValueError as exc:
+        fields = "--beta-samples" + (
+            " or --alpha-cap" if args.alpha_cap is not None else "")
+        raise ConfigError(f"{exc}; reduce {fields}") from None
     if args.format == "csv":
-        lines = ["re,im,alpha,beta"]
-        lines.extend(",".join(_fmt(v) for v in (z.real, z.imag, alpha, beta))
-                     for z, alpha, beta in cloud)
-        _emit("\n".join(lines) + "\n", args.output)
+        table = "%.12g,%.12g,%.12g,%.12g\n" * len(cloud) % tuple(
+            cloud.ravel().tolist())
+        _emit("re,im,alpha,beta\n" + table, args.output)
     else:
         strips = region.one_pole
         doc = {
@@ -271,20 +275,23 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
     check("conjugate_symmetry", bool(np.all(gap <= 1e-8 * (1.0 + abs(z)))))
     check("left_half_plane", bool(np.all(z.real <= 1e-10)))
 
-    ess = enclosure.essential_spectrum(k, bounds)
-    c0, c1 = enclosure.enclosure_interval(k, bounds, w_min)
+    # one bisection serves all three checks: linspace returns the damping
+    # bounds exactly as its first and last levels, whose rows are all that
+    # essential_spectrum and enclosure_interval read
+    levels = enclosure.damping_levels(bounds)
+    grid = np.linspace(levels[0], levels[-1],
+                       args.sweep if len(levels) > 1 else 1)
+    zeros = scalar.fredholm_factor_zeros(k, grid)
+    ess = enclosure._essential_from_zeros(zeros[0], zeros[-1])
+    c0, c1 = enclosure._interval_from_zero(k, bounds, w_min, max(zeros[-1]))
     tol = 1e-10
     ess_ok = all(c0 - tol <= lo and hi <= c1 + tol
                  for lo, hi in ess.intervals)
     check("essential_in_interval", ess_ok,
           f"intervals {ess.intervals} vs [{c0}, {c1}]")
 
-    # essential_spectrum reads the branch zeros at the two bounds only,
-    # which is exact because each zero rises with the damping level
-    levels = enclosure.damping_levels(bounds)
-    grid = np.linspace(levels[0], levels[-1],
-                       args.sweep if len(levels) > 1 else 1)
-    zeros = np.array(scalar.fredholm_factor_zeros(k, grid))
+    # the intervals read the branch zeros at the two bounds only, which is
+    # exact because each zero rises with the damping level
     drop = float(np.diff(zeros, axis=0).min(initial=0.0))
     check("branch_monotonicity", drop >= -tol,
           f"a branch zero falls by {-drop:g} over {len(grid)} levels")

@@ -11,6 +11,11 @@ from .errors import ConfigError, HypothesisError
 from .kernel import ExponentialKernel
 from .scalar import DampingBound
 
+#: Largest stiffness scale a (pi / l)^2 or a / h^2 accepted.  Mode solves
+#: reach alpha up to 1e12 times it (10^6 index tuples) and form residual
+#: scales of size alpha^1.5, which overflow from alpha of about 1e205 on.
+MAX_STIFFNESS_SCALE = 1e150
+
 
 @dataclass(frozen=True)
 class Damping:
@@ -112,9 +117,9 @@ def _parse_domain(node) -> Domain:
         grid_points = node.get("grid_points")
         _require(_finite(length) and length > 0,
                  "domain.length", "must be positive and finite")
-        _require(isinstance(grid_points, int)
-                 and not isinstance(grid_points, bool) and grid_points >= 3,
-                 "domain.grid_points", "must be an integer >= 3")
+        _require(isinstance(grid_points, int) and _finite(grid_points)
+                 and grid_points >= 3,
+                 "domain.grid_points", "must be an integer from 3 to 1e308")
         return Domain("interval_fd", length=float(length),
                       grid_points=grid_points)
     raise ConfigError(f"field 'domain.kind': unknown kind {kind!r}")
@@ -140,6 +145,18 @@ def load_spec(doc: dict) -> ProblemSpec:
         raise ConfigError(f"field 'kernel': {exc}") from exc
     damping = _parse_damping(doc.get("damping"))
     domain = _parse_domain(doc.get("domain"))
+    # a zero stiffness scale has underflowed
+    if domain.kind == "box":
+        field, what = "domain.lengths", "a (pi / l)^2"
+        ratios = [math.pi / l for l in domain.lengths]
+    else:
+        field, what = "domain.length", "a ((grid_points + 1) / length)^2"
+        ratios = [(domain.grid_points + 1) / domain.length]
+    for ratio in ratios:
+        scale = a * ratio * ratio
+        _require(0.0 < scale <= MAX_STIFFNESS_SCALE, field,
+                 f"stiffness scale {what} = {scale:g} is outside "
+                 f"(0, {MAX_STIFFNESS_SCALE:g}]")
     margin = kern.dissipativity_margin(damping.bounds().b_max)
     if margin <= 0.0:
         raise HypothesisError(

@@ -23,6 +23,11 @@ DAMPING_FLOOR = 1e-8
 #: Branch intervals closer than this are merged.
 MERGE_GAP = 1e-10
 
+#: Most modes (alphas x beta samples) one boundary cloud solves.  Each mode
+#: holds about 1 KB of solver arrays at N = 1 and 10 KB at N = 12, so the
+#: largest cloud peaks near 0.1 GB and 0.5 GB.
+MAX_CLOUD_MODES = 50_000
+
 
 @dataclass(frozen=True)
 class EssentialSpectrum:
@@ -117,8 +122,14 @@ def essential_spectrum(k: ExponentialKernel,
     """
     _require_margin(k, d)
     zeros = fredholm_factor_zeros(k, damping_levels(d))
+    return _essential_from_zeros(zeros[0], zeros[-1])
+
+
+def _essential_from_zeros(low: list, high: list) -> EssentialSpectrum:
+    """The intervals between the branch zeros ``low`` at b_min and ``high``
+    at b_max, merged where they meet."""
     intervals: list[tuple[float, float]] = []
-    for lo, hi in zip(zeros[0], zeros[-1]):
+    for lo, hi in zip(low, high):
         if intervals and lo - intervals[-1][1] < MERGE_GAP:
             intervals[-1] = (intervals[-1][0], hi)
         else:
@@ -144,14 +155,21 @@ def enclosure_interval(k: ExponentialKernel, d: DampingBound,
     exists: on (-b_1, 0) the symbol rises from -inf to
     w_min * (1 - bhat * sum(a_j)) > 0.
     """
+    _require_margin(k, d)
+    zero = max(fredholm_factor_zeros(k, damping_levels(d)[-1]))
+    return _interval_from_zero(k, d, w_min, zero)
+
+
+def _interval_from_zero(k: ExponentialKernel, d: DampingBound, w_min: float,
+                        zero: float) -> tuple[float, float]:
+    """[c0, c1] of :func:`enclosure_interval`, given the rightmost branch
+    zero ``zero`` at b_max."""
     if not w_min > 0.0:
         raise ValueError(f"w_min = {w_min} must be positive")
-    _require_margin(k, d)
     levels = damping_levels(d)
     spectra = mode_spectra(k, [w_min] * len(levels),
                            [bhat * w_min for bhat in levels])
     reals = [z.real for z in np.concatenate(spectra) if z.imag == 0.0]
-    zero = max(fredholm_factor_zeros(k, levels[-1]))
     return float(min(reals)), float(max(max(reals), zero))
 
 
@@ -175,24 +193,30 @@ def one_pole_region(k: ExponentialKernel, d: DampingBound,
     )
 
 
-def boundary_cloud(
-        k: ExponentialKernel, d: DampingBound, alphas,
-        samples_beta: int = 11) -> list[tuple[complex, float, float]]:
+def boundary_cloud(k: ExponentialKernel, d: DampingBound, alphas,
+                   samples_beta: int = 11) -> np.ndarray:
     """Sampled enclosure points: mode eigenvalues over an (alpha, beta) grid.
 
-    Each point comes as (z, alpha, beta), in alpha-major, beta-minor, then
-    root order; all modes are solved in one batched call.
+    Returns one (P, 4) array with the columns re z, im z, alpha, beta, in
+    alpha-major, beta-minor, then root order; all modes are solved in one
+    batched call.  More than MAX_CLOUD_MODES modes raise ValueError before
+    any is built.
     """
     _require_margin(k, d)
     alphas = np.asarray(alphas, dtype=float)
-    betas = np.linspace(d.b_min * alphas, d.b_max * alphas,
-                        1 if d.is_constant else samples_beta, axis=1)
+    samples = 1 if d.is_constant else samples_beta
+    if alphas.size * samples > MAX_CLOUD_MODES:
+        raise ValueError(
+            f"{alphas.size} alphas x {samples} beta samples exceed "
+            f"{MAX_CLOUD_MODES} cloud modes")
+    betas = np.linspace(d.b_min * alphas, d.b_max * alphas, samples, axis=1)
     alphas = np.broadcast_to(alphas[:, None], betas.shape).ravel()
     betas = betas.ravel()
     spectra = mode_spectra(k, alphas, betas)
-    return [(complex(z), float(alpha), float(beta))
-            for alpha, beta, roots in zip(alphas, betas, spectra)
-            for z in roots]
+    counts = [len(roots) for roots in spectra]
+    z = np.concatenate(spectra)
+    return np.column_stack((z.real, z.imag, np.repeat(alphas, counts),
+                            np.repeat(betas, counts)))
 
 
 def synthetic_alpha_grid(w_min: float) -> np.ndarray:

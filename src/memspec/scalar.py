@@ -85,21 +85,25 @@ def fredholm_factor_zeros(k: ExponentialKernel, bhat) -> list:
         )
     flat, rates, n = levels.reshape(-1), np.asarray(k.rates), k.n_terms
     # bracket i is the gap i % n of the level flat[i // n], empty when the
-    # level is 0
-    weights = flat[:, None] * np.asarray(k.amplitudes) * rates
-    shifts = rates[None, :] - rates[:, None]  # row j: lam + b_i = d + shifts
+    # level is 0; its rows: lam + b_j = d + shifts[i, j]
+    weights = np.repeat(flat[:, None] * np.asarray(k.amplitudes) * rates, n,
+                        axis=0)
+    shifts = np.tile(rates[None, :] - rates[:, None], (flat.size, 1))
     lo = np.zeros(flat.size * n)
     hi = np.outer(flat > 0.0, np.diff(rates, prepend=0.0)).ravel()
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = np.flatnonzero((lo < mid) & (mid < hi))
-        if live.size == 0:
-            break
-        d = mid[live]
-        below = np.sum(weights[live // n] / (d[:, None] + shifts[live % n]),
-                       axis=1) > 1.0
-        lo[live] = np.where(below, d, lo[live])
-        hi[live] = np.where(below, hi[live], d)
+    terms = np.empty_like(shifts)
+    # a settled bracket keeps its bounds; its pole rows may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            mid = 0.5 * (lo + hi)
+            live = (lo < mid) & (mid < hi)
+            if not live.any():
+                break
+            np.add(mid[:, None], shifts, out=terms)
+            np.divide(weights, terms, out=terms)
+            below = np.sum(terms, axis=1) > 1.0
+            np.copyto(lo, mid, where=live & below)
+            np.copyto(hi, mid, where=live & ~below)
     zeros = (mid.reshape(-1, n) - rates)[:, ::-1].tolist()
     zeros = [row if level > 0.0 else [] for level, row in zip(flat, zeros)]
     return zeros if levels.ndim else zeros[0]
@@ -136,26 +140,35 @@ def cleared_mode_polynomial(k: ExponentialKernel, m: ModeCoefficients):
 def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):
     """g = f (z + b_j) for the mode symbol f and the pole -b_j nearest z.
 
-    Returns g, g', |f| and the scale of g: its terms in magnitude, with
-    z + b_j replaced by |z| + b_j.  Newton on g stays quadratic next to a
-    pole, and rounding in z itself can meet |g| <= RESIDUAL_TOL * scale.
+    Returns g, g' and |f|.  Newton on g stays quadratic next to a pole.
     """
     rates = np.asarray(k.rates)
     weights = np.asarray(k.amplitudes) * rates
     near = np.argmin(np.abs(z[..., None] + rates), axis=-1)
-    offset, reach = z + rates[near], np.abs(z) + rates[near]
-    rest, rest_deriv, rest_size = np.zeros_like(z), np.zeros_like(z), 0.0
+    offset = z + rates[near]
+    rest, rest_deriv = np.zeros_like(z), np.zeros_like(z)
     for i, (w, b) in enumerate(zip(weights, rates)):
         inv = np.where(near == i, 0.0, 1.0 / (z + b))
         rest += w * inv
         rest_deriv += w * inv * inv
-        rest_size += w * np.abs(inv)
     value = (z * z + alpha) * offset - beta * (weights[near] + offset * rest)
     deriv = (2.0 * z * offset + z * z + alpha
              - beta * (rest - offset * rest_deriv))
-    scale = ((np.abs(z) ** 2 + alpha) * reach
-             + beta * (weights[near] + reach * rest_size))
-    return value, deriv, np.abs(value / offset), scale
+    return value, deriv, np.abs(value / offset)
+
+
+def _near_pole_scale(k: ExponentialKernel, alpha, beta, z: np.ndarray):
+    """The scale of g in :func:`_near_pole_form`: its terms in magnitude,
+    with z + b_j replaced by |z| + b_j.  Rounding in z itself can meet
+    |g| <= RESIDUAL_TOL * scale."""
+    rates = np.asarray(k.rates)
+    weights = np.asarray(k.amplitudes) * rates
+    near = np.argmin(np.abs(z[..., None] + rates), axis=-1)
+    reach, rest_size = np.abs(z) + rates[near], 0.0
+    for i, (w, b) in enumerate(zip(weights, rates)):
+        rest_size += w * np.abs(np.where(near == i, 0.0, 1.0 / (z + b)))
+    return ((np.abs(z) ** 2 + alpha) * reach
+            + beta * (weights[near] + reach * rest_size))
 
 
 def mode_spectra(k: ExponentialKernel, alphas, betas) -> list[np.ndarray]:
@@ -165,9 +178,10 @@ def mode_spectra(k: ExponentialKernel, alphas, betas) -> list[np.ndarray]:
     beta = 0 the memory variables decouple, N eigenvalues are the poles
     -b_j, and the N nearest the poles are dropped; for beta > 0 none sits
     at a pole.  Each eigenvalue takes at most three Newton steps on
-    :func:`_near_pole_form`, each kept only where |f| falls.  LAPACK returns
-    conjugate pairs adjacent, positive part first; the second is reset to
-    the conjugate of the first.  |Im| <= REAL_SNAP (1 + |z|) becomes real,
+    :func:`_near_pole_form`, each kept only where |f| falls; a kept step's
+    form values serve the next step.  LAPACK returns conjugate pairs
+    adjacent, positive part first; the second is reset to the conjugate of
+    the first.  |Im| <= REAL_SNAP (1 + |z|) becomes real,
     |g| > RESIDUAL_TOL * scale raises :class:`RootFindingError`, and each
     array is sorted by (re, im).
     """
@@ -180,14 +194,18 @@ def mode_spectra(k: ExponentialKernel, alphas, betas) -> list[np.ndarray]:
     rank = np.argsort(np.argsort(gap, axis=1), axis=1)
     keep = (beta > 0.0) | (rank >= k.n_terms)
     with np.errstate(divide="ignore", invalid="ignore"):
+        g, dg, f = _near_pole_form(k, alpha, beta, z)
         for _ in range(3):
-            g, dg, f, _ = _near_pole_form(k, alpha, beta, z)
             step = z - g / dg
-            z = np.where(_near_pole_form(k, alpha, beta, step)[2] < f, step, z)
+            g_step, dg_step, f_step = _near_pole_form(k, alpha, beta, step)
+            took = f_step < f
+            z, g = np.where(took, step, z), np.where(took, g_step, g)
+            dg, f = np.where(took, dg_step, dg), np.where(took, f_step, f)
         z = np.where(raw.imag < 0.0, np.conj(np.roll(z, 1, axis=1)), z)
         z = np.where(np.abs(z.imag) <= REAL_SNAP * (1.0 + np.abs(z)),
                      z.real + 0j, z)
-        g, _, _, scale = _near_pole_form(k, alpha, beta, z)
+        g = _near_pole_form(k, alpha, beta, z)[0]
+        scale = _near_pole_scale(k, alpha, beta, z)
         bad = keep & ~(np.abs(g) <= RESIDUAL_TOL * scale)
     if bad.any():
         raise RootFindingError(

@@ -13,9 +13,13 @@ from memspec import (
     DampingBound,
     ExponentialKernel,
     ModePencil,
+    boundary_cloud,
     discretize_1d,
+    enclosure,
     one_pole_region,
+    scalar,
 )
+from memspec.enclosure import synthetic_alpha_grid
 from memspec.pencil import stiffness_eigenvalues
 from memspec.cli import CSV_HEADER, main
 from memspec.config import parse_config
@@ -319,6 +323,41 @@ BAD_INPUTS = {
                         2, "--format"),
     "output-directory": (["essential", "--output", "."], json.dumps(GRADED),
                          2, "--output"),
+    # stiffness scales a (pi / l)^2 and a / h^2 beyond 1e150 can overflow
+    # the mode solves, and a zero one has underflowed
+    "stiffness-fd-validate": (["validate"], _with(
+        GRADED, domain={"kind": "interval_fd", "length": 1e-200,
+                        "grid_points": 3}), 2, "domain.length"),
+    "stiffness-fd-discretize": (["discretize"], _with(
+        GRADED, damping={"kind": "profile_1d", "samples": [0.5, 0.75]},
+        domain={"kind": "interval_fd", "length": 1e-160,
+                "grid_points": 10}), 2, "domain.length"),
+    "stiffness-box-enclosure": (["enclosure"],
+                                _with(GRADED, domain__lengths=[1e-200]), 2,
+                                "domain.lengths"),
+    "stiffness-box-eigs": (["eigs"], _with(GRADED, domain__lengths=[1e-200]),
+                           2, "domain.lengths"),
+    "stiffness-box-validate": (["validate"],
+                               _with(GRADED, domain__lengths=[1e-200]), 2,
+                               "domain.lengths"),
+    "stiffness-box-finite-enclosure": (["enclosure"], _with(
+        GRADED, domain__lengths=[3e-154]), 2, "domain.lengths"),
+    "stiffness-box-overflow-eigs": (["eigs"], _with(
+        CONSTANT, domain__lengths=[1e-120]), 2, "domain.lengths"),
+    "stiffness-box-underflow": (["validate"],
+                                _with(GRADED, domain__lengths=[1e200]), 2,
+                                "domain.lengths"),
+    "grid-points-overflow": (["validate"],
+                             _with(FD, domain__grid_points=10 ** 400), 2,
+                             "domain.grid_points"),
+    # clouds above enclosure.MAX_CLOUD_MODES modes are refused before any
+    # mode is built (64 x 1e5 and 764 x 1e3 here)
+    "beta-samples-huge": (["enclosure", "--beta-samples", "100000"],
+                          json.dumps(GRADED), 2, "--beta-samples"),
+    "cloud-alpha-cap-huge": (["enclosure", "--alpha-cap", "1e4",
+                              "--beta-samples", "1000"],
+                             json.dumps(GRADED), 2,
+                             "--beta-samples or --alpha-cap"),
     "output-missing-parent": (["eigs", "--output", "none/out.csv"],
                               json.dumps(CONSTANT), 2, "--output"),
 }
@@ -331,7 +370,55 @@ def test_bad_input_refused(case, tmp_path):
     proc = run_process([*argv, "--config", "problem.json"], tmp_path)
     assert proc.returncode == want_code, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
     assert field in proc.stderr
+
+
+@pytest.mark.parametrize("argv, doc, count", [
+    (["essential"], GRADED, 1), (["eigs"], CONSTANT, 0),
+    (["enclosure"], TWO_TERM, 1), (["discretize"], FD, 1),
+    (["validate"], TWO_TERM, 1), (["validate", "--sweep", "2"], GRADED, 1),
+    (["validate"], CONSTANT, 1),
+], ids=["essential", "eigs", "enclosure", "discretize", "validate",
+        "validate-sweep-2", "validate-constant"])
+def test_one_branch_zero_bisection(config, capsys, monkeypatch, argv, doc,
+                                   count):
+    # validate's scan bisects once; its first and last rows give the
+    # essential intervals and the branch zero of c1
+    calls = []
+    bisect = scalar.fredholm_factor_zeros
+
+    def counted(*args):
+        calls.append(1)
+        return bisect(*args)
+
+    for module in (scalar, enclosure):
+        monkeypatch.setattr(module, "fredholm_factor_zeros", counted)
+    code, _ = run(capsys, [*argv, "--config", config(doc)])
+    assert code == 0
+    assert len(calls) == count
+
+
+def test_csv_tables_match_json_and_cloud(config, capsys):
+    # each CSV table is formatted in one call; its rows read as the JSON
+    # values and the cloud array at 12 significant digits
+    path = config(CONSTANT)
+    _, text = run(capsys, ["eigs", "--config", path, "--alpha-cap", "200"])
+    _, doc = run(capsys, ["eigs", "--config", path, "--alpha-cap", "200",
+                          "--format", "json"])
+    want = [CSV_HEADER] + [
+        f"{r['re']:.12g},{r['im']:.12g},{r['source']},{r['branch']},"
+        f"{r['residual']:.12g},"
+        + {None: "", True: "true", False: "false"}[r["jordan_ok"]]
+        for r in json.loads(doc)["eigenvalues"]]
+    assert text.splitlines() == want
+    spec = parse_config(config(TWO_TERM))
+    _, text = run(capsys, ["enclosure", "--config", config(TWO_TERM),
+                           "--format", "csv"])
+    cloud = boundary_cloud(spec.kernel, spec.damping.bounds(),
+                           synthetic_alpha_grid(2.0 * np.pi ** 2))
+    assert text.splitlines() == ["re,im,alpha,beta"] + [
+        ",".join(f"{v:.12g}" for v in row) for row in cloud.tolist()]
 
 
 def test_validate_large_fd_grid(config, capsys):

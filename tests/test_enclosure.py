@@ -219,8 +219,8 @@ class TestCloud:
 
     def test_deterministic(self, k_two, d_graded):
         alphas = [12.0, 25.0]
-        assert boundary_cloud(k_two, d_graded, alphas) == \
-            boundary_cloud(k_two, d_graded, alphas)
+        assert np.array_equal(boundary_cloud(k_two, d_graded, alphas),
+                              boundary_cloud(k_two, d_graded, alphas))
 
     def test_margin_violation(self, k_one):
         with pytest.raises(HypothesisError):

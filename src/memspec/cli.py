@@ -268,22 +268,28 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
             failures.append(name)
 
     beta_mid = 0.5 * (bounds.b_min + bounds.b_max)
-    # every mode has the same beta / alpha, so the same number of roots
-    z = np.stack(scalar.mode_spectra(k, alphas, beta_mid * alphas))
+    # one solve: the validation modes, then (w_min, bhat * w_min) at each
+    # damping level for enclosure_interval's c0 and c1; every validation
+    # mode has the same beta / alpha, so the same number of roots
+    levels = enclosure.damping_levels(bounds)
+    spectra = scalar.mode_spectra(
+        k, np.concatenate((alphas, np.full(len(levels), w_min))),
+        np.concatenate((beta_mid * alphas, np.multiply(levels, w_min))))
+    z = np.stack(spectra[:alphas.size])
 
     gap = np.abs(np.conj(z)[:, :, None] - z[:, None, :]).min(axis=2)
     check("conjugate_symmetry", bool(np.all(gap <= 1e-8 * (1.0 + abs(z)))))
     check("left_half_plane", bool(np.all(z.real <= 1e-10)))
 
-    # one bisection serves all three checks: linspace returns the damping
+    # one zero search serves all three checks: linspace returns the damping
     # bounds exactly as its first and last levels, whose rows are all that
     # essential_spectrum and enclosure_interval read
-    levels = enclosure.damping_levels(bounds)
     grid = np.linspace(levels[0], levels[-1],
                        args.sweep if len(levels) > 1 else 1)
     zeros = scalar.fredholm_factor_zeros(k, grid)
     ess = enclosure._essential_from_zeros(zeros[0], zeros[-1])
-    c0, c1 = enclosure._interval_from_zero(k, bounds, w_min, max(zeros[-1]))
+    c0, c1 = enclosure._interval_from_roots(spectra[alphas.size:],
+                                            max(zeros[-1]))
     tol = 1e-10
     ess_ok = all(c0 - tol <= lo and hi <= c1 + tol
                  for lo, hi in ess.intervals)
@@ -358,7 +364,7 @@ _POSITIVE = _checked(float, lambda v: 0.0 < v < np.inf, "a finite number > 0")
 _NONNEGATIVE = _checked(float, lambda v: 0.0 <= v < np.inf,
                         "a finite number >= 0")
 _TWO_OR_MORE = _checked(int, lambda v: v >= 2, "an integer >= 2")
-# the scan bisects all levels at once, in memory that grows like levels * N^2
+# the scan searches all levels at once, in memory that grows like levels * N^2
 _SWEEP = _checked(int, lambda v: 2 <= v <= 10_000,
                   "an integer from 2 to 10000")
 

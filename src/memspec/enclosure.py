@@ -156,19 +156,19 @@ def enclosure_interval(k: ExponentialKernel, d: DampingBound,
     w_min * (1 - bhat * sum(a_j)) > 0.
     """
     _require_margin(k, d)
-    zero = max(fredholm_factor_zeros(k, damping_levels(d)[-1]))
-    return _interval_from_zero(k, d, w_min, zero)
-
-
-def _interval_from_zero(k: ExponentialKernel, d: DampingBound, w_min: float,
-                        zero: float) -> tuple[float, float]:
-    """[c0, c1] of :func:`enclosure_interval`, given the rightmost branch
-    zero ``zero`` at b_max."""
+    levels = damping_levels(d)
+    zero = max(fredholm_factor_zeros(k, levels[-1]))
     if not w_min > 0.0:
         raise ValueError(f"w_min = {w_min} must be positive")
-    levels = damping_levels(d)
     spectra = mode_spectra(k, [w_min] * len(levels),
                            [bhat * w_min for bhat in levels])
+    return _interval_from_roots(spectra, zero)
+
+
+def _interval_from_roots(spectra, zero: float) -> tuple[float, float]:
+    """[c0, c1] of :func:`enclosure_interval` from the roots ``spectra`` of
+    the modes (w_min, bhat * w_min) at the damping levels and the rightmost
+    branch zero ``zero`` at b_max."""
     reals = [z.real for z in np.concatenate(spectra) if z.imag == 0.0]
     return float(min(reals)), float(max(max(reals), zero))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 
 from .errors import HypothesisError, RootFindingError
 from .kernel import ExponentialKernel
@@ -22,7 +21,8 @@ from .polyroots import RealPolynomial
 #: Relative residual |g| / scale above which a mode eigenvalue is refused.
 RESIDUAL_TOL = 1e-10
 
-#: Mode eigenvalues with |Im| <= REAL_SNAP (1 + |z|) are made real.
+#: Mode eigenvalues with |Im| <= REAL_SNAP (1 + |z|) are made real where the
+#: real point meets the residual bound.
 REAL_SNAP = 1e-8
 
 
@@ -58,6 +58,87 @@ class ModeCoefficients:
             raise ValueError(f"beta = {self.beta} must be nonnegative")
 
 
+#: Most steps of the two-pole model in :func:`fredholm_factor_zeros`.
+ZERO_STEPS = 16
+
+#: Offsets, in units of the spacing of doubles, of the points tested around
+#: the last model step before the bisection closes the bracket.
+ZERO_LADDER = np.array([-1024.0, -256.0, -64.0, -16.0, -8.0, -4.0, -2.0,
+                        -1.0, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0, 1024.0])
+
+#: Most ladder points tested at once.  A long sweep tests its brackets in
+#: slices, so the stacked terms hold at most 6 MB at N = 12.
+LADDER_CHUNK = 1 << 16
+
+
+def _secular_test(weights, shifts, d):
+    """The bisection's test sum_j weights / (d + shifts) > 1, row by row.
+
+    ``d`` holds one offset per row of ``weights`` and ``shifts``, or a stack
+    of such vectors.  Returns the test and the quotients.  Each row is
+    summed over its own contiguous terms, so a row gives the same bits
+    whatever the stack around it.
+    """
+    terms = d[..., None] + shifts
+    np.divide(weights, terms, out=terms)
+    return np.sum(terms, axis=-1) > 1.0, terms
+
+
+def _narrow(lo, hi, d, below):
+    """Move lo up to the points d that test below the zero and hi down to
+    the others, counting only points strictly inside (lo, hi); ``d`` is a
+    stack of vectors of one point per bracket."""
+    inside = (lo < d) & (d < hi)
+    np.maximum(lo, np.max(d, axis=0, initial=-np.inf,
+                          where=inside & below), out=lo)
+    np.minimum(hi, np.min(d, axis=0, initial=np.inf,
+                          where=inside & ~below), out=hi)
+
+
+def _model_step(weights, shifts, lo, hi, d, right, width):
+    """Test the points d, narrow lo and hi by them, and return the zero of
+    the two-pole model of 1 - bhat * Khat at d.
+
+    The terms of the poles left of the gap are modelled as a + b_l / t,
+    those right of it as a' + e_r / (t - width), each matching its value
+    and slope at d (Bunch, Nielsen & Sorensen's "middle way").  The model's
+    zero in (0, width) is the root of c t^2 + B t - b_l width, taken in a
+    form with no cancellation.
+    """
+    below, terms = _secular_test(weights, shifts, d)
+    _narrow(lo, hi, d[None], below[None])
+    slopes = d[:, None] + shifts
+    np.divide(terms, slopes, out=slopes)
+    left_slope = np.sum(slopes, axis=1, where=~right)
+    right_slope = np.sum(slopes, axis=1, where=right)
+    e = d - width
+    b_l, e_r = d * (d * left_slope), e * (e * right_slope)
+    c = np.sum(terms, axis=1) - d * left_slope - e * right_slope - 1.0
+    big_b, prod = b_l + e_r - c * width, b_l * width
+    disc = np.sqrt(np.where(
+        c > 0.0, big_b * big_b + 4.0 * c * prod,
+        (b_l + c * width) ** 2 + e_r * (2.0 * (b_l - c * width) + e_r)))
+    return 2.0 * prod / (big_b + disc)
+
+
+def _model_zero(weights, shifts, lo, hi, right, width):
+    """Test the midpoint of each bracket and then up to ZERO_STEPS zeros of
+    the two-pole model, each clipped into the bracket (the midpoint where it
+    is not finite), narrowing lo and hi; the last model zero.  The steps
+    stop once each moves by at most 2^-27 of itself, after which the next
+    model zero is within a few doubles of the zero."""
+    d = 0.5 * (lo + hi)
+    for _ in range(ZERO_STEPS):
+        step = np.clip(_model_step(weights, shifts, lo, hi, d, right, width),
+                       lo, hi)
+        step = np.where(np.isfinite(step), step, 0.5 * (lo + hi))
+        settled = np.abs(step - d) <= 2.0 ** -27 * step
+        d = step
+        if settled.all():
+            break
+    return d
+
+
 def fredholm_factor_zeros(k: ExponentialKernel, bhat) -> list:
     """The N real zeros of 1 - bhat * Khat, one per pole gap, ascending.
 
@@ -66,13 +147,22 @@ def fredholm_factor_zeros(k: ExponentialKernel, bhat) -> list:
     list).  On the gap (-b_j, -b_{j-1}), with b_0 := 0, Khat falls strictly
     from +inf to -inf (to Khat(0) = sum(a_j) when j = 1, where the
     dissipativity margin keeps the factor positive), so the factor rises
-    through zero exactly once.  Each zero is bisected on the partial-fraction
-    form in the offset d = lam + b_j, where the pole term a_j b_j / d carries
-    no cancellation, until its bracket is two adjacent doubles: the secular
-    equation technique of Bunch, Nielsen & Sorensen (Numer. Math. 31, 1978)
-    and LAPACK dlaed4; one bisection serves every level.  The zero next to 0
-    is conditioned like the inverse of the margin 1 - bhat * sum(a_j), so its
-    relative error grows as the margin closes.
+    through zero exactly once.  Each zero is sought in the offset
+    d = lam + b_j, where the pole term a_j b_j / d carries no cancellation,
+    as the adjacent pair of doubles where the test sum(weights / (d +
+    shifts)) > 1 changes.  That test is monotone in d under rounding (each
+    quotient is monotone in d, and rounded addition is monotone in each
+    argument), so the pair is unique and every sequence of test points
+    strictly inside the bracket ends on it: the zeros are the bits of plain
+    bisection.  The points come from the secular equation technique of
+    Bunch, Nielsen & Sorensen (Numer. Math. 31, 1978) and LAPACK dlaed4:
+    the midpoint, then up to ZERO_STEPS zeros of the two-pole model
+    (:func:`_model_step`), clipped into the bracket; then the doubles
+    ZERO_LADDER apart around the last model zero, in one stacked test (in
+    slices of LADDER_CHUNK points on long sweeps); and bisection closes what
+    remains.  One search serves every level.  The
+    zero next to 0 is conditioned like the inverse of the margin
+    1 - bhat * sum(a_j), so its relative error grows as the margin closes.
     """
     levels = np.asarray(bhat, dtype=float)
     if not np.all(levels >= 0.0):
@@ -89,21 +179,26 @@ def fredholm_factor_zeros(k: ExponentialKernel, bhat) -> list:
     weights = np.repeat(flat[:, None] * np.asarray(k.amplitudes) * rates, n,
                         axis=0)
     shifts = np.tile(rates[None, :] - rates[:, None], (flat.size, 1))
-    lo = np.zeros(flat.size * n)
-    hi = np.outer(flat > 0.0, np.diff(rates, prepend=0.0)).ravel()
-    terms = np.empty_like(shifts)
-    # a settled bracket keeps its bounds; its pole rows may divide by zero
-    with np.errstate(divide="ignore", invalid="ignore"):
+    width = np.outer(flat > 0.0, np.diff(rates, prepend=0.0)).ravel()
+    lo, hi = np.zeros(flat.size * n), width.copy()
+    # the poles right of the gap; the first gap has none
+    right = np.arange(n) < np.tile(np.arange(n), flat.size)[:, None]
+    # a settled bracket keeps its bounds; its pole rows may divide by zero,
+    # and a model step may overflow, which sends it back to the midpoint
+    with np.errstate(all="ignore"):
+        d = _model_zero(weights, shifts, lo, hi, right, width)
+        rows = LADDER_CHUNK // ZERO_LADDER.size
+        for start in range(0, d.size, rows):
+            part = slice(start, start + rows)
+            ladder = d[part] + ZERO_LADDER[:, None] * np.spacing(d[part])
+            _narrow(lo[part], hi[part], ladder, _secular_test(
+                weights[part], shifts[part], ladder)[0])
         while True:
             mid = 0.5 * (lo + hi)
-            live = (lo < mid) & (mid < hi)
-            if not live.any():
+            if not ((lo < mid) & (mid < hi)).any():
                 break
-            np.add(mid[:, None], shifts, out=terms)
-            np.divide(weights, terms, out=terms)
-            below = np.sum(terms, axis=1) > 1.0
-            np.copyto(lo, mid, where=live & below)
-            np.copyto(hi, mid, where=live & ~below)
+            _narrow(lo, hi, mid[None],
+                    _secular_test(weights, shifts, mid)[0][None])
     zeros = (mid.reshape(-1, n) - rates)[:, ::-1].tolist()
     zeros = [row if level > 0.0 else [] for level, row in zip(flat, zeros)]
     return zeros if levels.ndim else zeros[0]
@@ -118,22 +213,34 @@ def rational_symbol(k: ExponentialKernel, m: ModeCoefficients, lam):
 
 
 def cleared_mode_polynomial(k: ExponentialKernel, m: ModeCoefficients):
-    """Degree N+2 polynomial (lam^2 + alpha) prod(lam+b_j) - beta * sum-term.
+    """Degree N+2 polynomial (lam^2 + alpha) prod(lam+b_j) - beta * sum-term,
+    where sum-term = sum_j a_j b_j prod_{i != j}(lam + b_i).
 
-    Coefficients are assembled exactly by convolution, never by sampling.
-    The mode solver does not use it; it is the independent oracle for the
-    characteristic polynomial of the realization.  ``m`` holding 1-D arrays
-    gives the ascending coefficients of all modes as one (M, N+3) array,
-    one row per mode; the kernel's products are built once.
+    Coefficients are assembled exactly by products, never by sampling.  The
+    full product and the N leave-one-out products grow together, one rate
+    at a time, as the rows of one (N+1, N+1) array (row j skips rate j, row
+    N takes every rate), and the sum-term is one matrix product of the
+    weights a_j b_j with the leave-one-out rows.  Every product coefficient
+    is a sum of products of positive rates, so none carries cancellation.
+    The mode solver does not use this polynomial; it is the independent
+    oracle for the characteristic polynomial of the realization.  ``m``
+    holding 1-D arrays gives the ascending coefficients of all modes as one
+    (M, N+3) array, one row per mode; the kernel's products are built once.
     """
     rates = np.asarray(k.rates)
     alpha = np.asarray(m.alpha, dtype=float).reshape(-1, 1)
     beta = np.asarray(m.beta, dtype=float).reshape(-1, 1)
-    full = npp.polyfromroots(-rates).real
-    acc = alpha * np.pad(full, (0, 2)) + np.pad(full, (2, 0))
-    for j, (a, b) in enumerate(zip(k.amplitudes, k.rates)):
-        without = npp.polyfromroots(-np.delete(rates, j)).real
-        acc = acc - beta * a * b * np.pad(without, (0, 3))
+    prods = np.zeros((rates.size + 1, rates.size + 1))
+    prods[:, 0] = 1.0
+    for j, b in enumerate(rates):
+        grown = b * prods
+        grown[:, 1:] += prods[:, :-1]
+        grown[j] = prods[j]
+        prods = grown
+    full = prods[-1]
+    sum_term = (np.asarray(k.amplitudes) * rates) @ prods[:-1]
+    acc = (alpha * np.pad(full, (0, 2)) + np.pad(full, (2, 0))
+           - beta * np.pad(sum_term, (0, 2)))
     return acc if np.ndim(m.alpha) else RealPolynomial(tuple(acc[0]))
 
 
@@ -171,6 +278,13 @@ def _near_pole_scale(k: ExponentialKernel, alpha, beta, z: np.ndarray):
             + beta * (weights[near] + reach * rest_size))
 
 
+def _meets_residual(k: ExponentialKernel, alpha, beta, z: np.ndarray):
+    """Where |g| <= RESIDUAL_TOL * scale for the form and scale of
+    :func:`_near_pole_form` and :func:`_near_pole_scale`."""
+    g = _near_pole_form(k, alpha, beta, z)[0]
+    return np.abs(g) <= RESIDUAL_TOL * _near_pole_scale(k, alpha, beta, z)
+
+
 def mode_spectra(k: ExponentialKernel, alphas, betas) -> list[np.ndarray]:
     """Eigenvalues of the modes (alphas[i], betas[i]), one array per mode.
 
@@ -181,9 +295,10 @@ def mode_spectra(k: ExponentialKernel, alphas, betas) -> list[np.ndarray]:
     :func:`_near_pole_form`, each kept only where |f| falls; a kept step's
     form values serve the next step.  LAPACK returns conjugate pairs
     adjacent, positive part first; the second is reset to the conjugate of
-    the first.  |Im| <= REAL_SNAP (1 + |z|) becomes real,
-    |g| > RESIDUAL_TOL * scale raises :class:`RootFindingError`, and each
-    array is sorted by (re, im).
+    the first.  |Im| <= REAL_SNAP (1 + |z|) becomes real where the real
+    point meets |g| <= RESIDUAL_TOL * scale, and stays complex where only
+    the complex point does; a point that meets neither raises
+    :class:`RootFindingError`.  Each array is sorted by (re, im).
     """
     rates = np.asarray(k.rates)
     alpha = np.asarray(alphas, dtype=float).reshape(-1, 1)
@@ -202,11 +317,17 @@ def mode_spectra(k: ExponentialKernel, alphas, betas) -> list[np.ndarray]:
             z, g = np.where(took, step, z), np.where(took, g_step, g)
             dg, f = np.where(took, dg_step, dg), np.where(took, f_step, f)
         z = np.where(raw.imag < 0.0, np.conj(np.roll(z, 1, axis=1)), z)
-        z = np.where(np.abs(z.imag) <= REAL_SNAP * (1.0 + np.abs(z)),
-                     z.real + 0j, z)
-        g = _near_pole_form(k, alpha, beta, z)[0]
-        scale = _near_pole_scale(k, alpha, beta, z)
-        bad = keep & ~(np.abs(g) <= RESIDUAL_TOL * scale)
+        snap = np.abs(z.imag) <= REAL_SNAP * (1.0 + np.abs(z))
+        real = np.where(snap, z.real + 0j, z)
+        bad = keep & ~_meets_residual(k, alpha, beta, real)
+        # a snapped pair whose real point fails stays a pair if that passes
+        undo = bad & snap & (z.imag != 0.0)
+        if undo.any():
+            alpha_u, beta_u = (np.broadcast_to(v, z.shape)[undo]
+                               for v in (alpha, beta))
+            bad[undo] = ~_meets_residual(k, alpha_u, beta_u, z[undo])
+            real[undo] = z[undo]
+        z = real
     if bad.any():
         raise RootFindingError(
             f"residual guarantee failed for mode eigenvalues {z[bad]}",

@@ -205,6 +205,44 @@ def test_validate_passes(config, capsys):
     assert "FAIL" not in out
 
 
+# a box side of 1e10 gives w_min = pi^2 / 1e20, whose mode roots include
+# complex pairs with |Im| near 2e-10, below the snap floor REAL_SNAP
+TINY_W_MIN = {**GRADED, "domain": {"kind": "box", "lengths": [1e10]}}
+
+
+def test_validate_keeps_tiny_complex_pairs(config, capsys):
+    code, out = run(capsys, ["validate", "--config", config(TINY_W_MIN)])
+    assert code == 0
+    assert "FAIL" not in out
+    assert "PASS char_poly_identity" in out
+
+
+def test_enclosure_refuses_tiny_w_min_strips(config, capsys):
+    # the pairs solve; the closed-form strips then have no height
+    code = main(["enclosure", "--config", config(TINY_W_MIN)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "strip height radicand" in err
+
+
+def test_validate_solves_modes_once(config, capsys, monkeypatch):
+    # the validation modes and the w_min modes of [c0, c1] in one solve
+    calls = []
+    solve = scalar.mode_spectra
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    for module in (scalar, enclosure):
+        monkeypatch.setattr(module, "mode_spectra", counted)
+    for doc in (TWO_TERM, CONSTANT):
+        calls.clear()
+        code, _ = run(capsys, ["validate", "--config", config(doc)])
+        assert code == 0
+        assert len(calls) == 1
+
+
 def test_validate_two_term_kernel(config, capsys):
     # the paper's two-term example; det P(-b_j) is small here because the
     # rates 1 and 1.5 are close, which the exact identity allows for

@@ -1,4 +1,4 @@
-"""The branch-zero bisection and the mode solver against reference loops.
+"""The branch-zero search and the mode solver against reference loops.
 
 The references are the earlier, slower forms of both loops, kept verbatim:
 the bisection that gathers the live brackets' rows on every step, and the
@@ -109,6 +109,50 @@ def test_bisection_matches_gathered_loop():
             gathered_bisection(k, levels)
         assert fredholm_factor_zeros(k, levels[-1]) == \
             gathered_bisection(k, levels[-1])
+
+
+def test_bisection_matches_gathered_loop_on_hard_kernels():
+    # a term scaled by 1e-6 puts a zero next to its pole, a level within
+    # 1e-12 of the margin puts the first zero next to 0, a level of 1e-300
+    # puts every zero next to its pole, and 65 levels make a long sweep
+    rng = np.random.default_rng(10)
+    for trial in range(200):
+        k = wide_rate_kernel(rng)
+        if trial % 4 == 0:
+            amps = np.array(k.amplitudes)
+            amps[rng.integers(k.n_terms)] *= 1e-6
+            k = ExponentialKernel(tuple(amps), k.rates)
+        count = 65 if trial % 4 == 3 else int(rng.choice([2, 9]))
+        levels = rng.uniform(0.0, 0.95, count) / k.amplitude_sum
+        if trial % 4 == 1:
+            levels[rng.integers(count)] = \
+                (1.0 - 1e-12 * rng.uniform()) / k.amplitude_sum
+        if trial % 4 == 2:
+            levels[rng.integers(count)] = 1e-300
+        assert fredholm_factor_zeros(k, levels) == \
+            gathered_bisection(k, levels)
+
+
+def test_branch_zeros_take_few_evaluations(monkeypatch, k_two):
+    # the gathered bisection takes 53 or more steps on each of these calls
+    calls = []
+    test = scalar._secular_test
+
+    def counted(*args):
+        calls.append(1)
+        return test(*args)
+
+    monkeypatch.setattr(scalar, "_secular_test", counted)
+    twelve = ExponentialKernel((0.05,) * 12,
+                               tuple(np.geomspace(1e-3, 3e2, 12)))
+    rng = np.random.default_rng(11)
+    kernels = [k_two, twelve] + [wide_rate_kernel(rng) for _ in range(100)]
+    for k in kernels:
+        levels = np.sort(rng.uniform(0.0, 0.95, 2)) / k.amplitude_sum
+        for bhat in (levels, levels[-1]):
+            calls.clear()
+            fredholm_factor_zeros(k, bhat)
+            assert 0 < len(calls) <= 16
 
 
 def test_mode_spectra_match_seven_evaluation_loop():

@@ -189,6 +189,42 @@ class TestModePolynomial:
             want = cleared_mode_polynomial(k_two, ModeCoefficients(alpha, beta))
             assert np.allclose(got, want.coeffs, rtol=1e-14, atol=0.0)
 
+    def test_cleared_polynomial_against_mpmath(self):
+        # N <= 12 terms with rates over 1e-3..1e3; each coefficient within
+        # 1e-14 of the same coefficient of (lam^2 + alpha) prod(lam + b_i),
+        # which bounds the terms' magnitudes while beta / alpha < 1 / sum(a)
+        def expand(roots):
+            coeffs = [mpmath.mpf(1)]
+            for b in roots:
+                coeffs = [c * b + lower for c, lower in
+                          zip(coeffs + [0], [0] + coeffs)]
+            return coeffs
+
+        rng = np.random.default_rng(12)
+        for _ in range(150):
+            n = int(rng.integers(1, 13))
+            rates = np.sort(10.0 ** rng.uniform(-3.0, 3.0, n))
+            k = ExponentialKernel(tuple(10.0 ** rng.uniform(-3.0, 0.0, n)),
+                                  tuple(rates))
+            alpha = 10.0 ** rng.uniform(-1.0, 4.0)
+            beta = alpha * rng.uniform(0.0, 0.95) / k.amplitude_sum
+            got = cleared_mode_polynomial(
+                k, ModeCoefficients(alpha, beta)).coeffs
+            with mpmath.workdps(50):
+                full = expand([mpmath.mpf(b) for b in k.rates])
+                scale = [alpha * c for c in full] + [0, 0]
+                for i, c in enumerate(full):
+                    scale[i + 2] += c
+                want = list(scale)
+                for j, (a, b) in enumerate(zip(k.amplitudes, k.rates)):
+                    rest = expand([mpmath.mpf(r) for i, r in
+                                   enumerate(k.rates) if i != j])
+                    for i, c in enumerate(rest):
+                        want[i] -= mpmath.mpf(beta) * a * b * c
+                assert len(got) == n + 3
+                for g, w, size in zip(got, want, scale):
+                    assert abs(g - w) <= 1e-14 * size
+
     def test_undamped_symbol(self, k_one):
         m = ModeCoefficients(4.0, 0.0)
         assert rational_symbol(k_one, m, 2j) == pytest.approx(0.0, abs=1e-14)
@@ -200,6 +236,20 @@ class TestModePolynomial:
         for z in roots:
             assert abs(rational_symbol(k_two, m, z)) < 1e-8 * (1.0 + m.alpha)
             assert np.conj(z) in roots
+
+    def test_tiny_complex_pair_stays_complex(self, k_one):
+        # alpha = pi^2 / 1e20 (a box side of 1e10): the pair
+        # -alpha bhat / 2 +- i sqrt(alpha (1 - bhat)) has |Im| near 2e-10,
+        # below the snap floor REAL_SNAP, but its real part fails the
+        # residual bound; the pair is kept, conjugate-closed
+        alpha = np.pi ** 2 / 1e20
+        for bhat in (0.5, 0.75):
+            roots = mode_spectra(k_one, [alpha], [bhat * alpha])[0]
+            assert len(roots) == 3
+            pair = roots[roots.imag != 0.0]
+            assert len(pair) == 2 and pair[0] == np.conj(pair[1])
+            want = np.sqrt(alpha * (1.0 - bhat))
+            assert abs(abs(pair[0].imag) - want) <= 1e-6 * want
 
     def test_wide_rate_mode_roots_against_mpmath(self):
         # N <= 12 terms with rates over 1e-3..1e3, four modes per kernel

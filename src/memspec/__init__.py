@@ -23,7 +23,7 @@ from .pencil import (
     discretize_1d,
     nonlinear_eigenvalues_fd,
 )
-from .polyroots import RealPolynomial, all_roots
+from .polyroots import RealPolynomial
 from .scalar import (
     DampingBound,
     ModeCoefficients,
@@ -51,7 +51,6 @@ __all__ = [
     "PoleProximityError",
     "RealPolynomial",
     "RootFindingError",
-    "all_roots",
     "boundary_cloud",
     "cleared_mode_polynomial",
     "discretize_1d",

@@ -20,7 +20,6 @@ import sys
 from itertools import chain
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 
 from . import boxmodes, enclosure, pencil, scalar
 from .config import ProblemSpec, parse_config
@@ -28,6 +27,8 @@ from .errors import ConfigError, HypothesisError, MemspecError
 
 CSV_HEADER = "re,im,source,branch,residual,jordan_ok"
 
+#: Smallest |jordan_condition| accepted as a Jordan chain of length one,
+#: relative to the size of its terms (see scalar.jordan_ratio).
 _JORDAN_FLOOR = 1e-3
 
 #: CSV text of the jordan_ok column: not evaluated, true, false.
@@ -97,9 +98,8 @@ def _mode_records(spec: ProblemSpec, box: boxmodes.BoxDomain,
     k = spec.kernel
     b = spec.damping.value
     alphas = boxmodes.mode_alpha(spec.coefficient_a, box, modes)
-    spectra = scalar.mode_spectra(k, alphas, b * alphas)
-    owner = np.repeat(np.arange(len(modes)), [len(z) for z in spectra])
-    z = np.concatenate(spectra)
+    z, counts = scalar.mode_spectra(k, alphas, b * alphas)
+    owner = np.repeat(np.arange(len(modes)), counts)
     kept = np.abs(z.imag) <= imag_cap
     z, alpha = z[kept], alphas[owner[kept]]
     residual = np.abs(scalar.rational_symbol(
@@ -107,8 +107,7 @@ def _mode_records(spec: ProblemSpec, box: boxmodes.BoxDomain,
     real = z.imag == 0.0
     at = real & (z.real != 0.0)
     jordan = np.zeros(z.shape, dtype=bool)
-    jordan[at] = np.abs(scalar.jordan_condition(k, b, z.real[at])) \
-        > _JORDAN_FLOOR
+    jordan[at] = scalar.jordan_ratio(k, b, z.real[at]) > _JORDAN_FLOOR
     tags = np.array(["m=" + "-".join(map(str, idx)) for idx in modes.tolist()])
     return (z, tags[owner[kept]].tolist(), residual,
             np.where(at, jordan, None).tolist())
@@ -162,13 +161,22 @@ def cmd_enclosure(spec: ProblemSpec, args) -> int:
         region = enclosure.EnclosureRegion(
             k, bounds, w_min, *enclosure.enclosure_interval(k, bounds, w_min))
     try:
-        cloud = enclosure.boundary_cloud(k, bounds, alphas, args.beta_samples)
+        if args.format == "csv":
+            cloud = enclosure.boundary_cloud(k, bounds, alphas,
+                                             args.beta_samples)
+            points = len(cloud)
+        else:
+            # the cloud's size without solving it: mode_spectra gives N + 2
+            # roots per mode with beta > 0 and 2 per mode with beta = 0
+            _, betas = enclosure._cloud_grid(bounds, alphas,
+                                             args.beta_samples)
+            points = int(np.where(betas > 0.0, k.n_terms + 2, 2).sum())
     except ValueError as exc:
         fields = "--beta-samples" + (
             " or --alpha-cap" if args.alpha_cap is not None else "")
         raise ConfigError(f"{exc}; reduce {fields}") from None
     if args.format == "csv":
-        table = "%.12g,%.12g,%.12g,%.12g\n" * len(cloud) % tuple(
+        table = "%.12g,%.12g,%.12g,%.12g\n" * points % tuple(
             cloud.ravel().tolist())
         _emit("re,im,alpha,beta\n" + table, args.output)
     else:
@@ -179,11 +187,11 @@ def cmd_enclosure(spec: ProblemSpec, args) -> int:
             "d0": strips.d0 if strips else None,
             "d1": strips.d1 if strips else None,
             "hat_d": strips.hat_d if strips else None,
-            "counts": {"cloud": len(cloud), "alphas": len(alphas)},
+            "counts": {"cloud": points, "alphas": len(alphas)},
         }
         _emit(json.dumps(doc) + "\n", args.output)
     _info(f"enclosure interval [{_fmt(region.c0)}, {_fmt(region.c1)}], "
-          f"{len(cloud)} cloud points")
+          f"{points} cloud points")
     return 0
 
 
@@ -272,10 +280,10 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
     # damping level for enclosure_interval's c0 and c1; every validation
     # mode has the same beta / alpha, so the same number of roots
     levels = enclosure.damping_levels(bounds)
-    spectra = scalar.mode_spectra(
+    roots, counts = scalar.mode_spectra(
         k, np.concatenate((alphas, np.full(len(levels), w_min))),
         np.concatenate((beta_mid * alphas, np.multiply(levels, w_min))))
-    z = np.stack(spectra[:alphas.size])
+    z = roots[:counts[:alphas.size].sum()].reshape(alphas.size, -1)
 
     gap = np.abs(np.conj(z)[:, :, None] - z[:, None, :]).min(axis=2)
     check("conjugate_symmetry", bool(np.all(gap <= 1e-8 * (1.0 + abs(z)))))
@@ -288,8 +296,7 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
                        args.sweep if len(levels) > 1 else 1)
     zeros = scalar.fredholm_factor_zeros(k, grid)
     ess = enclosure._essential_from_zeros(zeros[0], zeros[-1])
-    c0, c1 = enclosure._interval_from_roots(spectra[alphas.size:],
-                                            max(zeros[-1]))
+    c0, c1 = enclosure._interval_from_roots(roots[z.size:], max(zeros[-1]))
     tol = 1e-10
     ess_ok = all(c0 - tol <= lo and hi <= c1 + tol
                  for lo, hi in ess.intervals)
@@ -322,27 +329,39 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
     # det(S - lam I) = (-1)^(N+2) p(lam), compared on the scale
     # sum_k |c_k| |lam|^k at which p(lam) itself is rounded
     coeffs = scalar.cleared_mode_polynomial(
-        k, scalar.ModeCoefficients(alpha, beta)).T
-    want = (-1.0) ** mp.size * npp.polyval(lam, coeffs, tensor=False)
-    scale = npp.polyval(np.abs(lam), np.abs(coeffs), tensor=False)
+        k, scalar.ModeCoefficients(alpha, beta)).T[::-1]
+    want = (-1.0) ** mp.size * np.polyval(coeffs, lam)
+    scale = np.polyval(np.abs(coeffs), np.abs(lam))
     got = np.linalg.det(mp.system_operator()
                         - lam[:, None, None] * np.eye(mp.size))
     check_within("char_poly_identity", np.abs(got - want),
                  1e-10 * (1.0 + scale))
     # det P(-b_j) = -a_j b_j beta prod_{i != j} (b_i - b_j), nonzero; the
-    # rate gaps b_i - b_j with a unit diagonal give the product
+    # rate gaps b_i - b_j with a unit diagonal give the product.  LU rounds
+    # it on a larger scale than its size when rates are close: eliminating
+    # the first column by the pivot h = alpha + b_j^2 puts
+    # (b_i - b_j) - c_i^2 / h on the diagonal, c_i^2 = a_i b_i beta, and the
+    # rounding of about eps c_i^2 / h there moves the determinant by that
+    # much times det / (b_i - b_j).  So det is rounded on the scale
+    # |det| (1 + sum_{i != j} c_i^2 / (h |b_i - b_j|)).
     rates = np.asarray(k.rates)
+    weights = np.asarray(k.amplitudes) * rates
     gaps = rates - rates[:, None] + np.eye(len(rates))
-    want_p = (-(np.asarray(k.amplitudes) * rates)[:, None] * beta
-              * np.prod(gaps, axis=1)[:, None])
+    want_p = -weights[:, None] * beta * np.prod(gaps, axis=1)[:, None]
     det_p = np.linalg.det(mp.block_function(-rates[:, None]))
+    far = np.abs(gaps)
+    np.fill_diagonal(far, np.inf)
+    pivot = alpha + rates[:, None] ** 2
+    fill = beta / pivot * np.sum(weights / far, axis=1)[:, None]
     check_within("pole_exclusion", np.abs(det_p - want_p),
-                 1e-10 * np.abs(want_p))
+                 1e-10 * np.abs(want_p) * (1.0 + fill))
 
     if bounds.is_constant and bounds.b_max > 0.0:
         lam0 = z.real[(z.imag == 0.0) & (z.real != 0.0)]
-        val = scalar.jordan_condition(k, bounds.b_max, lam0)
-        check("jordan_condition", bool(np.all(np.abs(val) > _JORDAN_FLOOR)))
+        ratio = scalar.jordan_ratio(k, bounds.b_max, lam0)
+        check("jordan_condition", bool(np.all(ratio > _JORDAN_FLOOR)),
+              f"smallest |value| / size of its terms "
+              f"{ratio.min(initial=np.inf):.3g}")
 
     return 1 if failures else 0
 

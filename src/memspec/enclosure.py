@@ -160,17 +160,18 @@ def enclosure_interval(k: ExponentialKernel, d: DampingBound,
     zero = max(fredholm_factor_zeros(k, levels[-1]))
     if not w_min > 0.0:
         raise ValueError(f"w_min = {w_min} must be positive")
-    spectra = mode_spectra(k, [w_min] * len(levels),
-                           [bhat * w_min for bhat in levels])
-    return _interval_from_roots(spectra, zero)
+    roots, _ = mode_spectra(k, [w_min] * len(levels),
+                            [bhat * w_min for bhat in levels])
+    return _interval_from_roots(roots, zero)
 
 
-def _interval_from_roots(spectra, zero: float) -> tuple[float, float]:
-    """[c0, c1] of :func:`enclosure_interval` from the roots ``spectra`` of
-    the modes (w_min, bhat * w_min) at the damping levels and the rightmost
-    branch zero ``zero`` at b_max."""
-    reals = [z.real for z in np.concatenate(spectra) if z.imag == 0.0]
-    return float(min(reals)), float(max(max(reals), zero))
+def _interval_from_roots(roots: np.ndarray,
+                         zero: float) -> tuple[float, float]:
+    """[c0, c1] of :func:`enclosure_interval` from the roots of the modes
+    (w_min, bhat * w_min) at the damping levels and the rightmost branch
+    zero ``zero`` at b_max."""
+    reals = roots.real[roots.imag == 0.0]
+    return float(reals.min()), float(max(reals.max(), zero))
 
 
 def one_pole_region(k: ExponentialKernel, d: DampingBound,
@@ -193,16 +194,11 @@ def one_pole_region(k: ExponentialKernel, d: DampingBound,
     )
 
 
-def boundary_cloud(k: ExponentialKernel, d: DampingBound, alphas,
-                   samples_beta: int = 11) -> np.ndarray:
-    """Sampled enclosure points: mode eigenvalues over an (alpha, beta) grid.
-
-    Returns one (P, 4) array with the columns re z, im z, alpha, beta, in
-    alpha-major, beta-minor, then root order; all modes are solved in one
-    batched call.  More than MAX_CLOUD_MODES modes raise ValueError before
-    any is built.
-    """
-    _require_margin(k, d)
+def _cloud_grid(d: DampingBound, alphas, samples_beta: int) -> tuple:
+    """The cloud's modes (alpha, beta) as two flat arrays, alpha-major and
+    beta-minor: each alpha with ``samples_beta`` betas from b_min * alpha to
+    b_max * alpha, or with b_max * alpha alone when the damping is constant.
+    More than MAX_CLOUD_MODES modes raise ValueError."""
     alphas = np.asarray(alphas, dtype=float)
     samples = 1 if d.is_constant else samples_beta
     if alphas.size * samples > MAX_CLOUD_MODES:
@@ -210,11 +206,22 @@ def boundary_cloud(k: ExponentialKernel, d: DampingBound, alphas,
             f"{alphas.size} alphas x {samples} beta samples exceed "
             f"{MAX_CLOUD_MODES} cloud modes")
     betas = np.linspace(d.b_min * alphas, d.b_max * alphas, samples, axis=1)
-    alphas = np.broadcast_to(alphas[:, None], betas.shape).ravel()
-    betas = betas.ravel()
-    spectra = mode_spectra(k, alphas, betas)
-    counts = [len(roots) for roots in spectra]
-    z = np.concatenate(spectra)
+    return np.broadcast_to(alphas[:, None], betas.shape).ravel(), betas.ravel()
+
+
+def boundary_cloud(k: ExponentialKernel, d: DampingBound, alphas,
+                   samples_beta: int = 11) -> np.ndarray:
+    """Sampled enclosure points: mode eigenvalues over an (alpha, beta) grid.
+
+    Returns one (P, 4) array with the columns re z, im z, alpha, beta, in
+    alpha-major, beta-minor, then root order; all modes are solved in one
+    batched call, so P is N + 2 per mode with beta > 0 and 2 per mode with
+    beta = 0.  More than MAX_CLOUD_MODES modes raise ValueError before any
+    is built.
+    """
+    _require_margin(k, d)
+    alphas, betas = _cloud_grid(d, alphas, samples_beta)
+    z, counts = mode_spectra(k, alphas, betas)
     return np.column_stack((z.real, z.imag, np.repeat(alphas, counts),
                             np.repeat(betas, counts)))
 

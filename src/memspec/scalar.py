@@ -247,7 +247,9 @@ def cleared_mode_polynomial(k: ExponentialKernel, m: ModeCoefficients):
 def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):
     """g = f (z + b_j) for the mode symbol f and the pole -b_j nearest z.
 
-    Returns g, g' and |f|.  Newton on g stays quadratic next to a pole.
+    Returns g, g' and |f|.  Newton on g stays quadratic next to a pole.  The
+    form is conjugate-symmetric bit for bit: at conj(z) it gives conj(g),
+    conj(g') and the same |f|.
     """
     rates = np.asarray(k.rates)
     weights = np.asarray(k.amplitudes) * rates
@@ -264,77 +266,100 @@ def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):
     return value, deriv, np.abs(value / offset)
 
 
-def _near_pole_scale(k: ExponentialKernel, alpha, beta, z: np.ndarray):
-    """The scale of g in :func:`_near_pole_form`: its terms in magnitude,
-    with z + b_j replaced by |z| + b_j.  Rounding in z itself can meet
-    |g| <= RESIDUAL_TOL * scale."""
+def _meets_residual(k: ExponentialKernel, alpha, beta, z: np.ndarray):
+    """Where |g| <= RESIDUAL_TOL * scale for g of :func:`_near_pole_form`.
+
+    The scale is the sum of the terms of g in magnitude, with z + b_j
+    replaced by |z| + b_j, since rounding in z itself can meet the bound;
+    g and its scale come from one pass over the terms, and the verdict is
+    the same at conj(z).
+    """
     rates = np.asarray(k.rates)
     weights = np.asarray(k.amplitudes) * rates
     near = np.argmin(np.abs(z[..., None] + rates), axis=-1)
-    reach, rest_size = np.abs(z) + rates[near], 0.0
+    offset, reach = z + rates[near], np.abs(z) + rates[near]
+    rest, rest_size = np.zeros_like(z), 0.0
     for i, (w, b) in enumerate(zip(weights, rates)):
-        rest_size += w * np.abs(np.where(near == i, 0.0, 1.0 / (z + b)))
-    return ((np.abs(z) ** 2 + alpha) * reach
-            + beta * (weights[near] + reach * rest_size))
+        inv = np.where(near == i, 0.0, 1.0 / (z + b))
+        rest += w * inv
+        rest_size += w * np.abs(inv)
+    value = (z * z + alpha) * offset - beta * (weights[near] + offset * rest)
+    scale = ((np.abs(z) ** 2 + alpha) * reach
+             + beta * (weights[near] + reach * rest_size))
+    return np.abs(value) <= RESIDUAL_TOL * scale
 
 
-def _meets_residual(k: ExponentialKernel, alpha, beta, z: np.ndarray):
-    """Where |g| <= RESIDUAL_TOL * scale for the form and scale of
-    :func:`_near_pole_form` and :func:`_near_pole_scale`."""
-    g = _near_pole_form(k, alpha, beta, z)[0]
-    return np.abs(g) <= RESIDUAL_TOL * _near_pole_scale(k, alpha, beta, z)
-
-
-def mode_spectra(k: ExponentialKernel, alphas, betas) -> list[np.ndarray]:
-    """Eigenvalues of the modes (alphas[i], betas[i]), one array per mode.
+def mode_spectra(k: ExponentialKernel, alphas,
+                 betas) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the modes (alphas[i], betas[i]): one flat array, mode
+    after mode and sorted by (re, im) within each, and the count per mode.
 
     One ``np.linalg.eigvals`` call solves the stacked realizations.  At
     beta = 0 the memory variables decouple, N eigenvalues are the poles
-    -b_j, and the N nearest the poles are dropped; for beta > 0 none sits
-    at a pole.  Each eigenvalue takes at most three Newton steps on
-    :func:`_near_pole_form`, each kept only where |f| falls; a kept step's
-    form values serve the next step.  LAPACK returns conjugate pairs
-    adjacent, positive part first; the second is reset to the conjugate of
-    the first.  |Im| <= REAL_SNAP (1 + |z|) becomes real where the real
-    point meets |g| <= RESIDUAL_TOL * scale, and stays complex where only
-    the complex point does; a point that meets neither raises
-    :class:`RootFindingError`.  Each array is sorted by (re, im).
+    -b_j, and the N nearest the poles are dropped, so such a mode has 2
+    eigenvalues; for beta > 0 none sits at a pole and the mode has N + 2.
+    LAPACK returns conjugate pairs adjacent, positive part first; only the
+    eigenvalues with Im >= 0 are polished and checked, and each partner with
+    Im < 0 takes the conjugate of the first and its verdict.  Each takes at
+    most three Newton steps on :func:`_near_pole_form`, each kept only where
+    |f| falls; a kept step's form values serve the next step, and a rejected
+    step would repeat exactly, so only the eigenvalues whose last step was
+    kept take the next.  |Im| <= REAL_SNAP (1 + |z|) becomes real where the
+    real point meets the residual bound of :func:`_meets_residual`, and stays
+    complex where only the complex point does; a point that meets neither
+    raises :class:`RootFindingError`.
     """
     rates = np.asarray(k.rates)
     alpha = np.asarray(alphas, dtype=float).reshape(-1, 1)
     beta = np.asarray(betas, dtype=float).reshape(-1, 1)
     mats = k.realization(alpha[:, :, None], np.sqrt(beta)[:, :, None])
-    z = raw = np.linalg.eigvals(mats).astype(complex)
-    gap = np.abs(raw[..., None] + rates).min(axis=-1)
-    rank = np.argsort(np.argsort(gap, axis=1), axis=1)
-    keep = (beta > 0.0) | (rank >= k.n_terms)
+    raw = np.linalg.eigvals(mats).astype(complex)
+    keep = np.ones(raw.shape, dtype=bool)
+    if not np.all(beta > 0.0):
+        gap = np.abs(raw[..., None] + rates).min(axis=-1)
+        rank = np.argsort(np.argsort(gap, axis=1), axis=1)
+        keep = (beta > 0.0) | (rank >= k.n_terms)
+    z = raw.ravel()
+    lead = np.flatnonzero(keep.ravel() & (z.imag >= 0.0))
+    # a pair's second member directly follows the first
+    partner = np.flatnonzero(z.imag < 0.0)
+    modes = lead // raw.shape[1]
+    alpha, beta = alpha[modes, 0], beta[modes, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        g, dg, f = _near_pole_form(k, alpha, beta, z)
+        moving, at, a, b = lead, z[lead], alpha, beta
+        g, dg, f = _near_pole_form(k, a, b, at)
         for _ in range(3):
-            step = z - g / dg
-            g_step, dg_step, f_step = _near_pole_form(k, alpha, beta, step)
+            step = at - g / dg
+            g, dg, f_step = _near_pole_form(k, a, b, step)
             took = f_step < f
-            z, g = np.where(took, step, z), np.where(took, g_step, g)
-            dg, f = np.where(took, dg_step, dg), np.where(took, f_step, f)
-        z = np.where(raw.imag < 0.0, np.conj(np.roll(z, 1, axis=1)), z)
+            moving, at, a, b, g, dg, f = (
+                v[took] for v in (moving, step, a, b, g, dg, f_step))
+            z[moving] = at
+            if not moving.size:
+                break
+        z[partner] = np.conj(z[partner - 1])
         snap = np.abs(z.imag) <= REAL_SNAP * (1.0 + np.abs(z))
         real = np.where(snap, z.real + 0j, z)
-        bad = keep & ~_meets_residual(k, alpha, beta, real)
+        ok = np.ones(z.shape, dtype=bool)
+        ok[lead] = _meets_residual(k, alpha, beta, real[lead])
+        ok[partner] = ok[partner - 1]
         # a snapped pair whose real point fails stays a pair if that passes
-        undo = bad & snap & (z.imag != 0.0)
+        undo = ~ok & snap & (z.imag != 0.0)
         if undo.any():
-            alpha_u, beta_u = (np.broadcast_to(v, z.shape)[undo]
-                               for v in (alpha, beta))
-            bad[undo] = ~_meets_residual(k, alpha_u, beta_u, z[undo])
+            again = undo[lead]
+            ok[lead[again]] = _meets_residual(k, alpha[again], beta[again],
+                                              z[lead[again]])
+            ok[partner] = ok[partner - 1]
             real[undo] = z[undo]
         z = real
-    if bad.any():
+    if not ok.all():
         raise RootFindingError(
-            f"residual guarantee failed for mode eigenvalues {z[bad]}",
-            best=z)
-    z = np.where(keep, z, np.inf)
+            f"residual guarantee failed for mode eigenvalues {z[~ok]}",
+            best=z.reshape(raw.shape))
+    z = np.where(keep, z.reshape(raw.shape), np.inf)
     z = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=1), axis=1)
-    return [row[:count] for row, count in zip(z, keep.sum(axis=1))]
+    counts = keep.sum(axis=1)
+    return z[np.arange(z.shape[1]) < counts[:, None]], counts
 
 
 def mode_eigenvalues(k: ExponentialKernel, m: ModeCoefficients) -> np.ndarray:
@@ -350,11 +375,28 @@ def jordan_condition(k: ExponentialKernel, bhat: float, lam0):
 
     Only the constant-damping specialization is evaluated here.
     """
+    return _jordan_terms(k, bhat, lam0)[0]
+
+
+def jordan_ratio(k: ExponentialKernel, bhat: float, lam0):
+    """|jordan_condition| over the size of its terms,
+    (2/|lam0|)(bhat |Khat| + 1) + bhat |Khat'|, elementwise.  The value
+    scales like 1 / time and the size with it, so a verdict on the ratio
+    does not depend on the unit of time."""
+    value, size = _jordan_terms(k, bhat, lam0)
+    return np.abs(value) / size
+
+
+def _jordan_terms(k: ExponentialKernel, bhat: float, lam0):
+    """The value of :func:`jordan_condition` and the size of its terms."""
     if np.any(lam0 == 0.0):
         raise ValueError("lam0 = 0 is excluded (the formula divides by lam0)")
     kh = k.laplace(lam0).real if bhat != 0.0 else 0.0
     khp = k.laplace_deriv(lam0).real if bhat != 0.0 else 0.0
-    return (2.0 / lam0) * (bhat * kh - 1.0) - bhat * khp
+    value = (2.0 / lam0) * (bhat * kh - 1.0) - bhat * khp
+    size = ((2.0 / np.abs(lam0)) * (bhat * np.abs(kh) + 1.0)
+            + bhat * np.abs(khp))
+    return value, size
 
 
 def real_imag_residual(k: ExponentialKernel, m: ModeCoefficients,

@@ -1,0 +1,97 @@
+"""Companion-matrix roots of dense real polynomials: a test oracle.
+
+No solver path uses :func:`all_roots` (companion-matrix eigenvalues via
+``numpy.roots``, Newton polish, exact conjugate pairs, a relative residual
+bound); the tests check it against closed forms and use it as a second,
+independent root finder.
+"""
+
+import numpy as np
+import numpy.polynomial.polynomial as npp
+
+from memspec import RealPolynomial, RootFindingError
+
+
+def from_roots(roots) -> RealPolynomial:
+    """Monic polynomial with the given (conjugate-closed) root multiset."""
+    c = npp.polyfromroots(np.asarray(roots, dtype=complex))
+    if np.max(np.abs(c.imag)) > 1e-9 * max(1.0, np.max(np.abs(c.real))):
+        raise ValueError("root multiset is not conjugate-closed")
+    return RealPolynomial(tuple(c.real))
+
+
+def _residual_scale(coeffs: np.ndarray, z: complex) -> float:
+    """Natural evaluation scale sum_k |c_k| |z|^k used for relative residuals."""
+    return float(npp.polyval(abs(z), np.abs(coeffs)))
+
+
+def _newton_polish(coeffs: np.ndarray, dcoeffs: np.ndarray, z: complex,
+                   steps: int = 4) -> complex:
+    for _ in range(steps):
+        pv = npp.polyval(z, coeffs)
+        dv = npp.polyval(z, dcoeffs)
+        if dv == 0:
+            break
+        step = pv / dv
+        if not np.isfinite(step):
+            break
+        z_new = z - step
+        if abs(npp.polyval(z_new, coeffs)) <= abs(pv):
+            z = z_new
+        else:
+            break
+    return z
+
+
+def _symmetrize_conjugates(roots: np.ndarray, tol: float) -> np.ndarray:
+    """Snap near-real roots to the axis and enforce exact conjugate pairing."""
+    out = []
+    pos, neg = [], []
+    for z in roots:
+        if abs(z.imag) <= 100.0 * tol * (1.0 + abs(z)):
+            out.append(complex(z.real, 0.0))
+        elif z.imag > 0:
+            pos.append(z)
+        else:
+            neg.append(z)
+    neg = list(neg)
+    for z in pos:
+        if neg:
+            i = int(np.argmin([abs(z - np.conj(w)) for w in neg]))
+            w = neg.pop(i)
+            avg = 0.5 * (z + np.conj(w))
+            out.append(avg)
+            out.append(np.conj(avg))
+        else:
+            out.append(z)
+    out.extend(neg)
+    arr = np.array(out, dtype=complex)
+    return arr[np.lexsort((arr.imag, arr.real))]
+
+
+def all_roots(p: RealPolynomial, tol: float = 1e-10) -> np.ndarray:
+    """All complex roots of ``p`` with multiplicity, sorted by (re, im).
+
+    Every returned root z satisfies |p(z)| <= tol * sum_k |c_k| |z|^k, and the
+    set is closed under conjugation.  Raises :class:`RootFindingError` with the
+    best iterates attached when the residual guarantee cannot be met.
+    """
+    if p.degree < 1:
+        raise ValueError("degree must be at least 1")
+    c = np.asarray(p.scaled().coeffs)
+    if p.degree == 1:
+        roots = np.array([-c[0] / c[1]], dtype=complex)
+    else:
+        roots = np.roots(c[::-1])
+    dc = npp.polyder(c)
+    roots = np.array([_newton_polish(c, dc, z) for z in roots])
+    roots = _symmetrize_conjugates(roots, tol)
+    bad = []
+    for z in roots:
+        if abs(npp.polyval(z, c)) > tol * max(_residual_scale(c, z), 1e-300):
+            bad.append(z)
+    if bad:
+        raise RootFindingError(
+            f"residual guarantee failed for roots {bad}", best=roots
+        )
+    return roots

@@ -17,8 +17,6 @@ from memspec import (
     ExponentialKernel,
     ModeCoefficients,
     ModePencil,
-    RealPolynomial,
-    all_roots,
     cleared_mode_polynomial,
     discretize_1d,
     enclosure_interval,
@@ -31,6 +29,7 @@ from memspec import (
     nonlinear_eigenvalues_fd,
     one_pole_region,
 )
+from root_oracle import all_roots, from_roots
 from test_scalar import two_term_zero_oracle
 
 K_GRADED = ExponentialKernel((1.0,), (1.0,))
@@ -327,7 +326,7 @@ def test_property_suites():
         # polynomial root round-trip on a separated conjugate-closed set
         if draw % 2 == 0:
             target = _draw_separated_roots(rng)
-            found = all_roots(RealPolynomial.from_roots(target))
+            found = all_roots(from_roots(target))
             dist = np.abs(target[:, None] - found[None, :])
             assert dist.min(axis=1).max() <= 1e-8
             assert dist.min(axis=0).max() <= 1e-8

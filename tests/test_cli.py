@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, and determinism."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -10,12 +11,16 @@ import numpy as np
 import pytest
 
 from memspec import (
+    BoxDomain,
     DampingBound,
     ExponentialKernel,
     ModePencil,
     boundary_cloud,
     discretize_1d,
     enclosure,
+    enumerate_modes,
+    min_stiffness,
+    mode_alpha,
     one_pole_region,
     scalar,
 )
@@ -158,6 +163,57 @@ def test_enclosure_csv_cloud(config, capsys):
     for line in lines[1:]:
         re_s, im_s, alpha_s, beta_s = line.split(",")
         assert float(beta_s) == pytest.approx(0.5 * float(alpha_s), rel=1e-9)
+
+
+def test_enclosure_json_counts_the_cloud_unsolved(config, capsys):
+    # counts.cloud is the solver's root count over the cloud grid, N + 2
+    # per damped mode and 2 per undamped one, which is the size of the
+    # cloud that boundary_cloud solves
+    kernels = [([0.9], [0.5]), ([1.0, 0.2], [1.0, 1.5]),
+               ([0.3, 0.2, 0.1], [0.5, 2.0, 9.0])]
+    dampings = [{"kind": "constant", "value": 0.5},
+                {"kind": "constant", "value": 0.0},
+                {"kind": "range", "b_min": 0.0, "b_max": 0.5},
+                {"kind": "range", "b_min": 0.2, "b_max": 0.6}]
+    box = BoxDomain((1.0, 1.3))
+    for (a, b), damping in itertools.product(kernels, dampings):
+        doc = {"coefficient_a": 1.5, "kernel": {"a": a, "b": b},
+               "damping": damping,
+               "domain": {"kind": "box", "lengths": list(box.lengths)}}
+        spec = parse_config(config(doc))
+        for cap in (None, 300.0):
+            flags = [] if cap is None else ["--alpha-cap", str(cap)]
+            code, out = run(capsys, ["enclosure", "--config", config(doc),
+                                     "--beta-samples", "4", *flags])
+            assert code == 0
+            alphas = (synthetic_alpha_grid(min_stiffness(1.5, box))
+                      if cap is None else
+                      mode_alpha(1.5, box, enumerate_modes(1.5, box, cap)))
+            cloud = boundary_cloud(spec.kernel, spec.damping.bounds(),
+                                   alphas, 4)
+            assert json.loads(out)["counts"]["cloud"] == len(cloud)
+
+
+def test_enclosure_json_solves_no_cloud(config, capsys, monkeypatch):
+    # the JSON document reads only [c0, c1] and the strips: one mode solve
+    calls = []
+    solve = scalar.mode_spectra
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    def refused(*args):
+        raise AssertionError("the cloud was solved")
+
+    for module in (scalar, enclosure):
+        monkeypatch.setattr(module, "mode_spectra", counted)
+    monkeypatch.setattr(enclosure, "boundary_cloud", refused)
+    for doc in (GRADED, TWO_TERM, CONSTANT):
+        calls.clear()
+        code, _ = run(capsys, ["enclosure", "--config", config(doc)])
+        assert code == 0
+        assert len(calls) == 1
 
 
 def test_discretize_csv(config, capsys):
@@ -491,10 +547,88 @@ def test_cli_import_leaves_out_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_out_numpy_polynomial():
+    # the polynomial root oracle lives with the tests; the CLI evaluates the
+    # cleared polynomial by np.polyval
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, memspec.cli; print(sorted("
+         "m for m in sys.modules if m.startswith('numpy.polynomial')))"],
+        capture_output=True, text=True, env=ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_validate_constant_includes_jordan(config, capsys):
     code, out = run(capsys, ["validate", "--config", config(CONSTANT)])
     assert code == 0
     assert "PASS jordan_condition" in out
+
+
+# the 1000x time-rescaled twin of a config that passes: rates x 1e3,
+# coefficient_a x 1e6, so every eigenvalue is 1e3 times its twin's and the
+# Jordan value 1e-3 times
+RESCALED = {
+    "coefficient_a": 1e6,
+    "kernel": {"a": [0.28331206255651664, 0.3546448831628861,
+                     0.501898859273735, 0.5027154932997995],
+               "b": [184.2284189520337, 328.9562708315091,
+                     5677.599229629375, 7072.797884096843]},
+    "damping": {"kind": "constant", "value": 0.4173707706802023},
+    "domain": {"kind": "box", "lengths": [1.0, 1.3]},
+}
+
+
+def test_jordan_verdict_survives_a_change_of_time_unit(config, capsys):
+    twin = json.loads(_with(RESCALED, coefficient_a=1.0, kernel__b=[
+        b / 1e3 for b in RESCALED["kernel"]["b"]]))
+    for doc, cap in ((twin, "50"), (RESCALED, "5e4")):
+        code, out = run(capsys, ["validate", "--config", config(doc)])
+        assert code == 0, out
+        assert "PASS jordan_condition" in out
+        code, out = run(capsys, ["eigs", "--config", config(doc),
+                                 "--imag-cap", cap])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        real = [row for row in rows if row[3] == "real"]
+        assert len(real) > 100
+        assert all(row[5] == "true" for row in real)
+
+
+def test_validate_names_the_smallest_jordan_ratio(config, capsys,
+                                                  monkeypatch):
+    monkeypatch.setattr(scalar, "jordan_ratio",
+                        lambda k, bhat, lam0: np.full(np.shape(lam0), 2e-4))
+    code, out = run(capsys, ["validate", "--config", config(CONSTANT)])
+    assert code == 1
+    assert "FAIL jordan_condition: smallest |value| / size of its terms " \
+           "0.0002" in out
+
+
+def test_validate_pole_exclusion_on_close_rates(config, capsys):
+    # LU rounds det P(-b_j) on the scale c_i^2 / (h |b_i - b_j|) times its
+    # size, far above it at a rate gap of 1e-9
+    doc = json.loads(_with(TWO_TERM, kernel__a=[0.5, 0.5],
+                           kernel__b=[1.0, 1.0 + 1e-9]))
+    code, out = run(capsys, ["validate", "--config", config(doc)])
+    assert code == 0, out
+    assert "PASS pole_exclusion" in out
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        base = 10.0 ** rng.uniform(-2.0, 2.0)
+        rates = base * (1.0 + np.sort(rng.uniform(0.0, 1e-4, n)))
+        amps = 10.0 ** rng.uniform(-3.0, 0.0, n)
+        b_max = rng.uniform(0.2, 0.9) / amps.sum()
+        doc = {"coefficient_a": float(rng.uniform(0.5, 2.0)),
+               "kernel": {"a": amps.tolist(), "b": rates.tolist()},
+               "damping": {"kind": "range", "b_min": 0.5 * b_max,
+                           "b_max": b_max},
+               "domain": {"kind": "box", "lengths": [1.0, 1.0]}}
+        code, out = run(capsys, ["validate", "--config", config(doc),
+                                 "--sweep", "5"])
+        assert "PASS pole_exclusion" in out, doc
 
 
 def test_config_errors_exit_two(config, capsys, tmp_path):

@@ -3,7 +3,7 @@
 The references are the earlier, slower forms of both loops, kept verbatim:
 the bisection that gathers the live brackets' rows on every step, and the
 Newton polish that evaluates the near-pole form at z and again at the step
-(seven evaluations in all).  The library's loops must give the same bits on
+(seven evaluations in all), on every eigenvalue of every pair.  The library's loops must give the same bits on
 wide-rate kernels.
 """
 
@@ -168,14 +168,29 @@ def test_mode_spectra_match_seven_evaluation_loop():
             with pytest.raises(RootFindingError):
                 mode_spectra(k, alphas, betas)
             continue
-        got = mode_spectra(k, alphas, betas)
-        assert len(got) == len(want)
-        for row, ref in zip(got, want):
-            assert np.array_equal(row, ref)
+        got, counts = mode_spectra(k, alphas, betas)
+        assert np.array_equal(counts, [len(ref) for ref in want])
+        assert np.array_equal(got, np.concatenate(want))
 
 
-def test_mode_spectra_evaluates_the_form_five_times(monkeypatch, k_two):
-    # one evaluation at the eigvals start, one per Newton step, one check
+def test_mode_spectra_match_seven_evaluation_loop_on_large_batches():
+    # 300 modes per kernel, a fifth of them undamped; the roots must be the
+    # same doubles, sign bits of zero parts included
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        k = wide_rate_kernel(rng)
+        alphas = 10.0 ** rng.uniform(-2.0, 5.0, 300)
+        betas = alphas * rng.uniform(0.0, 0.99, 300) / k.amplitude_sum
+        betas[rng.uniform(size=300) < 0.2] = 0.0
+        want = seven_evaluation_spectra(k, alphas, betas)
+        got, counts = mode_spectra(k, alphas, betas)
+        assert counts.tolist() == [len(ref) for ref in want]
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+def test_mode_spectra_evaluates_the_form_four_times(monkeypatch, k_two):
+    # one evaluation at the eigvals start and one per Newton step; the
+    # residual check has its own one-pass form
     calls = []
     form = scalar._near_pole_form
 
@@ -185,4 +200,37 @@ def test_mode_spectra_evaluates_the_form_five_times(monkeypatch, k_two):
 
     monkeypatch.setattr(scalar, "_near_pole_form", counted)
     mode_spectra(k_two, [3.0, 40.0], [1.0, 0.0])
-    assert len(calls) == 5
+    assert len(calls) == 4
+
+
+def test_mode_spectra_polishes_each_pair_once(monkeypatch, k_two):
+    # the start evaluation sees only the kept LAPACK eigenvalues with
+    # Im >= 0, and each later round only the points whose last step was
+    # kept
+    points = []
+    form = scalar._near_pole_form
+
+    def recorded(k, alpha, beta, z):
+        points.append(z.copy())
+        return form(k, alpha, beta, z)
+
+    monkeypatch.setattr(scalar, "_near_pole_form", recorded)
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        k = wide_rate_kernel(rng)
+        alphas = 10.0 ** rng.uniform(-1.0, 4.0, 50)
+        betas = alphas * rng.uniform(0.0, 0.9, 50) / k.amplitude_sum
+        points.clear()
+        mode_spectra(k, alphas, betas)
+        raw = np.linalg.eigvals(k.realization(
+            alphas[:, None, None], np.sqrt(betas)[:, None, None]))
+        assert np.array_equal(points[0], raw[raw.imag >= 0.0])
+        sizes = [len(z) for z in points]
+        assert 2 <= len(sizes) <= 4
+        assert sizes[1] == sizes[0]
+        assert all(a >= b for a, b in zip(sizes[1:], sizes[2:]))
+        assert sizes[-1] < sizes[0]
+    # an undamped mode's first step is rejected, so no second round runs
+    points.clear()
+    mode_spectra(k_two, [40.0], [0.0])
+    assert [len(z) for z in points] == [1, 1]

@@ -24,6 +24,7 @@ from memspec import (
     rational_symbol,
     real_imag_residual,
 )
+from memspec.scalar import jordan_ratio
 
 
 def mpmath_zero_oracle(k, bhat):
@@ -264,8 +265,9 @@ class TestModePolynomial:
             alphas = 10.0 ** rng.uniform(-1.0, 4.0, 4)
             betas = alphas * np.append(
                 rng.uniform(0.0, 0.9, 3) / k.amplitude_sum, 0.0)
+            z, counts = mode_spectra(k, alphas, betas)
             for alpha, beta, roots in zip(alphas, betas,
-                                          mode_spectra(k, alphas, betas)):
+                                          np.split(z, np.cumsum(counts))):
                 assert len(roots) == (n + 2 if beta > 0.0 else 2)
                 want = [complex(w)
                         for w in mpmath_mode_roots(k, alpha, beta, roots)]
@@ -283,8 +285,9 @@ class TestModePolynomial:
             alphas = 10.0 ** rng.uniform(0.0, 4.0, 40)
             betas = alphas * rng.uniform(0.0, 0.9, 40) / k.amplitude_sum
             betas[::7] = 0.0
+            z, counts = mode_spectra(k, alphas, betas)
             for alpha, beta, roots in zip(alphas, betas,
-                                          mode_spectra(k, alphas, betas)):
+                                          np.split(z, np.cumsum(counts))):
                 one = mode_eigenvalues(k, ModeCoefficients(alpha, beta))
                 assert np.array_equal(one, roots)
 
@@ -322,6 +325,16 @@ class TestJordanCondition:
         assert jordan_condition(k_wave, bhat, lam0) == pytest.approx(
             fd / alpha, rel=1e-5
         )
+
+    def test_ratio_survives_a_change_of_time_unit(self, k_two):
+        # rates x s and lam0 x s scale the value and its size by 1 / s
+        lam0 = np.random.default_rng(5).uniform(-3.0, 2.0, 50)
+        want = jordan_ratio(k_two, 0.5, lam0)
+        for s in (1e-3, 1e3, 1e6):
+            k_s = ExponentialKernel(k_two.amplitudes,
+                                    tuple(s * b for b in k_two.rates))
+            assert np.allclose(jordan_ratio(k_s, 0.5, s * lam0), want,
+                               rtol=1e-12, atol=0.0)
 
     def test_zero_eigenvalue_rejected(self, k_wave):
         with pytest.raises(ValueError):

@@ -30,10 +30,8 @@ from .scalar import (
     cleared_mode_polynomial,
     fredholm_factor_zeros,
     jordan_condition,
-    mode_eigenvalues,
     mode_spectra,
     rational_symbol,
-    real_imag_residual,
 )
 
 __all__ = [
@@ -61,12 +59,10 @@ __all__ = [
     "jordan_condition",
     "min_stiffness",
     "mode_alpha",
-    "mode_eigenvalues",
     "mode_spectra",
     "nonlinear_eigenvalues_fd",
     "one_pole_region",
     "rational_symbol",
-    "real_imag_residual",
 ]
 
 __version__ = "0.1.0"

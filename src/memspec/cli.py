@@ -166,11 +166,7 @@ def cmd_enclosure(spec: ProblemSpec, args) -> int:
                                              args.beta_samples)
             points = len(cloud)
         else:
-            # the cloud's size without solving it: mode_spectra gives N + 2
-            # roots per mode with beta > 0 and 2 per mode with beta = 0
-            _, betas = enclosure._cloud_grid(bounds, alphas,
-                                             args.beta_samples)
-            points = int(np.where(betas > 0.0, k.n_terms + 2, 2).sum())
+            points = enclosure.cloud_size(k, bounds, alphas, args.beta_samples)
     except ValueError as exc:
         fields = "--beta-samples" + (
             " or --alpha-cap" if args.alpha_cap is not None else "")
@@ -266,14 +262,10 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
     alphas = _validation_modes(spec)
     w_min = alphas.min()
     rng = np.random.default_rng(0)
-    failures: list[str] = []
+    lines: list[str] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
-        if ok:
-            print(f"PASS {name}")
-        else:
-            print(f"FAIL {name}: {detail}")
-            failures.append(name)
+        lines.append(f"PASS {name}\n" if ok else f"FAIL {name}: {detail}\n")
 
     beta_mid = 0.5 * (bounds.b_min + bounds.b_max)
     # one solve: the validation modes, then (w_min, bhat * w_min) at each
@@ -336,25 +328,26 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
                         - lam[:, None, None] * np.eye(mp.size))
     check_within("char_poly_identity", np.abs(got - want),
                  1e-10 * (1.0 + scale))
-    # det P(-b_j) = -a_j b_j beta prod_{i != j} (b_i - b_j), nonzero; the
-    # rate gaps b_i - b_j with a unit diagonal give the product.  LU rounds
-    # it on a larger scale than its size when rates are close: eliminating
-    # the first column by the pivot h = alpha + b_j^2 puts
-    # (b_i - b_j) - c_i^2 / h on the diagonal, c_i^2 = a_i b_i beta, and the
-    # rounding of about eps c_i^2 / h there moves the determinant by that
-    # much times det / (b_i - b_j).  So det is rounded on the scale
-    # |det| (1 + sum_{i != j} c_i^2 / (h |b_i - b_j|)).
+    # det P(-b_j) = -a_j b_j beta prod_{i != j} (b_i - b_j), nonzero.
+    # P(-b_j) is the arrowhead [[h, c^T], [c', diag(d)]] with d_j = 0, whose
+    # determinant h prod(d) - sum_i c_i c'_i prod_{k != i} d_k comes from the
+    # entries with no LU, rounded on the scale of its size at any rate gap
+    # (LU's grows like 1 / |b_i - b_j|); an entry off the arrow fails
     rates = np.asarray(k.rates)
-    weights = np.asarray(k.amplitudes) * rates
-    gaps = rates - rates[:, None] + np.eye(len(rates))
-    want_p = -weights[:, None] * beta * np.prod(gaps, axis=1)[:, None]
-    det_p = np.linalg.det(mp.block_function(-rates[:, None]))
-    far = np.abs(gaps)
-    np.fill_diagonal(far, np.inf)
-    pivot = alpha + rates[:, None] ** 2
-    fill = beta / pivot * np.sum(weights / far, axis=1)[:, None]
-    check_within("pole_exclusion", np.abs(det_p - want_p),
-                 1e-10 * np.abs(want_p) * (1.0 + fill))
+    arrow = np.eye(len(rates), dtype=bool)
+    want_p = -(np.asarray(k.amplitudes) * rates)[:, None] * beta * np.prod(
+        rates - rates[:, None] + arrow, axis=1)[:, None]
+    big = mp.block_function(-rates[:, None])
+    d = big[..., 1:, 1:][..., arrow]
+    rest = np.broadcast_to(d[..., None, :], d.shape + (len(rates),))
+    det_p = big[..., 0, 0] * np.prod(d, axis=-1) - np.sum(
+        big[..., 0, 1:] * big[..., 1:, 0]
+        * np.prod(rest, axis=-1, where=~arrow), axis=-1)
+    off = np.count_nonzero(big[..., 1:, 1:], axis=(-2, -1)) > \
+        np.count_nonzero(d, axis=-1)
+    check_within("pole_exclusion",
+                 np.where(off, np.inf, np.abs(det_p - want_p)),
+                 1e-10 * np.abs(want_p))
 
     if bounds.is_constant and bounds.b_max > 0.0:
         lam0 = z.real[(z.imag == 0.0) & (z.real != 0.0)]
@@ -363,7 +356,8 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
               f"smallest |value| / size of its terms "
               f"{ratio.min(initial=np.inf):.3g}")
 
-    return 1 if failures else 0
+    _emit("".join(lines), args.output)
+    return 1 if any(line.startswith("FAIL") for line in lines) else 0
 
 
 def _checked(convert, ok, need: str):

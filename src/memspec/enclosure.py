@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import HypothesisError
 from .kernel import ExponentialKernel
-from .scalar import DampingBound, fredholm_factor_zeros, mode_spectra
+from .scalar import (DampingBound, fredholm_factor_zeros, mode_spectra,
+                     root_counts)
 
 #: Damping level used in place of an exact zero to keep branch zeros defined.
 DAMPING_FLOOR = 1e-8
@@ -207,6 +208,12 @@ def _cloud_grid(d: DampingBound, alphas, samples_beta: int) -> tuple:
             f"{MAX_CLOUD_MODES} cloud modes")
     betas = np.linspace(d.b_min * alphas, d.b_max * alphas, samples, axis=1)
     return np.broadcast_to(alphas[:, None], betas.shape).ravel(), betas.ravel()
+
+
+def cloud_size(k: ExponentialKernel, d: DampingBound, alphas,
+               samples_beta: int = 11) -> int:
+    """Rows of :func:`boundary_cloud`, counted without solving a mode."""
+    return int(root_counts(k, _cloud_grid(d, alphas, samples_beta)[1]).sum())
 
 
 def boundary_cloud(k: ExponentialKernel, d: DampingBound, alphas,

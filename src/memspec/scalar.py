@@ -247,46 +247,38 @@ def cleared_mode_polynomial(k: ExponentialKernel, m: ModeCoefficients):
 def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):
     """g = f (z + b_j) for the mode symbol f and the pole -b_j nearest z.
 
-    Returns g, g' and |f|.  Newton on g stays quadratic next to a pole.  The
-    form is conjugate-symmetric bit for bit: at conj(z) it gives conj(g),
-    conj(g') and the same |f|.
-    """
-    rates = np.asarray(k.rates)
-    weights = np.asarray(k.amplitudes) * rates
-    near = np.argmin(np.abs(z[..., None] + rates), axis=-1)
-    offset = z + rates[near]
-    rest, rest_deriv = np.zeros_like(z), np.zeros_like(z)
-    for i, (w, b) in enumerate(zip(weights, rates)):
-        inv = np.where(near == i, 0.0, 1.0 / (z + b))
-        rest += w * inv
-        rest_deriv += w * inv * inv
-    value = (z * z + alpha) * offset - beta * (weights[near] + offset * rest)
-    deriv = (2.0 * z * offset + z * z + alpha
-             - beta * (rest - offset * rest_deriv))
-    return value, deriv, np.abs(value / offset)
-
-
-def _meets_residual(k: ExponentialKernel, alpha, beta, z: np.ndarray):
-    """Where |g| <= RESIDUAL_TOL * scale for g of :func:`_near_pole_form`.
-
-    The scale is the sum of the terms of g in magnitude, with z + b_j
-    replaced by |z| + b_j, since rounding in z itself can meet the bound;
-    g and its scale come from one pass over the terms, and the verdict is
-    the same at conj(z).
+    Returns g, g', |f| and the residual scale of g from one pass over the
+    terms.  Newton on g stays quadratic next to a pole.  The scale sums the
+    terms of g in magnitude, with z + b_j replaced by |z| + b_j, since
+    rounding in z itself can meet the bound.  The sums run from zero in rate
+    order over the rows of one stack of 1 / (z + b_j), zeroed at the nearest
+    pole; np.sum over that axis could switch to pairwise summation and move
+    the roots by an ulp.  At conj(z) the form gives conj(g), conj(g') and
+    the same |f| and scale, bit for bit.
     """
     rates = np.asarray(k.rates)
     weights = np.asarray(k.amplitudes) * rates
     near = np.argmin(np.abs(z[..., None] + rates), axis=-1)
     offset, reach = z + rates[near], np.abs(z) + rates[near]
-    rest, rest_size = np.zeros_like(z), 0.0
-    for i, (w, b) in enumerate(zip(weights, rates)):
-        inv = np.where(near == i, 0.0, 1.0 / (z + b))
-        rest += w * inv
-        rest_size += w * np.abs(inv)
+    inv = 1.0 / np.add.outer(rates, z)
+    np.put_along_axis(inv, near[None], 0.0, axis=0)
+    rest, rest_deriv, rest_size = np.zeros_like(z), np.zeros_like(z), 0.0
+    for w, row in zip(weights, inv):
+        rest += w * row
+        rest_deriv += w * row * row
+        rest_size += w * np.abs(row)
     value = (z * z + alpha) * offset - beta * (weights[near] + offset * rest)
+    deriv = (2.0 * z * offset + z * z + alpha
+             - beta * (rest - offset * rest_deriv))
     scale = ((np.abs(z) ** 2 + alpha) * reach
              + beta * (weights[near] + reach * rest_size))
-    return np.abs(value) <= RESIDUAL_TOL * scale
+    return value, deriv, np.abs(value / offset), scale
+
+
+def root_counts(k: ExponentialKernel, betas) -> np.ndarray:
+    """Roots per mode of :func:`mode_spectra`: N + 2 where beta > 0, and 2
+    where beta = 0, whose other N eigenvalues are the decoupled poles."""
+    return np.where(np.asarray(betas) > 0.0, k.n_terms + 2, 2)
 
 
 def mode_spectra(k: ExponentialKernel, alphas,
@@ -296,29 +288,30 @@ def mode_spectra(k: ExponentialKernel, alphas,
 
     One ``np.linalg.eigvals`` call solves the stacked realizations.  At
     beta = 0 the memory variables decouple, N eigenvalues are the poles
-    -b_j, and the N nearest the poles are dropped, so such a mode has 2
-    eigenvalues; for beta > 0 none sits at a pole and the mode has N + 2.
-    LAPACK returns conjugate pairs adjacent, positive part first; only the
-    eigenvalues with Im >= 0 are polished and checked, and each partner with
-    Im < 0 takes the conjugate of the first and its verdict.  Each takes at
-    most three Newton steps on :func:`_near_pole_form`, each kept only where
-    |f| falls; a kept step's form values serve the next step, and a rejected
-    step would repeat exactly, so only the eigenvalues whose last step was
-    kept take the next.  |Im| <= REAL_SNAP (1 + |z|) becomes real where the
-    real point meets the residual bound of :func:`_meets_residual`, and stays
-    complex where only the complex point does; a point that meets neither
-    raises :class:`RootFindingError`.
+    -b_j, and the N nearest the poles are dropped, so each mode keeps
+    :func:`root_counts` eigenvalues.  LAPACK returns conjugate pairs
+    adjacent, positive part first; only the eigenvalues with Im >= 0 are
+    polished and checked, and each partner with Im < 0 takes the conjugate
+    of the first and its verdict.  Each takes at most three Newton steps on
+    :func:`_near_pole_form`, each kept only where |f| falls; a kept step's
+    form values serve the next step, and a rejected step would repeat
+    exactly, so only the eigenvalues whose last step was kept take the
+    next.  |Im| <= REAL_SNAP (1 + |z|) becomes real where the real point
+    meets the residual bound |g| <= RESIDUAL_TOL * scale of one more
+    evaluation of the form, and stays complex where only the complex point
+    does; a point that meets neither raises :class:`RootFindingError`.
     """
     rates = np.asarray(k.rates)
     alpha = np.asarray(alphas, dtype=float).reshape(-1, 1)
     beta = np.asarray(betas, dtype=float).reshape(-1, 1)
     mats = k.realization(alpha[:, :, None], np.sqrt(beta)[:, :, None])
     raw = np.linalg.eigvals(mats).astype(complex)
+    counts = root_counts(k, beta[:, 0])
     keep = np.ones(raw.shape, dtype=bool)
     if not np.all(beta > 0.0):
         gap = np.abs(raw[..., None] + rates).min(axis=-1)
         rank = np.argsort(np.argsort(gap, axis=1), axis=1)
-        keep = (beta > 0.0) | (rank >= k.n_terms)
+        keep = rank >= raw.shape[1] - counts[:, None]
     z = raw.ravel()
     lead = np.flatnonzero(keep.ravel() & (z.imag >= 0.0))
     # a pair's second member directly follows the first
@@ -327,10 +320,10 @@ def mode_spectra(k: ExponentialKernel, alphas,
     alpha, beta = alpha[modes, 0], beta[modes, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         moving, at, a, b = lead, z[lead], alpha, beta
-        g, dg, f = _near_pole_form(k, a, b, at)
+        g, dg, f, _ = _near_pole_form(k, a, b, at)
         for _ in range(3):
             step = at - g / dg
-            g, dg, f_step = _near_pole_form(k, a, b, step)
+            g, dg, f_step, _ = _near_pole_form(k, a, b, step)
             took = f_step < f
             moving, at, a, b, g, dg, f = (
                 v[took] for v in (moving, step, a, b, g, dg, f_step))
@@ -341,14 +334,16 @@ def mode_spectra(k: ExponentialKernel, alphas,
         snap = np.abs(z.imag) <= REAL_SNAP * (1.0 + np.abs(z))
         real = np.where(snap, z.real + 0j, z)
         ok = np.ones(z.shape, dtype=bool)
-        ok[lead] = _meets_residual(k, alpha, beta, real[lead])
+        g, _, _, scale = _near_pole_form(k, alpha, beta, real[lead])
+        ok[lead] = np.abs(g) <= RESIDUAL_TOL * scale
         ok[partner] = ok[partner - 1]
         # a snapped pair whose real point fails stays a pair if that passes
         undo = ~ok & snap & (z.imag != 0.0)
         if undo.any():
             again = undo[lead]
-            ok[lead[again]] = _meets_residual(k, alpha[again], beta[again],
-                                              z[lead[again]])
+            g, _, _, scale = _near_pole_form(k, alpha[again], beta[again],
+                                             z[lead[again]])
+            ok[lead[again]] = np.abs(g) <= RESIDUAL_TOL * scale
             ok[partner] = ok[partner - 1]
             real[undo] = z[undo]
         z = real
@@ -358,14 +353,7 @@ def mode_spectra(k: ExponentialKernel, alphas,
             best=z.reshape(raw.shape))
     z = np.where(keep, z.reshape(raw.shape), np.inf)
     z = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=1), axis=1)
-    counts = keep.sum(axis=1)
     return z[np.arange(z.shape[1]) < counts[:, None]], counts
-
-
-def mode_eigenvalues(k: ExponentialKernel, m: ModeCoefficients) -> np.ndarray:
-    """N+2 eigenvalues of one mode (2 when beta = 0), conjugate-closed and
-    sorted by (re, im): a one-mode call of :func:`mode_spectra`."""
-    return mode_spectra(k, [m.alpha], [m.beta])[0]
 
 
 def jordan_condition(k: ExponentialKernel, bhat: float, lam0):
@@ -397,21 +385,3 @@ def _jordan_terms(k: ExponentialKernel, bhat: float, lam0):
     size = ((2.0 / np.abs(lam0)) * (bhat * np.abs(kh) + 1.0)
             + bhat * np.abs(khp))
     return value, size
-
-
-def real_imag_residual(k: ExponentialKernel, m: ModeCoefficients,
-                       x: float, y: float) -> tuple[float, float]:
-    """Residuals of the split real/imaginary system at x + iy.
-
-    Both vanish exactly when x + iy is a non-real enclosure point for this
-    (alpha, beta).  The first equation carries the factor 2y divided out.
-    """
-    res1 = 2.0 * x
-    res2 = x * x - y * y + m.alpha
-    for a, b in zip(k.amplitudes, k.rates):
-        den = (x + b) ** 2 + y * y
-        if den == 0.0:
-            raise ValueError(f"exact pole hit at x = {x}, y = {y}")
-        res1 += m.beta * a * b / den
-        res2 -= m.beta * a * b * (x + b) / den
-    return res1, res2

@@ -1,9 +1,11 @@
-"""Companion-matrix roots of dense real polynomials: a test oracle.
+"""Test oracles: companion-matrix roots of dense real polynomials, and the
+split real/imaginary form of the mode symbol.
 
 No solver path uses :func:`all_roots` (companion-matrix eigenvalues via
 ``numpy.roots``, Newton polish, exact conjugate pairs, a relative residual
 bound); the tests check it against closed forms and use it as a second,
-independent root finder.
+independent root finder.  :func:`real_imag_residual` evaluates the mode
+symbol term by term in real arithmetic.
 """
 
 import numpy as np
@@ -95,3 +97,20 @@ def all_roots(p: RealPolynomial, tol: float = 1e-10) -> np.ndarray:
             f"residual guarantee failed for roots {bad}", best=roots
         )
     return roots
+
+
+def real_imag_residual(k, m, x: float, y: float) -> tuple[float, float]:
+    """Residuals of the split real/imaginary system at x + iy.
+
+    Both vanish exactly when x + iy is a non-real enclosure point for this
+    (alpha, beta).  The first equation carries the factor 2y divided out.
+    """
+    res1 = 2.0 * x
+    res2 = x * x - y * y + m.alpha
+    for a, b in zip(k.amplitudes, k.rates):
+        den = (x + b) ** 2 + y * y
+        if den == 0.0:
+            raise ValueError(f"exact pole hit at x = {x}, y = {y}")
+        res1 += m.beta * a * b / den
+        res2 -= m.beta * a * b * (x + b) / den
+    return res1, res2

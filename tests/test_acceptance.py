@@ -25,7 +25,7 @@ from memspec import (
     jordan_condition,
     min_stiffness,
     mode_alpha,
-    mode_eigenvalues,
+    mode_spectra,
     nonlinear_eigenvalues_fd,
     one_pole_region,
 )
@@ -81,8 +81,8 @@ def constant_example():
     alpha_cap = (1.1 * 50.0) ** 2 + w_min
     per_mode = []
     for alpha in mode_alpha(2.0, box, enumerate_modes(2.0, box, alpha_cap)):
-        m = ModeCoefficients(alpha, 0.5 * alpha)
-        per_mode.append((alpha, mode_eigenvalues(K_WAVE, m)))
+        per_mode.append((alpha, mode_spectra(K_WAVE, [alpha],
+                                             [0.5 * alpha])[0]))
     return w_min, region, per_mode
 
 
@@ -176,8 +176,8 @@ def test_asymptotic_branch():
     re_err, im_err = [], []
     for n in ns:
         alpha = a * (n * np.pi) ** 2
-        m = ModeCoefficients(float(alpha), 0.5 * float(alpha))
-        z = [z for z in mode_eigenvalues(K_WAVE, m) if z.imag > 0][0]
+        roots = mode_spectra(K_WAVE, [alpha], [0.5 * alpha])[0]
+        z = roots[roots.imag > 0][0]
         re_err.append(abs(z.real - d0))
         im_err.append(abs(z.imag - np.sqrt(a) * n * np.pi))
     re_err, im_err = np.array(re_err), np.array(im_err)
@@ -234,7 +234,7 @@ def test_linearization_identities():
         got = np.linalg.det(sop - lam * np.eye(mp.size))
         assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
-        for z in mode_eigenvalues(k, m):
+        for z in mode_spectra(k, [m.alpha], [m.beta])[0]:
             v = mp.lift_to_block(z, 1.0)
             res_v = np.linalg.norm(mp.block_function(z) @ v)
             assert res_v <= 1e-9 * (1.0 + alpha) * np.linalg.norm(v)
@@ -253,8 +253,7 @@ def test_fd_cross_oracle(fd_example):
     mat_a, got = fd_example
     want = []
     for mu in np.linalg.eigvalsh(mat_a):
-        m = ModeCoefficients(float(mu), 0.5 * float(mu))
-        want.extend(mode_eigenvalues(K_WAVE, m))
+        want.extend(mode_spectra(K_WAVE, [mu], [0.5 * mu])[0])
     want = np.array(want)
     assert len(got) == len(want) == 3 * 60
     dist = np.abs(got[:, None] - want[None, :])
@@ -300,8 +299,7 @@ def test_property_suites():
     rng = np.random.default_rng(777)
     for draw in range(1000):
         k, d, alpha = _draw_bounded_problem(rng)
-        m = ModeCoefficients(alpha, d.b_max * alpha)
-        roots = mode_eigenvalues(k, m)
+        roots = mode_spectra(k, [alpha], [d.b_max * alpha])[0]
 
         # conjugate symmetry is exact, and the spectrum is strictly damped
         for z in roots:
@@ -317,7 +315,7 @@ def test_property_suites():
         assert -k.rates[-1] < c0 <= c1 <= 1e-12
 
         # the undamped mode spectrum is exactly the pure imaginary pair
-        und = mode_eigenvalues(k, ModeCoefficients(alpha, 0.0))
+        und = mode_spectra(k, [alpha], [0.0])[0]
         assert len(und) == 2
         want = 1j * np.sqrt(alpha)
         assert min(abs(z - want) for z in und) <= 1e-8 * (1.0 + np.sqrt(alpha))

@@ -606,9 +606,30 @@ def test_validate_names_the_smallest_jordan_ratio(config, capsys,
            "0.0002" in out
 
 
+@pytest.mark.parametrize("gap", [0.5, 1e-3, 1e-5, 1e-9])
+def test_validate_spoiled_pole_exclusion_at_close_rates(config, capsys,
+                                                        monkeypatch, gap):
+    # a coupling entry off by 1e-6 relative fails the pole identity at any
+    # rate gap; a bound on LU's rounding, which grows like 1 / gap, let it
+    # pass at gaps of 1e-5 and below
+    original = ModePencil.block_function
+
+    def spoiled(self, *args):
+        big = original(self, *args)
+        big[..., 0, 1] *= 1.0 + 1e-6
+        return big
+
+    monkeypatch.setattr(ModePencil, "block_function", spoiled)
+    doc = json.loads(_with(TWO_TERM, kernel__a=[0.5, 0.5],
+                           kernel__b=[1.0, 1.0 + gap]))
+    code, out = run(capsys, ["validate", "--config", config(doc)])
+    assert code == 1
+    assert "FAIL pole_exclusion: worst discrepancy / bound" in out
+
+
 def test_validate_pole_exclusion_on_close_rates(config, capsys):
-    # LU rounds det P(-b_j) on the scale c_i^2 / (h |b_i - b_j|) times its
-    # size, far above it at a rate gap of 1e-9
+    # det P(-b_j) of the arrowhead P(-b_j) is taken from its entries, so it
+    # is rounded on the scale of its size even at a rate gap of 1e-9
     doc = json.loads(_with(TWO_TERM, kernel__a=[0.5, 0.5],
                            kernel__b=[1.0, 1.0 + 1e-9]))
     code, out = run(capsys, ["validate", "--config", config(doc)])
@@ -657,6 +678,47 @@ def test_parser_defaults_do_not_leak(config, capsys):
     _, second = run(capsys, ["eigs", "--config", path])
     assert "eigenvalues" in json.loads(first)
     assert second.startswith(CSV_HEADER + "\n")
+
+
+def test_validate_output_file(config, capsys, tmp_path):
+    # the check lines go to the file alone; an unwritable path exits 2
+    path = config(TWO_TERM)
+    _, lines = run(capsys, ["validate", "--config", path])
+    target = tmp_path / "v.txt"
+    code, out = run(capsys, ["validate", "--config", path,
+                             "--output", str(target)])
+    assert (code, out) == (0, "")
+    assert target.read_text() == lines
+    assert lines.count("PASS") == 7
+    assert main(["validate", "--config", path,
+                 "--output", str(tmp_path / "none" / "v.txt")]) == 2
+    assert "--output" in capsys.readouterr().err
+
+
+#: Common flags that each subcommand accepts without reading them: one flag
+#: set serves every subcommand, so a script can pass the same flags to each.
+IGNORED_FLAGS = {
+    "essential": (GRADED, ["--alpha-cap", "30", "--imag-cap", "3",
+                           "--sweep", "5", "--beta-samples", "4",
+                           "--tolerance", "0.5"]),
+    "eigs": (CONSTANT, ["--sweep", "5", "--beta-samples", "4",
+                        "--tolerance", "0.5"]),
+    "enclosure": (GRADED, ["--imag-cap", "3", "--sweep", "5",
+                           "--tolerance", "0.5"]),
+    "discretize": (FD, ["--alpha-cap", "30", "--sweep", "5",
+                        "--beta-samples", "4"]),
+    "validate": (TWO_TERM, ["--alpha-cap", "30", "--imag-cap", "3",
+                            "--beta-samples", "4", "--tolerance", "0.5"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(IGNORED_FLAGS))
+def test_ignored_flags_leave_output_unchanged(config, capsys, command):
+    doc, flags = IGNORED_FLAGS[command]
+    argv = [command, "--config", config(doc)]
+    plain = main(argv), capsys.readouterr()
+    flagged = main(argv + flags), capsys.readouterr()
+    assert plain == flagged
 
 
 def test_output_file(config, capsys, tmp_path):

@@ -19,7 +19,7 @@ from memspec import (
     enclosure_interval,
     essential_spectrum,
     fredholm_factor_zeros,
-    mode_eigenvalues,
+    mode_spectra,
     one_pole_region,
     rational_symbol,
 )
@@ -88,7 +88,7 @@ def _dense_sweep(k, d, w_min, levels=129):
         else:
             intervals.append((float(lo), float(hi)))
     reals = [z.real for b in grid
-             for z in mode_eigenvalues(k, ModeCoefficients(w_min, b * w_min))
+             for z in mode_spectra(k, [w_min], [b * w_min])[0]
              if abs(z.imag) <= 1e-9 * (1.0 + abs(z))]
     return tuple(intervals), (min(reals), max(max(reals), zeros[-1].max()))
 
@@ -177,8 +177,7 @@ class TestOnePoleRegion:
         region = one_pole_region(k_wave, d_half, w)
         s = region.one_pole
         for alpha in np.linspace(w, 40.0 * w, 25):
-            m = ModeCoefficients(float(alpha), 0.5 * float(alpha))
-            for z in mode_eigenvalues(k_wave, m):
+            for z in mode_spectra(k_wave, [alpha], [0.5 * alpha])[0]:
                 assert region.contains(z, 1e-8)
                 if z.imag != 0.0:
                     assert s.d0 - 1e-8 <= z.real <= s.d1 + 1e-8, z
@@ -192,8 +191,8 @@ class TestOnePoleRegion:
         assert not region.contains(complex(region.c0 - 1e-6, 0.0), 1e-12)
 
         def root(alpha, ratio):
-            m = ModeCoefficients(alpha, ratio * alpha)
-            return [z for z in mode_eigenvalues(k, m) if z.imag > 0][0]
+            roots = mode_spectra(k, [alpha], [ratio * alpha])[0]
+            return roots[roots.imag > 0][0]
 
         # a non-real point passes exactly when it is a mode root with
         # alpha >= w and 0.5 <= beta / alpha <= 0.75
@@ -213,8 +212,8 @@ class TestCloud:
     def test_constant_damping_single_beta(self, k_wave, d_half):
         alphas = [21.0, 30.0]
         cloud = boundary_cloud(k_wave, d_half, alphas)
-        per_alpha = [len(mode_eigenvalues(
-            k_wave, ModeCoefficients(a, 0.5 * a))) for a in alphas]
+        per_alpha = [len(mode_spectra(k_wave, [a], [0.5 * a])[0])
+                     for a in alphas]
         assert len(cloud) == sum(per_alpha)
 
     def test_deterministic(self, k_two, d_graded):

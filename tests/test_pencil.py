@@ -19,7 +19,7 @@ from memspec import (
     RootFindingError,
     cleared_mode_polynomial,
     discretize_1d,
-    mode_eigenvalues,
+    mode_spectra,
     nonlinear_eigenvalues_fd,
 )
 from test_scalar import mpmath_mode_roots
@@ -114,15 +114,14 @@ class TestModePencil:
     def test_system_operator_spectrum_matches_modes(self, k_wave):
         mp = ModePencil(40.0, 20.0, k_wave)
         vals = np.linalg.eigvals(mp.system_operator())
-        want = mode_eigenvalues(k_wave, ModeCoefficients(40.0, 20.0))
+        want = mode_spectra(k_wave, [40.0], [20.0])[0]
         assert len(vals) == 3
         assert np.allclose(np.sort_complex(vals), np.sort_complex(want),
                            atol=1e-7)
 
     def test_lifts(self, k_two):
-        m = ModeCoefficients(30.0, 12.0)
         mp = ModePencil(30.0, 12.0, k_two)
-        for lam in mode_eigenvalues(k_two, m):
+        for lam in mode_spectra(k_two, [30.0], [12.0])[0]:
             v = mp.lift_to_block(lam, 1.0)
             res = np.linalg.norm(mp.block_function(lam) @ v)
             assert res <= 1e-9 * 31.0 * np.linalg.norm(v)
@@ -182,8 +181,7 @@ class TestNonlinearFd:
                                           imag_cap=np.inf)
         want = []
         for mu in np.linalg.eigvalsh(mat_a):
-            m = ModeCoefficients(float(mu), 0.5 * float(mu))
-            want.extend(mode_eigenvalues(k_wave, m))
+            want.extend(mode_spectra(k_wave, [mu], [0.5 * mu])[0])
         want = np.array(want)
         assert len(got) == len(want)
         dist = np.abs(got[:, None] - want[None, :])
@@ -205,8 +203,7 @@ class TestNonlinearFd:
                 h = mpmath.mpf(1) / (n + 1)
                 for j in range(1, n + 1):
                     mu = 2 / h ** 2 * (1 - mpmath.cos(j * mpmath.pi * h))
-                    starts = mode_eigenvalues(
-                        k, ModeCoefficients(float(mu), b * float(mu)))
+                    starts = mode_spectra(k, [float(mu)], [b * float(mu)])[0]
                     want.extend(complex(w) for w in mpmath_mode_roots(
                         k, mu, b * mu, starts))
             want = np.array(want)

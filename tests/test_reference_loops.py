@@ -188,9 +188,9 @@ def test_mode_spectra_match_seven_evaluation_loop_on_large_batches():
         assert got.tobytes() == np.concatenate(want).tobytes()
 
 
-def test_mode_spectra_evaluates_the_form_four_times(monkeypatch, k_two):
-    # one evaluation at the eigvals start and one per Newton step; the
-    # residual check has its own one-pass form
+def test_mode_spectra_evaluates_the_form_five_times(monkeypatch, k_two):
+    # one evaluation at the eigvals start, one per Newton step, and one for
+    # the residual check
     calls = []
     form = scalar._near_pole_form
 
@@ -200,13 +200,13 @@ def test_mode_spectra_evaluates_the_form_four_times(monkeypatch, k_two):
 
     monkeypatch.setattr(scalar, "_near_pole_form", counted)
     mode_spectra(k_two, [3.0, 40.0], [1.0, 0.0])
-    assert len(calls) == 4
+    assert len(calls) == 5
 
 
 def test_mode_spectra_polishes_each_pair_once(monkeypatch, k_two):
     # the start evaluation sees only the kept LAPACK eigenvalues with
-    # Im >= 0, and each later round only the points whose last step was
-    # kept
+    # Im >= 0, each later polish round only the points whose last step was
+    # kept, and the residual check every kept root with Im >= 0
     points = []
     form = scalar._near_pole_form
 
@@ -221,16 +221,21 @@ def test_mode_spectra_polishes_each_pair_once(monkeypatch, k_two):
         alphas = 10.0 ** rng.uniform(-1.0, 4.0, 50)
         betas = alphas * rng.uniform(0.0, 0.9, 50) / k.amplitude_sum
         points.clear()
-        mode_spectra(k, alphas, betas)
+        roots, _ = mode_spectra(k, alphas, betas)
         raw = np.linalg.eigvals(k.realization(
             alphas[:, None, None], np.sqrt(betas)[:, None, None]))
-        assert np.array_equal(points[0], raw[raw.imag >= 0.0])
-        sizes = [len(z) for z in points]
+        *polish, checked = points
+        assert np.array_equal(polish[0], raw[raw.imag >= 0.0])
+        sizes = [len(z) for z in polish]
         assert 2 <= len(sizes) <= 4
         assert sizes[1] == sizes[0]
         assert all(a >= b for a, b in zip(sizes[1:], sizes[2:]))
         assert sizes[-1] < sizes[0]
+        assert checked.size == sizes[0]
+        assert np.all(checked.imag >= 0.0)
+        assert np.isin(checked, roots).all()
+        assert np.isin(roots[roots.imag >= 0.0], checked).all()
     # an undamped mode's first step is rejected, so no second round runs
     points.clear()
     mode_spectra(k_two, [40.0], [0.0])
-    assert [len(z) for z in points] == [1, 1]
+    assert [len(z) for z in points] == [1, 1, 1]

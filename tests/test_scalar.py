@@ -19,12 +19,11 @@ from memspec import (
     cleared_mode_polynomial,
     fredholm_factor_zeros,
     jordan_condition,
-    mode_eigenvalues,
     mode_spectra,
     rational_symbol,
-    real_imag_residual,
 )
 from memspec.scalar import jordan_ratio
+from root_oracle import real_imag_residual
 
 
 def mpmath_zero_oracle(k, bhat):
@@ -232,7 +231,7 @@ class TestModePolynomial:
 
     def test_mode_eigenvalues_satisfy_symbol(self, k_two):
         m = ModeCoefficients(30.0, 12.0)
-        roots = mode_eigenvalues(k_two, m)
+        roots = mode_spectra(k_two, [m.alpha], [m.beta])[0]
         assert 1 <= len(roots) <= 4
         for z in roots:
             assert abs(rational_symbol(k_two, m, z)) < 1e-8 * (1.0 + m.alpha)
@@ -288,14 +287,13 @@ class TestModePolynomial:
             z, counts = mode_spectra(k, alphas, betas)
             for alpha, beta, roots in zip(alphas, betas,
                                           np.split(z, np.cumsum(counts))):
-                one = mode_eigenvalues(k, ModeCoefficients(alpha, beta))
+                one = mode_spectra(k, [alpha], [beta])[0]
                 assert np.array_equal(one, roots)
 
     def test_undamped_mode_eigenvalues_are_pure_imaginary(self, k_two):
         # at beta = 0 the memory variables decouple; their eigenvalues -b_j
         # are dropped and only +-i sqrt(alpha) remain
-        m = ModeCoefficients(9.0, 0.0)
-        roots = mode_eigenvalues(k_two, m)
+        roots = mode_spectra(k_two, [9.0], [0.0])[0]
         assert len(roots) == 2
         assert np.allclose(sorted(roots, key=lambda z: z.imag), [-3j, 3j],
                            atol=1e-9)
@@ -306,7 +304,7 @@ class TestModePolynomial:
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda a: eigvals(a) * (1.0 + 4e-16))
-        roots = mode_eigenvalues(k_two, ModeCoefficients(9.0, 0.0))
+        roots = mode_spectra(k_two, [9.0], [0.0])[0]
         assert np.allclose(sorted(roots, key=lambda z: z.imag), [-3j, 3j],
                            atol=1e-9)
 
@@ -318,7 +316,8 @@ class TestJordanCondition:
         # differences of the rational symbol
         bhat, alpha = 0.5, 20.0
         m = ModeCoefficients(alpha, bhat * alpha)
-        lam0 = [z.real for z in mode_eigenvalues(k_wave, m) if z.imag == 0][0]
+        roots = mode_spectra(k_wave, [alpha], [bhat * alpha])[0]
+        lam0 = roots.real[roots.imag == 0][0]
         h = 1e-6
         fd = (rational_symbol(k_wave, m, lam0 + h)
               - rational_symbol(k_wave, m, lam0 - h)).real / (2.0 * h)
@@ -366,7 +365,8 @@ class TestSplitResidual:
 
     def test_vanishes_at_eigenvalue(self, k_wave):
         m = ModeCoefficients(40.0, 20.0)
-        z = [z for z in mode_eigenvalues(k_wave, m) if z.imag > 0][0]
+        roots = mode_spectra(k_wave, [m.alpha], [m.beta])[0]
+        z = roots[roots.imag > 0][0]
         r1, r2 = real_imag_residual(k_wave, m, z.real, z.imag)
         assert abs(r1) < 1e-9 * (1.0 + m.alpha)
         assert abs(r2) < 1e-9 * (1.0 + m.alpha)

@@ -5,10 +5,18 @@ matrix realizations: the (N+1)-square block function with coupling entries
 sqrt(a_j b_j beta), its (N+2)-square first-companion linearization, and a
 constant (N+2)-square system operator, the kernel's memory-variable
 realization with A = [[alpha]], F = [[sqrt(beta)]], whose characteristic
-polynomial is the cleared mode polynomial up to the sign (-1)^(N+2).  The
-1D finite-difference route for graded damping takes the eigenvalues of the
-same realization with the FD stencils, numpy only and without eigenvectors,
-and checks each against the tridiagonal T(lam) by inverse iteration.
+polynomial is the cleared mode polynomial up to the sign (-1)^(N+2).
+
+The 1D finite-difference route for graded damping wants the eigenvalues of
+the same realization with the FD stencils, the D = 2 n + N r roots of
+det T(lam) prod_j (lam + b_j)^r for the tridiagonal
+T(lam) = lam^2 + A - Khat(lam) A_b of rank-r damping.  Two sources give
+them.  Below ABERTH_MIN_SIZE, one dense ``eigvals`` call on the realization;
+from there on, Ehrlich-Aberth iteration on that polynomial, with p'/p from
+the pivots of T(lam), in O(D^2) time and O(D) memory.  The dense call is
+also the fallback where the iteration does not settle.  Either way, each
+eigenvalue is checked against T(lam) by inverse iteration.  The iteration's
+log-derivative and the check's Thomas sweep run on one pivot recurrence.
 """
 
 from __future__ import annotations
@@ -19,12 +27,28 @@ import numpy as np
 
 from .errors import RootFindingError
 from .kernel import ExponentialKernel
-from .scalar import ModeCoefficients, rational_symbol
+from .scalar import ModeCoefficients, mode_spectra, rational_symbol
 
 _LIFT_TOL = 1e-6
 
-#: Largest realization size (N+2) n that the dense FD solve accepts.
+_EPS = np.finfo(float).eps
+
+#: Largest realization size (N+2) n that the FD route accepts.
 MAX_REALIZATION = 2000
+
+#: Smallest realization size 2 n + N r at which the FD route finds the roots
+#: by Ehrlich-Aberth instead of one dense ``eigvals`` call.
+ABERTH_MIN_SIZE = 350
+
+#: Most Ehrlich-Aberth sweeps before the FD route falls back to ``eigvals``.
+ABERTH_SWEEPS = 100
+
+#: Relative step below which a root stops once its step stops shrinking.
+ABERTH_STALL = 1e-9
+
+#: Elements per block of the (grid rows, points) arrays of the
+#: Ehrlich-Aberth sweeps and the residual sweep.
+ROW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -210,6 +234,166 @@ def stiffness_eigenvalues(a: float, n_points: int, length: float,
     return 4.0 * a / (h * h) * np.sin(angle) ** 2
 
 
+def _tridiagonal_pivots(lower, diag, upper, slopes=None):
+    """Pivots of the LU factorization without row exchanges of tridiagonal
+    matrices stacked along axis 1, one matrix per column, and the
+    multipliers: piv_0 = diag_0, mult_i = lower_i / piv_i and
+    piv_(i+1) = diag_(i+1) - mult_i upper_i.  With ``slopes``, the
+    derivatives (lower', diag', upper') of the entries in lam, the pivots'
+    derivatives come too.  A block of rows continues a longer matrix when
+    its first diag row holds the pivot of the row before (and its first
+    slope row that pivot's derivative).
+    """
+    piv, mult = diag.copy(), np.empty_like(lower)
+    if slopes is not None:
+        d_lower, d_piv, d_upper = slopes[0], slopes[1].copy(), slopes[2]
+    for i in range(1, diag.shape[0]):
+        mult[i - 1] = lower[i - 1] / piv[i - 1]
+        piv[i] -= mult[i - 1] * upper[i - 1]
+        if slopes is not None:
+            d_mult = (d_lower[i - 1] - mult[i - 1] * d_piv[i - 1]) / piv[i - 1]
+            d_piv[i] -= d_mult * upper[i - 1] + mult[i - 1] * d_upper[i - 1]
+    return (piv, mult) if slopes is None else (piv, mult, d_piv)
+
+
+def _damping_rank(mat_b) -> int:
+    """Eigenvalues of the symmetric tridiagonal A_b above
+    m * eps * ||A_b||_inf, by the inertia of the pivots of A_b minus that
+    level (Sturm count); the level bounds the one the dense route sets with
+    the largest eigenvalue."""
+    m = mat_b.shape[0]
+    off = np.diagonal(mat_b, 1)[:, None]
+    level = m * _EPS * np.linalg.norm(mat_b, np.inf)
+    with np.errstate(all="ignore"):
+        piv, _ = _tridiagonal_pivots(off, np.diagonal(mat_b)[:, None] - level,
+                                     off)
+    return int(np.count_nonzero(piv > 0.0))
+
+
+def _log_derivative(z, mat_a, mat_b, k: ExponentialKernel, rank: int):
+    """p'/p at the points z for p(lam) = det T(lam) prod_j (lam + b_j)^rank,
+    from the pivots of T(lam) and their derivatives, in blocks of rows so
+    that no (m, len(z)) array is built."""
+    rates = np.asarray(k.rates)
+    inv = 1.0 / np.add.outer(rates, z)
+    khat, d_khat = np.zeros_like(z), np.zeros_like(z)
+    for w, row in zip(np.asarray(k.amplitudes) * rates, inv):  # rate order
+        khat += w * row
+        d_khat -= w * row * row
+    total = rank * np.sum(inv, axis=0)
+    (al, ad), (bl, bd) = ((np.diagonal(mat, 1), np.diagonal(mat))
+                          for mat in (mat_a, mat_b))
+    rows = max(8, ROW_BLOCK // max(z.size, 1))
+    piv = d_piv = None
+    for start in range(0, ad.size, rows):
+        block = slice(start, start + rows)
+        diag = ad[block, None] - khat * bd[block, None] + z * z
+        d_diag = 2.0 * z - d_khat * bd[block, None]
+        if piv is not None:  # continue from the last pivot
+            couple = slice(start - 1, start + rows - 1)
+            diag = np.vstack((piv, diag))
+            d_diag = np.vstack((d_piv, d_diag))
+        else:
+            couple = slice(start, start + rows - 1)
+        off = al[couple, None] - khat * bl[couple, None]
+        d_off = -d_khat * bl[couple, None]
+        pivs, _, d_pivs = _tridiagonal_pivots(off, diag, off,
+                                              (d_off, d_diag, d_off))
+        fresh = slice(0 if start == 0 else 1, None)
+        total += np.sum(d_pivs[fresh] / pivs[fresh], axis=0)
+        piv, d_piv = pivs[-1:], d_pivs[-1:]
+    return total
+
+
+def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int):
+    """The D = 2 m + N rank roots of det T(lam) prod_j (lam + b_j)^rank by
+    Ehrlich-Aberth, or None where they do not settle in ABERTH_SWEEPS.
+
+    The start values are the mode spectra at the stiffness eigenvalues of
+    the stencil A, with damping values from the sorted profile
+    diag(A_b) / diag(A) and zero for the m - rank smallest.  The real
+    starts and the starts with Im > 0 are moved; the others are their
+    conjugates, so real roots stay exactly real and the rest come in exact
+    conjugate pairs.  Each sweep moves every root still moving by
+    1 / (p'/p - sum_j 1 / (z - z_j)) over all other roots (the sum built in
+    row chunks).  A root stops when its step is below ABERTH_STALL |z| and
+    no shorter than its last one (it only jitters at rounding level), or
+    below two ulps of z.  The starts give D roots, so the count is D.
+    """
+    m = mat_a.shape[0]
+    alpha = stiffness_eigenvalues(0.5 * mat_a[0, 0], m, m + 1,
+                                  np.arange(1, m + 1))
+    profile = np.sort(np.diagonal(mat_b) / np.diagonal(mat_a))
+    profile[:m - rank] = 0.0
+    try:
+        starts, _ = mode_spectra(k, alpha, profile * alpha)
+    except RootFindingError:
+        return None
+    real = starts.imag == 0.0
+    moved = np.concatenate((starts[real], starts[starts.imag > 0.0]))
+    n_real = int(np.count_nonzero(real))
+    active, last = np.arange(moved.size), np.full(moved.size, np.inf)
+    with np.errstate(all="ignore"):
+        for _ in range(ABERTH_SWEEPS):
+            roots = np.concatenate((moved, np.conj(moved[n_real:])))
+            z, real = moved[active], active < n_real
+            near = np.empty_like(z)
+            # real points take real arithmetic, which costs less
+            near[real] = _log_derivative(z[real].real, mat_a, mat_b, k, rank)
+            near[~real] = _log_derivative(z[~real], mat_a, mat_b, k, rank)
+            rows = max(1, ROW_BLOCK // roots.size)
+            for start in range(0, z.size, rows):
+                part = slice(start, start + rows)
+                diff = z[part, None] - roots
+                diff[np.arange(diff.shape[0]), active[part]] = np.inf
+                near[part] -= np.sum(1.0 / diff, axis=1)
+            step = 1.0 / near
+            step[real] = step[real].real
+            # a zero pivot (at a root to the last bit, or by chance) makes
+            # p'/p infinite; such a point steps off by a few ulps
+            off = ~np.isfinite(step)
+            step[off] = 8.0 * _EPS * z[off]
+            size, scale = np.abs(step), np.abs(z)
+            stall = (size <= ABERTH_STALL * scale) & ~(size < last[active])
+            moved[active[~stall]] = z[~stall] - step[~stall]
+            last[active[~stall]] = size[~stall]
+            active = active[~(stall | (size <= 2.0 * _EPS * scale))]
+            if not active.size:
+                return np.concatenate((moved, np.conj(moved[n_real:])))
+    return None
+
+
+def _residuals(mat_a, mat_b, k: ExponentialKernel, lam):
+    """||T(lam) u|| / ||u|| for each lam, with u from two steps of inverse
+    iteration on the tridiagonal T(lam) from a fixed random start (a
+    symmetric start would miss the odd modes of a symmetric profile), as one
+    Thomas sweep over all lam.  Each lam's column is computed on its own, so
+    the values do not depend on the other lam beside it, as long as there
+    are at least two (a single column would be summed pairwise)."""
+    m = mat_a.shape[0]
+    u = np.outer(np.random.default_rng(0).standard_normal(m),
+                 np.ones_like(lam))
+    with np.errstate(all="ignore"):
+        # T(lam) with the grid along the rows and one lam per column
+        khat = k.laplace(lam)
+        lower, diag, upper = (np.diagonal(mat_a, d)[:, None]
+                              - khat * np.diagonal(mat_b, d)[:, None]
+                              for d in (-1, 0, 1))
+        diag = diag + lam * lam
+        piv, mult = _tridiagonal_pivots(lower, diag, upper)
+        for _ in range(2):
+            u = u / np.linalg.norm(u, axis=0)
+            for i in range(1, m):
+                u[i] -= mult[i - 1] * u[i - 1]
+            u[-1] /= piv[-1]
+            for i in range(m - 2, -1, -1):
+                u[i] = (u[i] - upper[i] * u[i + 1]) / piv[i]
+        t_u = diag * u
+        t_u[1:] += lower * u[:-1]
+        t_u[:-1] += upper * u[1:]
+        return np.linalg.norm(t_u, axis=0) / np.linalg.norm(u, axis=0)
+
+
 def nonlinear_eigenvalues_fd(mat_a: np.ndarray, mat_b: np.ndarray,
                              k: ExponentialKernel,
                              imag_cap: float = 50.0
@@ -219,14 +403,24 @@ def nonlinear_eigenvalues_fd(mat_a: np.ndarray, mat_b: np.ndarray,
 
     ``mat_a`` and ``mat_b`` must be the symmetric tridiagonal stencils of
     :func:`discretize_1d`; a nonzero beyond the first off-diagonal raises
-    ValueError.  A_b = F^T F with F = sqrt(D) V^T from its eigendecomposition,
-    keeping the rows of eigenvalues above n * eps * max D: a full-row-rank F,
-    so no eigenvalue of the realization (size at most (N+2) n <=
-    MAX_REALIZATION) sits at a pole.  One ``np.linalg.eigvals`` call gives
-    the eigenvalues and no eigenvector.  For each lam with |Im| <= imag_cap,
-    u comes from two steps of inverse iteration on the tridiagonal T(lam),
-    from a fixed random start (a symmetric start would miss the odd modes of
-    a symmetric profile), as one Thomas sweep over all lam.  Each residual
+    ValueError.  The realization uses A_b = F^T F with F of full row rank r,
+    the number of eigenvalues of A_b above m * eps times its largest, so no
+    eigenvalue (size at most (N+2) m <= MAX_REALIZATION) sits at a pole.
+    Its D = 2 m + N r eigenvalues come from one of two sources:
+
+    - D below ABERTH_MIN_SIZE: F = sqrt(D) V^T from the eigendecomposition
+      of A_b, and one ``np.linalg.eigvals`` call on the dense realization,
+      with no eigenvector;
+    - D from ABERTH_MIN_SIZE on: r by a Sturm count on A_b, and the roots of
+      det T(lam) prod_j (lam + b_j)^r by Ehrlich-Aberth
+      (:func:`_aberth_roots`); where they do not settle within
+      ABERTH_SWEEPS sweeps, the dense source runs instead.
+
+    Real eigenvalues are exactly real and the others come in exact
+    conjugate pairs from both.  For each lam with |Im| <= imag_cap, u comes
+    from two steps of inverse iteration on the tridiagonal T(lam), from a
+    fixed random start (a symmetric start would miss the odd modes of a
+    symmetric profile), as one Thomas sweep over all lam.  Each residual
     ||T(lam) u|| / ||u|| must stay below 1e-6 ||A||_inf, or RootFindingError
     is raised; a NaN eigenvalue or a zero pivot gives a non-finite residual,
     which fails too.
@@ -240,35 +434,23 @@ def nonlinear_eigenvalues_fd(mat_a: np.ndarray, mat_b: np.ndarray,
     for name, mat in (("mat_a", mat_a), ("mat_b", mat_b)):
         if np.triu(mat, 2).any() or np.tril(mat, -2).any():
             raise ValueError(f"{name} must be tridiagonal")
-    damp, vecs = np.linalg.eigh(mat_b)
-    rank = damp > m * np.finfo(float).eps * damp.max(initial=0.0)
-    factor = np.sqrt(damp[rank])[:, None] * vecs[:, rank].T
-    vals = np.linalg.eigvals(k.realization(mat_a, factor)).astype(complex)
+    vals = None
+    if (k.n_terms + 2) * m >= ABERTH_MIN_SIZE:  # D <= (N+2) m
+        rank = _damping_rank(mat_b)
+        if 2 * m + k.n_terms * rank >= ABERTH_MIN_SIZE:
+            vals = _aberth_roots(mat_a, mat_b, k, rank)
+    if vals is None:
+        damp, vecs = np.linalg.eigh(mat_b)
+        keep = damp > m * np.finfo(float).eps * damp.max(initial=0.0)
+        factor = np.sqrt(damp[keep])[:, None] * vecs[:, keep].T
+        vals = np.linalg.eigvals(k.realization(mat_a, factor)).astype(complex)
     lam = vals[~(np.abs(vals.imag) > imag_cap)]  # a NaN stays, and fails
-    u = np.outer(np.random.default_rng(0).standard_normal(m),
-                 np.ones_like(lam))
-    with np.errstate(all="ignore"):
-        # T(lam) with the grid along the rows and one lam per column
-        khat = k.laplace(lam)
-        lower, diag, upper = (np.diagonal(mat_a, d)[:, None]
-                              - khat * np.diagonal(mat_b, d)[:, None]
-                              for d in (-1, 0, 1))
-        diag = diag + lam * lam
-        piv, mult = diag.copy(), np.empty_like(lower)
-        for i in range(1, m):
-            mult[i - 1] = lower[i - 1] / piv[i - 1]
-            piv[i] -= mult[i - 1] * upper[i - 1]
-        for _ in range(2):
-            u = u / np.linalg.norm(u, axis=0)
-            for i in range(1, m):
-                u[i] -= mult[i - 1] * u[i - 1]
-            u[-1] /= piv[-1]
-            for i in range(m - 2, -1, -1):
-                u[i] = (u[i] - upper[i] * u[i + 1]) / piv[i]
-        t_u = diag * u
-        t_u[1:] += lower * u[:-1]
-        t_u[:-1] += upper * u[1:]
-        res = np.linalg.norm(t_u, axis=0) / np.linalg.norm(u, axis=0)
+    # near-equal column blocks, of two lam or more where there are two,
+    # bound the sweep's arrays
+    cols = max(4, ROW_BLOCK // m)
+    res = np.concatenate([
+        _residuals(mat_a, mat_b, k, part)
+        for part in np.array_split(lam, max(1, -(-lam.size // cols)))])
     bound = 1e-6 * float(np.linalg.norm(mat_a, np.inf))
     if not np.all(res <= bound):
         raise RootFindingError(

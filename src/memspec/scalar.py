@@ -306,6 +306,24 @@ def mode_spectra(k: ExponentialKernel, alphas,
     beta = np.asarray(betas, dtype=float).reshape(-1, 1)
     mats = k.realization(alpha[:, :, None], np.sqrt(beta)[:, :, None])
     raw = np.linalg.eigvals(mats).astype(complex)
+    # LAPACK's absolute error is about eps times the norm, at least
+    # eps * max(1, b_N), so where the small-lam model
+    # lam^2 + beta s lam + alpha - beta sum(a_j), s = sum(a_j / b_j) (Khat
+    # to first order at 0), puts both its roots below that (alpha under
+    # about 1e-32), they replace the two eigenvalues nearest 0, as an
+    # adjacent pair
+    level = np.finfo(float).eps * max(1.0, rates[-1])
+    half = 0.5 * beta[:, 0] * np.sum(np.divide(k.amplitudes, rates))
+    product = alpha[:, 0] - beta[:, 0] * k.amplitude_sum
+    small = (product <= level * level) & (half <= level)
+    if small.any():
+        root = np.sqrt(half[small] ** 2 - product[small] + 0j)
+        nearest = np.argsort(np.argsort(np.abs(raw[small]), axis=1),
+                             axis=1) < 2
+        rows = np.take_along_axis(raw[small], np.argsort(
+            nearest, axis=1, kind="stable"), axis=1)
+        rows[:, -2], rows[:, -1] = root - half[small], -root - half[small]
+        raw[small] = rows
     counts = root_counts(k, beta[:, 0])
     keep = np.ones(raw.shape, dtype=bool)
     if not np.all(beta > 0.0):

@@ -281,6 +281,24 @@ def test_enclosure_refuses_tiny_w_min_strips(config, capsys):
     assert "strip height radicand" in err
 
 
+@pytest.mark.parametrize("side", [1e24, 1e60, 1e150])
+def test_tiny_w_min_boxes_solve(config, capsys, side):
+    # box sides whose w_min is below LAPACK's absolute accuracy: validate
+    # passes every check; enclosure solves the two-term cloud, and refuses
+    # the one-term strips as on TINY_W_MIN
+    box = {"kind": "box", "lengths": [side]}
+    code, out = run(capsys, ["validate", "--config",
+                             config({**GRADED, "domain": box})])
+    assert code == 0
+    assert "FAIL" not in out and out.count("PASS") == 7
+    code, _ = run(capsys, ["enclosure", "--config",
+                           config({**TWO_TERM, "domain": box})])
+    assert code == 0
+    code = main(["enclosure", "--config", config({**GRADED, "domain": box})])
+    assert code == 2
+    assert "strip height radicand" in capsys.readouterr().err
+
+
 def test_validate_solves_modes_once(config, capsys, monkeypatch):
     # the validation modes and the w_min modes of [c0, c1] in one solve
     calls = []

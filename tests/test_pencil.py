@@ -5,7 +5,9 @@ system operator are all compared against the cleared scalar polynomial, so
 the three realizations are pinned to one another through numpy's LU-based
 determinant rather than through any shared eigensolver.  The FD route is
 checked against the modal route, 50-digit mode roots, and the full
-eigendecomposition of a realization written out in the test.
+eigendecomposition of a realization written out in the test; its
+Ehrlich-Aberth source is checked against one dense eigvals call on the
+realization, on seeded graded problems and the benchmark's two-term anchor.
 """
 
 import mpmath
@@ -22,6 +24,7 @@ from memspec import (
     mode_spectra,
     nonlinear_eigenvalues_fd,
 )
+from memspec import pencil
 from test_scalar import mpmath_mode_roots
 
 
@@ -284,3 +287,162 @@ class TestNonlinearFd:
         monkeypatch.setattr(np.linalg, "eigvals", spoiled)
         with pytest.raises(RootFindingError):
             nonlinear_eigenvalues_fd(mat_a, mat_b, k_two, imag_cap=np.inf)
+
+
+def _dense_realization_eigvals(mat_a, mat_b, k):
+    """Oracle: one dense eigvals call on the realization with A_b = F^T F
+    from the eigendecomposition of A_b."""
+    m = mat_a.shape[0]
+    damp, vecs = np.linalg.eigh(mat_b)
+    keep = damp > m * np.finfo(float).eps * damp.max()
+    f = np.sqrt(damp[keep])[:, None] * vecs[:, keep].T
+    return np.linalg.eigvals(k.realization(mat_a, f)).astype(complex)
+
+
+def _relative_hausdorff(got, want):
+    rel = np.abs(got[:, None] - want[None, :]) / np.abs(want)
+    return max(rel.min(axis=0).max(), rel.min(axis=1).max())
+
+
+def _assert_real_or_conjugate_closed(roots):
+    # each root is exactly real or has its exact conjugate in the set
+    values = set(roots.tolist())
+    assert all(z.imag == 0.0 or z.conjugate() in values for z in values)
+    assert (np.count_nonzero(roots.imag > 0.0)
+            == np.count_nonzero(roots.imag < 0.0))
+
+
+def _graded_config(rng, max_size):
+    """A graded 1D problem like the benchmark's FD calls: N = 1-3 terms,
+    rates in [0.2, 5], a piecewise linear profile of 2-5 samples, one in
+    six vanishing between two adjacent samples (so r < n), realization
+    size up to max_size."""
+    n_terms = int(rng.integers(1, 4))
+    rates = np.sort(rng.uniform(0.2, 1.3 if n_terms == 1 else 5.0, n_terms))
+    amps = rng.uniform(0.2, 1.0, n_terms)
+    k = ExponentialKernel(tuple(amps), tuple(rates))
+    b_max = rng.uniform(0.3, 0.9) / amps.sum()
+    samples = rng.uniform(b_max * rng.uniform(0.3, 0.7), b_max,
+                          int(rng.integers(2, 6)))
+    if rng.uniform() < 1.0 / 6.0:
+        start = rng.integers(samples.size - 1)
+        samples[start:start + 2] = 0.0
+    n = int(rng.integers(3, max_size // (n_terms + 2) + 1))
+    a = rng.uniform(0.5, 2.0)
+    nodes = np.arange(1, n + 1) / (n + 1)
+    profile = np.interp(nodes, np.linspace(0.0, 1.0, samples.size), samples)
+    return k, *discretize_1d(a, profile, n, 1.2 * np.sqrt(a))
+
+
+class TestAberthFd:
+    """The Ehrlich-Aberth source of the FD eigenvalues, against one dense
+    eigvals call on the realization as the oracle."""
+
+    def test_graded_fuzz_matches_dense(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            k, mat_a, mat_b = _graded_config(rng, 150)
+            rank = pencil._damping_rank(mat_b)
+            got = pencil._aberth_roots(mat_a, mat_b, k, rank)
+            want = _dense_realization_eigvals(mat_a, mat_b, k)
+            assert got is not None
+            assert len(got) == len(want) == 2 * mat_a.shape[0] + k.n_terms * rank
+            assert _relative_hausdorff(got, want) <= 1e-11
+            _assert_real_or_conjugate_closed(got)
+            assert (np.count_nonzero(got.imag == 0.0)
+                    == np.count_nonzero(want.imag == 0.0))
+
+    def test_two_term_anchor_matches_dense(self, k_two):
+        # the benchmark's two-term anchor: profile 0.5..0.75, n = 100,
+        # D = 400, above the crossover
+        n = 100
+        x = np.arange(1, n + 1) / (n + 1)
+        mat_a, mat_b = discretize_1d(1.0, np.interp(x, [0, 1], [0.5, 0.75]),
+                                     n)
+        got, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k_two,
+                                            imag_cap=np.inf)
+        want = _dense_realization_eigvals(mat_a, mat_b, k_two)
+        assert len(got) == len(want) == 4 * n >= pencil.ABERTH_MIN_SIZE
+        assert _relative_hausdorff(got, want) <= 1e-11
+        _assert_real_or_conjugate_closed(got)
+        assert np.count_nonzero(got.imag == 0.0) == 2 * n
+        assert np.all(res <= 1e-6 * np.linalg.norm(mat_a, np.inf))
+
+    def test_vanishing_profile_above_crossover(self, k_two):
+        # A_b is singular (r < n), so D = 2 n + N r is below (N + 2) n
+        n = 120
+        x = np.arange(1, n + 1) / (n + 1)
+        mat_a, mat_b = discretize_1d(1.0, 0.8 * np.clip(x - 0.4, 0.0, None),
+                                     n)
+        rank = pencil._damping_rank(mat_b)
+        assert rank < n
+        assert 2 * n + 2 * rank >= pencil.ABERTH_MIN_SIZE
+        got, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k_two,
+                                          imag_cap=np.inf)
+        want = _dense_realization_eigvals(mat_a, mat_b, k_two)
+        assert len(got) == len(want) == 2 * n + 2 * rank
+        assert _relative_hausdorff(got, want) <= 1e-11
+        _assert_real_or_conjugate_closed(got)
+
+    @pytest.fixture
+    def above(self, k_two):
+        mat_a, mat_b = discretize_1d(1.0, np.linspace(0.5, 0.75, 100), 100)
+        return mat_a, mat_b, k_two
+
+    def test_no_dense_solve_above_crossover(self, above, monkeypatch):
+        # the start values come from one eigvals call on the (m, N+2, N+2)
+        # stack of mode realizations; nothing touches a D-square matrix
+        mat_a, mat_b, k = above
+        shapes, eigvals, eigh = [], np.linalg.eigvals, np.linalg.eigh
+
+        def counted_eigvals(mat):
+            shapes.append(np.shape(mat))
+            return eigvals(mat)
+
+        def counted_eigh(mat):
+            shapes.append(("eigh", np.shape(mat)))
+            return eigh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        nonlinear_eigenvalues_fd(mat_a, mat_b, k)
+        assert shapes == [(100, 4, 4)]
+
+    def test_sweep_cap_falls_back_to_dense(self, above, monkeypatch):
+        mat_a, mat_b, k = above
+        monkeypatch.setattr(pencil, "ABERTH_MIN_SIZE", 10 ** 9)
+        want = nonlinear_eigenvalues_fd(mat_a, mat_b, k)
+        monkeypatch.undo()
+        monkeypatch.setattr(pencil, "ABERTH_SWEEPS", 0)
+        got = nonlinear_eigenvalues_fd(mat_a, mat_b, k)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("spoil", [
+        lambda z: z * (1.0 + 1e-3),
+        lambda z: complex(np.nan, np.nan),
+    ], ids=["shifted", "nan"])
+    def test_spoiled_root_fails_residual(self, above, monkeypatch, spoil):
+        mat_a, mat_b, k = above
+        roots = pencil._aberth_roots
+
+        def spoiled(*args):
+            vals = roots(*args)
+            i = int(np.argmax(np.abs(vals)))
+            vals[i] = spoil(vals[i])
+            return vals
+
+        monkeypatch.setattr(pencil, "_aberth_roots", spoiled)
+        with pytest.raises(RootFindingError):
+            nonlinear_eigenvalues_fd(mat_a, mat_b, k, imag_cap=np.inf)
+
+    def test_residual_blocks_are_bitwise_independent(self, above):
+        # the residual sweep runs in column blocks; each lam's residual is
+        # the same bits in any block of two or more
+        mat_a, mat_b, k = above
+        lam, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k)
+        whole = pencil._residuals(mat_a, mat_b, k, lam)
+        for parts in (2, 7, lam.size // 2):
+            split = np.concatenate([pencil._residuals(mat_a, mat_b, k, part)
+                                    for part in np.array_split(lam, parts)])
+            assert np.array_equal(split, whole)

@@ -251,6 +251,46 @@ class TestModePolynomial:
             want = np.sqrt(alpha * (1.0 - bhat))
             assert abs(abs(pair[0].imag) - want) <= 1e-6 * want
 
+    @pytest.mark.parametrize("side", [1e24, 1e50, 1e100, 1e150])
+    def test_tiny_alpha_pair_against_mpmath(self, k_one, k_two, side):
+        # alpha = pi^2 / side^2 is 1e-47 .. 1e-299: the pair near
+        # +- i sqrt(alpha (1 - bhat sum(a))) is below LAPACK's absolute
+        # accuracy, which returns zeros for it; the solver starts it from
+        # the small-lam model and must meet the 50-digit roots, found in
+        # the scaled variable mu = lam / sqrt(alpha)
+        alpha = np.pi ** 2 / side ** 2
+        for k in (k_one, k_two):
+            for bhat in (0.0, 0.5, 0.75):
+                roots = mode_spectra(k, [alpha], [bhat * alpha])[0]
+                pair = roots[np.abs(roots) < 1e-3]
+                assert len(pair) == 2 and pair[0] == np.conj(pair[1])
+                with mpmath.workdps(50):
+                    scale = mpmath.sqrt(mpmath.mpf(alpha))
+                    a, beta = mpmath.mpf(alpha), mpmath.mpf(bhat * alpha)
+                    terms = [(mpmath.mpf(w) * mpmath.mpf(b), mpmath.mpf(b))
+                             for w, b in zip(k.amplitudes, k.rates)]
+
+                    def symbol(mu):
+                        lam = scale * mu
+                        return (lam * lam + a - beta * mpmath.fsum(
+                            w / (lam + b) for w, b in terms)) / a
+
+                    for z in pair:
+                        mu = mpmath.findroot(symbol, mpmath.mpc(z) / scale)
+                        assert abs(symbol(mu)) <= 1e-40
+                        want = complex(mu * scale)
+                        assert abs(z - want) <= 1e-13 * abs(want)
+
+    def test_huge_alpha_keeps_its_near_pole_roots(self, k_two):
+        # at alpha = 1e16 and up, the two near-pole roots lie far below
+        # eps times the matrix norm, yet LAPACK resolves them; only a pair
+        # the small-lam model puts below eps max(1, b_N) is replaced
+        for alpha in (1e16, 1e20, 1e40):
+            roots = mode_spectra(k_two, [alpha], [0.6 * alpha])[0]
+            want = mpmath_mode_roots(k_two, alpha, 0.6 * alpha, roots)
+            for z, w in zip(roots, want):
+                assert abs(z - complex(w)) <= 1e-13 * abs(w)
+
     def test_wide_rate_mode_roots_against_mpmath(self):
         # N <= 12 terms with rates over 1e-3..1e3, four modes per kernel
         # including beta = 0; the 50-digit roots are pairwise distinct and

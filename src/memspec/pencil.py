@@ -16,7 +16,7 @@ from there on, Ehrlich-Aberth iteration on that polynomial, with p'/p from
 the pivots of T(lam), in O(D^2) time and O(D) memory.  The dense call is
 also the fallback where the iteration does not settle.  Either way, each
 eigenvalue is checked against T(lam) by inverse iteration.  The iteration's
-log-derivative and the check's Thomas sweep run on one pivot recurrence.
+log-derivative and the check's Thomas sweep run on two pivot recurrences.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ MAX_REALIZATION = 2000
 
 #: Smallest realization size 2 n + N r at which the FD route finds the roots
 #: by Ehrlich-Aberth instead of one dense ``eigvals`` call.
-ABERTH_MIN_SIZE = 350
+ABERTH_MIN_SIZE = 225
 
 #: Most Ehrlich-Aberth sweeps before the FD route falls back to ``eigvals``.
 ABERTH_SWEEPS = 100
 
 #: Relative step below which a root stops once its step stops shrinking.
-ABERTH_STALL = 1e-9
+ABERTH_STALL = 1e-11
 
 #: Elements per block of the (grid rows, points) arrays of the
 #: Ehrlich-Aberth sweeps and the residual sweep.
@@ -234,26 +234,24 @@ def stiffness_eigenvalues(a: float, n_points: int, length: float,
     return 4.0 * a / (h * h) * np.sin(angle) ** 2
 
 
-def _tridiagonal_pivots(lower, diag, upper, slopes=None):
+def _tridiagonal_pivots(lower, diag, upper, tiny=None):
     """Pivots of the LU factorization without row exchanges of tridiagonal
     matrices stacked along axis 1, one matrix per column, and the
     multipliers: piv_0 = diag_0, mult_i = lower_i / piv_i and
-    piv_(i+1) = diag_(i+1) - mult_i upper_i.  With ``slopes``, the
-    derivatives (lower', diag', upper') of the entries in lam, the pivots'
-    derivatives come too.  A block of rows continues a longer matrix when
-    its first diag row holds the pivot of the row before (and its first
-    slope row that pivot's derivative).
+    piv_(i+1) = diag_(i+1) - mult_i upper_i.  With ``tiny``, one value per
+    column, a pivot that comes out exactly zero is replaced by it before it
+    is used, as LAPACK's dlagts perturbs a singular factor for inverse
+    iteration.
     """
     piv, mult = diag.copy(), np.empty_like(lower)
-    if slopes is not None:
-        d_lower, d_piv, d_upper = slopes[0], slopes[1].copy(), slopes[2]
     for i in range(1, diag.shape[0]):
+        if tiny is not None:
+            np.copyto(piv[i - 1], tiny, where=piv[i - 1] == 0.0)
         mult[i - 1] = lower[i - 1] / piv[i - 1]
         piv[i] -= mult[i - 1] * upper[i - 1]
-        if slopes is not None:
-            d_mult = (d_lower[i - 1] - mult[i - 1] * d_piv[i - 1]) / piv[i - 1]
-            d_piv[i] -= d_mult * upper[i - 1] + mult[i - 1] * d_upper[i - 1]
-    return (piv, mult) if slopes is None else (piv, mult, d_piv)
+    if tiny is not None:
+        np.copyto(piv[-1], tiny, where=piv[-1] == 0.0)
+    return piv, mult
 
 
 def _damping_rank(mat_b) -> int:
@@ -272,8 +270,9 @@ def _damping_rank(mat_b) -> int:
 
 def _log_derivative(z, mat_a, mat_b, k: ExponentialKernel, rank: int):
     """p'/p at the points z for p(lam) = det T(lam) prod_j (lam + b_j)^rank,
-    from the pivots of T(lam) and their derivatives, in blocks of rows so
-    that no (m, len(z)) array is built."""
+    from the pivots of the symmetric T(lam), piv_(i+1) = d_(i+1) - q with
+    q = o_i^2 / piv_i, and piv'_(i+1) = d'_(i+1) - (2 o_i o'_i - q piv'_i) /
+    piv_i, in blocks of rows so that no (m, len(z)) array is built."""
     rates = np.asarray(k.rates)
     inv = 1.0 / np.add.outer(rates, z)
     khat, d_khat = np.zeros_like(z), np.zeros_like(z)
@@ -281,27 +280,27 @@ def _log_derivative(z, mat_a, mat_b, k: ExponentialKernel, rank: int):
         khat += w * row
         d_khat -= w * row * row
     total = rank * np.sum(inv, axis=0)
-    (al, ad), (bl, bd) = ((np.diagonal(mat, 1), np.diagonal(mat))
-                          for mat in (mat_a, mat_b))
+    # o_i couples rows i - 1 and i; row 0 follows an uncoupled piv = 1
+    (al, ad), (bl, bd) = ((np.concatenate(([0.0], np.diagonal(mat, 1))),
+                           np.diagonal(mat)) for mat in (mat_a, mat_b))
     rows = max(8, ROW_BLOCK // max(z.size, 1))
-    piv = d_piv = None
+    piv, d_piv = np.ones_like(z), np.zeros_like(z)
+    q, t = np.empty_like(z), np.empty_like(z)
     for start in range(0, ad.size, rows):
         block = slice(start, start + rows)
         diag = ad[block, None] - khat * bd[block, None] + z * z
         d_diag = 2.0 * z - d_khat * bd[block, None]
-        if piv is not None:  # continue from the last pivot
-            couple = slice(start - 1, start + rows - 1)
-            diag = np.vstack((piv, diag))
-            d_diag = np.vstack((d_piv, d_diag))
-        else:
-            couple = slice(start, start + rows - 1)
-        off = al[couple, None] - khat * bl[couple, None]
-        d_off = -d_khat * bl[couple, None]
-        pivs, _, d_pivs = _tridiagonal_pivots(off, diag, off,
-                                              (d_off, d_diag, d_off))
-        fresh = slice(0 if start == 0 else 1, None)
-        total += np.sum(d_pivs[fresh] / pivs[fresh], axis=0)
-        piv, d_piv = pivs[-1:], d_pivs[-1:]
+        off = al[block, None] - khat * bl[block, None]
+        off_sq = off * off
+        d_off_sq = -2.0 * d_khat * bl[block, None] * off
+        for o_sq, d_o_sq, d, d_d in zip(off_sq, d_off_sq, diag, d_diag):
+            np.divide(o_sq, piv, q)
+            np.multiply(q, d_piv, t)
+            np.subtract(d_o_sq, t, t)
+            np.divide(t, piv, t)
+            piv = np.subtract(d, q, d)
+            d_piv = np.subtract(d_d, t, d_d)
+        total += np.sum(d_diag / diag, axis=0)
     return total
 
 
@@ -339,8 +338,9 @@ def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int):
             z, real = moved[active], active < n_real
             near = np.empty_like(z)
             # real points take real arithmetic, which costs less
-            near[real] = _log_derivative(z[real].real, mat_a, mat_b, k, rank)
-            near[~real] = _log_derivative(z[~real], mat_a, mat_b, k, rank)
+            for half, points in ((real, z[real].real), (~real, z[~real])):
+                if points.size:
+                    near[half] = _log_derivative(points, mat_a, mat_b, k, rank)
             rows = max(1, ROW_BLOCK // roots.size)
             for start in range(0, z.size, rows):
                 part = slice(start, start + rows)
@@ -381,6 +381,13 @@ def _residuals(mat_a, mat_b, k: ExponentialKernel, lam):
                               for d in (-1, 0, 1))
         diag = diag + lam * lam
         piv, mult = _tridiagonal_pivots(lower, diag, upper)
+        # columns with an exactly zero pivot (lam an eigenvalue to the last
+        # bit) are factored again with it raised to eps max |T(lam)|
+        zero = ~np.all(piv, axis=0)  # a NaN pivot is not zero
+        if zero.any():
+            part = (lower[:, zero], diag[:, zero], upper[:, zero])
+            tiny = _EPS * np.abs(np.concatenate(part)).max(axis=0)
+            piv[:, zero], mult[:, zero] = _tridiagonal_pivots(*part, tiny)
         for _ in range(2):
             u = u / np.linalg.norm(u, axis=0)
             for i in range(1, m):
@@ -422,8 +429,8 @@ def nonlinear_eigenvalues_fd(mat_a: np.ndarray, mat_b: np.ndarray,
     fixed random start (a symmetric start would miss the odd modes of a
     symmetric profile), as one Thomas sweep over all lam.  Each residual
     ||T(lam) u|| / ||u|| must stay below 1e-6 ||A||_inf, or RootFindingError
-    is raised; a NaN eigenvalue or a zero pivot gives a non-finite residual,
-    which fails too.
+    is raised; a NaN eigenvalue fails too, but a pivot that is exactly zero
+    is raised to eps max |T(lam)| first, as LAPACK's inverse iteration does.
     """
     m = mat_a.shape[0]
     if (k.n_terms + 2) * m > MAX_REALIZATION:
@@ -432,7 +439,8 @@ def nonlinear_eigenvalues_fd(mat_a: np.ndarray, mat_b: np.ndarray,
             f"{MAX_REALIZATION}"
         )
     for name, mat in (("mat_a", mat_a), ("mat_b", mat_b)):
-        if np.triu(mat, 2).any() or np.tril(mat, -2).any():
+        if np.count_nonzero(mat) != sum(
+                np.count_nonzero(np.diagonal(mat, d)) for d in (-1, 0, 1)):
             raise ValueError(f"{name} must be tridiagonal")
     vals = None
     if (k.n_terms + 2) * m >= ABERTH_MIN_SIZE:  # D <= (N+2) m

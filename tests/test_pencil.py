@@ -7,7 +7,8 @@ determinant rather than through any shared eigensolver.  The FD route is
 checked against the modal route, 50-digit mode roots, and the full
 eigendecomposition of a realization written out in the test; its
 Ehrlich-Aberth source is checked against one dense eigvals call on the
-realization, on seeded graded problems and the benchmark's two-term anchor.
+realization, on seeded graded problems and the benchmark's two-term anchor,
+and its log-derivative against a dense trace.
 """
 
 import mpmath
@@ -312,11 +313,11 @@ def _assert_real_or_conjugate_closed(roots):
             == np.count_nonzero(roots.imag < 0.0))
 
 
-def _graded_config(rng, max_size):
+def _graded_config(rng, max_size, min_size=0):
     """A graded 1D problem like the benchmark's FD calls: N = 1-3 terms,
     rates in [0.2, 5], a piecewise linear profile of 2-5 samples, one in
     six vanishing between two adjacent samples (so r < n), realization
-    size up to max_size."""
+    size (N+2) n from min_size (or n = 3) up to max_size."""
     n_terms = int(rng.integers(1, 4))
     rates = np.sort(rng.uniform(0.2, 1.3 if n_terms == 1 else 5.0, n_terms))
     amps = rng.uniform(0.2, 1.0, n_terms)
@@ -327,7 +328,8 @@ def _graded_config(rng, max_size):
     if rng.uniform() < 1.0 / 6.0:
         start = rng.integers(samples.size - 1)
         samples[start:start + 2] = 0.0
-    n = int(rng.integers(3, max_size // (n_terms + 2) + 1))
+    n = int(rng.integers(max(3, -(-min_size // (n_terms + 2))),
+                         max_size // (n_terms + 2) + 1))
     a = rng.uniform(0.5, 2.0)
     nodes = np.arange(1, n + 1) / (n + 1)
     profile = np.interp(nodes, np.linspace(0.0, 1.0, samples.size), samples)
@@ -446,3 +448,114 @@ class TestAberthFd:
             split = np.concatenate([pencil._residuals(mat_a, mat_b, k, part)
                                     for part in np.array_split(lam, parts)])
             assert np.array_equal(split, whole)
+
+    def test_public_path_fuzz_above_crossover(self):
+        # graded configs with D from the crossover to 600, through
+        # nonlinear_eigenvalues_fd and its residual check
+        rng = np.random.default_rng(77)
+        tried = 0
+        while tried < 30:
+            k, mat_a, mat_b = _graded_config(rng, 600, pencil.ABERTH_MIN_SIZE)
+            size = 2 * mat_a.shape[0] + k.n_terms * pencil._damping_rank(mat_b)
+            if size < pencil.ABERTH_MIN_SIZE:
+                continue
+            tried += 1
+            got, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k,
+                                              imag_cap=np.inf)
+            want = _dense_realization_eigvals(mat_a, mat_b, k)
+            assert len(got) == len(want) == size
+            assert _relative_hausdorff(got, want) <= 1e-11
+            assert (np.count_nonzero(got.imag == 0.0)
+                    == np.count_nonzero(want.imag == 0.0))
+
+    def test_real_cluster_settles(self):
+        # a nearly constant profile: all 162 roots of one real cluster lie
+        # within 0.05 of -3.738, where a looser stop gate left them 2e-6
+        # from the dense eigenvalues
+        k = ExponentialKernel((0.13195, 0.06060), (2.97946, 3.81311))
+        n = 162
+        x = np.arange(1, n + 1) / (n + 1)
+        mat_a, mat_b = discretize_1d(
+            0.62189, np.interp(x, [0, 1], [0.3932, 0.3915]), n)
+        got, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k, imag_cap=np.inf)
+        want = _dense_realization_eigvals(mat_a, mat_b, k)
+        assert len(got) == len(want) == 4 * n >= pencil.ABERTH_MIN_SIZE
+        assert np.count_nonzero(np.abs(want + 3.738) < 0.05) == n
+        assert _relative_hausdorff(got, want) <= 1e-11
+        assert (np.count_nonzero(got.imag == 0.0)
+                == np.count_nonzero(want.imag == 0.0))
+        assert np.all(res <= 1e-6 * np.linalg.norm(mat_a, np.inf))
+
+
+@pytest.mark.parametrize("row_block", [pencil.ROW_BLOCK, 1],
+                         ids=["one-block", "blocks-of-8"])
+@pytest.mark.parametrize("vanishing", [False, True],
+                         ids=["full-rank", "rank-deficient"])
+def test_log_derivative_matches_dense_trace(k_two, monkeypatch, row_block,
+                                            vanishing):
+    # p'/p = tr(T(z)^-1 T'(z)) + r sum_j 1 / (z + b_j), with
+    # T' = 2 z - Khat'(z) A_b, solved densely
+    n = 30
+    x = np.arange(1, n + 1) / (n + 1)
+    profile = 0.8 * np.clip(x - 0.4, 0.0, None) if vanishing \
+        else np.interp(x, [0, 1], [0.5, 0.75])
+    mat_a, mat_b = discretize_1d(1.3, profile, n)
+    rank = pencil._damping_rank(mat_b)
+    assert (rank < n) == vanishing
+    monkeypatch.setattr(pencil, "ROW_BLOCK", row_block)
+    amps, rates = np.array(k_two.amplitudes), np.array(k_two.rates)
+    for z in (np.array([-0.37, 0.8, 2.5, -20.0]),
+              np.array([-0.3 + 4.1j, 1.0 - 0.5j, -2.2 + 30.0j])):
+        got = pencil._log_derivative(z, mat_a, mat_b, k_two, rank)
+        want = []
+        for point in z:
+            khat = np.sum(amps * rates / (point + rates))
+            d_khat = -np.sum(amps * rates / (point + rates) ** 2)
+            t = point * point * np.eye(n) + mat_a - khat * mat_b
+            d_t = 2.0 * point * np.eye(n) - d_khat * mat_b
+            want.append(np.trace(np.linalg.solve(t, d_t))
+                        + rank * np.sum(1.0 / (point + rates)))
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
+class TestZeroPivot:
+    """A lam that makes a pivot of T(lam) exactly zero is an eigenvalue to
+    the last bit; its residual is small, not NaN."""
+
+    def test_exact_root_at_crossover(self):
+        # a generated benchmark call (N = 3, n = 45, D = 225) whose
+        # Ehrlich-Aberth root -0.174005 + 28.1203i zeroes the last pivot
+        k = ExponentialKernel(
+            (0.30010658767552184, 0.8168509792213341, 0.5548651427615245),
+            (0.22130533567438068, 0.9831100132348057, 1.333146315300447))
+        n = 45
+        x = np.arange(1, n + 1) / (n + 1)
+        mat_a, mat_b = discretize_1d(
+            1.5603691151361443,
+            np.interp(x, [0, 1], [0.15740048866714862, 0.27547873648587695]),
+            n, 1.4989768263038783)
+        lam = complex(float.fromhex("-0x1.645cbf9174140p-3"),
+                      float.fromhex("0x1.c1ec99af2e438p+4"))
+        pair = np.array([lam, lam.conjugate()])
+        khat = k.laplace(pair)
+        diag, off = (np.diagonal(mat_a, d)[:, None]
+                     - khat * np.diagonal(mat_b, d)[:, None] for d in (0, 1))
+        diag = diag + pair * pair
+        piv, _ = pencil._tridiagonal_pivots(off, diag, off)
+        assert np.all(piv[-1] == 0.0)
+        res = pencil._residuals(mat_a, mat_b, k, pair)
+        assert np.all(res <= 1e-9 * np.linalg.norm(mat_a, np.inf))
+        assert 2 * n + 3 * n >= pencil.ABERTH_MIN_SIZE
+        _, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k)
+        assert np.all(res <= 1e-6 * np.linalg.norm(mat_a, np.inf))
+
+    def test_first_pivot_zero_and_other_columns_unchanged(self, k_two):
+        # h = 1 and a = 2: A - 4 I has a zero first pivot, and lam = 2i
+        # gives lam^2 = -4 exactly; A_b = 0, so T(2i) = A - 4 I
+        mat_a, mat_b = discretize_1d(2.0, np.zeros(3), 3, 4.0)
+        others = np.array([0.3 + 2.5j, 0.3 - 2.5j])
+        res = pencil._residuals(mat_a, mat_b, k_two,
+                                np.concatenate(([2j, -2j], others)))
+        assert np.all(res[:2] <= 1e-14)
+        assert np.array_equal(res[2:],
+                              pencil._residuals(mat_a, mat_b, k_two, others))

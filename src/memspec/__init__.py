@@ -20,6 +20,7 @@ from .errors import (
 from .kernel import ExponentialKernel
 from .pencil import (
     ModePencil,
+    SymTridiagonal,
     discretize_1d,
     nonlinear_eigenvalues_fd,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "PoleProximityError",
     "RealPolynomial",
     "RootFindingError",
+    "SymTridiagonal",
     "boundary_cloud",
     "cleared_mode_polynomial",
     "discretize_1d",

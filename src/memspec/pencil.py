@@ -8,15 +8,16 @@ realization with A = [[alpha]], F = [[sqrt(beta)]], whose characteristic
 polynomial is the cleared mode polynomial up to the sign (-1)^(N+2).
 
 The 1D finite-difference route for graded damping wants the eigenvalues of
-the same realization with the FD stencils, the D = 2 n + N r roots of
-det T(lam) prod_j (lam + b_j)^r for the tridiagonal
-T(lam) = lam^2 + A - Khat(lam) A_b of rank-r damping.  Two sources give
-them.  Below ABERTH_MIN_SIZE, one dense ``eigvals`` call on the realization;
-from there on, Ehrlich-Aberth iteration on that polynomial, with p'/p from
-the pivots of T(lam), in O(D^2) time and O(D) memory.  The dense call is
-also the fallback where the iteration does not settle.  Either way, each
-eigenvalue is checked against T(lam) by inverse iteration.  The iteration's
-log-derivative and the check's Thomas sweep run on two pivot recurrences.
+the same realization with the banded FD stencils (:class:`SymTridiagonal`),
+the D = 2 n + N r roots of det T(lam) prod_j (lam + b_j)^r for the
+tridiagonal T(lam) = lam^2 + A - Khat(lam) A_b of rank-r damping.  Two
+sources give them.  Below ABERTH_MIN_SIZE, one dense ``eigvals`` call on the
+realization; from there on, Ehrlich-Aberth iteration on that polynomial,
+with p'/p from the pivots of T(lam), in O(D^2) time and O(D) memory.  The
+dense call is also the fallback where the iteration does not settle.  Either
+way, each eigenvalue is checked against T(lam) by inverse iteration.  The
+iteration's log-derivative and the check's Thomas sweep run on two pivot
+recurrences.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ ABERTH_SWEEPS = 100
 ABERTH_STALL = 1e-11
 
 #: Elements per block of the (grid rows, points) arrays of the
-#: Ehrlich-Aberth sweeps and the residual sweep.
+#: Ehrlich-Aberth sweeps and the complex residual sweep; the float64
+#: residual sweep takes twice as many, in the same bytes.
 ROW_BLOCK = 1 << 16
 
 
@@ -191,8 +193,33 @@ class ModePencil:
         return np.concatenate(([lam * v23[0]], v23))
 
 
-def discretize_1d(a: float, b_values, n_points: int,
-                  length: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class SymTridiagonal:
+    """Symmetric tridiagonal n x n matrix as its bands: the diagonal ``diag``
+    (n entries) and the off-diagonal ``off`` (n - 1), above and below."""
+
+    diag: np.ndarray
+    off: np.ndarray
+
+    def __post_init__(self):
+        for name in ("diag", "off"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name),
+                                                      dtype=float))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.diag), len(self.diag))
+
+    def toarray(self) -> np.ndarray:
+        return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
+
+    def norm_inf(self) -> float:
+        off = np.abs(np.concatenate(([0.0], self.off, [0.0])))
+        return float(np.max(off[:-1] + np.abs(self.diag) + off[1:]))
+
+
+def discretize_1d(a: float, b_values, n_points: int, length: float = 1.0
+                  ) -> tuple[SymTridiagonal, SymTridiagonal]:
     """Three-point Dirichlet stencils (A, A_b) on a uniform interior grid.
 
     ``b_values`` holds the damping profile at the interior nodes; face values
@@ -211,17 +238,14 @@ def discretize_1d(a: float, b_values, n_points: int,
         raise ValueError("profile values must be finite and nonnegative")
     h = length / (n_points + 1)
     w = a / (h * h)
-    main = np.full(n_points, 2.0 * w)
-    off = np.full(n_points - 1, -w)
-    mat_a = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    mat_a = SymTridiagonal(np.full(n_points, 2.0 * w),
+                           np.full(n_points - 1, -w))
     faces = np.empty(n_points + 1)
     faces[0] = b_values[0]
     faces[-1] = b_values[-1]
     faces[1:-1] = 0.5 * (b_values[:-1] + b_values[1:])
-    main_b = w * (faces[:-1] + faces[1:])
-    off_b = -w * faces[1:-1]
-    mat_b = np.diag(main_b) + np.diag(off_b, 1) + np.diag(off_b, -1)
-    return mat_a, mat_b
+    return mat_a, SymTridiagonal(w * (faces[:-1] + faces[1:]),
+                                 -w * faces[1:-1])
 
 
 def stiffness_eigenvalues(a: float, n_points: int, length: float,
@@ -234,37 +258,34 @@ def stiffness_eigenvalues(a: float, n_points: int, length: float,
     return 4.0 * a / (h * h) * np.sin(angle) ** 2
 
 
-def _tridiagonal_pivots(lower, diag, upper, tiny=None):
-    """Pivots of the LU factorization without row exchanges of tridiagonal
-    matrices stacked along axis 1, one matrix per column, and the
-    multipliers: piv_0 = diag_0, mult_i = lower_i / piv_i and
-    piv_(i+1) = diag_(i+1) - mult_i upper_i.  With ``tiny``, one value per
-    column, a pivot that comes out exactly zero is replaced by it before it
-    is used, as LAPACK's dlagts perturbs a singular factor for inverse
-    iteration.
+def _tridiagonal_pivots(off, piv, tiny=None, divide=np.divide):
+    """Pivots of the LU factorization without row exchanges of symmetric
+    tridiagonal matrices stacked along axis 1, one matrix per column:
+    piv_0 = diag_0 and piv_(i+1) = diag_(i+1) - (off_i / piv_i) off_i, the
+    quotient by ``divide``, with ``piv`` holding the diagonal on entry and
+    the pivots on return.  With ``tiny``, one value per column, a pivot that
+    comes out exactly zero is replaced by it before it is used, as LAPACK's
+    dlagts perturbs a singular factor for inverse iteration.
     """
-    piv, mult = diag.copy(), np.empty_like(lower)
-    for i in range(1, diag.shape[0]):
+    mult = np.empty_like(piv[0])
+    for i in range(1, piv.shape[0]):
         if tiny is not None:
             np.copyto(piv[i - 1], tiny, where=piv[i - 1] == 0.0)
-        mult[i - 1] = lower[i - 1] / piv[i - 1]
-        piv[i] -= mult[i - 1] * upper[i - 1]
+        piv[i] -= divide(off[i - 1], piv[i - 1], mult) * off[i - 1]
     if tiny is not None:
         np.copyto(piv[-1], tiny, where=piv[-1] == 0.0)
-    return piv, mult
+    return piv
 
 
-def _damping_rank(mat_b) -> int:
+def _damping_rank(mat_b: SymTridiagonal) -> int:
     """Eigenvalues of the symmetric tridiagonal A_b above
     m * eps * ||A_b||_inf, by the inertia of the pivots of A_b minus that
     level (Sturm count); the level bounds the one the dense route sets with
     the largest eigenvalue."""
-    m = mat_b.shape[0]
-    off = np.diagonal(mat_b, 1)[:, None]
-    level = m * _EPS * np.linalg.norm(mat_b, np.inf)
+    level = mat_b.shape[0] * _EPS * mat_b.norm_inf()
     with np.errstate(all="ignore"):
-        piv, _ = _tridiagonal_pivots(off, np.diagonal(mat_b)[:, None] - level,
-                                     off)
+        piv = _tridiagonal_pivots(mat_b.off[:, None],
+                                  mat_b.diag[:, None] - level)
     return int(np.count_nonzero(piv > 0.0))
 
 
@@ -281,18 +302,23 @@ def _log_derivative(z, mat_a, mat_b, k: ExponentialKernel, rank: int):
         d_khat -= w * row * row
     total = rank * np.sum(inv, axis=0)
     # o_i couples rows i - 1 and i; row 0 follows an uncoupled piv = 1
-    (al, ad), (bl, bd) = ((np.concatenate(([0.0], np.diagonal(mat, 1))),
-                           np.diagonal(mat)) for mat in (mat_a, mat_b))
+    (al, ad), (bl, bd) = ((np.concatenate(([0.0], mat.off))[:, None],
+                           mat.diag[:, None]) for mat in (mat_a, mat_b))
     rows = max(8, ROW_BLOCK // max(z.size, 1))
+    z_sq, z_2, d_khat_2 = z * z, 2.0 * z, -2.0 * d_khat
     piv, d_piv = np.ones_like(z), np.zeros_like(z)
     q, t = np.empty_like(z), np.empty_like(z)
+    bufs = np.empty((4, min(rows, ad.size)) + z.shape, z.dtype)
     for start in range(0, ad.size, rows):
         block = slice(start, start + rows)
-        diag = ad[block, None] - khat * bd[block, None] + z * z
-        d_diag = 2.0 * z - d_khat * bd[block, None]
-        off = al[block, None] - khat * bl[block, None]
-        off_sq = off * off
-        d_off_sq = -2.0 * d_khat * bl[block, None] * off
+        diag, d_diag, off_sq, d_off_sq = bufs[:, :ad[block].size]
+        np.subtract(ad[block], np.multiply(khat, bd[block], diag), diag)
+        diag += z_sq
+        np.subtract(z_2, np.multiply(d_khat, bd[block], d_diag), d_diag)
+        np.subtract(al[block], np.multiply(khat, bl[block], off_sq), off_sq)
+        np.multiply(np.multiply(d_khat_2, bl[block], d_off_sq), off_sq,
+                    d_off_sq)
+        off_sq *= off_sq
         for o_sq, d_o_sq, d, d_d in zip(off_sq, d_off_sq, diag, d_diag):
             np.divide(o_sq, piv, q)
             np.multiply(q, d_piv, t)
@@ -300,7 +326,8 @@ def _log_derivative(z, mat_a, mat_b, k: ExponentialKernel, rank: int):
             np.divide(t, piv, t)
             piv = np.subtract(d, q, d)
             d_piv = np.subtract(d_d, t, d_d)
-        total += np.sum(d_diag / diag, axis=0)
+        piv, d_piv = piv.copy(), d_piv.copy()  # out of the reused rows
+        total += np.sum(np.divide(d_diag, diag, d_diag), axis=0)
     return total
 
 
@@ -320,9 +347,9 @@ def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int):
     below two ulps of z.  The starts give D roots, so the count is D.
     """
     m = mat_a.shape[0]
-    alpha = stiffness_eigenvalues(0.5 * mat_a[0, 0], m, m + 1,
+    alpha = stiffness_eigenvalues(0.5 * mat_a.diag[0], m, m + 1,
                                   np.arange(1, m + 1))
-    profile = np.sort(np.diagonal(mat_b) / np.diagonal(mat_a))
+    profile = np.sort(mat_b.diag / mat_a.diag)
     profile[:m - rank] = 0.0
     try:
         starts, _ = mode_spectra(k, alpha, profile * alpha)
@@ -346,7 +373,7 @@ def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int):
                 part = slice(start, start + rows)
                 diff = z[part, None] - roots
                 diff[np.arange(diff.shape[0]), active[part]] = np.inf
-                near[part] -= np.sum(1.0 / diff, axis=1)
+                near[part] -= np.sum(np.divide(1.0, diff, diff), axis=1)
             step = 1.0 / near
             step[real] = step[real].real
             # a zero pivot (at a root to the last bit, or by chance) makes
@@ -369,68 +396,80 @@ def _residuals(mat_a, mat_b, k: ExponentialKernel, lam):
     symmetric start would miss the odd modes of a symmetric profile), as one
     Thomas sweep over all lam.  Each lam's column is computed on its own, so
     the values do not depend on the other lam beside it, as long as there
-    are at least two (a single column would be summed pairwise)."""
-    m = mat_a.shape[0]
+    are at least two (a single column would be summed pairwise).  Real lam
+    run in float64 with x / y as x * (1 / y), as complex division computes
+    it at Im = 0, so they give the complex sweep's values bit for bit."""
+    m, real = mat_a.shape[0], not np.iscomplexobj(lam)
+    divide = (lambda x, y, out=None: np.multiply(x, 1.0 / y, out)) if real \
+        else np.divide
     u = np.outer(np.random.default_rng(0).standard_normal(m),
                  np.ones_like(lam))
     with np.errstate(all="ignore"):
-        # T(lam) with the grid along the rows and one lam per column
-        khat = k.laplace(lam)
-        lower, diag, upper = (np.diagonal(mat_a, d)[:, None]
-                              - khat * np.diagonal(mat_b, d)[:, None]
-                              for d in (-1, 0, 1))
-        diag = diag + lam * lam
-        piv, mult = _tridiagonal_pivots(lower, diag, upper)
+        # T(lam) with the grid along the rows and one lam per column; a pole
+        # is named by its complex lam either way
+        khat = k.laplace(lam.astype(complex))
+        khat = khat.real if real else khat
+
+        def diag(cols=slice(None), out=None):  # built in place
+            out = np.multiply(khat[cols], mat_b.diag[:, None], out)
+            out = np.subtract(mat_a.diag[:, None], out, out)
+            return np.add(out, lam[cols] * lam[cols], out)
+
+        off = mat_a.off[:, None] - khat * mat_b.off[:, None]
+        piv = _tridiagonal_pivots(off, diag(), divide=divide)
         # columns with an exactly zero pivot (lam an eigenvalue to the last
         # bit) are factored again with it raised to eps max |T(lam)|
         zero = ~np.all(piv, axis=0)  # a NaN pivot is not zero
         if zero.any():
-            part = (lower[:, zero], diag[:, zero], upper[:, zero])
+            part = (off[:, zero], diag(zero))
             tiny = _EPS * np.abs(np.concatenate(part)).max(axis=0)
-            piv[:, zero], mult[:, zero] = _tridiagonal_pivots(*part, tiny)
+            piv[:, zero] = _tridiagonal_pivots(*part, tiny, divide)
+        if real:  # the sweeps multiply by 1 / piv
+            piv, divide = np.divide(1.0, piv, piv), np.multiply
+        mult = divide(off, piv[:-1])
         for _ in range(2):
-            u = u / np.linalg.norm(u, axis=0)
+            # u / ||u|| to the bit: complex division by a real y is * (1 / y)
+            u *= 1.0 / np.linalg.norm(u, axis=0)
             for i in range(1, m):
                 u[i] -= mult[i - 1] * u[i - 1]
-            u[-1] /= piv[-1]
+            divide(u[-1], piv[-1], u[-1])
             for i in range(m - 2, -1, -1):
-                u[i] = (u[i] - upper[i] * u[i + 1]) / piv[i]
-        t_u = diag * u
-        t_u[1:] += lower * u[:-1]
-        t_u[:-1] += upper * u[1:]
+                np.subtract(u[i], off[i] * u[i + 1], u[i])
+                divide(u[i], piv[i], u[i])
+        t_u = np.multiply(diag(out=piv), u, piv)  # T u, in the LU's buffers
+        t_u[1:] += np.multiply(off, u[:-1], mult)
+        t_u[:-1] += np.multiply(off, u[1:], mult)
         return np.linalg.norm(t_u, axis=0) / np.linalg.norm(u, axis=0)
 
 
-def nonlinear_eigenvalues_fd(mat_a: np.ndarray, mat_b: np.ndarray,
+def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
                              k: ExponentialKernel,
                              imag_cap: float = 50.0
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Spectrum of T(lam) = lam^2 + A - Khat(lam) A_b from the
     memory-variable realization, as (lam, residual) sorted by (re, im).
 
-    ``mat_a`` and ``mat_b`` must be the symmetric tridiagonal stencils of
-    :func:`discretize_1d`; a nonzero beyond the first off-diagonal raises
-    ValueError.  The realization uses A_b = F^T F with F of full row rank r,
-    the number of eigenvalues of A_b above m * eps times its largest, so no
-    eigenvalue (size at most (N+2) m <= MAX_REALIZATION) sits at a pole.
-    Its D = 2 m + N r eigenvalues come from one of two sources:
+    ``mat_a`` and ``mat_b`` are the :class:`SymTridiagonal` stencils of
+    :func:`discretize_1d`; a band of the wrong length or with a non-finite
+    entry raises ValueError.  The realization uses A_b = F^T F with F of full
+    row rank r, the number of eigenvalues of A_b above m * eps times its
+    largest, so no eigenvalue (size at most (N+2) m <= MAX_REALIZATION) sits
+    at a pole.  Its D = 2 m + N r eigenvalues come from one of two sources:
 
     - D below ABERTH_MIN_SIZE: F = sqrt(D) V^T from the eigendecomposition
-      of A_b, and one ``np.linalg.eigvals`` call on the dense realization,
-      with no eigenvector;
+      of the dense A_b, and one ``np.linalg.eigvals`` call on the dense
+      realization, with no eigenvector;
     - D from ABERTH_MIN_SIZE on: r by a Sturm count on A_b, and the roots of
       det T(lam) prod_j (lam + b_j)^r by Ehrlich-Aberth
-      (:func:`_aberth_roots`); where they do not settle within
-      ABERTH_SWEEPS sweeps, the dense source runs instead.
+      (:func:`_aberth_roots`) on the bands alone; where they do not settle
+      within ABERTH_SWEEPS sweeps, the dense source runs instead.
 
     Real eigenvalues are exactly real and the others come in exact
-    conjugate pairs from both.  For each lam with |Im| <= imag_cap, u comes
-    from two steps of inverse iteration on the tridiagonal T(lam), from a
-    fixed random start (a symmetric start would miss the odd modes of a
-    symmetric profile), as one Thomas sweep over all lam.  Each residual
-    ||T(lam) u|| / ||u|| must stay below 1e-6 ||A||_inf, or RootFindingError
-    is raised; a NaN eigenvalue fails too, but a pivot that is exactly zero
-    is raised to eps max |T(lam)| first, as LAPACK's inverse iteration does.
+    conjugate pairs from both.  For each lam with |Im| <= imag_cap, the
+    residual ||T(lam) u|| / ||u|| of :func:`_residuals` must stay below
+    1e-6 ||A||_inf, or RootFindingError is raised; a NaN eigenvalue fails
+    too, but a pivot that is exactly zero is raised to eps max |T(lam)|
+    first, as LAPACK's inverse iteration does.
     """
     m = mat_a.shape[0]
     if (k.n_terms + 2) * m > MAX_REALIZATION:
@@ -439,27 +478,36 @@ def nonlinear_eigenvalues_fd(mat_a: np.ndarray, mat_b: np.ndarray,
             f"{MAX_REALIZATION}"
         )
     for name, mat in (("mat_a", mat_a), ("mat_b", mat_b)):
-        if np.count_nonzero(mat) != sum(
-                np.count_nonzero(np.diagonal(mat, d)) for d in (-1, 0, 1)):
-            raise ValueError(f"{name} must be tridiagonal")
+        if not (isinstance(mat, SymTridiagonal) and np.shape(mat.diag) == (m,)
+                and np.shape(mat.off) == (m - 1,)
+                and np.isfinite(np.concatenate((mat.diag, mat.off))).all()):
+            raise ValueError(f"{name} must be a SymTridiagonal of {m} rows "
+                             f"with finite bands")
     vals = None
     if (k.n_terms + 2) * m >= ABERTH_MIN_SIZE:  # D <= (N+2) m
         rank = _damping_rank(mat_b)
         if 2 * m + k.n_terms * rank >= ABERTH_MIN_SIZE:
             vals = _aberth_roots(mat_a, mat_b, k, rank)
     if vals is None:
-        damp, vecs = np.linalg.eigh(mat_b)
+        damp, vecs = np.linalg.eigh(mat_b.toarray())
         keep = damp > m * np.finfo(float).eps * damp.max(initial=0.0)
         factor = np.sqrt(damp[keep])[:, None] * vecs[:, keep].T
-        vals = np.linalg.eigvals(k.realization(mat_a, factor)).astype(complex)
+        vals = np.linalg.eigvals(
+            k.realization(mat_a.toarray(), factor)).astype(complex)
     lam = vals[~(np.abs(vals.imag) > imag_cap)]  # a NaN stays, and fails
-    # near-equal column blocks, of two lam or more where there are two,
-    # bound the sweep's arrays
+    # near-equal blocks of ROW_BLOCK // m complex or twice as many real
+    # columns, of two lam or more where there are two, bound the sweep's
+    # arrays; beyond one block, two or more real lam take their own
     cols = max(4, ROW_BLOCK // m)
-    res = np.concatenate([
-        _residuals(mat_a, mat_b, k, part)
-        for part in np.array_split(lam, max(1, -(-lam.size // cols)))])
-    bound = 1e-6 * float(np.linalg.norm(mat_a, np.inf))
+    real = lam.imag == 0.0
+    real &= (lam.size > cols) & (np.count_nonzero(real) > 1)
+    res = np.empty(lam.size)
+    for half, part in ((real, lam[real].real), (~real, lam[~real])):
+        if part.size:
+            res[half] = np.concatenate([
+                _residuals(mat_a, mat_b, k, block) for block in np.array_split(
+                    part, -(-part.itemsize * part.size // (16 * cols)))])
+    bound = 1e-6 * mat_a.norm_inf()
     if not np.all(res <= bound):
         raise RootFindingError(
             f"fd eigenvalues {lam[~(res <= bound)]} have residuals above "

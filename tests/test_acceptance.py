@@ -92,7 +92,7 @@ def fd_example():
     n = 60
     mat_a, mat_b = discretize_1d(1.0, np.full(n, 0.5), n)
     lam, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, K_WAVE, imag_cap=np.inf)
-    return mat_a, lam
+    return mat_a.toarray(), lam
 
 
 @criterion(1, "graded one-term region")

@@ -549,7 +549,7 @@ def test_stiffness_closed_form_matches_stencil(config):
     mat_a, _ = discretize_1d(1.7, np.full(40, 0.3), 40, 2.5)
     got = stiffness_eigenvalues(spec.coefficient_a, spec.domain.grid_points,
                                 spec.domain.length, np.arange(1, 41))
-    assert np.allclose(got, np.linalg.eigvalsh(mat_a), rtol=1e-12)
+    assert np.allclose(got, np.linalg.eigvalsh(mat_a.toarray()), rtol=1e-12)
 
 
 def test_cli_import_leaves_out_scipy():

@@ -11,6 +11,8 @@ realization, on seeded graded problems and the benchmark's two-term anchor,
 and its log-derivative against a dense trace.
 """
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from memspec import (
     ExponentialKernel,
     ModeCoefficients,
     ModePencil,
+    PoleProximityError,
     RootFindingError,
+    SymTridiagonal,
     cleared_mode_polynomial,
     discretize_1d,
     mode_spectra,
@@ -154,19 +158,47 @@ class TestDiscretize:
         mat_a, _ = discretize_1d(a, np.full(n, 0.3), n)
         h = 1.0 / (n + 1)
         want = 2.0 * a / h ** 2 * (1.0 - np.cos(np.arange(1, n + 1) * np.pi * h))
-        assert np.allclose(np.linalg.eigvalsh(mat_a), np.sort(want),
+        assert np.allclose(np.linalg.eigvalsh(mat_a.toarray()), np.sort(want),
                            rtol=1e-12)
 
     def test_constant_profile_is_scalar_multiple(self):
         mat_a, mat_b = discretize_1d(2.0, np.full(25, 0.4), 25)
-        assert np.allclose(mat_b, 0.4 * mat_a, atol=1e-12)
+        assert np.allclose(mat_b.toarray(), 0.4 * mat_a.toarray(), atol=1e-12)
 
     def test_graded_profile_symmetric_psd(self):
         n = 30
         profile = 0.5 + 0.25 * np.linspace(0.0, 1.0, n)
-        mat_a, mat_b = discretize_1d(1.0, profile, n)
-        assert np.allclose(mat_b, mat_b.T)
-        assert np.min(np.linalg.eigvalsh(mat_b)) > 0.0
+        _, mat_b = discretize_1d(1.0, profile, n)
+        dense = mat_b.toarray()
+        assert np.array_equal(dense, dense.T)
+        assert np.min(np.linalg.eigvalsh(dense)) > 0.0
+
+    def test_bands_match_dense_construction(self):
+        # the stencils as the three np.diag calls that built them densely,
+        # entry for entry, and the band infinity norm as numpy's
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(3, 300))
+            a, length = rng.uniform(0.1, 5.0), rng.uniform(0.1, 3.0)
+            profile = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) > 0.2)
+            mat_a, mat_b = discretize_1d(a, profile, n, length)
+            h = length / (n + 1)
+            w = a / (h * h)
+            faces = np.concatenate(
+                ([profile[0]], 0.5 * (profile[:-1] + profile[1:]),
+                 [profile[-1]]))
+            for mat, main, off in (
+                    (mat_a, np.full(n, 2.0 * w), np.full(n - 1, -w)),
+                    (mat_b, w * (faces[:-1] + faces[1:]), -w * faces[1:-1])):
+                dense = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+                assert mat.shape == (n, n)
+                assert np.array_equal(mat.toarray(), dense)
+                assert np.array_equal(
+                    np.signbit(mat.toarray()), np.signbit(dense))
+            assert mat_a.norm_inf() == np.linalg.norm(mat_a.toarray(), np.inf)
+            assert np.isclose(mat_b.norm_inf(),
+                              np.linalg.norm(mat_b.toarray(), np.inf),
+                              rtol=4 * np.finfo(float).eps, atol=0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -184,13 +216,13 @@ class TestNonlinearFd:
         got, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k_wave,
                                           imag_cap=np.inf)
         want = []
-        for mu in np.linalg.eigvalsh(mat_a):
+        for mu in np.linalg.eigvalsh(mat_a.toarray()):
             want.extend(mode_spectra(k_wave, [mu], [0.5 * mu])[0])
         want = np.array(want)
         assert len(got) == len(want)
         dist = np.abs(got[:, None] - want[None, :])
         assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) < 1e-8 * (
-            1.0 + np.linalg.norm(mat_a, 2)
+            1.0 + np.linalg.norm(mat_a.toarray(), 2)
         )
 
     def test_constant_profile_against_mpmath_modes(self, k_wave, k_two):
@@ -222,23 +254,34 @@ class TestNonlinearFd:
                                             imag_cap=50.0)
         assert lam.shape == res.shape
         assert np.all(np.abs(lam.imag) <= 50.0)
-        assert np.all(res <= 1e-6 * np.linalg.norm(mat_a, np.inf))
+        assert np.all(res <= 1e-6 * np.linalg.norm(mat_a.toarray(), np.inf))
         pairs = list(zip(lam.real.tolist(), lam.imag.tolist()))
         assert pairs == sorted(pairs)
 
     def test_size_limit(self, k_wave):
-        big = np.eye(700)
-        with pytest.raises(ValueError):
-            nonlinear_eigenvalues_fd(big, big, k_wave)
+        mat_a, mat_b = discretize_1d(1.0, np.full(700, 0.5), 700)
+        with pytest.raises(ValueError, match="exceeds"):
+            nonlinear_eigenvalues_fd(mat_a, mat_b, k_wave)
 
-    def test_refuses_non_tridiagonal_stencils(self, k_wave):
+    def test_refuses_malformed_bands(self, k_wave):
         mat_a, mat_b = discretize_1d(1.0, np.full(10, 0.5), 10)
-        wide = mat_b.copy()
-        wide[0, 2] = wide[2, 0] = -1.0
-        with pytest.raises(ValueError, match="mat_b"):
-            nonlinear_eigenvalues_fd(mat_a, wide, k_wave)
-        with pytest.raises(ValueError, match="mat_a"):
-            nonlinear_eigenvalues_fd(wide, mat_b, k_wave)
+        nan_diag = np.where(np.arange(10) == 3, np.nan, mat_b.diag)
+        for bad in (SymTridiagonal(mat_b.diag, mat_b.off[:-1]),
+                    SymTridiagonal(mat_b.diag[:-1], mat_b.off[:-1]),
+                    SymTridiagonal(mat_b.diag, mat_b.off[:, None]),
+                    SymTridiagonal(nan_diag, mat_b.off),
+                    SymTridiagonal(mat_b.diag, mat_b.off * np.inf),
+                    mat_b.toarray()):
+            with pytest.raises(ValueError, match="mat_b"):
+                nonlinear_eigenvalues_fd(mat_a, bad, k_wave)
+            if bad.shape[0] == 10:
+                with pytest.raises(ValueError, match="mat_a"):
+                    nonlinear_eigenvalues_fd(bad, mat_b, k_wave)
+        # bands given as lists are held as float arrays
+        listed = SymTridiagonal(mat_a.diag.tolist(), mat_a.off.tolist())
+        for got, want in zip(nonlinear_eigenvalues_fd(listed, mat_b, k_wave),
+                             nonlinear_eigenvalues_fd(mat_a, mat_b, k_wave)):
+            assert np.array_equal(got, want)
 
     def test_graded_vanishing_profile_matches_dense_eig(self, k_two):
         # the profile vanishes on [0, 0.4], so A_b is singular; the oracle
@@ -250,6 +293,7 @@ class TestNonlinearFd:
         mat_a, mat_b = discretize_1d(1.0, 0.8 * np.clip(x - 0.4, 0.0, None), n)
         got, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k_two,
                                             imag_cap=np.inf)
+        mat_a, mat_b = mat_a.toarray(), mat_b.toarray()
         damp, vecs = np.linalg.eigh(mat_b)
         keep = damp > n * np.finfo(float).eps * damp.max()
         assert 0 < keep.sum() < n
@@ -294,10 +338,10 @@ def _dense_realization_eigvals(mat_a, mat_b, k):
     """Oracle: one dense eigvals call on the realization with A_b = F^T F
     from the eigendecomposition of A_b."""
     m = mat_a.shape[0]
-    damp, vecs = np.linalg.eigh(mat_b)
+    damp, vecs = np.linalg.eigh(mat_b.toarray())
     keep = damp > m * np.finfo(float).eps * damp.max()
     f = np.sqrt(damp[keep])[:, None] * vecs[:, keep].T
-    return np.linalg.eigvals(k.realization(mat_a, f)).astype(complex)
+    return np.linalg.eigvals(k.realization(mat_a.toarray(), f)).astype(complex)
 
 
 def _relative_hausdorff(got, want):
@@ -368,7 +412,7 @@ class TestAberthFd:
         assert _relative_hausdorff(got, want) <= 1e-11
         _assert_real_or_conjugate_closed(got)
         assert np.count_nonzero(got.imag == 0.0) == 2 * n
-        assert np.all(res <= 1e-6 * np.linalg.norm(mat_a, np.inf))
+        assert np.all(res <= 1e-6 * np.linalg.norm(mat_a.toarray(), np.inf))
 
     def test_vanishing_profile_above_crossover(self, k_two):
         # A_b is singular (r < n), so D = 2 n + N r is below (N + 2) n
@@ -449,6 +493,37 @@ class TestAberthFd:
                                     for part in np.array_split(lam, parts)])
             assert np.array_equal(split, whole)
 
+    def test_real_sweep_matches_complex_sweep(self, above):
+        # real lam in float64 give the complex sweep's bits at lam + 0j, in
+        # blocks of two and more
+        mat_a, mat_b, k = above
+        lam, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k, imag_cap=np.inf)
+        real = lam[lam.imag == 0.0].real
+        assert real.size >= 100
+        for part in (real[:2], real[7:9], real):
+            assert np.array_equal(
+                pencil._residuals(mat_a, mat_b, k, part),
+                pencil._residuals(mat_a, mat_b, k, part.astype(complex)))
+
+    def test_real_sweep_names_the_pole(self, above):
+        mat_a, mat_b, k = above
+        errors = []
+        for lam in (np.array([-1.0, 0.5]), np.array([-1.0 + 0j, 0.5])):
+            with pytest.raises(PoleProximityError) as info:
+                pencil._residuals(mat_a, mat_b, k, lam)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_split_blocks_give_the_one_block_residuals(self, above,
+                                                       monkeypatch):
+        # with blocks of 20 columns the real lam take float64 blocks of
+        # their own; every residual keeps the bits of one complex block
+        mat_a, mat_b, k = above
+        monkeypatch.setattr(pencil, "ROW_BLOCK", 2000)
+        lam, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k, imag_cap=np.inf)
+        assert np.count_nonzero(lam.imag == 0.0) > 40
+        assert np.array_equal(res, pencil._residuals(mat_a, mat_b, k, lam))
+
     def test_public_path_fuzz_above_crossover(self):
         # graded configs with D from the crossover to 600, through
         # nonlinear_eigenvalues_fd and its residual check
@@ -484,7 +559,7 @@ class TestAberthFd:
         assert _relative_hausdorff(got, want) <= 1e-11
         assert (np.count_nonzero(got.imag == 0.0)
                 == np.count_nonzero(want.imag == 0.0))
-        assert np.all(res <= 1e-6 * np.linalg.norm(mat_a, np.inf))
+        assert np.all(res <= 1e-6 * np.linalg.norm(mat_a.toarray(), np.inf))
 
 
 @pytest.mark.parametrize("row_block", [pencil.ROW_BLOCK, 1],
@@ -511,8 +586,9 @@ def test_log_derivative_matches_dense_trace(k_two, monkeypatch, row_block,
         for point in z:
             khat = np.sum(amps * rates / (point + rates))
             d_khat = -np.sum(amps * rates / (point + rates) ** 2)
-            t = point * point * np.eye(n) + mat_a - khat * mat_b
-            d_t = 2.0 * point * np.eye(n) - d_khat * mat_b
+            t = point * point * np.eye(n) + mat_a.toarray() \
+                - khat * mat_b.toarray()
+            d_t = 2.0 * point * np.eye(n) - d_khat * mat_b.toarray()
             want.append(np.trace(np.linalg.solve(t, d_t))
                         + rank * np.sum(1.0 / (point + rates)))
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
@@ -538,16 +614,30 @@ class TestZeroPivot:
                       float.fromhex("0x1.c1ec99af2e438p+4"))
         pair = np.array([lam, lam.conjugate()])
         khat = k.laplace(pair)
-        diag, off = (np.diagonal(mat_a, d)[:, None]
-                     - khat * np.diagonal(mat_b, d)[:, None] for d in (0, 1))
-        diag = diag + pair * pair
-        piv, _ = pencil._tridiagonal_pivots(off, diag, off)
+        diag, off = (band_a[:, None] - khat * band_b[:, None]
+                     for band_a, band_b in ((mat_a.diag, mat_b.diag),
+                                            (mat_a.off, mat_b.off)))
+        piv = pencil._tridiagonal_pivots(off, diag + pair * pair)
         assert np.all(piv[-1] == 0.0)
         res = pencil._residuals(mat_a, mat_b, k, pair)
-        assert np.all(res <= 1e-9 * np.linalg.norm(mat_a, np.inf))
+        norm = np.linalg.norm(mat_a.toarray(), np.inf)
+        assert np.all(res <= 1e-9 * norm)
         assert 2 * n + 3 * n >= pencil.ABERTH_MIN_SIZE
         _, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k)
-        assert np.all(res <= 1e-6 * np.linalg.norm(mat_a, np.inf))
+        assert np.all(res <= 1e-6 * norm)
+
+    def test_real_zero_pivot_repair_matches_complex_sweep(self):
+        # h = 1, a = 2 and a constant profile 0.53125 with kernel (1; 1):
+        # Khat(-0.5) = 2 exactly, and T(-0.5) = 0.25 I - 0.0625 A has a zero
+        # first pivot (the mode mu = 4 of A); the float64 sweep repairs it
+        # as the complex sweep does at lam + 0j
+        k = ExponentialKernel((1.0,), (1.0,))
+        mat_a, mat_b = discretize_1d(2.0, np.full(3, 0.53125), 3, 4.0)
+        for lam in (np.array([-0.5, -2.75]), np.array([-2.75, -0.5, 0.3])):
+            real = pencil._residuals(mat_a, mat_b, k, lam)
+            assert np.array_equal(
+                real, pencil._residuals(mat_a, mat_b, k, lam.astype(complex)))
+            assert real[lam == -0.5] <= 1e-14
 
     def test_first_pivot_zero_and_other_columns_unchanged(self, k_two):
         # h = 1 and a = 2: A - 4 I has a zero first pivot, and lam = 2i
@@ -559,3 +649,27 @@ class TestZeroPivot:
         assert np.all(res[:2] <= 1e-14)
         assert np.array_equal(res[2:],
                               pencil._residuals(mat_a, mat_b, k_two, others))
+
+
+def test_fd_memory_stays_banded(k_one):
+    # the n = 600 one-term anchor holds no n x n array: stencils, root
+    # finding and residual sweep peak at a few MB (tracemalloc sees numpy's
+    # buffers), and the stencils of n = 2000 at O(n)
+    n = 600
+    x = np.arange(1, n + 1) / (n + 1)
+    profile = np.interp(x, [0, 1], [0.5, 0.75])
+    mat_a, mat_b = discretize_1d(1.0, profile, n)
+    nonlinear_eigenvalues_fd(mat_a, mat_b, k_one)  # warm
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        nonlinear_eigenvalues_fd(mat_a, mat_b, k_one)
+        fd_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        discretize_1d(1.0, np.full(2000, 0.5), 2000)
+        stencil_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert fd_peak <= 6e6
+    assert stencil_peak <= 0.2e6

@@ -14,10 +14,10 @@ tridiagonal T(lam) = lam^2 + A - Khat(lam) A_b of rank-r damping.  Two
 sources give them.  Below ABERTH_MIN_SIZE, one dense ``eigvals`` call on the
 realization; from there on, Ehrlich-Aberth iteration on that polynomial,
 with p'/p from the pivots of T(lam), in O(D^2) time and O(D) memory.  The
-dense call is also the fallback where the iteration does not settle.  Either
-way, each eigenvalue is checked against T(lam) by inverse iteration.  The
-iteration's log-derivative and the check's Thomas sweep run on two pivot
-recurrences.
+dense call is also the fallback where the iteration does not settle.  The
+iteration refines fully only the roots within the caller's |Im| cap.  Each
+eigenvalue kept is checked against T(lam) by inverse iteration, whose
+Thomas sweep runs on a second pivot recurrence.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ MAX_REALIZATION = 2000
 
 #: Smallest realization size 2 n + N r at which the FD route finds the roots
 #: by Ehrlich-Aberth instead of one dense ``eigvals`` call.
-ABERTH_MIN_SIZE = 225
+ABERTH_MIN_SIZE = 200
 
 #: Most Ehrlich-Aberth sweeps before the FD route falls back to ``eigvals``.
 ABERTH_SWEEPS = 100
@@ -267,13 +267,13 @@ def _tridiagonal_pivots(off, piv, tiny=None, divide=np.divide):
     comes out exactly zero is replaced by it before it is used, as LAPACK's
     dlagts perturbs a singular factor for inverse iteration.
     """
-    mult = np.empty_like(piv[0])
-    for i in range(1, piv.shape[0]):
+    mult, rows = np.empty_like(piv[0]), list(piv)
+    for o, prev, row in zip(off, rows, rows[1:]):
         if tiny is not None:
-            np.copyto(piv[i - 1], tiny, where=piv[i - 1] == 0.0)
-        piv[i] -= divide(off[i - 1], piv[i - 1], mult) * off[i - 1]
+            np.copyto(prev, tiny, where=prev == 0.0)
+        np.subtract(row, np.multiply(divide(o, prev, mult), o, mult), row)
     if tiny is not None:
-        np.copyto(piv[-1], tiny, where=piv[-1] == 0.0)
+        np.copyto(rows[-1], tiny, where=rows[-1] == 0.0)
     return piv
 
 
@@ -331,9 +331,37 @@ def _log_derivative(z, mat_a, mat_b, k: ExponentialKernel, rank: int):
     return total
 
 
-def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int):
+def _deflation(points, own, moved, n_real: int):
+    """sum_j 1 / (z - z_j) at z = moved[own] over the other roots (moved and
+    the conjugates of moved[n_real:]) in row chunks; real points in float64,
+    a pair c as 2 (x - Re c) / ((x - Re c)^2 + (Im c)^2), complex points
+    over all roots (the paired form cancels next to clusters)."""
+    if points.dtype.kind == "f":
+        cols, pairs = moved[:n_real].real, moved[n_real:]
+    else:  # all roots, and no pair term
+        cols = np.concatenate((moved, np.conj(moved[n_real:])))
+        pairs = moved[:0]
+    total, im_sq = np.empty_like(points), pairs.imag * pairs.imag
+    rows = max(1, ROW_BLOCK // (cols.size + pairs.size))
+    for start in range(0, points.size, rows):
+        part = slice(start, start + rows)
+        diff = points[part, None] - cols
+        diff[np.arange(diff.shape[0]), own[part]] = np.inf
+        total[part] = np.sum(np.divide(1.0, diff, diff), axis=1)
+        if pairs.size:
+            t = np.subtract(points[part, None], pairs.real)
+            sq = np.multiply(t, t)
+            sq += im_sq
+            t += t
+            total[part] += np.sum(np.divide(t, sq, t), axis=1)
+    return total
+
+
+def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int,
+                  imag_cap: float = np.inf):
     """The D = 2 m + N rank roots of det T(lam) prod_j (lam + b_j)^rank by
-    Ehrlich-Aberth, or None where they do not settle in ABERTH_SWEEPS.
+    Ehrlich-Aberth, or None where they do not settle in ABERTH_SWEEPS or two
+    settle on one root (:func:`_coincident`).
 
     The start values are the mode spectra at the stiffness eigenvalues of
     the stencil A, with damping values from the sorted profile
@@ -341,10 +369,11 @@ def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int):
     starts and the starts with Im > 0 are moved; the others are their
     conjugates, so real roots stay exactly real and the rest come in exact
     conjugate pairs.  Each sweep moves every root still moving by
-    1 / (p'/p - sum_j 1 / (z - z_j)) over all other roots (the sum built in
-    row chunks).  A root stops when its step is below ABERTH_STALL |z| and
-    no shorter than its last one (it only jitters at rounding level), or
-    below two ulps of z.  The starts give D roots, so the count is D.
+    1 / (p'/p - sum_j 1 / (z - z_j)) over all other roots
+    (:func:`_deflation`).  A root stops when its step is below
+    ABERTH_STALL |z| and no shorter than its last one (it only jitters at
+    rounding level), or below two ulps of z, or unrefined once its iterate
+    is safely beyond ``imag_cap``.  The starts give D roots, so the count is D.
     """
     m = mat_a.shape[0]
     alpha = stiffness_eigenvalues(0.5 * mat_a.diag[0], m, m + 1,
@@ -361,33 +390,50 @@ def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int):
     active, last = np.arange(moved.size), np.full(moved.size, np.inf)
     with np.errstate(all="ignore"):
         for _ in range(ABERTH_SWEEPS):
-            roots = np.concatenate((moved, np.conj(moved[n_real:])))
             z, real = moved[active], active < n_real
-            near = np.empty_like(z)
+            step = np.empty_like(z)
             # real points take real arithmetic, which costs less
             for half, points in ((real, z[real].real), (~real, z[~real])):
                 if points.size:
-                    near[half] = _log_derivative(points, mat_a, mat_b, k, rank)
-            rows = max(1, ROW_BLOCK // roots.size)
-            for start in range(0, z.size, rows):
-                part = slice(start, start + rows)
-                diff = z[part, None] - roots
-                diff[np.arange(diff.shape[0]), active[part]] = np.inf
-                near[part] -= np.sum(np.divide(1.0, diff, diff), axis=1)
-            step = 1.0 / near
-            step[real] = step[real].real
+                    step[half] = 1.0 / (
+                        _log_derivative(points, mat_a, mat_b, k, rank)
+                        - _deflation(points, active[half], moved, n_real))
             # a zero pivot (at a root to the last bit, or by chance) makes
             # p'/p infinite; such a point steps off by a few ulps
             off = ~np.isfinite(step)
             step[off] = 8.0 * _EPS * z[off]
             size, scale = np.abs(step), np.abs(z)
-            stall = (size <= ABERTH_STALL * scale) & ~(size < last[active])
-            moved[active[~stall]] = z[~stall] - step[~stall]
+            shrunk = size < last[active]
+            stall = (size <= ABERTH_STALL * scale) & ~shrunk
+            z -= step
+            moved[active[~stall]] = z[~stall]
+            # once a step is shorter than a finite last one the iteration
+            # converges, and the error left in z - step is about one step
+            # or less (rho / (1 - rho) steps at a linear rate rho <= 1/2);
+            # ten steps keep the root beyond the cap up to rho = 10/11
+            beyond = shrunk & np.isfinite(last[active]) \
+                & (np.abs(z.imag) > imag_cap + 10.0 * size)
             last[active[~stall]] = size[~stall]
-            active = active[~(stall | (size <= 2.0 * _EPS * scale))]
+            active = active[~(stall | beyond | (size <= 2.0 * _EPS * scale))]
             if not active.size:
-                return np.concatenate((moved, np.conj(moved[n_real:])))
+                return None if _coincident(moved) else np.concatenate(
+                    (moved, np.conj(moved[n_real:])))
     return None
+
+
+def _coincident(moved) -> bool:
+    """Whether two of the roots, ``moved`` and the conjugates of its members
+    with Im > 0, lie within 10 ABERTH_STALL |z|, as two iterates on one root
+    of a tight cluster do, leaving its neighbour out (neighbours in 150
+    graded configs, 200 <= D <= 900, were 1.1e-9 |z| apart or more)."""
+    order = np.argsort(np.abs(moved))  # ||z| - |w|| <= |z - w|
+    z, size = moved[order], np.abs(moved[order])
+    reach = 10.0 * ABERTH_STALL * size
+    lo, hi = (np.searchsorted(size, size + sign * reach, side)
+              for sign, side in ((-1.0, "left"), (1.0, "right")))
+    return np.any((z.imag > 0.0) & (2.0 * z.imag <= reach)) or any(
+        np.count_nonzero(np.abs(z[lo[i]:hi[i]] - z[i]) <= reach[i]) > 1
+        for i in np.flatnonzero(hi - lo > 1))
 
 
 def _residuals(mat_a, mat_b, k: ExponentialKernel, lam):
@@ -427,15 +473,17 @@ def _residuals(mat_a, mat_b, k: ExponentialKernel, lam):
         if real:  # the sweeps multiply by 1 / piv
             piv, divide = np.divide(1.0, piv, piv), np.multiply
         mult = divide(off, piv[:-1])
+        rows, tmp = list(u), np.empty_like(u[0])  # views of u's rows
         for _ in range(2):
             # u / ||u|| to the bit: complex division by a real y is * (1 / y)
             u *= 1.0 / np.linalg.norm(u, axis=0)
-            for i in range(1, m):
-                u[i] -= mult[i - 1] * u[i - 1]
-            divide(u[-1], piv[-1], u[-1])
-            for i in range(m - 2, -1, -1):
-                np.subtract(u[i], off[i] * u[i + 1], u[i])
-                divide(u[i], piv[i], u[i])
+            for mul, prev, row in zip(mult, rows, rows[1:]):
+                np.subtract(row, np.multiply(mul, prev, tmp), row)
+            divide(rows[-1], piv[-1], rows[-1])
+            for o, p, row, nxt in zip(off[::-1], piv[-2::-1], rows[-2::-1],
+                                      rows[:0:-1]):
+                np.subtract(row, np.multiply(o, nxt, tmp), row)
+                divide(row, p, row)
         t_u = np.multiply(diag(out=piv), u, piv)  # T u, in the LU's buffers
         t_u[1:] += np.multiply(off, u[:-1], mult)
         t_u[:-1] += np.multiply(off, u[1:], mult)
@@ -461,21 +509,23 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
       realization, with no eigenvector;
     - D from ABERTH_MIN_SIZE on: r by a Sturm count on A_b, and the roots of
       det T(lam) prod_j (lam + b_j)^r by Ehrlich-Aberth
-      (:func:`_aberth_roots`) on the bands alone; where they do not settle
-      within ABERTH_SWEEPS sweeps, the dense source runs instead.
+      (:func:`_aberth_roots`) on the bands alone, refined fully only within
+      imag_cap; where they do not settle within ABERTH_SWEEPS sweeps or two
+      settle on one root, the dense source runs instead.
 
     Real eigenvalues are exactly real and the others come in exact
     conjugate pairs from both.  For each lam with |Im| <= imag_cap, the
     residual ||T(lam) u|| / ||u|| of :func:`_residuals` must stay below
-    1e-6 ||A||_inf, or RootFindingError is raised; a NaN eigenvalue fails
-    too, but a pivot that is exactly zero is raised to eps max |T(lam)|
-    first, as LAPACK's inverse iteration does.
+    1e-6 ||A||_inf, or RootFindingError is raised, with all D values in its
+    ``best`` (those beyond the cap may be unrefined iterates); a NaN
+    eigenvalue fails too, but a pivot that is exactly zero is raised to
+    eps max |T(lam)| first, as LAPACK's inverse iteration does.
     """
     m = mat_a.shape[0]
     if (k.n_terms + 2) * m > MAX_REALIZATION:
         raise ValueError(
-            f"realization size {(k.n_terms + 2) * m} exceeds the dense limit "
-            f"{MAX_REALIZATION}"
+            f"realization size {(k.n_terms + 2) * m} exceeds "
+            f"MAX_REALIZATION = {MAX_REALIZATION}"
         )
     for name, mat in (("mat_a", mat_a), ("mat_b", mat_b)):
         if not (isinstance(mat, SymTridiagonal) and np.shape(mat.diag) == (m,)
@@ -487,7 +537,7 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
     if (k.n_terms + 2) * m >= ABERTH_MIN_SIZE:  # D <= (N+2) m
         rank = _damping_rank(mat_b)
         if 2 * m + k.n_terms * rank >= ABERTH_MIN_SIZE:
-            vals = _aberth_roots(mat_a, mat_b, k, rank)
+            vals = _aberth_roots(mat_a, mat_b, k, rank, imag_cap)
     if vals is None:
         damp, vecs = np.linalg.eigh(mat_b.toarray())
         keep = damp > m * np.finfo(float).eps * damp.max(initial=0.0)

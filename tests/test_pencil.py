@@ -260,7 +260,7 @@ class TestNonlinearFd:
 
     def test_size_limit(self, k_wave):
         mat_a, mat_b = discretize_1d(1.0, np.full(700, 0.5), 700)
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match="exceeds MAX_REALIZATION = 2000"):
             nonlinear_eigenvalues_fd(mat_a, mat_b, k_wave)
 
     def test_refuses_malformed_bands(self, k_wave):
@@ -543,6 +543,87 @@ class TestAberthFd:
             assert (np.count_nonzero(got.imag == 0.0)
                     == np.count_nonzero(want.imag == 0.0))
 
+    def test_cap_fuzz_matches_dense(self):
+        # graded configs with D from the crossover to 900, with caps of 5,
+        # 50, and 1e-9 relative above and below a dense root's |Im|: the
+        # roots left unrefined beyond the cap change no printed row
+        rng = np.random.default_rng(91)
+        tried = 0
+        while tried < 12:
+            k, mat_a, mat_b = _graded_config(rng, 900, pencil.ABERTH_MIN_SIZE)
+            size = 2 * mat_a.shape[0] + k.n_terms * pencil._damping_rank(mat_b)
+            if size < pencil.ABERTH_MIN_SIZE:
+                continue
+            tried += 1
+            dense = _dense_realization_eigvals(mat_a, mat_b, k)
+            edge = rng.choice(dense.imag[dense.imag > np.abs(dense.real)])
+            for cap in (5.0, 50.0, edge * (1.0 + 1e-9), edge * (1.0 - 1e-9)):
+                got, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k, cap)
+                want = dense[np.abs(dense.imag) <= cap]
+                assert len(got) == len(want)
+                assert (np.count_nonzero(got.imag == 0.0)
+                        == np.count_nonzero(want.imag == 0.0))
+                assert _relative_hausdorff(got, want) <= 1e-11
+
+    def test_cap_leaves_roots_beyond_it_unrefined(self, above, monkeypatch):
+        # with a cap of 5 the sweeps evaluate p'/p at fewer points than
+        # with no cap, and the rows within the cap keep their values
+        mat_a, mat_b, k = above
+        log_derivative, points = pencil._log_derivative, []
+
+        def counted(z, *args):
+            points.append(z.size)
+            return log_derivative(z, *args)
+
+        monkeypatch.setattr(pencil, "_log_derivative", counted)
+        rank = pencil._damping_rank(mat_b)
+        full = pencil._aberth_roots(mat_a, mat_b, k, rank)
+        everywhere, points[:] = sum(points), []
+        capped = pencil._aberth_roots(mat_a, mat_b, k, rank, 5.0)
+        assert sum(points) < everywhere
+        _assert_real_or_conjugate_closed(capped)
+        kept = capped[np.abs(capped.imag) <= 5.0]
+        assert len(kept) == np.count_nonzero(np.abs(full.imag) <= 5.0)
+        assert _relative_hausdorff(kept, full[np.abs(full.imag) <= 5.0]) \
+            <= 1e-13
+
+    def test_iterates_on_one_root_fall_back_to_dense(self):
+        # a nearly constant profile: 97 real roots cluster next to -2.3184,
+        # and two Ehrlich-Aberth iterates settled 4.5e-12 apart on one of
+        # them, leaving its neighbour 1.7e-8 away out; such a result goes
+        # to the dense source
+        k = ExponentialKernel(
+            tuple(map(float.fromhex, ("0x1.e8a6e5a58f3e2p-1",
+                                      "0x1.03b052930cef0p-2",
+                                      "0x1.cce4c14dd2db2p-2"))),
+            tuple(map(float.fromhex, ("0x1.201af84b4d6a4p+1",
+                                      "0x1.2b01940a1d41ep+1",
+                                      "0x1.2e94f35ea19d1p+2"))))
+        n = 97
+        x = np.arange(1, n + 1) / (n + 1)
+        mat_a, mat_b = discretize_1d(
+            float.fromhex("0x1.745a9947393fap-1"),
+            np.interp(x, [0, 1], [float.fromhex("0x1.7399096c3c55dp-2"),
+                                  float.fromhex("0x1.7299005183699p-2")]),
+            n, float.fromhex("0x1.05fa4504b61bap+0"))
+        got, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k, imag_cap=np.inf)
+        want = _dense_realization_eigvals(mat_a, mat_b, k)
+        assert len(got) == len(want) == 5 * n >= pencil.ABERTH_MIN_SIZE
+        assert _relative_hausdorff(got, want) <= 1e-11
+
+    def test_coincident_roots(self):
+        # real, complex and conjugate iterates within 1e-10 |z| coincide;
+        # genuine neighbours in 150 graded configs were 1.1e-9 apart or more
+        moved = np.concatenate((-3.0 - np.arange(50) * 1e-8,
+                                -0.5 + 1j * np.arange(1.0, 51.0)))
+        assert not pencil._coincident(moved)
+        for i, j in ((3, 4), (60, 61), (0, 75)):
+            near = moved.copy()
+            near[j] = near[i] * (1.0 + 5e-11)
+            assert pencil._coincident(near)
+        for im, near in ((2e-11, True), (2e-9, False)):
+            assert pencil._coincident(np.array([-2.0, -1.0 + 1j * im])) == near
+
     def test_real_cluster_settles(self):
         # a nearly constant profile: all 162 roots of one real cluster lie
         # within 0.05 of -3.738, where a looser stop gate left them 2e-6
@@ -592,6 +673,37 @@ def test_log_derivative_matches_dense_trace(k_two, monkeypatch, row_block,
             want.append(np.trace(np.linalg.solve(t, d_t))
                         + rank * np.sum(1.0 / (point + rates)))
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
+@pytest.mark.parametrize("row_block", [pencil.ROW_BLOCK, 1000],
+                         ids=["one-block", "blocks-of-2"])
+def test_real_points_pair_form_matches_complex_sum(monkeypatch, row_block):
+    # at real points, the float64 sum over real roots and over pairs as
+    # 2 (x - Re c) / ((x - Re c)^2 + (Im c)^2) against the complex sum over
+    # all roots, next to a tight real cluster with pairs within 1e-6 of the
+    # axis; the sum can cancel, so the error is measured against the sum of
+    # the terms' sizes
+    monkeypatch.setattr(pencil, "ROW_BLOCK", row_block)
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        cluster = -3.738 + 0.05 * rng.uniform(-1.0, 1.0, 160)
+        near = (-3.738 + 0.05 * rng.uniform(-1.0, 1.0, 20)
+                + 1j * 10.0 ** rng.uniform(-12.0, -6.0, 20))
+        waves = -rng.uniform(0.1, 1.0, 200) + 1j * rng.uniform(1.0, 300.0, 200)
+        moved = np.concatenate((cluster, -rng.uniform(0.1, 10.0, 40), near,
+                                waves))
+        own = np.arange(200)
+        x = moved[:200].real
+        got = pencil._deflation(x, own, moved, 200)
+        want = pencil._deflation(x.astype(complex), own, moved, 200)
+        roots = np.concatenate((moved, np.conj(moved[200:])))
+        diff = x[:, None] - roots
+        diff[own, own] = np.inf
+        terms = 1.0 / diff
+        assert got.dtype == np.float64
+        assert np.array_equal(want, np.sum(terms, axis=1))
+        assert np.all(np.abs(got - want)
+                      <= 1e-12 * np.sum(np.abs(terms), axis=1))
 
 
 class TestZeroPivot:

@@ -1,16 +1,26 @@
-"""The branch-zero search and the mode solver against reference loops.
+"""The branch-zero search, the mode solver and the FD residual sweep
+against reference loops.
 
-The references are the earlier, slower forms of both loops, kept verbatim:
-the bisection that gathers the live brackets' rows on every step, and the
+The references are the earlier, slower forms of these loops, kept verbatim:
+the bisection that gathers the live brackets' rows on every step, the
 Newton polish that evaluates the near-pole form at z and again at the step
-(seven evaluations in all), on every eigenvalue of every pair.  The library's loops must give the same bits on
-wide-rate kernels.
+(seven evaluations in all), on every eigenvalue of every pair, and the
+Thomas sweep and pivot loop that index the grid rows as u[i].  The
+library's loops must give the same bits on wide-rate kernels and on graded
+FD stencils.
 """
 
 import numpy as np
 import pytest
 
-from memspec import ExponentialKernel, RootFindingError, scalar
+from memspec import (
+    ExponentialKernel,
+    RootFindingError,
+    discretize_1d,
+    nonlinear_eigenvalues_fd,
+    pencil,
+    scalar,
+)
 from memspec.scalar import (
     REAL_SNAP,
     RESIDUAL_TOL,
@@ -88,6 +98,59 @@ def seven_evaluation_spectra(k, alphas, betas):
     z = np.where(keep, z, np.inf)
     z = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=1), axis=1)
     return [row[:count] for row, count in zip(z, keep.sum(axis=1))]
+
+
+def indexed_pivots(off, piv, tiny=None, divide=np.divide):
+    """Tridiagonal LU pivots by the loop that indexes piv[i]."""
+    mult = np.empty_like(piv[0])
+    for i in range(1, piv.shape[0]):
+        if tiny is not None:
+            np.copyto(piv[i - 1], tiny, where=piv[i - 1] == 0.0)
+        piv[i] -= divide(off[i - 1], piv[i - 1], mult) * off[i - 1]
+    if tiny is not None:
+        np.copyto(piv[-1], tiny, where=piv[-1] == 0.0)
+    return piv
+
+
+def indexed_residuals(mat_a, mat_b, k, lam):
+    """The FD residual check by the Thomas sweep that indexes u[i]."""
+    eps = np.finfo(float).eps
+    m, real = mat_a.shape[0], not np.iscomplexobj(lam)
+    divide = (lambda x, y, out=None: np.multiply(x, 1.0 / y, out)) if real \
+        else np.divide
+    u = np.outer(np.random.default_rng(0).standard_normal(m),
+                 np.ones_like(lam))
+    with np.errstate(all="ignore"):
+        khat = k.laplace(lam.astype(complex))
+        khat = khat.real if real else khat
+
+        def diag(cols=slice(None), out=None):
+            out = np.multiply(khat[cols], mat_b.diag[:, None], out)
+            out = np.subtract(mat_a.diag[:, None], out, out)
+            return np.add(out, lam[cols] * lam[cols], out)
+
+        off = mat_a.off[:, None] - khat * mat_b.off[:, None]
+        piv = indexed_pivots(off, diag(), divide=divide)
+        zero = ~np.all(piv, axis=0)
+        if zero.any():
+            part = (off[:, zero], diag(zero))
+            tiny = eps * np.abs(np.concatenate(part)).max(axis=0)
+            piv[:, zero] = indexed_pivots(*part, tiny, divide)
+        if real:
+            piv, divide = np.divide(1.0, piv, piv), np.multiply
+        mult = divide(off, piv[:-1])
+        for _ in range(2):
+            u *= 1.0 / np.linalg.norm(u, axis=0)
+            for i in range(1, m):
+                u[i] -= mult[i - 1] * u[i - 1]
+            divide(u[-1], piv[-1], u[-1])
+            for i in range(m - 2, -1, -1):
+                np.subtract(u[i], off[i] * u[i + 1], u[i])
+                divide(u[i], piv[i], u[i])
+        t_u = np.multiply(diag(out=piv), u, piv)
+        t_u[1:] += np.multiply(off, u[:-1], mult)
+        t_u[:-1] += np.multiply(off, u[1:], mult)
+        return np.linalg.norm(t_u, axis=0) / np.linalg.norm(u, axis=0)
 
 
 def wide_rate_kernel(rng):
@@ -239,3 +302,43 @@ def test_mode_spectra_polishes_each_pair_once(monkeypatch, k_two):
     points.clear()
     mode_spectra(k_two, [40.0], [0.0])
     assert [len(z) for z in points] == [1, 1, 1]
+
+
+def test_residual_sweep_matches_indexed_loop(k_two):
+    # a graded two-term problem's own eigenvalues, real and complex, in
+    # blocks of two columns and whole; a real and a complex lam whose pivot
+    # is exactly zero and is repaired; a zero first pivot among others
+    n = 100
+    mat_a, mat_b = discretize_1d(1.0, np.linspace(0.5, 0.75, n), n)
+    lam, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k_two, imag_cap=np.inf)
+    real, cplx = lam[lam.imag == 0.0].real, lam[lam.imag != 0.0]
+    assert real.size >= 100 and cplx.size >= 100
+    cases = [(mat_a, mat_b, k_two, part) for part in (
+        real[:2], real[7:9], real, cplx[:2], cplx[50:52], cplx, lam)]
+    one = ExponentialKernel((1.0,), (1.0,))
+    cases += [(*discretize_1d(2.0, np.full(3, 0.53125), 3, 4.0), one, lam)
+              for lam in (np.array([-0.5, -2.75]),
+                          np.array([-2.75, -0.5, 0.3]),
+                          np.array([-0.5 + 0j, -2.75]))]
+    cases.append((*discretize_1d(2.0, np.zeros(3), 3, 4.0), k_two,
+                   np.array([2j, -2j, 0.3 + 2.5j, 0.3 - 2.5j])))
+    for mat_a, mat_b, k, part in cases:
+        got = pencil._residuals(mat_a, mat_b, k, part)
+        assert got.tobytes() == indexed_residuals(mat_a, mat_b, k,
+                                                  part).tobytes()
+
+
+def test_pivots_match_indexed_loop():
+    # single and many columns, real and complex, with zero pivots repaired
+    rng = np.random.default_rng(14)
+    for cols, dtype in ((1, float), (5, float), (6, complex)):
+        off = rng.standard_normal((40, cols)).astype(dtype)
+        diag = rng.standard_normal((41, cols)).astype(dtype)
+        diag[[0, 17]] = 0.0
+        if dtype is complex:
+            off += 1j * rng.standard_normal(off.shape)
+        for tiny in (None, np.full(cols, 1e-300)):
+            with np.errstate(all="ignore"):  # unrepaired, a zero pivot
+                got = pencil._tridiagonal_pivots(off, diag.copy(), tiny)
+                want = indexed_pivots(off, diag.copy(), tiny)
+            assert got.tobytes() == want.tobytes()

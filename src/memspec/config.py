@@ -16,6 +16,10 @@ from .scalar import DampingBound
 #: scales of size alpha^1.5, which overflow from alpha of about 1e205 on.
 MAX_STIFFNESS_SCALE = 1e150
 
+#: Largest kernel rate accepted: mode roots next to -b_N give form residual
+#: scales |z|^2 (|z| + b_N) of about 2 b_N^3, which overflow from 4.5e102.
+MAX_KERNEL_RATE = 1e100
+
 
 @dataclass(frozen=True)
 class Damping:
@@ -138,6 +142,8 @@ def load_spec(doc: dict) -> ProblemSpec:
     for key in ("a", "b"):
         _require(all(_finite(x) for x in knode[key]), f"kernel.{key}",
                  "values must be finite numbers")
+    _require(all(b <= MAX_KERNEL_RATE for b in knode["b"]), "kernel.b",
+             f"rates must be at most MAX_KERNEL_RATE = {MAX_KERNEL_RATE:g}")
     try:
         kern = ExponentialKernel(tuple(float(x) for x in knode["a"]),
                                  tuple(float(x) for x in knode["b"]))

@@ -13,11 +13,11 @@ the D = 2 n + N r roots of det T(lam) prod_j (lam + b_j)^r for the
 tridiagonal T(lam) = lam^2 + A - Khat(lam) A_b of rank-r damping.  Two
 sources give them.  Below ABERTH_MIN_SIZE, one dense ``eigvals`` call on the
 realization; from there on, Ehrlich-Aberth iteration on that polynomial,
-with p'/p from the pivots of T(lam), in O(D^2) time and O(D) memory.  The
-dense call is also the fallback where the iteration does not settle.  The
-iteration refines fully only the roots within the caller's |Im| cap.  Each
-eigenvalue kept is checked against T(lam) by inverse iteration, whose
-Thomas sweep runs on a second pivot recurrence.
+with p'/p from the pivots of T(lam), by complex step at real points, in
+O(D^2) time and O(D) memory.  The dense call is also the fallback where the
+iteration does not settle.  It refines fully only the roots within the
+caller's |Im| cap.  Each eigenvalue kept is checked against T(lam) by
+inverse iteration, whose Thomas sweep runs on a second pivot recurrence.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ MAX_REALIZATION = 2000
 
 #: Smallest realization size 2 n + N r at which the FD route finds the roots
 #: by Ehrlich-Aberth instead of one dense ``eigvals`` call.
-ABERTH_MIN_SIZE = 200
+ABERTH_MIN_SIZE = 165
 
 #: Most Ehrlich-Aberth sweeps before the FD route falls back to ``eigvals``.
 ABERTH_SWEEPS = 100
@@ -292,8 +292,10 @@ def _damping_rank(mat_b: SymTridiagonal) -> int:
 def _log_derivative(z, mat_a, mat_b, k: ExponentialKernel, rank: int):
     """p'/p at the points z for p(lam) = det T(lam) prod_j (lam + b_j)^rank,
     from the pivots of the symmetric T(lam), piv_(i+1) = d_(i+1) - q with
-    q = o_i^2 / piv_i, and piv'_(i+1) = d'_(i+1) - (2 o_i o'_i - q piv'_i) /
-    piv_i, in blocks of rows so that no (m, len(z)) array is built."""
+    q = o_i^2 / piv_i, in blocks of rows so that no (m, len(z)) array is
+    built: at real z by complex step, Im piv / (h Re piv) at T(z + i h)
+    (Squire & Trapp, SIAM Review 40, 1998), and at complex z with
+    piv'_(i+1) = d'_(i+1) - (2 o_i o'_i - q piv'_i) / piv_i beside them."""
     rates = np.asarray(k.rates)
     inv = 1.0 / np.add.outer(rates, z)
     khat, d_khat = np.zeros_like(z), np.zeros_like(z)
@@ -304,30 +306,47 @@ def _log_derivative(z, mat_a, mat_b, k: ExponentialKernel, rank: int):
     # o_i couples rows i - 1 and i; row 0 follows an uncoupled piv = 1
     (al, ad), (bl, bd) = ((np.concatenate(([0.0], mat.off))[:, None],
                            mat.diag[:, None]) for mat in (mat_a, mat_b))
-    rows = max(8, ROW_BLOCK // max(z.size, 1))
-    z_sq, z_2, d_khat_2 = z * z, 2.0 * z, -2.0 * d_khat
-    piv, d_piv = np.ones_like(z), np.zeros_like(z)
-    q, t = np.empty_like(z), np.empty_like(z)
-    bufs = np.empty((4, min(rows, ad.size)) + z.shape, z.dtype)
+    rows, real = max(8, ROW_BLOCK // max(z.size, 1)), z.dtype.kind == "f"
+    if real:
+        # real roots lie a fraction of b_1 or more from 0 and 2^-53 |x| or
+        # more from each pole, so h = 2^-70 max(|x|, b_1) is 2^-17 of that
+        # or less; the O(h^2) parts of the pivots fall below rounding from
+        # 1e-13 |x| off a pole or zero pivot (at a simple one Im / Re is
+        # exact), and h piv' underflows only where x^2 does
+        h = 2.0 ** -70 * np.maximum(np.abs(z), rates[0])
+        khat, z_sq = khat + 1j * (h * d_khat), z * z + 1j * (2.0 * h * z)
+    else:
+        z_sq, z_2, d_khat_2 = z * z, 2.0 * z, -2.0 * d_khat
+        d_piv, t = np.zeros_like(z), np.empty_like(z)
+    piv, q = np.ones_like(khat), np.empty_like(khat)
+    bufs = np.empty((4 - 2 * real, min(rows, ad.size)) + z.shape, khat.dtype)
     for start in range(0, ad.size, rows):
         block = slice(start, start + rows)
-        diag, d_diag, off_sq, d_off_sq = bufs[:, :ad[block].size]
+        diag, off_sq, *dual = bufs[:, :ad[block].size]
         np.subtract(ad[block], np.multiply(khat, bd[block], diag), diag)
         diag += z_sq
-        np.subtract(z_2, np.multiply(d_khat, bd[block], d_diag), d_diag)
         np.subtract(al[block], np.multiply(khat, bl[block], off_sq), off_sq)
-        np.multiply(np.multiply(d_khat_2, bl[block], d_off_sq), off_sq,
-                    d_off_sq)
-        off_sq *= off_sq
-        for o_sq, d_o_sq, d, d_d in zip(off_sq, d_off_sq, diag, d_diag):
-            np.divide(o_sq, piv, q)
-            np.multiply(q, d_piv, t)
-            np.subtract(d_o_sq, t, t)
-            np.divide(t, piv, t)
-            piv = np.subtract(d, q, d)
-            d_piv = np.subtract(d_d, t, d_d)
-        piv, d_piv = piv.copy(), d_piv.copy()  # out of the reused rows
-        total += np.sum(np.divide(d_diag, diag, d_diag), axis=0)
+        if real:
+            off_sq *= off_sq
+            for o_sq, d in zip(off_sq, diag):  # two calls per row
+                piv = np.subtract(d, np.divide(o_sq, piv, q), d)
+            piv = piv.copy()  # out of the reused rows
+            total += np.sum(np.divide(diag.imag, diag.real, diag.imag), 0) / h
+        else:
+            d_diag, d_off_sq = dual
+            np.subtract(z_2, np.multiply(d_khat, bd[block], d_diag), d_diag)
+            np.multiply(np.multiply(d_khat_2, bl[block], d_off_sq), off_sq,
+                        d_off_sq)
+            off_sq *= off_sq
+            for o_sq, d_o_sq, d, d_d in zip(off_sq, d_off_sq, diag, d_diag):
+                np.divide(o_sq, piv, q)
+                np.multiply(q, d_piv, t)
+                np.subtract(d_o_sq, t, t)
+                np.divide(t, piv, t)
+                piv = np.subtract(d, q, d)
+                d_piv = np.subtract(d_d, t, d_d)
+            piv, d_piv = piv.copy(), d_piv.copy()
+            total += np.sum(np.divide(d_diag, diag, d_diag), axis=0)
     return total
 
 
@@ -508,10 +527,10 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
       of the dense A_b, and one ``np.linalg.eigvals`` call on the dense
       realization, with no eigenvector;
     - D from ABERTH_MIN_SIZE on: r by a Sturm count on A_b, and the roots of
-      det T(lam) prod_j (lam + b_j)^r by Ehrlich-Aberth
-      (:func:`_aberth_roots`) on the bands alone, refined fully only within
-      imag_cap; where they do not settle within ABERTH_SWEEPS sweeps or two
-      settle on one root, the dense source runs instead.
+      det T(lam) prod_j (lam + b_j)^r by Ehrlich-Aberth (:func:`_aberth_roots`,
+      complex step at real points) on the bands alone, refined fully only
+      within imag_cap; where they do not settle within ABERTH_SWEEPS sweeps
+      or two settle on one root, the dense source runs instead.
 
     Real eigenvalues are exactly real and the others come in exact
     conjugate pairs from both.  For each lam with |Im| <= imag_cap, the

@@ -486,6 +486,20 @@ def test_bad_input_refused(case, tmp_path):
     assert field in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["essential", "eigs", "enclosure",
+                                     "discretize", "validate"])
+def test_huge_kernel_rate_refused(command, tmp_path):
+    # rate 1e103 overflowed the mode solve's residual scale, 2 b^3, with a
+    # RuntimeWarning before the exit 1; every subcommand now refuses it
+    doc = _with(CONSTANT, coefficient_a=1.0, kernel__a=[1e-3],
+                kernel__b=[1e103], domain__lengths=[1.0, 1.0])
+    (tmp_path / "problem.json").write_text(doc)
+    proc = run_process([command, "--config", "problem.json"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "kernel.b" in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv, doc, count", [
     (["essential"], GRADED, 1), (["eigs"], CONSTANT, 0),
     (["enclosure"], TWO_TERM, 1), (["discretize"], FD, 1),

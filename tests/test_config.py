@@ -2,10 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from memspec import ConfigError, HypothesisError
-from memspec.config import load_spec, parse_config
+from memspec.config import MAX_KERNEL_RATE, load_spec, parse_config
 
 
 def base_doc():
@@ -97,3 +98,13 @@ def test_parse_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         parse_config(bad)
+
+
+def test_kernel_rate_bound():
+    # the largest rate is accepted and the next double refused, by name
+    doc = base_doc()
+    doc["kernel"] = {"a": [1e-3, 1e-3], "b": [1.0, MAX_KERNEL_RATE]}
+    assert load_spec(doc).kernel.rates[-1] == MAX_KERNEL_RATE
+    doc["kernel"]["b"][-1] = float(np.nextafter(MAX_KERNEL_RATE, np.inf))
+    with pytest.raises(ConfigError, match="kernel.b"):
+        load_spec(doc)

@@ -8,7 +8,7 @@ checked against the modal route, 50-digit mode roots, and the full
 eigendecomposition of a realization written out in the test; its
 Ehrlich-Aberth source is checked against one dense eigvals call on the
 realization, on seeded graded problems and the benchmark's two-term anchor,
-and its log-derivative against a dense trace.
+and its log-derivative against a dense trace and 40-digit values.
 """
 
 import tracemalloc
@@ -30,6 +30,7 @@ from memspec import (
     nonlinear_eigenvalues_fd,
 )
 from memspec import pencil
+from test_reference_loops import dual_log_derivative
 from test_scalar import mpmath_mode_roots
 
 
@@ -543,6 +544,31 @@ class TestAberthFd:
             assert (np.count_nonzero(got.imag == 0.0)
                     == np.count_nonzero(want.imag == 0.0))
 
+    def test_fuzz_from_crossover_to_199(self, monkeypatch):
+        # graded configs with D from the crossover to 199, the band nearest
+        # the crossover, through the public path; none falls back
+        roots, results = pencil._aberth_roots, []
+
+        def recorded(*args):
+            results.append(roots(*args))
+            return results[-1]
+
+        monkeypatch.setattr(pencil, "_aberth_roots", recorded)
+        rng = np.random.default_rng(165)
+        while len(results) < 40:
+            k, mat_a, mat_b = _graded_config(rng, 199, pencil.ABERTH_MIN_SIZE)
+            size = 2 * mat_a.shape[0] + k.n_terms * pencil._damping_rank(mat_b)
+            if size < pencil.ABERTH_MIN_SIZE:
+                continue
+            got, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k,
+                                              imag_cap=np.inf)
+            want = _dense_realization_eigvals(mat_a, mat_b, k)
+            assert results[-1] is not None
+            assert len(got) == len(want) == size
+            assert _relative_hausdorff(got, want) <= 1e-11
+            assert (np.count_nonzero(got.imag == 0.0)
+                    == np.count_nonzero(want.imag == 0.0))
+
     def test_cap_fuzz_matches_dense(self):
         # graded configs with D from the crossover to 900, with caps of 5,
         # 50, and 1e-9 relative above and below a dense root's |Im|: the
@@ -673,6 +699,116 @@ def test_log_derivative_matches_dense_trace(k_two, monkeypatch, row_block,
             want.append(np.trace(np.linalg.solve(t, d_t))
                         + rank * np.sum(1.0 / (point + rates)))
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
+def _mpmath_log_derivative(x, mat_a, mat_b, k, rank):
+    """tr(T(x)^-1 T'(x)) + rank sum_j 1 / (x + b_j) at 40 digits, and the
+    sum of its terms' sizes, |piv_i' / piv_i| and rank / |x + b_j|.  The
+    trace is det(T)' / det(T) (Jacobi's formula), from the continuant
+    D_(i+1) = d_(i+1) D_i - o_i^2 D_(i-1), whose ratios are the pivots."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        terms = [(mpmath.mpf(a) * b, mpmath.mpf(b)) for a, b in
+                 zip(k.amplitudes, k.rates)]
+        khat = sum(w / (x + b) for w, b in terms)
+        d_khat = -sum(w / (x + b) ** 2 for w, b in terms)
+        d = [a - khat * b + x * x for a, b in zip(mat_a.diag, mat_b.diag)]
+        d_d = [2 * x - d_khat * b for b in mat_b.diag]
+        o = [0] + [a - khat * b for a, b in zip(mat_a.off, mat_b.off)]
+        d_o = [0] + [-d_khat * b for b in mat_b.off]
+        prev, det, d_prev, d_det, size = 0, 1, 0, 0, 0
+        for i in range(len(d)):
+            o_sq, d_o_sq = o[i] ** 2, 2 * o[i] * d_o[i]
+            ratio = d_det / det
+            prev, det, d_prev, d_det = det, d[i] * det - o_sq * prev, d_det, \
+                d_d[i] * det + d[i] * d_det - d_o_sq * prev - o_sq * d_prev
+            size += abs(d_det / det - ratio)
+        poles = [1 / (x + b) for _, b in terms]
+        return (float(d_det / det + rank * sum(poles)),
+                float(size + rank * sum(map(abs, poles))))
+
+
+def _log_derivative_cases(vanishing):
+    """Stencils of n = 30 and two-term kernels with rates from 1e-9 to 1e3."""
+    n = 30
+    x = np.arange(1, n + 1) / (n + 1)
+    profile = 0.8 * np.clip(x - 0.4, 0.0, None) if vanishing \
+        else np.interp(x, [0, 1], [0.5, 0.75])
+    mat_a, mat_b = discretize_1d(1.3, profile, n)
+    rank = pencil._damping_rank(mat_b)
+    assert (rank < n) == vanishing
+    for rates in ((1e-9, 1e-3), (1e-3, 1.0), (0.5, 2.0), (1.0, 1e3)):
+        yield mat_a, mat_b, ExponentialKernel((0.3, 0.4), rates), rank
+
+
+@pytest.mark.parametrize("row_block", [pencil.ROW_BLOCK, 1],
+                         ids=["one-block", "blocks-of-8"])
+@pytest.mark.parametrize("vanishing", [False, True],
+                         ids=["full-rank", "rank-deficient"])
+def test_complex_step_matches_mpmath(monkeypatch, row_block, vanishing):
+    # real points take p'/p by complex step; away from the poles it is the
+    # 40-digit value to 1e-10
+    monkeypatch.setattr(pencil, "ROW_BLOCK", row_block)
+    for mat_a, mat_b, k, rank in _log_derivative_cases(vanishing):
+        b_1, b_2 = k.rates
+        z = np.array([-1e-3 * b_1, -0.5 * b_1, -1.5 * b_1, -0.5 * (b_1 + b_2),
+                      -3.0 * b_2, -0.37, -20.0, 0.8, 2.5])
+        got = pencil._log_derivative(z, mat_a, mat_b, k, rank)
+        want = [_mpmath_log_derivative(x, mat_a, mat_b, k, rank)[0]
+                for x in z]
+        assert got.dtype == np.float64
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
+@pytest.mark.parametrize("vanishing", [False, True],
+                         ids=["full-rank", "rank-deficient"])
+def test_complex_step_next_to_poles(vanishing):
+    # at 1e-6 and 1e-9 relative from a pole, r terms of about 1 / (x + b_j)
+    # cancel, so p'/p carries rounding of that size in either form; the
+    # complex step's error stays within the float64 dual recurrence's plus
+    # 1e-13 of the summed terms' size, and both stay within 16 eps of it
+    eps = np.finfo(float).eps
+    for mat_a, mat_b, k, rank in _log_derivative_cases(vanishing):
+        z = np.array([-b * (1.0 + rel) for b in k.rates
+                      for rel in (1e-6, -1e-6, 1e-9, -1e-9)])
+        want, size = np.array([_mpmath_log_derivative(x, mat_a, mat_b, k,
+                                                      rank) for x in z]).T
+        step = np.abs(pencil._log_derivative(z, mat_a, mat_b, k, rank) - want)
+        dual = np.abs(dual_log_derivative(z, mat_a, mat_b, k, rank) - want)
+        assert np.max(size / np.abs(want)) >= 1e7  # the cancellation
+        assert np.all(step <= dual + 1e-13 * size)
+        assert np.all(np.maximum(step, dual) <= 16.0 * eps * size)
+
+
+def test_complex_step_is_scale_free():
+    # time rescaled by s = 2^-100 or 2^100 (rates s b_j, stencils s^2 A and
+    # s^2 A_b, points s x): the step h = 2^-70 max(|x|, b_1) scales with
+    # them, so p'/p scales by 1 / s, bit for bit
+    for mat_a, mat_b, k, rank in _log_derivative_cases(False):
+        b_1, b_2 = k.rates
+        z = np.array([-0.5 * b_1, -0.5 * (b_1 + b_2), -3.0 * b_2, -0.37])
+        want = pencil._log_derivative(z, mat_a, mat_b, k, rank)
+        for s in (2.0 ** -100, 2.0 ** 100):
+            scaled = (SymTridiagonal(s * s * mat.diag, s * s * mat.off)
+                      for mat in (mat_a, mat_b))
+            k_s = ExponentialKernel(k.amplitudes, tuple(s * b for b in k.rates))
+            got = pencil._log_derivative(s * z, *scaled, k_s, rank)
+            assert got.tobytes() == (want / s).tobytes()
+
+
+def test_complex_step_zero_leading_pivot():
+    # h = 1, a = 2 and a constant profile 0.53125 with kernel (1; 1):
+    # T(-0.5) = 0.25 I - 0.0625 A has a zero first pivot, so p'/p there is
+    # not finite and the point steps off; the other points keep their values
+    k = ExponentialKernel((1.0,), (1.0,))
+    mat_a, mat_b = discretize_1d(2.0, np.full(3, 0.53125), 3, 4.0)
+    z = np.array([-2.75, -0.5, 0.3])
+    assert mat_a.diag[0] - k.laplace(-0.5) * mat_b.diag[0] + 0.25 == 0.0
+    with np.errstate(all="ignore"):
+        got = pencil._log_derivative(z, mat_a, mat_b, k, 3)
+    assert not np.isfinite(got[1])
+    want = [_mpmath_log_derivative(x, mat_a, mat_b, k, 3)[0] for x in z[::2]]
+    assert np.all(np.abs(got[::2] - want) <= 1e-10 * np.abs(want))
 
 
 @pytest.mark.parametrize("row_block", [pencil.ROW_BLOCK, 1000],

@@ -1,13 +1,15 @@
-"""The branch-zero search, the mode solver and the FD residual sweep
-against reference loops.
+"""The branch-zero search, the mode solver, the FD residual sweep and the
+FD log-derivative against reference loops.
 
 The references are the earlier, slower forms of these loops, kept verbatim:
 the bisection that gathers the live brackets' rows on every step, the
 Newton polish that evaluates the near-pole form at z and again at the step
-(seven evaluations in all), on every eigenvalue of every pair, and the
-Thomas sweep and pivot loop that index the grid rows as u[i].  The
-library's loops must give the same bits on wide-rate kernels and on graded
-FD stencils.
+(seven evaluations in all), on every eigenvalue of every pair, the Thomas
+sweep and pivot loop that index the grid rows as u[i], and the float64
+recurrence that carries the pivots' derivatives beside them.  The library's
+loops must give the same bits on wide-rate kernels and on graded FD
+stencils; its complex-step log-derivative, whose arithmetic differs, must
+agree to 1e-10.
 """
 
 import numpy as np
@@ -151,6 +153,46 @@ def indexed_residuals(mat_a, mat_b, k, lam):
         t_u[1:] += np.multiply(off, u[:-1], mult)
         t_u[:-1] += np.multiply(off, u[1:], mult)
         return np.linalg.norm(t_u, axis=0) / np.linalg.norm(u, axis=0)
+
+
+def dual_log_derivative(z, mat_a, mat_b, k, rank):
+    """p'/p by the float64 dual recurrence for real z: the pivots and their
+    derivatives side by side, six ufunc calls per grid row."""
+    rates = np.asarray(k.rates)
+    inv = 1.0 / np.add.outer(rates, z)
+    khat, d_khat = np.zeros_like(z), np.zeros_like(z)
+    for w, row in zip(np.asarray(k.amplitudes) * rates, inv):  # rate order
+        khat += w * row
+        d_khat -= w * row * row
+    total = rank * np.sum(inv, axis=0)
+    # o_i couples rows i - 1 and i; row 0 follows an uncoupled piv = 1
+    (al, ad), (bl, bd) = ((np.concatenate(([0.0], mat.off))[:, None],
+                           mat.diag[:, None]) for mat in (mat_a, mat_b))
+    rows = max(8, pencil.ROW_BLOCK // max(z.size, 1))
+    z_sq, z_2, d_khat_2 = z * z, 2.0 * z, -2.0 * d_khat
+    piv, d_piv = np.ones_like(z), np.zeros_like(z)
+    q, t = np.empty_like(z), np.empty_like(z)
+    bufs = np.empty((4, min(rows, ad.size)) + z.shape, z.dtype)
+    for start in range(0, ad.size, rows):
+        block = slice(start, start + rows)
+        diag, d_diag, off_sq, d_off_sq = bufs[:, :ad[block].size]
+        np.subtract(ad[block], np.multiply(khat, bd[block], diag), diag)
+        diag += z_sq
+        np.subtract(z_2, np.multiply(d_khat, bd[block], d_diag), d_diag)
+        np.subtract(al[block], np.multiply(khat, bl[block], off_sq), off_sq)
+        np.multiply(np.multiply(d_khat_2, bl[block], d_off_sq), off_sq,
+                    d_off_sq)
+        off_sq *= off_sq
+        for o_sq, d_o_sq, d, d_d in zip(off_sq, d_off_sq, diag, d_diag):
+            np.divide(o_sq, piv, q)
+            np.multiply(q, d_piv, t)
+            np.subtract(d_o_sq, t, t)
+            np.divide(t, piv, t)
+            piv = np.subtract(d, q, d)
+            d_piv = np.subtract(d_d, t, d_d)
+        piv, d_piv = piv.copy(), d_piv.copy()  # out of the reused rows
+        total += np.sum(np.divide(d_diag, diag, d_diag), axis=0)
+    return total
 
 
 def wide_rate_kernel(rng):
@@ -342,3 +384,34 @@ def test_pivots_match_indexed_loop():
                 got = pencil._tridiagonal_pivots(off, diag.copy(), tiny)
                 want = indexed_pivots(off, diag.copy(), tiny)
             assert got.tobytes() == want.tobytes()
+
+
+def test_complex_step_matches_dual_loop():
+    # real points on graded stencils with wide-rate kernels, a quarter with
+    # a vanishing stretch (r < n), 1e-6 relative or more away from the
+    # roots and poles: the complex step gives the dual loop's p'/p to 1e-10
+    rng = np.random.default_rng(15)
+    for trial in range(40):
+        k = wide_rate_kernel(rng)
+        n = int(rng.integers(3, 300 // (k.n_terms + 2) + 1))
+        samples = rng.uniform(0.3, 0.9, int(rng.integers(2, 6)))
+        if trial % 4 == 0:
+            samples[:2] = 0.0
+        profile = np.interp(np.arange(1, n + 1) / (n + 1),
+                            np.linspace(0.0, 1.0, samples.size),
+                            samples / k.amplitude_sum)
+        mat_a, mat_b = discretize_1d(10.0 ** rng.uniform(-1.0, 1.0), profile,
+                                     n)
+        rank = pencil._damping_rank(mat_b)
+        damp, vecs = np.linalg.eigh(mat_b.toarray())
+        keep = damp > n * np.finfo(float).eps * damp.max()
+        lam = np.linalg.eigvals(k.realization(
+            mat_a.toarray(), np.sqrt(damp[keep])[:, None] * vecs[:, keep].T))
+        avoid = np.concatenate((lam[lam.imag == 0.0].real,
+                                -np.asarray(k.rates)))
+        x = -10.0 ** rng.uniform(-4.0, 1.0, 200) * np.max(np.abs(avoid))
+        x = x[np.min(np.abs(x[:, None] - avoid), axis=1) > 1e-6 * np.abs(x)]
+        got = pencil._log_derivative(x, mat_a, mat_b, k, rank)
+        want = dual_log_derivative(x, mat_a, mat_b, k, rank)
+        assert got.dtype == np.float64
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))

@@ -17,7 +17,7 @@ with p'/p from the pivots of T(lam), by complex step at real points, in
 O(D^2) time and O(D) memory.  The dense call is also the fallback where the
 iteration does not settle.  It refines fully only the roots within the
 caller's |Im| cap.  Each eigenvalue kept is checked against T(lam) by
-inverse iteration, whose Thomas sweep runs on a second pivot recurrence.
+inverse iteration; its pivots d - o^2 / piv also give p'/p and the rank r.
 """
 
 from __future__ import annotations
@@ -258,34 +258,32 @@ def stiffness_eigenvalues(a: float, n_points: int, length: float,
     return 4.0 * a / (h * h) * np.sin(angle) ** 2
 
 
-def _tridiagonal_pivots(off, piv, tiny=None, divide=np.divide):
-    """Pivots of the LU factorization without row exchanges of symmetric
-    tridiagonal matrices stacked along axis 1, one matrix per column:
-    piv_0 = diag_0 and piv_(i+1) = diag_(i+1) - (off_i / piv_i) off_i, the
-    quotient by ``divide``, with ``piv`` holding the diagonal on entry and
-    the pivots on return.  With ``tiny``, one value per column, a pivot that
-    comes out exactly zero is replaced by it before it is used, as LAPACK's
-    dlagts perturbs a singular factor for inverse iteration.
-    """
-    mult, rows = np.empty_like(piv[0]), list(piv)
-    for o, prev, row in zip(off, rows, rows[1:]):
+def _pivots(off_sq, piv, carry, tiny=None):
+    """LU pivots without row exchanges of symmetric tridiagonal matrices,
+    one per column along axis 1: piv_i = d_i - off_sq_i / piv_(i-1) in
+    place over ``piv`` (d on entry), from piv_(-1) = ``carry``; returns the
+    last.  With ``tiny``, one value per column, a pivot (or carry) that is
+    exactly zero is replaced by it before use, as LAPACK's dlagts perturbs a
+    singular factor for inverse iteration."""
+    q = np.empty_like(carry)
+    for o_sq, row in zip(off_sq, piv):  # two calls per row
         if tiny is not None:
-            np.copyto(prev, tiny, where=prev == 0.0)
-        np.subtract(row, np.multiply(divide(o, prev, mult), o, mult), row)
+            np.copyto(carry, tiny, where=carry == 0.0)
+        carry = np.subtract(row, np.divide(o_sq, carry, q), row)
     if tiny is not None:
-        np.copyto(rows[-1], tiny, where=rows[-1] == 0.0)
-    return piv
+        np.copyto(carry, tiny, where=carry == 0.0)
+    return carry
 
 
 def _damping_rank(mat_b: SymTridiagonal) -> int:
     """Eigenvalues of the symmetric tridiagonal A_b above
-    m * eps * ||A_b||_inf, by the inertia of the pivots of A_b minus that
-    level (Sturm count); the level bounds the one the dense route sets with
-    the largest eigenvalue."""
+    m * eps * ||A_b||_inf, by the inertia of the pivots d - e^2 / q of A_b
+    minus that level (the Sturm count of LAPACK's dstebz); the level bounds
+    the one the dense route sets with the largest eigenvalue."""
     level = mat_b.shape[0] * _EPS * mat_b.norm_inf()
+    piv = mat_b.diag[:, None] - level
     with np.errstate(all="ignore"):
-        piv = _tridiagonal_pivots(mat_b.off[:, None],
-                                  mat_b.diag[:, None] - level)
+        _pivots(mat_b.off[:, None] ** 2, piv[1:], piv[0])
     return int(np.count_nonzero(piv > 0.0))
 
 
@@ -317,8 +315,8 @@ def _log_derivative(z, mat_a, mat_b, k: ExponentialKernel, rank: int):
         khat, z_sq = khat + 1j * (h * d_khat), z * z + 1j * (2.0 * h * z)
     else:
         z_sq, z_2, d_khat_2 = z * z, 2.0 * z, -2.0 * d_khat
-        d_piv, t = np.zeros_like(z), np.empty_like(z)
-    piv, q = np.ones_like(khat), np.empty_like(khat)
+        d_piv, t, q = np.zeros_like(z), np.empty_like(z), np.empty_like(z)
+    piv = np.ones_like(khat)
     bufs = np.empty((4 - 2 * real, min(rows, ad.size)) + z.shape, khat.dtype)
     for start in range(0, ad.size, rows):
         block = slice(start, start + rows)
@@ -328,9 +326,7 @@ def _log_derivative(z, mat_a, mat_b, k: ExponentialKernel, rank: int):
         np.subtract(al[block], np.multiply(khat, bl[block], off_sq), off_sq)
         if real:
             off_sq *= off_sq
-            for o_sq, d in zip(off_sq, diag):  # two calls per row
-                piv = np.subtract(d, np.divide(o_sq, piv, q), d)
-            piv = piv.copy()  # out of the reused rows
+            piv = _pivots(off_sq, diag, piv).copy()  # out of the reused rows
             total += np.sum(np.divide(diag.imag, diag.real, diag.imag), 0) / h
         else:
             d_diag, d_off_sq = dual
@@ -459,14 +455,9 @@ def _residuals(mat_a, mat_b, k: ExponentialKernel, lam):
     """||T(lam) u|| / ||u|| for each lam, with u from two steps of inverse
     iteration on the tridiagonal T(lam) from a fixed random start (a
     symmetric start would miss the odd modes of a symmetric profile), as one
-    Thomas sweep over all lam.  Each lam's column is computed on its own, so
-    the values do not depend on the other lam beside it, as long as there
-    are at least two (a single column would be summed pairwise).  Real lam
-    run in float64 with x / y as x * (1 / y), as complex division computes
-    it at Im = 0, so they give the complex sweep's values bit for bit."""
+    Thomas sweep over all lam on the pivots of :func:`_pivots`.  Each lam's
+    column is computed on its own; real lam run in float64."""
     m, real = mat_a.shape[0], not np.iscomplexobj(lam)
-    divide = (lambda x, y, out=None: np.multiply(x, 1.0 / y, out)) if real \
-        else np.divide
     u = np.outer(np.random.default_rng(0).standard_normal(m),
                  np.ones_like(lam))
     with np.errstate(all="ignore"):
@@ -475,34 +466,31 @@ def _residuals(mat_a, mat_b, k: ExponentialKernel, lam):
         khat = k.laplace(lam.astype(complex))
         khat = khat.real if real else khat
 
-        def diag(cols=slice(None), out=None):  # built in place
-            out = np.multiply(khat[cols], mat_b.diag[:, None], out)
+        def diag(out=None):  # built in place
+            out = np.multiply(khat, mat_b.diag[:, None], out)
             out = np.subtract(mat_a.diag[:, None], out, out)
-            return np.add(out, lam[cols] * lam[cols], out)
+            return np.add(out, lam * lam, out)
 
         off = mat_a.off[:, None] - khat * mat_b.off[:, None]
-        piv = _tridiagonal_pivots(off, diag(), divide=divide)
-        # columns with an exactly zero pivot (lam an eigenvalue to the last
-        # bit) are factored again with it raised to eps max |T(lam)|
-        zero = ~np.all(piv, axis=0)  # a NaN pivot is not zero
-        if zero.any():
-            part = (off[:, zero], diag(zero))
-            tiny = _EPS * np.abs(np.concatenate(part)).max(axis=0)
-            piv[:, zero] = _tridiagonal_pivots(*part, tiny, divide)
-        if real:  # the sweeps multiply by 1 / piv
-            piv, divide = np.divide(1.0, piv, piv), np.multiply
-        mult = divide(off, piv[:-1])
+        piv = diag()
+        _pivots(off * off, piv[1:], piv[0])
+        # with a pivot exactly zero (lam an eigenvalue to the last bit),
+        # T(lam) is factored again with it raised to eps max |T(lam)|; the
+        # other columns meet no zero and keep their pivots
+        if not np.all(piv):  # a NaN pivot is not zero
+            tiny = _EPS * np.abs(np.concatenate((off, diag(out=piv)))).max(0)
+            _pivots(off * off, piv[1:], piv[0], tiny)
+        mult = off / piv[:-1]
         rows, tmp = list(u), np.empty_like(u[0])  # views of u's rows
         for _ in range(2):
-            # u / ||u|| to the bit: complex division by a real y is * (1 / y)
-            u *= 1.0 / np.linalg.norm(u, axis=0)
+            u /= np.linalg.norm(u, axis=0)
             for mul, prev, row in zip(mult, rows, rows[1:]):
                 np.subtract(row, np.multiply(mul, prev, tmp), row)
-            divide(rows[-1], piv[-1], rows[-1])
+            np.divide(rows[-1], piv[-1], rows[-1])
             for o, p, row, nxt in zip(off[::-1], piv[-2::-1], rows[-2::-1],
                                       rows[:0:-1]):
                 np.subtract(row, np.multiply(o, nxt, tmp), row)
-                divide(row, p, row)
+                np.divide(row, p, row)
         t_u = np.multiply(diag(out=piv), u, piv)  # T u, in the LU's buffers
         t_u[1:] += np.multiply(off, u[:-1], mult)
         t_u[:-1] += np.multiply(off, u[1:], mult)
@@ -527,8 +515,8 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
       of the dense A_b, and one ``np.linalg.eigvals`` call on the dense
       realization, with no eigenvector;
     - D from ABERTH_MIN_SIZE on: r by a Sturm count on A_b, and the roots of
-      det T(lam) prod_j (lam + b_j)^r by Ehrlich-Aberth (:func:`_aberth_roots`,
-      complex step at real points) on the bands alone, refined fully only
+      det T(lam) prod_j (lam + b_j)^r by Ehrlich-Aberth, both on the bands'
+      :func:`_pivots` alone (:func:`_aberth_roots`), refined fully only
       within imag_cap; where they do not settle within ABERTH_SWEEPS sweeps
       or two settle on one root, the dense source runs instead.
 
@@ -565,11 +553,10 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
             k.realization(mat_a.toarray(), factor)).astype(complex)
     lam = vals[~(np.abs(vals.imag) > imag_cap)]  # a NaN stays, and fails
     # near-equal blocks of ROW_BLOCK // m complex or twice as many real
-    # columns, of two lam or more where there are two, bound the sweep's
-    # arrays; beyond one block, two or more real lam take their own
-    cols = max(4, ROW_BLOCK // m)
-    real = lam.imag == 0.0
-    real &= (lam.size > cols) & (np.count_nonzero(real) > 1)
+    # columns bound the sweep's arrays; within one block all lam take one
+    # complex call, beyond it the real lam take float64 blocks of their own
+    cols = max(1, ROW_BLOCK // m)
+    real = (lam.imag == 0.0) & (lam.size > cols)
     res = np.empty(lam.size)
     for half, part in ((real, lam[real].real), (~real, lam[~real])):
         if part.size:

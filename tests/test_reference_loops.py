@@ -5,7 +5,8 @@ The references are the earlier, slower forms of these loops, kept verbatim:
 the bisection that gathers the live brackets' rows on every step, the
 Newton polish that evaluates the near-pole form at z and again at the step
 (seven evaluations in all), on every eigenvalue of every pair, the Thomas
-sweep and pivot loop that index the grid rows as u[i], and the float64
+sweep and pivot loop that index the grid rows as u[i] (on the
+d - o^2 / piv pivots of the library's one recurrence), and the float64
 recurrence that carries the pivots' derivatives beside them.  The library's
 loops must give the same bits on wide-rate kernels and on graded FD
 stencils; its complex-step log-derivative, whose arithmetic differs, must
@@ -102,13 +103,13 @@ def seven_evaluation_spectra(k, alphas, betas):
     return [row[:count] for row, count in zip(z, keep.sum(axis=1))]
 
 
-def indexed_pivots(off, piv, tiny=None, divide=np.divide):
-    """Tridiagonal LU pivots by the loop that indexes piv[i]."""
-    mult = np.empty_like(piv[0])
+def indexed_pivots(off, piv, tiny=None):
+    """Tridiagonal LU pivots d_i - off_(i-1)^2 / piv_(i-1) by the loop that
+    indexes piv[i]."""
     for i in range(1, piv.shape[0]):
         if tiny is not None:
             np.copyto(piv[i - 1], tiny, where=piv[i - 1] == 0.0)
-        piv[i] -= divide(off[i - 1], piv[i - 1], mult) * off[i - 1]
+        piv[i] -= off[i - 1] * off[i - 1] / piv[i - 1]
     if tiny is not None:
         np.copyto(piv[-1], tiny, where=piv[-1] == 0.0)
     return piv
@@ -118,8 +119,6 @@ def indexed_residuals(mat_a, mat_b, k, lam):
     """The FD residual check by the Thomas sweep that indexes u[i]."""
     eps = np.finfo(float).eps
     m, real = mat_a.shape[0], not np.iscomplexobj(lam)
-    divide = (lambda x, y, out=None: np.multiply(x, 1.0 / y, out)) if real \
-        else np.divide
     u = np.outer(np.random.default_rng(0).standard_normal(m),
                  np.ones_like(lam))
     with np.errstate(all="ignore"):
@@ -132,23 +131,21 @@ def indexed_residuals(mat_a, mat_b, k, lam):
             return np.add(out, lam[cols] * lam[cols], out)
 
         off = mat_a.off[:, None] - khat * mat_b.off[:, None]
-        piv = indexed_pivots(off, diag(), divide=divide)
+        piv = indexed_pivots(off, diag())
         zero = ~np.all(piv, axis=0)
         if zero.any():
             part = (off[:, zero], diag(zero))
             tiny = eps * np.abs(np.concatenate(part)).max(axis=0)
-            piv[:, zero] = indexed_pivots(*part, tiny, divide)
-        if real:
-            piv, divide = np.divide(1.0, piv, piv), np.multiply
-        mult = divide(off, piv[:-1])
+            piv[:, zero] = indexed_pivots(*part, tiny)
+        mult = off / piv[:-1]
         for _ in range(2):
-            u *= 1.0 / np.linalg.norm(u, axis=0)
+            u /= np.linalg.norm(u, axis=0)
             for i in range(1, m):
                 u[i] -= mult[i - 1] * u[i - 1]
-            divide(u[-1], piv[-1], u[-1])
+            u[-1] /= piv[-1]
             for i in range(m - 2, -1, -1):
                 np.subtract(u[i], off[i] * u[i + 1], u[i])
-                divide(u[i], piv[i], u[i])
+                u[i] /= piv[i]
         t_u = np.multiply(diag(out=piv), u, piv)
         t_u[1:] += np.multiply(off, u[:-1], mult)
         t_u[:-1] += np.multiply(off, u[1:], mult)
@@ -371,19 +368,28 @@ def test_residual_sweep_matches_indexed_loop(k_two):
 
 
 def test_pivots_match_indexed_loop():
-    # single and many columns, real and complex, with zero pivots repaired
+    # single and many columns, real and complex, with zero pivots repaired,
+    # from a carried pivot (the first row's coupling to it), in one call and
+    # in two calls that carry the first one's last pivot on
     rng = np.random.default_rng(14)
     for cols, dtype in ((1, float), (5, float), (6, complex)):
-        off = rng.standard_normal((40, cols)).astype(dtype)
-        diag = rng.standard_normal((41, cols)).astype(dtype)
+        off = rng.standard_normal((41, cols)).astype(dtype)
+        diag = rng.standard_normal((42, cols)).astype(dtype)
         diag[[0, 17]] = 0.0
         if dtype is complex:
             off += 1j * rng.standard_normal(off.shape)
         for tiny in (None, np.full(cols, 1e-300)):
             with np.errstate(all="ignore"):  # unrepaired, a zero pivot
-                got = pencil._tridiagonal_pivots(off, diag.copy(), tiny)
                 want = indexed_pivots(off, diag.copy(), tiny)
+                got = diag.copy()
+                last = pencil._pivots(off * off, got[1:], got[0], tiny)
+                split = diag.copy()
+                carry = pencil._pivots(off[:20] ** 2, split[1:21], split[0],
+                                       tiny).copy()
+                pencil._pivots(off[20:] ** 2, split[21:], carry, tiny)
             assert got.tobytes() == want.tobytes()
+            assert split.tobytes() == want.tobytes()
+            assert last.tobytes() == want[-1].tobytes()
 
 
 def test_complex_step_matches_dual_loop():

@@ -24,7 +24,6 @@ from .pencil import (
     discretize_1d,
     nonlinear_eigenvalues_fd,
 )
-from .polyroots import RealPolynomial
 from .scalar import (
     DampingBound,
     ModeCoefficients,
@@ -48,7 +47,6 @@ __all__ = [
     "ModePencil",
     "OnePoleStrips",
     "PoleProximityError",
-    "RealPolynomial",
     "RootFindingError",
     "SymTridiagonal",
     "boundary_cloud",

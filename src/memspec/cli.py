@@ -155,7 +155,9 @@ def cmd_enclosure(spec: ProblemSpec, args) -> int:
             _modes(spec, box, args.alpha_cap, "--alpha-cap"))
     else:
         alphas = enclosure.synthetic_alpha_grid(w_min)
-    if k.n_terms == 1:
+    # only JSON prints the one-term strips; the CSV cloud reads [c0, c1]
+    # alone, so it needs neither the strips nor their hypothesis
+    if k.n_terms == 1 and args.format == "json":
         region = enclosure.one_pole_region(k, bounds, w_min)
     else:
         region = enclosure.EnclosureRegion(

@@ -278,8 +278,7 @@ def _pivots(off_sq, piv, carry, tiny=None):
 def _damping_rank(mat_b: SymTridiagonal) -> int:
     """Eigenvalues of the symmetric tridiagonal A_b above
     m * eps * ||A_b||_inf, by the inertia of the pivots d - e^2 / q of A_b
-    minus that level (the Sturm count of LAPACK's dstebz); the level bounds
-    the one the dense route sets with the largest eigenvalue."""
+    minus that level (the Sturm count of LAPACK's dstebz)."""
     level = mat_b.shape[0] * _EPS * mat_b.norm_inf()
     piv = mat_b.diag[:, None] - level
     with np.errstate(all="ignore"):
@@ -507,9 +506,10 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
     ``mat_a`` and ``mat_b`` are the :class:`SymTridiagonal` stencils of
     :func:`discretize_1d`; a band of the wrong length or with a non-finite
     entry raises ValueError.  The realization uses A_b = F^T F with F of full
-    row rank r, the number of eigenvalues of A_b above m * eps times its
-    largest, so no eigenvalue (size at most (N+2) m <= MAX_REALIZATION) sits
-    at a pole.  Its D = 2 m + N r eigenvalues come from one of two sources:
+    row rank r, the number of eigenvalues of A_b above m * eps ||A_b||_inf
+    in both sources, so no eigenvalue (size at most (N+2) m <=
+    MAX_REALIZATION) sits at a pole.  Its D = 2 m + N r eigenvalues come
+    from one of two sources:
 
     - D below ABERTH_MIN_SIZE: F = sqrt(D) V^T from the eigendecomposition
       of the dense A_b, and one ``np.linalg.eigvals`` call on the dense
@@ -547,7 +547,7 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
             vals = _aberth_roots(mat_a, mat_b, k, rank, imag_cap)
     if vals is None:
         damp, vecs = np.linalg.eigh(mat_b.toarray())
-        keep = damp > m * np.finfo(float).eps * damp.max(initial=0.0)
+        keep = damp > m * _EPS * mat_b.norm_inf()
         factor = np.sqrt(damp[keep])[:, None] * vecs[:, keep].T
         vals = np.linalg.eigvals(
             k.realization(mat_a.toarray(), factor)).astype(complex)

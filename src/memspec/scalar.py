@@ -5,7 +5,8 @@ machinery revolves around the factor 1 - bhat * Khat(lam), whose zeros
 obstruct Fredholmness of the symbol and sweep out the essential spectrum, and
 the per-mode rational symbol lam^2 + alpha - beta * Khat(lam), whose roots
 are the eigenvalues of the kernel's (N+2)-square realization; its cleared
-polynomial of degree N + 2 is kept as an independent oracle.
+polynomial of degree N + 2, an array of ascending coefficients, is kept as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 from .errors import HypothesisError, RootFindingError
 from .kernel import ExponentialKernel
-from .polyroots import RealPolynomial
 
 #: Relative residual |g| / scale above which a mode eigenvalue is refused.
 RESIDUAL_TOL = 1e-10
@@ -223,13 +223,14 @@ def cleared_mode_polynomial(k: ExponentialKernel, m: ModeCoefficients):
     weights a_j b_j with the leave-one-out rows.  Every product coefficient
     is a sum of products of positive rates, so none carries cancellation.
     The mode solver does not use this polynomial; it is the independent
-    oracle for the characteristic polynomial of the realization.  ``m``
-    holding 1-D arrays gives the ascending coefficients of all modes as one
-    (M, N+3) array, one row per mode; the kernel's products are built once.
+    oracle for the characteristic polynomial of the realization.  One mode
+    gives its N+3 ascending coefficients as a 1-D array, evaluated by
+    ``np.polyval(row[::-1], lam)``; ``m`` holding 1-D arrays gives all modes
+    as one (M, N+3) array, one row per mode, from the same products.
     """
     rates = np.asarray(k.rates)
-    alpha = np.asarray(m.alpha, dtype=float).reshape(-1, 1)
-    beta = np.asarray(m.beta, dtype=float).reshape(-1, 1)
+    alpha = np.asarray(m.alpha, dtype=float)[..., None]
+    beta = np.asarray(m.beta, dtype=float)[..., None]
     prods = np.zeros((rates.size + 1, rates.size + 1))
     prods[:, 0] = 1.0
     for j, b in enumerate(rates):
@@ -239,9 +240,8 @@ def cleared_mode_polynomial(k: ExponentialKernel, m: ModeCoefficients):
         prods = grown
     full = prods[-1]
     sum_term = (np.asarray(k.amplitudes) * rates) @ prods[:-1]
-    acc = (alpha * np.pad(full, (0, 2)) + np.pad(full, (2, 0))
-           - beta * np.pad(sum_term, (0, 2)))
-    return acc if np.ndim(m.alpha) else RealPolynomial(tuple(acc[0]))
+    return (alpha * np.pad(full, (0, 2)) + np.pad(full, (2, 0))
+            - beta * np.pad(sum_term, (0, 2)))
 
 
 def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):

@@ -1,5 +1,6 @@
-"""Test oracles: companion-matrix roots of dense real polynomials, and the
-split real/imaginary form of the mode symbol.
+"""Test oracles: companion-matrix roots of dense real polynomials, given as
+arrays of ascending coefficients, and the split real/imaginary form of the
+mode symbol.
 
 No solver path uses :func:`all_roots` (companion-matrix eigenvalues via
 ``numpy.roots``, Newton polish, exact conjugate pairs, a relative residual
@@ -11,15 +12,16 @@ symbol term by term in real arithmetic.
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from memspec import RealPolynomial, RootFindingError
+from memspec import RootFindingError
 
 
-def from_roots(roots) -> RealPolynomial:
-    """Monic polynomial with the given (conjugate-closed) root multiset."""
+def from_roots(roots) -> np.ndarray:
+    """Ascending coefficients of the monic polynomial with the given
+    (conjugate-closed) root multiset."""
     c = npp.polyfromroots(np.asarray(roots, dtype=complex))
     if np.max(np.abs(c.imag)) > 1e-9 * max(1.0, np.max(np.abs(c.real))):
         raise ValueError("root multiset is not conjugate-closed")
-    return RealPolynomial(tuple(c.real))
+    return c.real
 
 
 def _residual_scale(coeffs: np.ndarray, z: complex) -> float:
@@ -71,17 +73,21 @@ def _symmetrize_conjugates(roots: np.ndarray, tol: float) -> np.ndarray:
     return arr[np.lexsort((arr.imag, arr.real))]
 
 
-def all_roots(p: RealPolynomial, tol: float = 1e-10) -> np.ndarray:
-    """All complex roots of ``p`` with multiplicity, sorted by (re, im).
+def all_roots(coeffs, tol: float = 1e-10) -> np.ndarray:
+    """All complex roots, with multiplicity and sorted by (re, im), of the
+    real polynomial p with ascending coefficients ``coeffs``.
 
-    Every returned root z satisfies |p(z)| <= tol * sum_k |c_k| |z|^k, and the
-    set is closed under conjugation.  Raises :class:`RootFindingError` with the
-    best iterates attached when the residual guarantee cannot be met.
+    Trailing zeros are dropped and the rest divided by their largest
+    magnitude, giving c.  Every returned root z satisfies
+    |p(z)| <= tol * sum_k |c_k| |z|^k with p scaled to c, and the set is
+    closed under conjugation.  Raises :class:`RootFindingError` with the best
+    iterates attached when the residual guarantee cannot be met.
     """
-    if p.degree < 1:
+    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    if c.size < 2:
         raise ValueError("degree must be at least 1")
-    c = np.asarray(p.scaled().coeffs)
-    if p.degree == 1:
+    c = c / np.max(np.abs(c))
+    if c.size == 2:
         roots = np.array([-c[0] / c[1]], dtype=complex)
     else:
         roots = np.roots(c[::-1])

@@ -230,7 +230,7 @@ def test_linearization_identities():
         assert res <= 1e-12 * (1.0 + abs(lam) ** 2) * (1.0 + alpha)
 
         sop = mp.system_operator()
-        want = ((-1.0) ** mp.size) * poly(lam)
+        want = ((-1.0) ** mp.size) * np.polyval(poly[::-1], lam)
         got = np.linalg.det(sop - lam * np.eye(mp.size))
         assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 

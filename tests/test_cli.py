@@ -281,6 +281,21 @@ def test_enclosure_refuses_tiny_w_min_strips(config, capsys):
     assert "strip height radicand" in err
 
 
+def test_enclosure_csv_builds_no_strips(config, capsys):
+    # on a 10 x 10 box the one-term strips have no height; the cloud reads
+    # only [c0, c1], so CSV prints it, and JSON, which prints hat_d, refuses
+    path = config({**GRADED, "domain": {"kind": "box",
+                                        "lengths": [10.0, 10.0]}})
+    code, out = run(capsys, ["enclosure", "--config", path, "--format", "csv"])
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "re,im,alpha,beta" and len(lines) > 1
+    assert all(len(line.split(",")) == 4 for line in lines[1:])
+    code = main(["enclosure", "--config", path])
+    assert code == 2
+    assert "strip height radicand" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("side", [1e24, 1e60, 1e150])
 def test_tiny_w_min_boxes_solve(config, capsys, side):
     # box sides whose w_min is below LAPACK's absolute accuracy: validate

@@ -172,12 +172,12 @@ class TestModePolynomial:
     def test_cleared_polynomial_matches_rational_symbol(self, k_two):
         m = ModeCoefficients(17.0, 5.0)
         poly = cleared_mode_polynomial(k_two, m)
-        assert poly.degree == 4
+        assert poly.shape == (5,)
         rng = np.random.default_rng(3)
         for _ in range(10):
             lam = complex(rng.normal(), rng.normal())
             denom = np.prod([lam + b for b in k_two.rates])
-            assert poly(lam) == pytest.approx(
+            assert np.polyval(poly[::-1], lam) == pytest.approx(
                 rational_symbol(k_two, m, lam) * denom, rel=1e-11
             )
         # arrays of modes give one coefficient row per mode, equal to the
@@ -187,7 +187,7 @@ class TestModePolynomial:
         assert rows.shape == (3, 5)
         for alpha, beta, got in zip(alphas, betas, rows):
             want = cleared_mode_polynomial(k_two, ModeCoefficients(alpha, beta))
-            assert np.allclose(got, want.coeffs, rtol=1e-14, atol=0.0)
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_cleared_polynomial_against_mpmath(self):
         # N <= 12 terms with rates over 1e-3..1e3; each coefficient within
@@ -208,8 +208,7 @@ class TestModePolynomial:
                                   tuple(rates))
             alpha = 10.0 ** rng.uniform(-1.0, 4.0)
             beta = alpha * rng.uniform(0.0, 0.95) / k.amplitude_sum
-            got = cleared_mode_polynomial(
-                k, ModeCoefficients(alpha, beta)).coeffs
+            got = cleared_mode_polynomial(k, ModeCoefficients(alpha, beta))
             with mpmath.workdps(50):
                 full = expand([mpmath.mpf(b) for b in k.rates])
                 scale = [alpha * c for c in full] + [0, 0]

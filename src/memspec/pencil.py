@@ -15,8 +15,9 @@ sources give them.  Below ABERTH_MIN_SIZE, one dense ``eigvals`` call on the
 realization; from there on, Ehrlich-Aberth iteration on that polynomial,
 with p'/p from the pivots of T(lam), by complex step at real points, in
 O(D^2) time and O(D) memory.  The dense call is also the fallback where the
-iteration does not settle.  It refines fully only the roots within the
-caller's |Im| cap.  Each eigenvalue kept is checked against T(lam) by
+iteration does not settle.  Each root stops on the step that converges it,
+or once its step stops shrinking; only the roots within the caller's |Im|
+cap are refined fully.  Each eigenvalue kept is checked against T(lam) by
 inverse iteration; its pivots d - o^2 / piv also give p'/p and the rank r.
 """
 
@@ -39,12 +40,12 @@ MAX_REALIZATION = 2000
 
 #: Smallest realization size 2 n + N r at which the FD route finds the roots
 #: by Ehrlich-Aberth instead of one dense ``eigvals`` call.
-ABERTH_MIN_SIZE = 165
+ABERTH_MIN_SIZE = 150
 
 #: Most Ehrlich-Aberth sweeps before the FD route falls back to ``eigvals``.
 ABERTH_SWEEPS = 100
 
-#: Relative step below which a root stops once its step stops shrinking.
+#: Relative step below which a root may stop (see :func:`_aberth_roots`).
 ABERTH_STALL = 1e-11
 
 #: Elements per block of the (grid rows, points) arrays of the
@@ -384,9 +385,11 @@ def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int,
     conjugates, so real roots stay exactly real and the rest come in exact
     conjugate pairs.  Each sweep moves every root still moving by
     1 / (p'/p - sum_j 1 / (z - z_j)) over all other roots
-    (:func:`_deflation`).  A root stops when its step is below
-    ABERTH_STALL |z| and no shorter than its last one (it only jitters at
-    rounding level), or below two ulps of z, or unrefined once its iterate
+    (:func:`_deflation`).  A root stops, its step applied, on a step below
+    ABERTH_STALL |z| and 1e-6 of its last one and at least half the Newton
+    step 1 / |p'/p| (about 1e-17 |z| from its limit); unmoved once a step
+    below ABERTH_STALL |z| is no shorter than its last one (it only jitters
+    at rounding level); below two ulps of z; or unrefined once its iterate
     is safely beyond ``imag_cap``.  The starts give D roots, so the count is D.
     """
     m = mat_a.shape[0]
@@ -405,30 +408,38 @@ def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int,
     with np.errstate(all="ignore"):
         for _ in range(ABERTH_SWEEPS):
             z, real = moved[active], active < n_real
-            step = np.empty_like(z)
+            step, d_log = np.empty_like(z), np.empty_like(z)
             # real points take real arithmetic, which costs less
             for half, points in ((real, z[real].real), (~real, z[~real])):
                 if points.size:
-                    step[half] = 1.0 / (
-                        _log_derivative(points, mat_a, mat_b, k, rank)
-                        - _deflation(points, active[half], moved, n_real))
+                    d_log[half] = _log_derivative(points, mat_a, mat_b, k,
+                                                  rank)
+                    step[half] = 1.0 / (d_log[half] - _deflation(
+                        points, active[half], moved, n_real))
             # a zero pivot (at a root to the last bit, or by chance) makes
             # p'/p infinite; such a point steps off by a few ulps
             off = ~np.isfinite(step)
             step[off] = 8.0 * _EPS * z[off]
-            size, scale = np.abs(step), np.abs(z)
-            shrunk = size < last[active]
-            stall = (size <= ABERTH_STALL * scale) & ~shrunk
+            size, scale, prev = np.abs(step), np.abs(z), last[active]
+            small, shrunk = size <= ABERTH_STALL * scale, size < prev
+            stall = small & ~shrunk
             z -= step
             moved[active[~stall]] = z[~stall]
             # once a step is shorter than a finite last one the iteration
             # converges, and the error left in z - step is about one step
             # or less (rho / (1 - rho) steps at a linear rate rho <= 1/2);
-            # ten steps keep the root beyond the cap up to rho = 10/11
-            beyond = shrunk & np.isfinite(last[active]) \
-                & (np.abs(z.imag) > imag_cap + 10.0 * size)
+            # ten steps keep the root beyond the cap up to rho = 10/11.  A
+            # step below ABERTH_STALL |z| and 1e-6 of the last one leaves
+            # 1e-6 / (1 - 1e-6) steps, about 1e-17 |z|, where it measures
+            # the distance to the root: where the Newton step 1 / |p'/p| is
+            # at most twice it (an iterate nearby shrinks it by deflation)
+            converging = shrunk & np.isfinite(prev)
+            beyond = converging & (np.abs(z.imag) > imag_cap + 10.0 * size)
+            done = converging & small & (size <= 1e-6 * prev) \
+                & np.isfinite(d_log) & (2.0 * size * np.abs(d_log) >= 1.0)
             last[active[~stall]] = size[~stall]
-            active = active[~(stall | beyond | (size <= 2.0 * _EPS * scale))]
+            active = active[~(stall | beyond | done
+                              | (size <= 2.0 * _EPS * scale))]
             if not active.size:
                 return None if _coincident(moved) else np.concatenate(
                     (moved, np.conj(moved[n_real:])))

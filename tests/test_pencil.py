@@ -7,7 +7,8 @@ determinant rather than through any shared eigensolver.  The FD route is
 checked against the modal route, 50-digit mode roots, and the full
 eigendecomposition of a realization written out in the test; its
 Ehrlich-Aberth source is checked against one dense eigvals call on the
-realization, on seeded graded problems and the benchmark's two-term anchor,
+realization, on seeded graded and wide-rate problems and the benchmark's
+two-term anchor, with the p'/p work of both FD anchors counted,
 and its log-derivative against a dense trace and 40-digit values.
 """
 
@@ -384,6 +385,31 @@ def _graded_config(rng, max_size, min_size=0):
     return k, *discretize_1d(a, profile, n, 1.2 * np.sqrt(a))
 
 
+def _wide_rate_config(rng):
+    """A graded 1D problem with a wide-rate kernel: N = 1-10 terms whose
+    rates span 2-4 decades from a lowest rate in [0.1, 1], the profile of
+    :func:`_graded_config` with no vanishing part, and (N+2) n from
+    ABERTH_MIN_SIZE to MAX_REALIZATION, n = lo (hi / lo)^(u^4) for a
+    uniform u, so that most configs are small (the dense oracle costs
+    D^3)."""
+    n_terms = int(rng.integers(1, 11))
+    spread = np.sort(rng.uniform(0.0, 1.0, n_terms))
+    spread = (spread - spread[0]) / (np.ptp(spread) or 1.0)
+    rates = 10.0 ** (rng.uniform(-1.0, 0.0) + rng.uniform(2.0, 4.0) * spread)
+    amps = rng.uniform(0.2, 1.0, n_terms)
+    k = ExponentialKernel(tuple(amps), tuple(rates))
+    b_max = rng.uniform(0.3, 0.9) / amps.sum()
+    samples = rng.uniform(b_max * rng.uniform(0.3, 0.7), b_max,
+                          int(rng.integers(2, 6)))
+    lo = -(-pencil.ABERTH_MIN_SIZE // (n_terms + 2))
+    hi = pencil.MAX_REALIZATION // (n_terms + 2)
+    n = int(lo * (hi / lo) ** (rng.uniform() ** 4))
+    a = rng.uniform(0.5, 2.0)
+    nodes = np.arange(1, n + 1) / (n + 1)
+    profile = np.interp(nodes, np.linspace(0.0, 1.0, samples.size), samples)
+    return k, *discretize_1d(a, profile, n, 1.2 * np.sqrt(a))
+
+
 class TestAberthFd:
     """The Ehrlich-Aberth source of the FD eigenvalues, against one dense
     eigvals call on the realization as the oracle."""
@@ -401,6 +427,45 @@ class TestAberthFd:
             _assert_real_or_conjugate_closed(got)
             assert (np.count_nonzero(got.imag == 0.0)
                     == np.count_nonzero(want.imag == 0.0))
+
+    def test_wide_rate_fuzz_matches_dense(self):
+        # 40 wide-rate configs, D = 150-1000, every root refined: none falls
+        # back, and each settles within 1e-11 of the dense eigenvalues with
+        # the same count of exactly real roots
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            k, mat_a, mat_b = _wide_rate_config(rng)
+            rank = pencil._damping_rank(mat_b)
+            got = pencil._aberth_roots(mat_a, mat_b, k, rank)
+            want = _dense_realization_eigvals(mat_a, mat_b, k)
+            assert got is not None
+            assert len(got) == len(want) == 2 * mat_a.shape[0] + k.n_terms * rank
+            assert _relative_hausdorff(got, want) <= 1e-11
+            assert (np.count_nonzero(got.imag == 0.0)
+                    == np.count_nonzero(want.imag == 0.0))
+
+    @pytest.mark.parametrize("n, amps, rates, calls, points", [
+        (100, (1.0, 0.2), (1.0, 1.5), 13, 1200),
+        (600, (1.0,), (1.0,), 14, 4100),
+    ], ids=["two-term-100", "one-term-600"])
+    def test_anchor_sweep_work(self, monkeypatch, n, amps, rates, calls,
+                               points):
+        # the benchmark's FD anchors (profile 0.5..0.75, cap 50) take 12 and
+        # 13 p'/p calls at 1151 and 3986 points; the ceilings sit just above,
+        # so a change that adds sweeps fails here before any timing shows it
+        log_derivative, seen = pencil._log_derivative, []
+
+        def counted(z, *args):
+            seen.append(z.size)
+            return log_derivative(z, *args)
+
+        monkeypatch.setattr(pencil, "_log_derivative", counted)
+        x = np.arange(1, n + 1) / (n + 1)
+        mat_a, mat_b = discretize_1d(1.0, np.interp(x, [0, 1], [0.5, 0.75]),
+                                     n)
+        nonlinear_eigenvalues_fd(mat_a, mat_b, ExponentialKernel(amps, rates))
+        assert len(seen) <= calls
+        assert sum(seen) <= points
 
     def test_two_term_anchor_matches_dense(self, k_two):
         # the benchmark's two-term anchor: profile 0.5..0.75, n = 100,

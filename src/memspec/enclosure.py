@@ -156,11 +156,11 @@ def enclosure_interval(k: ExponentialKernel, d: DampingBound,
     exists: on (-b_1, 0) the symbol rises from -inf to
     w_min * (1 - bhat * sum(a_j)) > 0.
     """
+    if not w_min > 0.0:
+        raise ValueError(f"w_min = {w_min} must be positive")
     _require_margin(k, d)
     levels = damping_levels(d)
     zero = max(fredholm_factor_zeros(k, levels[-1]))
-    if not w_min > 0.0:
-        raise ValueError(f"w_min = {w_min} must be positive")
     roots, _ = mode_spectra(k, [w_min] * len(levels),
                             [bhat * w_min for bhat in levels])
     return _interval_from_roots(roots, zero)

@@ -1,12 +1,12 @@
 """Scalar spectral functions of the memory-damped wave symbol.
 
 For a kernel with Laplace transform Khat and a damping level bhat, the scalar
-machinery revolves around the factor 1 - bhat * Khat(lam), whose zeros
-obstruct Fredholmness of the symbol and sweep out the essential spectrum, and
-the per-mode rational symbol lam^2 + alpha - beta * Khat(lam), whose roots
-are the eigenvalues of the kernel's (N+2)-square realization; its cleared
-polynomial of degree N + 2, an array of ascending coefficients, is kept as an
-independent oracle.
+machinery revolves around the factor 1 - bhat * Khat(lam), whose zeros, the
+eigenvalues of the kernel's N-square memory block, obstruct Fredholmness of
+the symbol and sweep out the essential spectrum, and the per-mode rational
+symbol lam^2 + alpha - beta * Khat(lam), whose roots are the eigenvalues of
+the kernel's (N+2)-square realization; its cleared polynomial of degree
+N + 2, an array of ascending coefficients, is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -58,11 +58,8 @@ class ModeCoefficients:
             raise ValueError(f"beta = {self.beta} must be nonnegative")
 
 
-#: Most steps of the two-pole model in :func:`fredholm_factor_zeros`.
-ZERO_STEPS = 16
-
 #: Offsets, in units of the spacing of doubles, of the points tested around
-#: the last model step before the bisection closes the bracket.
+#: the Newton step before the bisection closes the bracket.
 ZERO_LADDER = np.array([-1024.0, -256.0, -64.0, -16.0, -8.0, -4.0, -2.0,
                         -1.0, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0, 1024.0])
 
@@ -95,73 +92,42 @@ def _narrow(lo, hi, d, below):
                           where=inside & ~below), out=hi)
 
 
-def _model_step(weights, shifts, lo, hi, d, right, width):
-    """Test the points d, narrow lo and hi by them, and return the zero of
-    the two-pole model of 1 - bhat * Khat at d.
-
-    The terms of the poles left of the gap are modelled as a + b_l / t,
-    those right of it as a' + e_r / (t - width), each matching its value
-    and slope at d (Bunch, Nielsen & Sorensen's "middle way").  The model's
-    zero in (0, width) is the root of c t^2 + B t - b_l width, taken in a
-    form with no cancellation.
-    """
+def _newton_step(weights, shifts, lo, hi, d):
+    """Test the points d, narrow lo and hi, and return the Newton step from
+    d on d (sum_j weights / (d + shifts) - 1), exact for one pole term."""
     below, terms = _secular_test(weights, shifts, d)
     _narrow(lo, hi, d[None], below[None])
-    slopes = d[:, None] + shifts
-    np.divide(terms, slopes, out=slopes)
-    left_slope = np.sum(slopes, axis=1, where=~right)
-    right_slope = np.sum(slopes, axis=1, where=right)
-    e = d - width
-    b_l, e_r = d * (d * left_slope), e * (e * right_slope)
-    c = np.sum(terms, axis=1) - d * left_slope - e * right_slope - 1.0
-    big_b, prod = b_l + e_r - c * width, b_l * width
-    disc = np.sqrt(np.where(
-        c > 0.0, big_b * big_b + 4.0 * c * prod,
-        (b_l + c * width) ** 2 + e_r * (2.0 * (b_l - c * width) + e_r)))
-    return 2.0 * prod / (big_b + disc)
-
-
-def _model_zero(weights, shifts, lo, hi, right, width):
-    """Test the midpoint of each bracket and then up to ZERO_STEPS zeros of
-    the two-pole model, each clipped into the bracket (the midpoint where it
-    is not finite), narrowing lo and hi; the last model zero.  The steps
-    stop once each moves by at most 2^-27 of itself, after which the next
-    model zero is within a few doubles of the zero."""
-    d = 0.5 * (lo + hi)
-    for _ in range(ZERO_STEPS):
-        step = np.clip(_model_step(weights, shifts, lo, hi, d, right, width),
-                       lo, hi)
-        step = np.where(np.isfinite(step), step, 0.5 * (lo + hi))
-        settled = np.abs(step - d) <= 2.0 ** -27 * step
-        d = step
-        if settled.all():
-            break
-    return d
+    total = np.sum(terms, axis=1)
+    terms /= d[:, None] + shifts
+    slope = d * np.sum(terms, axis=1)
+    return d * slope / (slope + 1.0 - total)
 
 
 def fredholm_factor_zeros(k: ExponentialKernel, bhat) -> list:
     """The N real zeros of 1 - bhat * Khat, one per pole gap, ascending.
 
     ``bhat`` is one damping level or a 1-D array of levels; an array gives
-    one list of zeros per level.  An undamped level 0 has no zeros (an empty
-    list).  On the gap (-b_j, -b_{j-1}), with b_0 := 0, Khat falls strictly
-    from +inf to -inf (to Khat(0) = sum(a_j) when j = 1, where the
-    dissipativity margin keeps the factor positive), so the factor rises
-    through zero exactly once.  Each zero is sought in the offset
+    one list of zeros per level, and a level 0 gives an empty list.  By the
+    matrix determinant lemma, with c_j = sqrt(a_j b_j),
+    det(lam + diag(b) - bhat c c^T) = prod(lam + b_j) (1 - bhat * Khat), so
+    the zeros are the eigenvalues of the memory block M = bhat c c^T
+    - diag(b), and Cauchy interlacing puts one in each gap (-b_j, -b_{j-1}),
+    b_0 := 0, the first below 0 where the dissipativity margin is positive
+    (Golub, SIAM Rev. 15, 1973).  Each zero is sought in the offset
     d = lam + b_j, where the pole term a_j b_j / d carries no cancellation,
     as the adjacent pair of doubles where the test sum(weights / (d +
     shifts)) > 1 changes.  That test is monotone in d under rounding (each
     quotient is monotone in d, and rounded addition is monotone in each
     argument), so the pair is unique and every sequence of test points
     strictly inside the bracket ends on it: the zeros are the bits of plain
-    bisection.  The points come from the secular equation technique of
-    Bunch, Nielsen & Sorensen (Numer. Math. 31, 1978) and LAPACK dlaed4:
-    the midpoint, then up to ZERO_STEPS zeros of the two-pole model
-    (:func:`_model_step`), clipped into the bracket; then the doubles
-    ZERO_LADDER apart around the last model zero, in one stacked test (in
-    slices of LADDER_CHUNK points on long sweeps); and bisection closes what
-    remains.  One search serves every level.  The
-    zero next to 0 is conditioned like the inverse of the margin
+    bisection.  The points are the eigenvalues of one batched
+    ``np.linalg.eigvalsh`` of the (levels, N, N) stack of M, clipped into
+    the brackets; one Newton step on d (sum(weights / (d + shifts)) - 1),
+    kept where strictly inside the narrowed bracket, since an error of about
+    eps * b_N puts many eigenvalues beyond the ladder and this form is exact
+    for the pole term alone; the doubles ZERO_LADDER apart around the step,
+    in stacked tests of LADDER_CHUNK points; and bisection for the rest.
+    The zero next to 0 is conditioned like the inverse of the margin
     1 - bhat * sum(a_j), so its relative error grows as the margin closes.
     """
     levels = np.asarray(bhat, dtype=float)
@@ -176,17 +142,19 @@ def fredholm_factor_zeros(k: ExponentialKernel, bhat) -> list:
     flat, rates, n = levels.reshape(-1), np.asarray(k.rates), k.n_terms
     # bracket i is the gap i % n of the level flat[i // n], empty when the
     # level is 0; its rows: lam + b_j = d + shifts[i, j]
-    weights = np.repeat(flat[:, None] * np.asarray(k.amplitudes) * rates, n,
-                        axis=0)
+    scaled = flat[:, None] * np.asarray(k.amplitudes) * rates
+    weights = np.repeat(scaled, n, axis=0)
     shifts = np.tile(rates[None, :] - rates[:, None], (flat.size, 1))
     width = np.outer(flat > 0.0, np.diff(rates, prepend=0.0)).ravel()
     lo, hi = np.zeros(flat.size * n), width.copy()
-    # the poles right of the gap; the first gap has none
-    right = np.arange(n) < np.tile(np.arange(n), flat.size)[:, None]
-    # a settled bracket keeps its bounds; its pole rows may divide by zero,
-    # and a model step may overflow, which sends it back to the midpoint
+    root = np.sqrt(scaled)  # M = root root^T - diag(b), eigenvalues descend
+    d = np.linalg.eigvalsh(root[:, :, None] * root[:, None, :]
+                           - np.diag(rates))[:, ::-1].ravel()
+    d = np.clip(d + np.tile(rates, flat.size), lo, hi)
+    # settled brackets' pole rows may divide by zero; such steps are dropped
     with np.errstate(all="ignore"):
-        d = _model_zero(weights, shifts, lo, hi, right, width)
+        step = _newton_step(weights, shifts, lo, hi, d)
+        d = np.where((lo < step) & (step < hi), step, d)
         rows = LADDER_CHUNK // ZERO_LADDER.size
         for start in range(0, d.size, rows):
             part = slice(start, start + rows)

@@ -16,6 +16,7 @@ from memspec import (
     HypothesisError,
     ModeCoefficients,
     boundary_cloud,
+    enclosure,
     enclosure_interval,
     essential_spectrum,
     fredholm_factor_zeros,
@@ -152,7 +153,12 @@ class TestEnclosureInterval:
         assert -0.5 < c0 < c1
         assert c0 == pytest.approx(oracle, abs=1e-15)
 
-    def test_invalid_w_min(self, k_one, d_graded):
+    def test_invalid_w_min(self, monkeypatch, k_one, d_graded):
+        # refused before the zero search runs
+        def search(*args):
+            raise AssertionError("branch zeros searched for w_min = 0")
+
+        monkeypatch.setattr(enclosure, "fredholm_factor_zeros", search)
         with pytest.raises(ValueError):
             enclosure_interval(k_one, d_graded, 0.0)
 

@@ -13,6 +13,8 @@ stencils; its complex-step log-derivative, whose arithmetic differs, must
 agree to 1e-10.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from memspec import (
     pencil,
     scalar,
 )
+from memspec.enclosure import DAMPING_FLOOR
 from memspec.scalar import (
     REAL_SNAP,
     RESIDUAL_TOL,
@@ -233,6 +236,17 @@ def test_bisection_matches_gathered_loop_on_hard_kernels():
             levels[rng.integers(count)] = 1e-300
         assert fredholm_factor_zeros(k, levels) == \
             gathered_bisection(k, levels)
+    # the memory block's eigenvalues err by about eps * b_N, far more than
+    # the narrow gaps of rates over 99 decades; two rates one ulp apart
+    # leave a gap of one double
+    for rates in [(0.1, 1.0, 1e99), (1e-3, 1e100),
+                  (1.0, np.nextafter(1.0, 2.0))]:
+        k = ExponentialKernel((1.0,) * len(rates), rates)
+        top = 1.0 / k.amplitude_sum
+        levels = np.array([1e-300, 1e-8, 0.5 * top, top - 1e-12])
+        for bhat in (levels, *levels):
+            assert fredholm_factor_zeros(k, bhat) == \
+                gathered_bisection(k, bhat)
 
 
 def test_branch_zeros_take_few_evaluations(monkeypatch, k_two):
@@ -251,10 +265,26 @@ def test_branch_zeros_take_few_evaluations(monkeypatch, k_two):
     kernels = [k_two, twelve] + [wide_rate_kernel(rng) for _ in range(100)]
     for k in kernels:
         levels = np.sort(rng.uniform(0.0, 0.95, 2)) / k.amplitude_sum
-        for bhat in (levels, levels[-1]):
+        # the damping floor puts each zero next to its pole
+        for bhat in (levels, levels[-1], np.r_[DAMPING_FLOOR, levels]):
             calls.clear()
             fredholm_factor_zeros(k, bhat)
-            assert 0 < len(calls) <= 16
+            assert 0 < len(calls) <= 8
+
+
+def test_longest_sweep_memory():
+    # the CLI's largest --sweep on the 12-term kernel: the (levels, N, N)
+    # block stack is the size of the weights
+    twelve = ExponentialKernel((0.05,) * 12,
+                               tuple(np.geomspace(1e-3, 3e2, 12)))
+    levels = np.linspace(0.0, 0.95, 10_000) / twelve.amplitude_sum
+    tracemalloc.start()
+    try:
+        fredholm_factor_zeros(twelve, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 70e6
 
 
 def test_mode_spectra_match_seven_evaluation_loop():

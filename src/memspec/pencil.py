@@ -10,15 +10,15 @@ polynomial is the cleared mode polynomial up to the sign (-1)^(N+2).
 The 1D finite-difference route for graded damping wants the eigenvalues of
 the same realization with the banded FD stencils (:class:`SymTridiagonal`),
 the D = 2 n + N r roots of det T(lam) prod_j (lam + b_j)^r for the
-tridiagonal T(lam) = lam^2 + A - Khat(lam) A_b of rank-r damping.  Two
-sources give them.  Below ABERTH_MIN_SIZE, one dense ``eigvals`` call on the
-realization; from there on, Ehrlich-Aberth iteration on that polynomial,
-with p'/p from the pivots of T(lam), by complex step at real points, in
-O(D^2) time and O(D) memory.  The dense call is also the fallback where the
-iteration does not settle.  Each root stops on the step that converges it,
-or once its step stops shrinking; only the roots within the caller's |Im|
-cap are refined fully.  Each eigenvalue kept is checked against T(lam) by
-inverse iteration; its pivots d - o^2 / piv also give p'/p and the rank r.
+tridiagonal T(lam) = lam^2 + A - Khat(lam) A_b of rank-r damping.  At every
+size they come from Ehrlich-Aberth iteration on that polynomial, with p'/p
+from the pivots of T(lam), by complex step at real points, in O(D^2) time
+and O(D) memory; one dense ``eigvals`` call on the realization is only the
+fallback where the iteration does not settle.  Each root stops on the step
+that converges it, or once its step stops shrinking; only the roots within
+the caller's |Im| cap are refined fully.  Each eigenvalue kept is checked
+against T(lam) by inverse iteration; its pivots d - o^2 / piv also give
+p'/p and the rank r.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ _EPS = np.finfo(float).eps
 
 #: Largest realization size (N+2) n that the FD route accepts.
 MAX_REALIZATION = 2000
-
-#: Smallest realization size 2 n + N r at which the FD route finds the roots
-#: by Ehrlich-Aberth instead of one dense ``eigvals`` call.
-ABERTH_MIN_SIZE = 150
 
 #: Most Ehrlich-Aberth sweeps before the FD route falls back to ``eigvals``.
 ABERTH_SWEEPS = 100
@@ -417,8 +413,9 @@ def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int,
                     step[half] = 1.0 / (d_log[half] - _deflation(
                         points, active[half], moved, n_real))
             # a zero pivot (at a root to the last bit, or by chance) makes
-            # p'/p infinite; such a point steps off by a few ulps
-            off = ~np.isfinite(step)
+            # p'/p infinite and the step zero; such a point steps off by a
+            # few ulps
+            off = ~np.isfinite(step) | ~np.isfinite(d_log)
             step[off] = 8.0 * _EPS * z[off]
             size, scale, prev = np.abs(step), np.abs(z), last[active]
             small, shrunk = size <= ABERTH_STALL * scale, size < prev
@@ -518,18 +515,15 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
     :func:`discretize_1d`; a band of the wrong length or with a non-finite
     entry raises ValueError.  The realization uses A_b = F^T F with F of full
     row rank r, the number of eigenvalues of A_b above m * eps ||A_b||_inf
-    in both sources, so no eigenvalue (size at most (N+2) m <=
-    MAX_REALIZATION) sits at a pole.  Its D = 2 m + N r eigenvalues come
-    from one of two sources:
-
-    - D below ABERTH_MIN_SIZE: F = sqrt(D) V^T from the eigendecomposition
-      of the dense A_b, and one ``np.linalg.eigvals`` call on the dense
-      realization, with no eigenvector;
-    - D from ABERTH_MIN_SIZE on: r by a Sturm count on A_b, and the roots of
-      det T(lam) prod_j (lam + b_j)^r by Ehrlich-Aberth, both on the bands'
-      :func:`_pivots` alone (:func:`_aberth_roots`), refined fully only
-      within imag_cap; where they do not settle within ABERTH_SWEEPS sweeps
-      or two settle on one root, the dense source runs instead.
+    by a Sturm count on its bands (:func:`_damping_rank`), so no eigenvalue
+    (size at most (N+2) m <= MAX_REALIZATION) sits at a pole.  Its
+    D = 2 m + N r eigenvalues are the roots of det T(lam) prod_j
+    (lam + b_j)^r by Ehrlich-Aberth on the bands' :func:`_pivots` alone
+    (:func:`_aberth_roots`), refined fully only within imag_cap.  Where they
+    do not settle within ABERTH_SWEEPS sweeps, the start solve fails or two
+    settle on one root, the fallback takes F = sqrt(S) V^T from the r
+    largest eigenpairs of the dense A_b and one ``np.linalg.eigvals`` call
+    on the dense realization, with no eigenvector.
 
     Real eigenvalues are exactly real and the others come in exact
     conjugate pairs from both.  For each lam with |Im| <= imag_cap, the
@@ -551,15 +545,11 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
                 and np.isfinite(np.concatenate((mat.diag, mat.off))).all()):
             raise ValueError(f"{name} must be a SymTridiagonal of {m} rows "
                              f"with finite bands")
-    vals = None
-    if (k.n_terms + 2) * m >= ABERTH_MIN_SIZE:  # D <= (N+2) m
-        rank = _damping_rank(mat_b)
-        if 2 * m + k.n_terms * rank >= ABERTH_MIN_SIZE:
-            vals = _aberth_roots(mat_a, mat_b, k, rank, imag_cap)
-    if vals is None:
+    rank = _damping_rank(mat_b)
+    vals = _aberth_roots(mat_a, mat_b, k, rank, imag_cap)
+    if vals is None:  # the rank largest eigenpairs of A_b give F
         damp, vecs = np.linalg.eigh(mat_b.toarray())
-        keep = damp > m * _EPS * mat_b.norm_inf()
-        factor = np.sqrt(damp[keep])[:, None] * vecs[:, keep].T
+        factor = np.sqrt(damp[m - rank:])[:, None] * vecs[:, m - rank:].T
         vals = np.linalg.eigvals(
             k.realization(mat_a.toarray(), factor)).astype(complex)
     lam = vals[~(np.abs(vals.imag) > imag_cap)]  # a NaN stays, and fails

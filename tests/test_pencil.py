@@ -252,6 +252,22 @@ class TestNonlinearFd:
             rel = np.abs(got[:, None] - want[None, :]) / np.abs(want)
             assert max(rel.min(axis=0).max(), rel.min(axis=1).max()) <= 1e-11
 
+    def test_undamped_grid_gives_imaginary_pairs(self, k_two):
+        # A_b = 0 (r = 0, D = 2 n): T(lam) = lam^2 + A, so the eigenvalues
+        # are +-i sqrt(mu) over the eigenvalues mu of A; on these grids the
+        # starts lie on the imaginary axis, and p'/p and the deflation keep
+        # every iterate there, so each real part is exactly 0 (on larger
+        # grids the starts' polish can leave rounding-level real parts)
+        for n in (3, 4, 5):
+            mat_a, mat_b = discretize_1d(1.0, np.zeros(n), n)
+            lam, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k_two,
+                                              imag_cap=np.inf)
+            root = np.sqrt(pencil.stiffness_eigenvalues(
+                1.0, n, 1.0, np.arange(1, n + 1)))
+            assert np.all(lam.real == 0.0)
+            want = np.concatenate((-root[::-1], root))
+            assert np.allclose(np.sort(lam.imag), want, rtol=1e-13, atol=0)
+
     def test_imag_cap_filters(self, k_wave):
         n = 12
         mat_a, mat_b = discretize_1d(1.0, np.full(n, 0.5), n)
@@ -324,16 +340,20 @@ class TestNonlinearFd:
     ], ids=["shifted", "nan"])
     def test_spoiled_eigenvalue_fails_residual(self, k_two, monkeypatch,
                                                spoil):
+        # the dense fallback's one 2-D eigvals call is spoiled; the stacked
+        # mode spectra that start Ehrlich-Aberth are not
         mat_a, mat_b = discretize_1d(
             1.0, np.linspace(0.5, 0.75, 20), 20)
         eigvals = np.linalg.eigvals
 
         def spoiled(mat):
             vals = eigvals(mat).astype(complex)
-            i = int(np.argmax(np.abs(vals)))
-            vals[i] = spoil(vals[i])
+            if np.ndim(mat) == 2:
+                i = int(np.argmax(np.abs(vals)))
+                vals[i] = spoil(vals[i])
             return vals
 
+        monkeypatch.setattr(pencil, "ABERTH_SWEEPS", 0)
         monkeypatch.setattr(np.linalg, "eigvals", spoiled)
         with pytest.raises(RootFindingError):
             nonlinear_eigenvalues_fd(mat_a, mat_b, k_two, imag_cap=np.inf)
@@ -385,24 +405,24 @@ def _graded_config(rng, max_size, min_size=0):
     return k, *discretize_1d(a, profile, n, 1.2 * np.sqrt(a))
 
 
-def _wide_rate_config(rng):
-    """A graded 1D problem with a wide-rate kernel: N = 1-10 terms whose
-    rates span 2-4 decades from a lowest rate in [0.1, 1], the profile of
-    :func:`_graded_config` with no vanishing part, and (N+2) n from
-    ABERTH_MIN_SIZE to MAX_REALIZATION, n = lo (hi / lo)^(u^4) for a
-    uniform u, so that most configs are small (the dense oracle costs
-    D^3)."""
-    n_terms = int(rng.integers(1, 11))
+def _wide_rate_config(rng, min_size, max_size=pencil.MAX_REALIZATION,
+                      max_terms=10, decades=(2.0, 4.0)):
+    """A graded 1D problem with a wide-rate kernel: N = 1-max_terms terms
+    whose rates span ``decades`` from a lowest rate in [0.1, 1], the profile
+    of :func:`_graded_config` with no vanishing part, and (N+2) n from
+    min_size (or n = 3) to max_size, n = lo (hi / lo)^(u^4) for a uniform
+    u, so that most configs are small (the dense oracle costs D^3)."""
+    n_terms = int(rng.integers(1, max_terms + 1))
     spread = np.sort(rng.uniform(0.0, 1.0, n_terms))
     spread = (spread - spread[0]) / (np.ptp(spread) or 1.0)
-    rates = 10.0 ** (rng.uniform(-1.0, 0.0) + rng.uniform(2.0, 4.0) * spread)
+    rates = 10.0 ** (rng.uniform(-1.0, 0.0) + rng.uniform(*decades) * spread)
     amps = rng.uniform(0.2, 1.0, n_terms)
     k = ExponentialKernel(tuple(amps), tuple(rates))
     b_max = rng.uniform(0.3, 0.9) / amps.sum()
     samples = rng.uniform(b_max * rng.uniform(0.3, 0.7), b_max,
                           int(rng.integers(2, 6)))
-    lo = -(-pencil.ABERTH_MIN_SIZE // (n_terms + 2))
-    hi = pencil.MAX_REALIZATION // (n_terms + 2)
+    lo = max(3, -(-min_size // (n_terms + 2)))
+    hi = max_size // (n_terms + 2)
     n = int(lo * (hi / lo) ** (rng.uniform() ** 4))
     a = rng.uniform(0.5, 2.0)
     nodes = np.arange(1, n + 1) / (n + 1)
@@ -434,7 +454,7 @@ class TestAberthFd:
         # the same count of exactly real roots
         rng = np.random.default_rng(4)
         for _ in range(40):
-            k, mat_a, mat_b = _wide_rate_config(rng)
+            k, mat_a, mat_b = _wide_rate_config(rng, 150)
             rank = pencil._damping_rank(mat_b)
             got = pencil._aberth_roots(mat_a, mat_b, k, rank)
             want = _dense_realization_eigvals(mat_a, mat_b, k)
@@ -469,7 +489,7 @@ class TestAberthFd:
 
     def test_two_term_anchor_matches_dense(self, k_two):
         # the benchmark's two-term anchor: profile 0.5..0.75, n = 100,
-        # D = 400, above the crossover
+        # D = 400
         n = 100
         x = np.arange(1, n + 1) / (n + 1)
         mat_a, mat_b = discretize_1d(1.0, np.interp(x, [0, 1], [0.5, 0.75]),
@@ -477,7 +497,7 @@ class TestAberthFd:
         got, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k_two,
                                             imag_cap=np.inf)
         want = _dense_realization_eigvals(mat_a, mat_b, k_two)
-        assert len(got) == len(want) == 4 * n >= pencil.ABERTH_MIN_SIZE
+        assert len(got) == len(want) == 4 * n
         assert _relative_hausdorff(got, want) <= 1e-11
         _assert_real_or_conjugate_closed(got)
         assert np.count_nonzero(got.imag == 0.0) == 2 * n
@@ -491,7 +511,6 @@ class TestAberthFd:
                                      n)
         rank = pencil._damping_rank(mat_b)
         assert rank < n
-        assert 2 * n + 2 * rank >= pencil.ABERTH_MIN_SIZE
         got, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k_two,
                                           imag_cap=np.inf)
         want = _dense_realization_eigvals(mat_a, mat_b, k_two)
@@ -500,13 +519,27 @@ class TestAberthFd:
         _assert_real_or_conjugate_closed(got)
 
     @pytest.fixture
+    def aberth_results(self, monkeypatch):
+        """What each :func:`pencil._aberth_roots` call returns (None where
+        the dense fallback runs)."""
+        roots, results = pencil._aberth_roots, []
+
+        def recorded(*args):
+            results.append(roots(*args))
+            return results[-1]
+
+        monkeypatch.setattr(pencil, "_aberth_roots", recorded)
+        return results
+
+    @pytest.fixture
     def above(self, k_two):
         mat_a, mat_b = discretize_1d(1.0, np.linspace(0.5, 0.75, 100), 100)
         return mat_a, mat_b, k_two
 
-    def test_no_dense_solve_above_crossover(self, above, monkeypatch):
+    def test_no_dense_solve_at_any_size(self, above, monkeypatch):
         # the start values come from one eigvals call on the (m, N+2, N+2)
-        # stack of mode realizations; nothing touches a D-square matrix
+        # stack of mode realizations; nothing touches a D-square matrix, on
+        # the smallest grid (D = 12) as on n = 100 (D = 400)
         mat_a, mat_b, k = above
         shapes, eigvals, eigh = [], np.linalg.eigvals, np.linalg.eigh
 
@@ -521,17 +554,20 @@ class TestAberthFd:
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         nonlinear_eigenvalues_fd(mat_a, mat_b, k)
-        assert shapes == [(100, 4, 4)]
+        nonlinear_eigenvalues_fd(*discretize_1d(1.0, [0.5, 0.6, 0.75], 3), k)
+        assert shapes == [(100, 4, 4), (3, 4, 4)]
 
     def test_sweep_cap_falls_back_to_dense(self, above, monkeypatch):
+        # full-rank A_b: the fallback's F is the oracle's, so the rows are
+        # the oracle's eigenvalues within the cap of 50, bit for bit
         mat_a, mat_b, k = above
-        monkeypatch.setattr(pencil, "ABERTH_MIN_SIZE", 10 ** 9)
-        want = nonlinear_eigenvalues_fd(mat_a, mat_b, k)
-        monkeypatch.undo()
+        want = _dense_realization_eigvals(mat_a, mat_b, k)
+        want = want[np.abs(want.imag) <= 50.0]
+        want = want[np.lexsort((want.imag, want.real))]
         monkeypatch.setattr(pencil, "ABERTH_SWEEPS", 0)
-        got = nonlinear_eigenvalues_fd(mat_a, mat_b, k)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        got, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k)
+        assert np.array_equal(got, want)
+        assert np.array_equal(res, pencil._residuals(mat_a, mat_b, k, want))
 
     @pytest.mark.parametrize("spoil", [
         lambda z: z * (1.0 + 1e-3),
@@ -604,8 +640,8 @@ class TestAberthFd:
         assert np.all(res <= 1e-6 * mat_a.norm_inf())
 
     def test_conjugate_rows_carry_equal_residuals(self, above, monkeypatch):
-        # dense route, one complex block and split blocks: a complex lam and
-        # its conjugate print the same residual bits
+        # n = 30 and n = 100, one complex block and split blocks: a complex
+        # lam and its conjugate print the same residual bits
         k = above[2]
         small = discretize_1d(1.0, np.linspace(0.5, 0.75, 30), 30)
         for row_block in (pencil.ROW_BLOCK, 2000):
@@ -620,14 +656,14 @@ class TestAberthFd:
                     assert lower[z.conjugate()].tobytes() == r.tobytes()
 
     def test_public_path_fuzz_above_crossover(self):
-        # graded configs with D from the crossover to 600, through
+        # graded configs with D from 150 to 600, through
         # nonlinear_eigenvalues_fd and its residual check
         rng = np.random.default_rng(77)
         tried = 0
         while tried < 30:
-            k, mat_a, mat_b = _graded_config(rng, 600, pencil.ABERTH_MIN_SIZE)
+            k, mat_a, mat_b = _graded_config(rng, 600, 150)
             size = 2 * mat_a.shape[0] + k.n_terms * pencil._damping_rank(mat_b)
-            if size < pencil.ABERTH_MIN_SIZE:
+            if size < 150:
                 continue
             tried += 1
             got, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k,
@@ -638,41 +674,35 @@ class TestAberthFd:
             assert (np.count_nonzero(got.imag == 0.0)
                     == np.count_nonzero(want.imag == 0.0))
 
-    def test_fuzz_from_crossover_to_199(self, monkeypatch):
-        # graded configs with D from the crossover to 199, the band nearest
-        # the crossover, through the public path; none falls back
-        roots, results = pencil._aberth_roots, []
-
-        def recorded(*args):
-            results.append(roots(*args))
-            return results[-1]
-
-        monkeypatch.setattr(pencil, "_aberth_roots", recorded)
+    def test_fuzz_from_smallest_grid_to_199(self, aberth_results):
+        # graded configs with D from the smallest grid (n = 3) to 199,
+        # through the public path; each takes one Ehrlich-Aberth solve and
+        # none falls back
+        results = aberth_results
         rng = np.random.default_rng(165)
-        while len(results) < 40:
-            k, mat_a, mat_b = _graded_config(rng, 199, pencil.ABERTH_MIN_SIZE)
+        for _ in range(40):
+            k, mat_a, mat_b = _graded_config(rng, 199)
             size = 2 * mat_a.shape[0] + k.n_terms * pencil._damping_rank(mat_b)
-            if size < pencil.ABERTH_MIN_SIZE:
-                continue
+            results.clear()
             got, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k,
                                               imag_cap=np.inf)
             want = _dense_realization_eigvals(mat_a, mat_b, k)
-            assert results[-1] is not None
+            assert len(results) == 1 and results[0] is not None
             assert len(got) == len(want) == size
             assert _relative_hausdorff(got, want) <= 1e-11
             assert (np.count_nonzero(got.imag == 0.0)
                     == np.count_nonzero(want.imag == 0.0))
 
     def test_cap_fuzz_matches_dense(self):
-        # graded configs with D from the crossover to 900, with caps of 5,
-        # 50, and 1e-9 relative above and below a dense root's |Im|: the
-        # roots left unrefined beyond the cap change no printed row
+        # graded configs with D from 150 to 900, with caps of 5, 50, and
+        # 1e-9 relative above and below a dense root's |Im|: the roots left
+        # unrefined beyond the cap change no printed row
         rng = np.random.default_rng(91)
         tried = 0
         while tried < 12:
-            k, mat_a, mat_b = _graded_config(rng, 900, pencil.ABERTH_MIN_SIZE)
+            k, mat_a, mat_b = _graded_config(rng, 900, 150)
             size = 2 * mat_a.shape[0] + k.n_terms * pencil._damping_rank(mat_b)
-            if size < pencil.ABERTH_MIN_SIZE:
+            if size < 150:
                 continue
             tried += 1
             dense = _dense_realization_eigvals(mat_a, mat_b, k)
@@ -707,6 +737,26 @@ class TestAberthFd:
         assert _relative_hausdorff(kept, full[np.abs(full.imag) <= 5.0]) \
             <= 1e-13
 
+    @pytest.mark.parametrize("seed", [33, 66, 111, 294, 384, 696])
+    def test_small_wide_rate_draws_settle(self, aberth_results, seed):
+        # small wide-rate draws (N = 1-12 terms over 1-9 decades, D < 165,
+        # here D = 12-126) on which the dense realization's eigenvalues fail
+        # the residual check; one Ehrlich-Aberth solve puts every row
+        # within it, with no fallback
+        results = aberth_results
+        k, mat_a, mat_b = _wide_rate_config(np.random.default_rng(seed), 0,
+                                            164, 12, (1.0, 9.0))
+        bound = 1e-6 * mat_a.norm_inf()
+        dense = _dense_realization_eigvals(mat_a, mat_b, k)
+        dense = dense[np.abs(dense.imag) <= 50.0]
+        assert np.max(pencil._residuals(mat_a, mat_b, k, dense)) > bound
+        _, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k)
+        assert len(results) == 1 and results[0] is not None
+        assert len(results[0]) == (2 * mat_a.shape[0]
+                                   + k.n_terms * pencil._damping_rank(mat_b))
+        _assert_real_or_conjugate_closed(results[0])
+        assert np.all(res <= bound)
+
     def test_iterates_on_one_root_fall_back_to_dense(self):
         # a nearly constant profile: 97 real roots cluster next to -2.3184,
         # and two Ehrlich-Aberth iterates settled 4.5e-12 apart on one of
@@ -728,7 +778,7 @@ class TestAberthFd:
             n, float.fromhex("0x1.05fa4504b61bap+0"))
         got, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k, imag_cap=np.inf)
         want = _dense_realization_eigvals(mat_a, mat_b, k)
-        assert len(got) == len(want) == 5 * n >= pencil.ABERTH_MIN_SIZE
+        assert len(got) == len(want) == 5 * n
         assert _relative_hausdorff(got, want) <= 1e-11
 
     def test_coincident_roots(self):
@@ -755,7 +805,7 @@ class TestAberthFd:
             0.62189, np.interp(x, [0, 1], [0.3932, 0.3915]), n)
         got, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k, imag_cap=np.inf)
         want = _dense_realization_eigvals(mat_a, mat_b, k)
-        assert len(got) == len(want) == 4 * n >= pencil.ABERTH_MIN_SIZE
+        assert len(got) == len(want) == 4 * n
         assert np.count_nonzero(np.abs(want + 3.738) < 0.05) == n
         assert _relative_hausdorff(got, want) <= 1e-11
         assert (np.count_nonzero(got.imag == 0.0)
@@ -965,11 +1015,35 @@ class TestZeroPivot:
         res = pencil._residuals(mat_a, mat_b, k, pair)
         norm = np.linalg.norm(mat_a.toarray(), np.inf)
         assert np.all(res <= 1e-9 * norm)
-        assert 2 * n + 2 * pencil._damping_rank(mat_b) \
-            >= pencil.ABERTH_MIN_SIZE
         got, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k)
         assert lam in got
         assert np.all(res <= 1e-6 * norm)
+
+    def test_zero_pivot_at_a_start_steps_off(self):
+        # a wide-rate draw (N = 6, n = 3, D = 24): on an odd grid the middle
+        # stiffness eigenvalue is A's diagonal, so the start -7.80996 of that
+        # mode makes T's first pivot exactly zero though det T is not; p'/p
+        # is infinite and the Ehrlich-Aberth step zero, and a point that
+        # stopped there was left 1.3e-4 from the root -7.81100
+        k = ExponentialKernel(
+            tuple(map(float.fromhex, (
+                "0x1.3bd7201fb4b9dp-1", "0x1.cc1da986db880p-1",
+                "0x1.c0e46a822e8f4p-3", "0x1.e9e2241a6d8d6p-1",
+                "0x1.3a7903193d150p-1", "0x1.154b9a9096dcdp-1"))),
+            tuple(map(float.fromhex, (
+                "0x1.0270bf9b7eda2p-2", "0x1.39c2067494d03p+1",
+                "0x1.adaa649d717e5p+1", "0x1.fcec9f8a3e861p+1",
+                "0x1.01b651e047071p+3", "0x1.210712053a4b4p+3"))))
+        mat_a, mat_b = discretize_1d(
+            float.fromhex("0x1.f88ed526b2fc4p+0"),
+            [float.fromhex(v) for v in ("0x1.50670acdbe184p-3",
+                                        "0x1.54cab426c82f3p-3",
+                                        "0x1.4d057581f3b22p-3")],
+            3, float.fromhex("0x1.af4706f876617p+0"))
+        got, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k, imag_cap=np.inf)
+        want = _dense_realization_eigvals(mat_a, mat_b, k)
+        assert len(got) == len(want) == 24
+        assert _relative_hausdorff(got, want) <= 1e-11
 
     def test_first_pivot_zero_in_either_sweep(self):
         # h = 1, a = 2 and a constant profile 0.53125 with kernel (1; 1):
@@ -1022,11 +1096,11 @@ def test_damping_rank_matches_dense_count():
         assert pencil._damping_rank(mat_b) == want
 
 
-def test_dense_source_keeps_the_sturm_rank():
+def test_dense_source_keeps_the_sturm_rank(monkeypatch):
     # A_b with ||A_b||_inf = 150, largest eigenvalue 125.2 and a decoupled
-    # diagonal entry 6.4e-13, between m eps times the two: the dense source
-    # (D below the crossover) drops it as the Sturm count does, and adds no
-    # eigenvalue next to the pole -1
+    # diagonal entry 6.4e-13, between m eps times the two: the dense
+    # fallback (forced by a sweep cap of 0) drops it as the Sturm count
+    # does, and adds no eigenvalue next to the pole -1
     m = 21
     diag, off = np.zeros(m), np.zeros(m - 1)
     diag[0:10:2], diag[1:10:2], off[0:10:2] = 110.0, 20.0, -40.0
@@ -1034,6 +1108,7 @@ def test_dense_source_keeps_the_sturm_rank():
     mat_b = SymTridiagonal(diag, off)
     mat_a, _ = discretize_1d(1.0, np.zeros(m), m)
     k = ExponentialKernel((0.5,), (1.0,))
+    monkeypatch.setattr(pencil, "ABERTH_SWEEPS", 0)
     lam, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k, np.inf)
     assert lam.size == 2 * m + k.n_terms * pencil._damping_rank(mat_b) == 52
 

@@ -121,7 +121,6 @@ def essential_spectrum(k: ExponentialKernel,
     The zeros over [b_min, b_max] therefore fill exactly the interval between
     the zeros at the two bounds.
     """
-    _require_margin(k, d)
     zeros = fredholm_factor_zeros(k, damping_levels(d))
     return _essential_from_zeros(zeros[0], zeros[-1])
 
@@ -158,7 +157,6 @@ def enclosure_interval(k: ExponentialKernel, d: DampingBound,
     """
     if not w_min > 0.0:
         raise ValueError(f"w_min = {w_min} must be positive")
-    _require_margin(k, d)
     levels = damping_levels(d)
     zero = max(fredholm_factor_zeros(k, levels[-1]))
     roots, _ = mode_spectra(k, [w_min] * len(levels),

@@ -376,11 +376,12 @@ def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int,
 
     The start values are the mode spectra at the stiffness eigenvalues of
     the stencil A, with damping values from the sorted profile
-    diag(A_b) / diag(A) and zero for the m - rank smallest.  The real
-    starts and the starts with Im > 0 are moved; the others are their
-    conjugates, so real roots stay exactly real and the rest come in exact
-    conjugate pairs.  Each sweep moves every root still moving by
-    1 / (p'/p - sum_j 1 / (z - z_j)) over all other roots
+    diag(A_b) / diag(A) and zero for the m - rank smallest, which start on
+    the imaginary axis and, at rank 0, stay there (p'/p and every deflation
+    term are imaginary).  The real starts and the starts with Im > 0 are
+    moved; the others are their conjugates, so real roots stay exactly real
+    and the rest come in exact conjugate pairs.  Each sweep moves every root
+    still moving by 1 / (p'/p - sum_j 1 / (z - z_j)) over all other roots
     (:func:`_deflation`).  A root stops, its step applied, on a step below
     ABERTH_STALL |z| and 1e-6 of its last one and at least half the Newton
     step 1 / |p'/p| (about 1e-17 |z| from its limit); unmoved once a step
@@ -446,8 +447,11 @@ def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int,
 def _coincident(moved) -> bool:
     """Whether two of the roots, ``moved`` and the conjugates of its members
     with Im > 0, lie within 10 ABERTH_STALL |z|, as two iterates on one root
-    of a tight cluster do, leaving its neighbour out (neighbours in 150
-    graded configs, 200 <= D <= 900, were 1.1e-9 |z| apart or more)."""
+    of a tight cluster do, leaving its neighbour out.  Neighbours in 150
+    graded configs (200 <= D <= 900) lay >= 1.1e-9 |z| apart; it flagged
+    159 of 400 small wide-rate draws for real neighbours, all then refused
+    by the dense fallback, and 5 of 300 nearly constant linear profiles, 4
+    duplicates (2.1e-10 to 5.6e-10 from dense) and 1 false alarm (1.5e-12)."""
     order = np.argsort(np.abs(moved))  # ||z| - |w|| <= |z - w|
     z, size = moved[order], np.abs(moved[order])
     reach = 10.0 * ABERTH_STALL * size

@@ -245,7 +245,7 @@ def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):
 
 def root_counts(k: ExponentialKernel, betas) -> np.ndarray:
     """Roots per mode of :func:`mode_spectra`: N + 2 where beta > 0, and 2
-    where beta = 0, whose other N eigenvalues are the decoupled poles."""
+    where beta = 0, whose symbol lam^2 + alpha has no memory term."""
     return np.where(np.asarray(betas) > 0.0, k.n_terms + 2, 2)
 
 
@@ -254,24 +254,27 @@ def mode_spectra(k: ExponentialKernel, alphas,
     """Eigenvalues of the modes (alphas[i], betas[i]): one flat array, mode
     after mode and sorted by (re, im) within each, and the count per mode.
 
-    One ``np.linalg.eigvals`` call solves the stacked realizations.  At
-    beta = 0 the memory variables decouple, N eigenvalues are the poles
-    -b_j, and the N nearest the poles are dropped, so each mode keeps
-    :func:`root_counts` eigenvalues.  LAPACK returns conjugate pairs
-    adjacent, positive part first; only the eigenvalues with Im >= 0 are
-    polished and checked, and each partner with Im < 0 takes the conjugate
-    of the first and its verdict.  Each takes at most three Newton steps on
-    :func:`_near_pole_form`, each kept only where |f| falls; a kept step's
-    form values serve the next step, and a rejected step would repeat
-    exactly, so only the eigenvalues whose last step was kept take the
-    next.  |Im| <= REAL_SNAP (1 + |z|) becomes real where the real point
-    meets the residual bound |g| <= RESIDUAL_TOL * scale of one more
-    evaluation of the form, and stays complex where only the complex point
-    does; a point that meets neither raises :class:`RootFindingError`.
+    At beta = 0 the symbol is lam^2 + alpha, and its roots are written as
+    -i sqrt(alpha), i sqrt(alpha).  One ``np.linalg.eigvals`` call solves
+    the stacked realizations of the damped modes, N + 2 roots each.  LAPACK
+    returns conjugate pairs adjacent, positive part first; only the
+    eigenvalues with Im >= 0 are polished and checked, and each partner
+    with Im < 0 takes the conjugate of the first and its verdict.  Each
+    takes at most three Newton steps on :func:`_near_pole_form`, each kept
+    only where |f| falls; a kept step's form values serve the next step,
+    and a rejected step would repeat exactly, so only the eigenvalues whose
+    last step was kept take the next.  |Im| <= REAL_SNAP (1 + |z|) becomes
+    real where the real point meets the residual bound
+    |g| <= RESIDUAL_TOL * scale of one more evaluation of the form, and
+    stays complex where only the complex point does; a point that meets
+    neither raises :class:`RootFindingError`.
     """
     rates = np.asarray(k.rates)
-    alpha = np.asarray(alphas, dtype=float).reshape(-1, 1)
-    beta = np.asarray(betas, dtype=float).reshape(-1, 1)
+    alpha, beta = (np.asarray(v, dtype=float).ravel() for v in (alphas, betas))
+    counts, damped = root_counts(k, beta), beta > 0.0
+    out = np.empty((alpha.size, rates.size + 2), dtype=complex)
+    out[:, :2] = np.sqrt(alpha)[:, None] * [-1j, 1j]  # real parts +0.0
+    alpha, beta = alpha[damped, None], beta[damped, None]
     mats = k.realization(alpha[:, :, None], np.sqrt(beta)[:, :, None])
     raw = np.linalg.eigvals(mats).astype(complex)
     # LAPACK's absolute error is about eps times the norm, at least
@@ -292,14 +295,8 @@ def mode_spectra(k: ExponentialKernel, alphas,
             nearest, axis=1, kind="stable"), axis=1)
         rows[:, -2], rows[:, -1] = root - half[small], -root - half[small]
         raw[small] = rows
-    counts = root_counts(k, beta[:, 0])
-    keep = np.ones(raw.shape, dtype=bool)
-    if not np.all(beta > 0.0):
-        gap = np.abs(raw[..., None] + rates).min(axis=-1)
-        rank = np.argsort(np.argsort(gap, axis=1), axis=1)
-        keep = rank >= raw.shape[1] - counts[:, None]
     z = raw.ravel()
-    lead = np.flatnonzero(keep.ravel() & (z.imag >= 0.0))
+    lead = np.flatnonzero(z.imag >= 0.0)
     # a pair's second member directly follows the first
     partner = np.flatnonzero(z.imag < 0.0)
     modes = lead // raw.shape[1]
@@ -332,14 +329,14 @@ def mode_spectra(k: ExponentialKernel, alphas,
             ok[lead[again]] = np.abs(g) <= RESIDUAL_TOL * scale
             ok[partner] = ok[partner - 1]
             real[undo] = z[undo]
-        z = real
+        z = real.reshape(raw.shape)
     if not ok.all():
         raise RootFindingError(
-            f"residual guarantee failed for mode eigenvalues {z[~ok]}",
-            best=z.reshape(raw.shape))
-    z = np.where(keep, z.reshape(raw.shape), np.inf)
-    z = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=1), axis=1)
-    return z[np.arange(z.shape[1]) < counts[:, None]], counts
+            f"residual guarantee failed for mode eigenvalues "
+            f"{z.ravel()[~ok]}", best=z)
+    out[damped] = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=1),
+                                     axis=1)
+    return out[np.arange(out.shape[1]) < counts[:, None]], counts
 
 
 def jordan_condition(k: ExponentialKernel, bhat: float, lam0):

@@ -248,6 +248,40 @@ def test_discretize_two_term_all_inside(config, capsys):
         assert int(tail[0].split("=")[1]) > 50
 
 
+UNDAMPED_BOX = {
+    "coefficient_a": 1.3,
+    "kernel": {"a": [0.3, 0.2, 0.1], "b": [0.5, 2.0, 9.0]},
+    "damping": {"kind": "constant", "value": 0.0},
+    "domain": {"kind": "box", "lengths": [1.0, 1.7, 0.6]},
+}
+
+UNDAMPED_GRID = {
+    "coefficient_a": 1.0,
+    "kernel": {"a": [1.0, 0.2], "b": [1.0, 1.5]},
+    "damping": {"kind": "profile_1d", "samples": [0.0, 0.0]},
+    "domain": {"kind": "interval_fd", "length": 1.0, "grid_points": 200},
+}
+
+
+@pytest.mark.parametrize("command, doc, imag_cap, bound", [
+    ("eigs", UNDAMPED_BOX, "60", scalar.RESIDUAL_TOL),
+    ("discretize", UNDAMPED_GRID, "1e9",
+     1e-6 * discretize_1d(1.0, np.zeros(200), 200)[0].norm_inf()),
+])
+def test_undamped_rows_are_imaginary(config, capsys, command, doc, imag_cap,
+                                     bound):
+    # at beta = 0 every eigenvalue is +-i sqrt(alpha) of a mode or of the
+    # stencil, so every printed real part is 0, not polish noise
+    code, out = run(capsys, [command, "--config", config(doc),
+                             "--imag-cap", imag_cap])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]
+            if not line.startswith("#")]
+    assert len(rows) > 300
+    assert {row[0] for row in rows} == {"0"}
+    assert max(float(row[4]) for row in rows) <= bound
+
+
 def test_discretize_needs_fd_domain(config, capsys):
     code, _ = run(capsys, ["discretize", "--config", config(GRADED)])
     assert code == 2

@@ -4,7 +4,8 @@ FD log-derivative against reference loops.
 The references are the earlier, slower forms of these loops, kept verbatim:
 the bisection that gathers the live brackets' rows on every step, the
 Newton polish that evaluates the near-pole form at z and again at the step
-(seven evaluations in all), on every eigenvalue of every pair, the Thomas
+(seven evaluations in all), on every eigenvalue of every pair (modes with
+beta = 0 take their closed-form pair, as in the library), the Thomas
 sweep and pivot loop that index the grid rows as u[i] (on the
 d - o^2 / piv pivots of the library's one recurrence), and the float64
 recurrence that carries the pivots' derivatives beside them.  The library's
@@ -79,15 +80,12 @@ def full_near_pole_form(k, alpha, beta, z):
 
 
 def seven_evaluation_spectra(k, alphas, betas):
-    """Mode eigenvalues with the form evaluated at z and at every step."""
-    rates = np.asarray(k.rates)
+    """Mode eigenvalues with the form evaluated at z and at every step; the
+    rows with beta = 0 in closed form, -i sqrt(alpha) and i sqrt(alpha)."""
     alpha = np.asarray(alphas, dtype=float).reshape(-1, 1)
     beta = np.asarray(betas, dtype=float).reshape(-1, 1)
     mats = k.realization(alpha[:, :, None], np.sqrt(beta)[:, :, None])
     z = raw = np.linalg.eigvals(mats).astype(complex)
-    gap = np.abs(raw[..., None] + rates).min(axis=-1)
-    rank = np.argsort(np.argsort(gap, axis=1), axis=1)
-    keep = (beta > 0.0) | (rank >= k.n_terms)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(3):
             g, dg, f, _ = full_near_pole_form(k, alpha, beta, z)
@@ -98,12 +96,13 @@ def seven_evaluation_spectra(k, alphas, betas):
         z = np.where(np.abs(z.imag) <= REAL_SNAP * (1.0 + np.abs(z)),
                      z.real + 0j, z)
         g, _, _, scale = full_near_pole_form(k, alpha, beta, z)
-        bad = keep & ~(np.abs(g) <= RESIDUAL_TOL * scale)
+        bad = (beta > 0.0) & ~(np.abs(g) <= RESIDUAL_TOL * scale)
     if bad.any():
         raise RootFindingError("residual guarantee failed", best=z)
-    z = np.where(keep, z, np.inf)
     z = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=1), axis=1)
-    return [row[:count] for row, count in zip(z, keep.sum(axis=1))]
+    pairs = np.array([-1j, 1j]) * np.sqrt(alpha)
+    return [row if b > 0.0 else pair
+            for row, b, pair in zip(z, beta[:, 0], pairs)]
 
 
 def indexed_pivots(off, piv, tiny=None):
@@ -367,10 +366,16 @@ def test_mode_spectra_polishes_each_pair_once(monkeypatch, k_two):
         assert np.all(checked.imag >= 0.0)
         assert np.isin(checked, roots).all()
         assert np.isin(roots[roots.imag >= 0.0], checked).all()
-    # an undamped mode's first step is rejected, so no second round runs
+    # undamped modes are written, not polished: beside a damped mode the
+    # form sees the damped mode's eigenvalues alone, and on its own an
+    # undamped mode puts no point through the form
+    points.clear()
+    mode_spectra(k_two, [40.0, 3.0], [0.0, 1.0])
+    raw = np.linalg.eigvals(k_two.realization([[3.0]], [[1.0]]))
+    assert np.array_equal(points[0], raw[raw.imag >= 0.0])
     points.clear()
     mode_spectra(k_two, [40.0], [0.0])
-    assert [len(z) for z in points] == [1, 1, 1]
+    assert sum(len(z) for z in points) == 0
 
 
 def test_residual_sweep_matches_indexed_loop(k_two):

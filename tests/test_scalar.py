@@ -337,15 +337,23 @@ class TestModePolynomial:
         assert np.allclose(sorted(roots, key=lambda z: z.imag), [-3j, 3j],
                            atol=1e-9)
 
-    def test_undamped_drop_survives_perturbed_poles(self, k_two, monkeypatch):
-        # the pole eigenvalues are dropped by position, not by float
-        # equality with -b_j: eigenvalues a few ulp off still go
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals",
-                            lambda a: eigvals(a) * (1.0 + 4e-16))
-        roots = mode_spectra(k_two, [9.0], [0.0])[0]
-        assert np.allclose(sorted(roots, key=lambda z: z.imag), [-3j, 3j],
-                           atol=1e-9)
+    def test_undamped_pair_ignores_eigvals(self, k_two, monkeypatch):
+        # beta = 0 modes are written as -i sqrt(alpha), i sqrt(alpha), not
+        # solved: eigenvalues a few ulp off change no bit of them, at the
+        # extremes of alpha too and beside a damped mode, and eigvals sees
+        # the damped realizations alone
+        eigvals, stacks = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: stacks.append(
+            len(a)) or eigvals(a) * (1.0 + 4e-16))
+        alphas = np.array([9.0, 2.0, 1e-299, 1e40])
+        want = (np.array([-1j, 1j]) * np.sqrt(alphas)[:, None]).ravel()
+        roots, counts = mode_spectra(k_two, alphas, np.zeros(4))
+        assert counts.tolist() == [2] * 4
+        assert roots.tobytes() == want.tobytes()
+        assert not np.signbit(roots.real).any()
+        roots, counts = mode_spectra(k_two, [9.0, 9.0], [0.0, 3.0])
+        assert roots[:2].tobytes() == want[:2].tobytes()
+        assert stacks == [0, 1]
 
 
 class TestJordanCondition:

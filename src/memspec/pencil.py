@@ -11,14 +11,15 @@ The 1D finite-difference route for graded damping wants the eigenvalues of
 the same realization with the banded FD stencils (:class:`SymTridiagonal`),
 the D = 2 n + N r roots of det T(lam) prod_j (lam + b_j)^r for the
 tridiagonal T(lam) = lam^2 + A - Khat(lam) A_b of rank-r damping.  At every
-size they come from Ehrlich-Aberth iteration on that polynomial, with p'/p
-from the pivots of T(lam), by complex step at real points, in O(D^2) time
-and O(D) memory; one dense ``eigvals`` call on the realization is only the
-fallback where the iteration does not settle.  Each root stops on the step
-that converges it, or once its step stops shrinking; only the roots within
-the caller's |Im| cap are refined fully.  Each eigenvalue kept is checked
-against T(lam) by inverse iteration; its pivots d - o^2 / piv also give
-p'/p and the rank r.
+size they come from Ehrlich-Aberth iteration on that polynomial, from
+unpolished mode-spectra starts, with p'/p from one pass over the pivots of
+T(lam) per sweep, by complex step at real points, in O(D^2) time and O(D)
+memory; one dense ``eigvals`` call on the realization is only the fallback
+where the sweeps run out or two roots coincide.  Each root stops on the
+step that converges it, or once its step stops shrinking; only the roots
+within the caller's |Im| cap are refined fully.  Each eigenvalue kept is
+checked against T(lam) by inverse iteration; its pivots d - o^2 / piv also
+give p'/p and the rank r.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import RootFindingError
 from .kernel import ExponentialKernel
-from .scalar import ModeCoefficients, mode_spectra, rational_symbol
+from .scalar import ModeCoefficients, rational_symbol
 
 _LIFT_TOL = 1e-6
 
@@ -45,8 +46,8 @@ ABERTH_SWEEPS = 100
 ABERTH_STALL = 1e-11
 
 #: Elements per block of the (grid rows, points) arrays of the
-#: Ehrlich-Aberth sweeps and the complex residual sweep; the float64
-#: residual sweep takes twice as many, in the same bytes.
+#: Ehrlich-Aberth sweeps (real and complex points in one) and the complex
+#: residual sweep; the float64 residual sweep takes twice as many.
 ROW_BLOCK = 1 << 16
 
 
@@ -283,63 +284,76 @@ def _damping_rank(mat_b: SymTridiagonal) -> int:
     return int(np.count_nonzero(piv > 0.0))
 
 
-def _log_derivative(z, mat_a, mat_b, k: ExponentialKernel, rank: int):
-    """p'/p at the points z for p(lam) = det T(lam) prod_j (lam + b_j)^rank,
-    from the pivots of the symmetric T(lam), piv_(i+1) = d_(i+1) - q with
-    q = o_i^2 / piv_i, in blocks of rows so that no (m, len(z)) array is
-    built: at real z by complex step, Im piv / (h Re piv) at T(z + i h)
-    (Squire & Trapp, SIAM Review 40, 1998), and at complex z with
-    piv'_(i+1) = d'_(i+1) - (2 o_i o'_i - q piv'_i) / piv_i beside them."""
-    rates = np.asarray(k.rates)
-    inv = 1.0 / np.add.outer(rates, z)
-    khat, d_khat = np.zeros_like(z), np.zeros_like(z)
-    for w, row in zip(np.asarray(k.amplitudes) * rates, inv):  # rate order
-        khat += w * row
-        d_khat -= w * row * row
-    total = rank * np.sum(inv, axis=0)
+def _sweep_setup(mat_a, mat_b, k: ExponentialKernel, rank: int):
+    """The band columns of A and A_b, the rates, the weights a_j b_j and the
+    rank, which every :func:`_log_derivative` call of one solve reads."""
     # o_i couples rows i - 1 and i; row 0 follows an uncoupled piv = 1
     (al, ad), (bl, bd) = ((np.concatenate(([0.0], mat.off))[:, None],
                            mat.diag[:, None]) for mat in (mat_a, mat_b))
-    rows, real = max(8, ROW_BLOCK // max(z.size, 1)), z.dtype.kind == "f"
-    if real:
-        # real roots lie a fraction of b_1 or more from 0 and 2^-53 |x| or
-        # more from each pole, so h = 2^-70 max(|x|, b_1) is 2^-17 of that
-        # or less; the O(h^2) parts of the pivots fall below rounding from
-        # 1e-13 |x| off a pole or zero pivot (at a simple one Im / Re is
-        # exact), and h piv' underflows only where x^2 does
-        h = 2.0 ** -70 * np.maximum(np.abs(z), rates[0])
-        khat, z_sq = khat + 1j * (h * d_khat), z * z + 1j * (2.0 * h * z)
-    else:
-        z_sq, z_2, d_khat_2 = z * z, 2.0 * z, -2.0 * d_khat
-        d_piv, t, q = np.zeros_like(z), np.empty_like(z), np.empty_like(z)
-    piv = np.ones_like(khat)
-    bufs = np.empty((4 - 2 * real, min(rows, ad.size)) + z.shape, khat.dtype)
+    rates = np.asarray(k.rates)
+    return al, ad, bl, bd, rates, np.asarray(k.amplitudes) * rates, rank
+
+
+def _log_derivative(x, z, setup):
+    """p'/p at the real points x (float64) and the complex points z for
+    p(lam) = det T(lam) prod_j (lam + b_j)^rank, from one recurrence over
+    the pivots of the symmetric T(lam) at all points, piv_(i+1) = d_(i+1)
+    - q with q = o_i^2 / piv_i, in blocks of rows so that no (m, points)
+    array is built: at real x by complex step, Im piv / (h Re piv) at
+    T(x + i h) (Squire & Trapp, SIAM Review 40, 1998), and at complex z
+    with piv'_(i+1) = d'_(i+1) - (2 o_i o'_i - q piv'_i) / piv_i beside
+    it.  Each column's arithmetic is its own."""
+    al, ad, bl, bd, rates, weights, rank = setup
+    n_real, pts = x.size, np.concatenate((x, z))  # the real points as x + 0j
+    inv = 1.0 / np.add.outer(rates, pts)
+    khat, d_khat = np.zeros_like(pts), np.zeros_like(pts)
+    for w, row in zip(weights, inv):  # rate order
+        khat += w * row
+        d_khat -= w * row * row
+    total = rank * np.sum(inv, axis=0)
+    # real roots lie a fraction of b_1 or more from 0 and 2^-53 |x| or more
+    # from each pole, so h = 2^-70 max(|x|, b_1) is 2^-17 of that or less;
+    # the O(h^2) parts of the pivots fall below rounding from 1e-13 |x| off
+    # a pole or zero pivot (at a simple one Im / Re is exact), and h piv'
+    # underflows only where x^2 does
+    h = 2.0 ** -70 * np.maximum(np.abs(x), rates[0])
+    z_sq = pts * pts
+    khat.imag[:n_real] = h * d_khat.real[:n_real]
+    z_sq.imag[:n_real] = 2.0 * h * x
+    cplx = slice(n_real, None)
+    z_2, d_khat, d_khat_2 = 2.0 * z, d_khat[cplx], -2.0 * d_khat[cplx]
+    piv, d_piv = np.ones_like(pts), np.zeros_like(z)
+    q, t = np.empty_like(pts), np.empty_like(z)
+    x_total, z_total = total.real[:n_real].copy(), total[cplx]
+    rows = max(8, ROW_BLOCK // max(pts.size, 1))
+    bufs = np.empty((2, min(rows, ad.size)) + pts.shape, complex)
+    duals = np.empty((2, min(rows, ad.size)) + z.shape, complex)
     for start in range(0, ad.size, rows):
         block = slice(start, start + rows)
-        diag, off_sq, *dual = bufs[:, :ad[block].size]
+        diag, off_sq = bufs[:, :ad[block].size]
+        d_diag, d_off_sq = duals[:, :ad[block].size]
         np.subtract(ad[block], np.multiply(khat, bd[block], diag), diag)
         diag += z_sq
         np.subtract(al[block], np.multiply(khat, bl[block], off_sq), off_sq)
-        if real:
-            off_sq *= off_sq
-            piv = _pivots(off_sq, diag, piv).copy()  # out of the reused rows
-            total += np.sum(np.divide(diag.imag, diag.real, diag.imag), 0) / h
+        np.subtract(z_2, np.multiply(d_khat, bd[block], d_diag), d_diag)
+        np.multiply(np.multiply(d_khat_2, bl[block], d_off_sq),
+                    off_sq[:, cplx], d_off_sq)
+        off_sq *= off_sq
+        if not z.size:  # the pivots alone, two ufunc calls per row, not six
+            piv = _pivots(off_sq, diag, piv)
         else:
-            d_diag, d_off_sq = dual
-            np.subtract(z_2, np.multiply(d_khat, bd[block], d_diag), d_diag)
-            np.multiply(np.multiply(d_khat_2, bl[block], d_off_sq), off_sq,
-                        d_off_sq)
-            off_sq *= off_sq
             for o_sq, d_o_sq, d, d_d in zip(off_sq, d_off_sq, diag, d_diag):
                 np.divide(o_sq, piv, q)
-                np.multiply(q, d_piv, t)
+                np.multiply(q[cplx], d_piv, t)
                 np.subtract(d_o_sq, t, t)
-                np.divide(t, piv, t)
+                np.divide(t, piv[cplx], t)
                 piv = np.subtract(d, q, d)
                 d_piv = np.subtract(d_d, t, d_d)
-            piv, d_piv = piv.copy(), d_piv.copy()
-            total += np.sum(np.divide(d_diag, diag, d_diag), axis=0)
-    return total
+        piv, d_piv = piv.copy(), d_piv.copy()  # out of the reused rows
+        real = diag[:, :n_real]
+        x_total += np.sum(np.divide(real.imag, real.real, real.imag), 0) / h
+        z_total += np.sum(np.divide(d_diag, diag[:, cplx], d_diag), axis=0)
+    return x_total, z_total
 
 
 def _deflation(points, own, moved, n_real: int):
@@ -374,14 +388,18 @@ def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int,
     Ehrlich-Aberth, or None where they do not settle in ABERTH_SWEEPS or two
     settle on one root (:func:`_coincident`).
 
-    The start values are the mode spectra at the stiffness eigenvalues of
+    The starts are the roots of the modes at the stiffness eigenvalues of
     the stencil A, with damping values from the sorted profile
-    diag(A_b) / diag(A) and zero for the m - rank smallest, which start on
-    the imaginary axis and, at rank 0, stay there (p'/p and every deflation
-    term are imaginary).  The real starts and the starts with Im > 0 are
-    moved; the others are their conjugates, so real roots stay exactly real
-    and the rest come in exact conjugate pairs.  Each sweep moves every root
-    still moving by 1 / (p'/p - sum_j 1 / (z - z_j)) over all other roots
+    diag(A_b) / diag(A) and zero for the m - rank smallest: -+i sqrt(alpha)
+    (real parts +0.0) at damping 0, else the eigenvalues of one ``eigvals``
+    call on the stacked (N+2)-square realizations, unpolished, since the
+    sweeps refine every start; LAPACK gives them exactly real or in exact
+    conjugate pairs.  The real starts and those with Im > 0 are moved; the
+    others are their conjugates, so real roots stay exactly real and the
+    rest come in exact conjugate pairs (at rank 0 on the imaginary axis:
+    p'/p and every deflation term are imaginary).  Each sweep takes p'/p at
+    all points still moving in one :func:`_log_derivative` call and moves
+    each by 1 / (p'/p - sum_j 1 / (z - z_j)) over all other roots
     (:func:`_deflation`).  A root stops, its step applied, on a step below
     ABERTH_STALL |z| and 1e-6 of its last one and at least half the Newton
     step 1 / |p'/p| (about 1e-17 |z| from its limit); unmoved once a step
@@ -394,25 +412,27 @@ def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int,
                                   np.arange(1, m + 1))
     profile = np.sort(mat_b.diag / mat_a.diag)
     profile[:m - rank] = 0.0
-    try:
-        starts, _ = mode_spectra(k, alpha, profile * alpha)
-    except RootFindingError:
-        return None
+    beta = profile * alpha
+    damped = beta > 0.0
+    mats = k.realization(alpha[damped, None, None],
+                         np.sqrt(beta)[damped, None, None])
+    starts = np.concatenate((1j * np.sqrt(alpha[~damped]),  # the Im > 0 one
+                             np.linalg.eigvals(mats).astype(complex).ravel()))
     real = starts.imag == 0.0
     moved = np.concatenate((starts[real], starts[starts.imag > 0.0]))
     n_real = int(np.count_nonzero(real))
+    setup = _sweep_setup(mat_a, mat_b, k, rank)
     active, last = np.arange(moved.size), np.full(moved.size, np.inf)
     with np.errstate(all="ignore"):
         for _ in range(ABERTH_SWEEPS):
-            z, real = moved[active], active < n_real
-            step, d_log = np.empty_like(z), np.empty_like(z)
-            # real points take real arithmetic, which costs less
-            for half, points in ((real, z[real].real), (~real, z[~real])):
-                if points.size:
-                    d_log[half] = _log_derivative(points, mat_a, mat_b, k,
-                                                  rank)
-                    step[half] = 1.0 / (d_log[half] - _deflation(
-                        points, active[half], moved, n_real))
+            # active ascends, so the real points come first
+            z, split = moved[active], int(np.searchsorted(active, n_real))
+            points = z[:split].real, z[split:]
+            d_log = _log_derivative(*points, setup)
+            step = np.concatenate([
+                1.0 / (d - _deflation(p, own, moved, n_real)) for d, p, own
+                in zip(d_log, points, np.split(active, [split]))])
+            d_log = np.concatenate(d_log)
             # a zero pivot (at a root to the last bit, or by chance) makes
             # p'/p infinite and the step zero; such a point steps off by a
             # few ulps
@@ -524,10 +544,10 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
     D = 2 m + N r eigenvalues are the roots of det T(lam) prod_j
     (lam + b_j)^r by Ehrlich-Aberth on the bands' :func:`_pivots` alone
     (:func:`_aberth_roots`), refined fully only within imag_cap.  Where they
-    do not settle within ABERTH_SWEEPS sweeps, the start solve fails or two
-    settle on one root, the fallback takes F = sqrt(S) V^T from the r
-    largest eigenpairs of the dense A_b and one ``np.linalg.eigvals`` call
-    on the dense realization, with no eigenvector.
+    do not settle within ABERTH_SWEEPS sweeps or two settle on one root, the
+    fallback takes F = sqrt(S) V^T from the r largest eigenpairs of the
+    dense A_b and one ``np.linalg.eigvals`` call on the dense realization,
+    with no eigenvector.
 
     Real eigenvalues are exactly real and the others come in exact
     conjugate pairs from both.  For each lam with |Im| <= imag_cap, the

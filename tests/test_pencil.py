@@ -30,7 +30,7 @@ from memspec import (
     mode_spectra,
     nonlinear_eigenvalues_fd,
 )
-from memspec import pencil
+from memspec import pencil, scalar
 from test_reference_loops import dual_log_derivative
 from test_scalar import mpmath_mode_roots
 
@@ -465,19 +465,20 @@ class TestAberthFd:
                     == np.count_nonzero(want.imag == 0.0))
 
     @pytest.mark.parametrize("n, amps, rates, calls, points", [
-        (100, (1.0, 0.2), (1.0, 1.5), 13, 1200),
-        (600, (1.0,), (1.0,), 14, 4100),
+        (100, (1.0, 0.2), (1.0, 1.5), 10, 1200),
+        (600, (1.0,), (1.0,), 10, 4100),
     ], ids=["two-term-100", "one-term-600"])
     def test_anchor_sweep_work(self, monkeypatch, n, amps, rates, calls,
                                points):
-        # the benchmark's FD anchors (profile 0.5..0.75, cap 50) take 12 and
-        # 13 p'/p calls at 1151 and 3986 points; the ceilings sit just above,
-        # so a change that adds sweeps fails here before any timing shows it
+        # the benchmark's FD anchors (profile 0.5..0.75, cap 50) take 9
+        # sweeps each, one p'/p call per sweep, at 1148 and 4005 points; the
+        # ceilings sit just above, so a change that adds sweeps or calls
+        # fails here before any timing shows it
         log_derivative, seen = pencil._log_derivative, []
 
-        def counted(z, *args):
-            seen.append(z.size)
-            return log_derivative(z, *args)
+        def counted(x, z, setup):
+            seen.append(x.size + z.size)
+            return log_derivative(x, z, setup)
 
         monkeypatch.setattr(pencil, "_log_derivative", counted)
         x = np.arange(1, n + 1) / (n + 1)
@@ -721,9 +722,9 @@ class TestAberthFd:
         mat_a, mat_b, k = above
         log_derivative, points = pencil._log_derivative, []
 
-        def counted(z, *args):
-            points.append(z.size)
-            return log_derivative(z, *args)
+        def counted(x, z, setup):
+            points.append(x.size + z.size)
+            return log_derivative(x, z, setup)
 
         monkeypatch.setattr(pencil, "_log_derivative", counted)
         rank = pencil._damping_rank(mat_b)
@@ -736,6 +737,42 @@ class TestAberthFd:
         assert len(kept) == np.count_nonzero(np.abs(full.imag) <= 5.0)
         assert _relative_hausdorff(kept, full[np.abs(full.imag) <= 5.0]) \
             <= 1e-13
+
+    def test_starts_take_no_polish(self, k_two, monkeypatch):
+        # the starts are the eigenvalues of one eigvals call on the stacked
+        # mode realizations, and +-i sqrt(alpha) with real part +0.0 where
+        # the damping value is 0; the mode solver's near-pole form never
+        # runs.  The first sweep sees the real starts as float64 and one of
+        # each exact conjugate pair; a vanishing profile (r < n) gives both
+        # kinds of start
+        def refused(*args):
+            raise AssertionError("a start was polished")
+
+        log_derivative, starts = pencil._log_derivative, []
+
+        def recorded(x, z, setup):
+            starts.append((x.copy(), z.copy()))  # z moves in place
+            return log_derivative(x, z, setup)
+
+        monkeypatch.setattr(scalar, "_near_pole_form", refused)
+        monkeypatch.setattr(pencil, "_log_derivative", recorded)
+        n = 30
+        x = np.arange(1, n + 1) / (n + 1)
+        mat_a, mat_b = discretize_1d(1.0, 0.8 * np.clip(x - 0.4, 0.0, None),
+                                     n)
+        rank = pencil._damping_rank(mat_b)
+        got = pencil._aberth_roots(mat_a, mat_b, k_two, rank)
+        real, upper = starts[0]
+        assert real.dtype == np.float64 and np.all(upper.imag > 0.0)
+        assert real.size + 2 * upper.size == got.size == 2 * n + 2 * rank
+        undamped = upper[upper.real == 0.0]
+        assert undamped.size == n - rank > 0
+        assert not np.any(np.signbit(undamped.real))
+        _assert_real_or_conjugate_closed(got)
+        want = _dense_realization_eigvals(mat_a, mat_b, k_two)
+        assert _relative_hausdorff(got, want) <= 1e-11
+        assert (np.count_nonzero(got.imag == 0.0)
+                == np.count_nonzero(want.imag == 0.0))
 
     @pytest.mark.parametrize("seed", [33, 66, 111, 294, 384, 696])
     def test_small_wide_rate_draws_settle(self, aberth_results, seed):
@@ -813,6 +850,14 @@ class TestAberthFd:
         assert np.all(res <= 1e-6 * np.linalg.norm(mat_a.toarray(), np.inf))
 
 
+def _log_derivative_at(points, mat_a, mat_b, k, rank):
+    """p'/p at real or at complex points, by one call of one kind."""
+    setup = pencil._sweep_setup(mat_a, mat_b, k, rank)
+    if points.dtype.kind == "f":
+        return pencil._log_derivative(points, np.empty(0, complex), setup)[0]
+    return pencil._log_derivative(np.empty(0), points, setup)[1]
+
+
 @pytest.mark.parametrize("row_block", [pencil.ROW_BLOCK, 1],
                          ids=["one-block", "blocks-of-8"])
 @pytest.mark.parametrize("vanishing", [False, True],
@@ -832,7 +877,7 @@ def test_log_derivative_matches_dense_trace(k_two, monkeypatch, row_block,
     amps, rates = np.array(k_two.amplitudes), np.array(k_two.rates)
     for z in (np.array([-0.37, 0.8, 2.5, -20.0]),
               np.array([-0.3 + 4.1j, 1.0 - 0.5j, -2.2 + 30.0j])):
-        got = pencil._log_derivative(z, mat_a, mat_b, k_two, rank)
+        got = _log_derivative_at(z, mat_a, mat_b, k_two, rank)
         want = []
         for point in z:
             khat = np.sum(amps * rates / (point + rates))
@@ -897,7 +942,7 @@ def test_complex_step_matches_mpmath(monkeypatch, row_block, vanishing):
         b_1, b_2 = k.rates
         z = np.array([-1e-3 * b_1, -0.5 * b_1, -1.5 * b_1, -0.5 * (b_1 + b_2),
                       -3.0 * b_2, -0.37, -20.0, 0.8, 2.5])
-        got = pencil._log_derivative(z, mat_a, mat_b, k, rank)
+        got = _log_derivative_at(z, mat_a, mat_b, k, rank)
         want = [_mpmath_log_derivative(x, mat_a, mat_b, k, rank)[0]
                 for x in z]
         assert got.dtype == np.float64
@@ -917,7 +962,7 @@ def test_complex_step_next_to_poles(vanishing):
                       for rel in (1e-6, -1e-6, 1e-9, -1e-9)])
         want, size = np.array([_mpmath_log_derivative(x, mat_a, mat_b, k,
                                                       rank) for x in z]).T
-        step = np.abs(pencil._log_derivative(z, mat_a, mat_b, k, rank) - want)
+        step = np.abs(_log_derivative_at(z, mat_a, mat_b, k, rank) - want)
         dual = np.abs(dual_log_derivative(z, mat_a, mat_b, k, rank) - want)
         assert np.max(size / np.abs(want)) >= 1e7  # the cancellation
         assert np.all(step <= dual + 1e-13 * size)
@@ -931,12 +976,12 @@ def test_complex_step_is_scale_free():
     for mat_a, mat_b, k, rank in _log_derivative_cases(False):
         b_1, b_2 = k.rates
         z = np.array([-0.5 * b_1, -0.5 * (b_1 + b_2), -3.0 * b_2, -0.37])
-        want = pencil._log_derivative(z, mat_a, mat_b, k, rank)
+        want = _log_derivative_at(z, mat_a, mat_b, k, rank)
         for s in (2.0 ** -100, 2.0 ** 100):
             scaled = (SymTridiagonal(s * s * mat.diag, s * s * mat.off)
                       for mat in (mat_a, mat_b))
             k_s = ExponentialKernel(k.amplitudes, tuple(s * b for b in k.rates))
-            got = pencil._log_derivative(s * z, *scaled, k_s, rank)
+            got = _log_derivative_at(s * z, *scaled, k_s, rank)
             assert got.tobytes() == (want / s).tobytes()
 
 
@@ -949,10 +994,31 @@ def test_complex_step_zero_leading_pivot():
     z = np.array([-2.75, -0.5, 0.3])
     assert mat_a.diag[0] - k.laplace(-0.5) * mat_b.diag[0] + 0.25 == 0.0
     with np.errstate(all="ignore"):
-        got = pencil._log_derivative(z, mat_a, mat_b, k, 3)
+        got = _log_derivative_at(z, mat_a, mat_b, k, 3)
     assert not np.isfinite(got[1])
     want = [_mpmath_log_derivative(x, mat_a, mat_b, k, 3)[0] for x in z[::2]]
     assert np.all(np.abs(got[::2] - want) <= 1e-10 * np.abs(want))
+
+
+@pytest.mark.parametrize("row_block", [pencil.ROW_BLOCK, 1],
+                         ids=["one-block", "blocks-of-8"])
+@pytest.mark.parametrize("n", [29, 30], ids=["odd-grid", "even-grid"])
+def test_mixed_call_matches_one_kind_calls(k_two, monkeypatch, row_block, n):
+    # one call over real and complex points gives each point the bits of a
+    # call of its own kind, where each kind fits one block of rows (at
+    # ROW_BLOCK = 1 every call takes blocks of 8 rows)
+    monkeypatch.setattr(pencil, "ROW_BLOCK", row_block)
+    x = np.arange(1, n + 1) / (n + 1)
+    mat_a, mat_b = discretize_1d(1.3, np.interp(x, [0, 1], [0.5, 0.75]), n)
+    rank = pencil._damping_rank(mat_b)
+    real = np.array([-0.37, 0.8, 2.5, -20.0, -1.2])
+    cplx = np.array([-0.3 + 4.1j, 1.0 - 0.5j, -2.2 + 30.0j])
+    got_real, got_cplx = pencil._log_derivative(
+        real, cplx, pencil._sweep_setup(mat_a, mat_b, k_two, rank))
+    assert got_real.dtype == np.float64
+    for got, points in ((got_real, real), (got_cplx, cplx)):
+        want = _log_derivative_at(points, mat_a, mat_b, k_two, rank)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("row_block", [pencil.ROW_BLOCK, 1000],
@@ -990,9 +1056,19 @@ class TestZeroPivot:
     """A lam that makes a pivot of T(lam) exactly zero is an eigenvalue to
     the last bit; its residual is small, not NaN."""
 
+    @staticmethod
+    def _last_pivots(mat_a, mat_b, k, pair):
+        khat = k.laplace(pair)
+        piv, off = (band_a[:, None] - khat * band_b[:, None]
+                    for band_a, band_b in ((mat_a.diag, mat_b.diag),
+                                           (mat_a.off, mat_b.off)))
+        piv += pair * pair
+        return pencil._pivots(off * off, piv[1:], piv[0])
+
     def test_exact_root_at_crossover(self):
         # a generated benchmark call (N = 2, n = 54, D = 216) whose
-        # Ehrlich-Aberth pair -0.266633 +- 33.2442i zeroes the last pivot
+        # Ehrlich-Aberth pair -0.266633 +- 33.2442i zeroed the last pivot
+        # when the starts were polished mode spectra
         k = ExponentialKernel((0.8777525355466265, 0.7272910999171553),
                               (1.6855604553541454, 2.375650075734239))
         n = 54
@@ -1006,18 +1082,31 @@ class TestZeroPivot:
         lam = complex(float.fromhex("-0x1.1108258331a3bp-2"),
                       float.fromhex("0x1.09f434bec9026p+5"))
         pair = np.array([lam, lam.conjugate()])
-        khat = k.laplace(pair)
-        piv, off = (band_a[:, None] - khat * band_b[:, None]
-                    for band_a, band_b in ((mat_a.diag, mat_b.diag),
-                                           (mat_a.off, mat_b.off)))
-        piv += pair * pair
-        assert np.all(pencil._pivots(off * off, piv[1:], piv[0]) == 0.0)
+        assert np.all(self._last_pivots(mat_a, mat_b, k, pair) == 0.0)
         res = pencil._residuals(mat_a, mat_b, k, pair)
         norm = np.linalg.norm(mat_a.toarray(), np.inf)
         assert np.all(res <= 1e-9 * norm)
+        # the fd workload's seed-23 call of slot 33 (N = 2, n = 60,
+        # D = 240), whose Ehrlich-Aberth pair -0.0847221 +- 25.8895i zeroes
+        # the last pivot
+        k = ExponentialKernel((0.7381893919524489, 0.3927872065274183),
+                              (0.24358139379955374, 0.9850904013558301))
+        n = 60
+        x = np.arange(1, n + 1) / (n + 1)
+        mat_a, mat_b = discretize_1d(
+            1.13594799489528,
+            np.interp(x, np.linspace(0.0, 1.0, 5),
+                      [0.2506818350823495, 0.2288422497390638,
+                       0.3230240986014374, 0.404926808107769,
+                       0.2301601376414485]),
+            n, 1.2789703329824358)
+        lam = complex(float.fromhex("-0x1.5b058bd32064ep-4"),
+                      float.fromhex("0x1.9e3b8fa0d0726p+4"))
+        pair = np.array([lam, lam.conjugate()])
+        assert np.all(self._last_pivots(mat_a, mat_b, k, pair) == 0.0)
         got, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k)
-        assert lam in got
-        assert np.all(res <= 1e-6 * norm)
+        assert lam in got and lam.conjugate() in got
+        assert np.all(res <= 1e-6 * np.linalg.norm(mat_a.toarray(), np.inf))
 
     def test_zero_pivot_at_a_start_steps_off(self):
         # a wide-rate draw (N = 6, n = 3, D = 24): on an odd grid the middle

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from itertools import chain
 
 import numpy as np
@@ -155,40 +156,34 @@ def cmd_enclosure(spec: ProblemSpec, args) -> int:
             _modes(spec, box, args.alpha_cap, "--alpha-cap"))
     else:
         alphas = enclosure.synthetic_alpha_grid(w_min)
-    # only JSON prints the one-term strips; the CSV cloud reads [c0, c1]
-    # alone, so it needs neither the strips nor their hypothesis
-    if k.n_terms == 1 and args.format == "json":
-        region = enclosure.one_pole_region(k, bounds, w_min)
-    else:
-        region = enclosure.EnclosureRegion(
-            k, bounds, w_min, *enclosure.enclosure_interval(k, bounds, w_min))
-    try:
-        if args.format == "csv":
+    fields = "--beta-samples" + (
+        " or --alpha-cap" if args.alpha_cap is not None else "")
+    if args.format == "csv":
+        try:
             cloud = enclosure.boundary_cloud(k, bounds, alphas,
                                              args.beta_samples)
-            points = len(cloud)
-        else:
-            points = enclosure.cloud_size(k, bounds, alphas, args.beta_samples)
-    except ValueError as exc:
-        fields = "--beta-samples" + (
-            " or --alpha-cap" if args.alpha_cap is not None else "")
-        raise ConfigError(f"{exc}; reduce {fields}") from None
-    if args.format == "csv":
-        table = "%.12g,%.12g,%.12g,%.12g\n" * points % tuple(
+        except ValueError as exc:
+            raise ConfigError(f"{exc}; reduce {fields}") from None
+        table = "%.12g,%.12g,%.12g,%.12g\n" * len(cloud) % tuple(
             cloud.ravel().tolist())
         _emit("re,im,alpha,beta\n" + table, args.output)
+        _info(f"{len(cloud)} cloud points")
+        return 0
+    # JSON: [c0, c1] and the one-term strips, whose hypothesis is refused
+    # before the cloud's size, which is counted, not solved
+    if k.n_terms == 1:
+        region = enclosure.one_pole_region(k, bounds, w_min)
+        doc = {"c0": region.c0, "c1": region.c1, **asdict(region.one_pole)}
     else:
-        strips = region.one_pole
-        doc = {
-            "c0": region.c0,
-            "c1": region.c1,
-            "d0": strips.d0 if strips else None,
-            "d1": strips.d1 if strips else None,
-            "hat_d": strips.hat_d if strips else None,
-            "counts": {"cloud": points, "alphas": len(alphas)},
-        }
-        _emit(json.dumps(doc) + "\n", args.output)
-    _info(f"enclosure interval [{_fmt(region.c0)}, {_fmt(region.c1)}], "
+        c0, c1 = enclosure.enclosure_interval(k, bounds, w_min)
+        doc = {"c0": c0, "c1": c1, "d0": None, "d1": None, "hat_d": None}
+    try:
+        points = enclosure.cloud_size(k, bounds, alphas, args.beta_samples)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; reduce {fields}") from None
+    doc["counts"] = {"cloud": points, "alphas": len(alphas)}
+    _emit(json.dumps(doc) + "\n", args.output)
+    _info(f"enclosure interval [{_fmt(doc['c0'])}, {_fmt(doc['c1'])}], "
           f"{points} cloud points")
     return 0
 

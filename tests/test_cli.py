@@ -216,6 +216,34 @@ def test_enclosure_json_solves_no_cloud(config, capsys, monkeypatch):
         assert len(calls) == 1
 
 
+def test_enclosure_csv_solves_only_the_cloud(config, capsys, monkeypatch):
+    # the CSV table prints the cloud alone: one mode solve, and no branch
+    # zero, [c0, c1] or strip behind it, on stdout or on stderr
+    argv = ["enclosure", "--format", "csv", "--config"]
+    docs = (GRADED, TWO_TERM, CONSTANT)
+    want = [run(capsys, argv + [config(doc)]) for doc in docs]
+    calls = []
+    solve = scalar.mode_spectra
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    def refused(*args):
+        raise AssertionError("the CSV cloud solved more than the cloud")
+
+    for module in (scalar, enclosure):
+        monkeypatch.setattr(module, "mode_spectra", counted)
+        monkeypatch.setattr(module, "fredholm_factor_zeros", refused)
+    for name in ("enclosure_interval", "one_pole_region"):
+        monkeypatch.setattr(enclosure, name, refused)
+    for doc, (code, out) in zip(docs, want):
+        calls.clear()
+        assert code == 0
+        assert run(capsys, argv + [config(doc)]) == (0, out)
+        assert len(calls) == 1
+
+
 def test_discretize_csv(config, capsys):
     code, out = run(capsys, ["discretize", "--config", config(FD)])
     assert code == 0
@@ -317,7 +345,8 @@ def test_enclosure_refuses_tiny_w_min_strips(config, capsys):
 
 def test_enclosure_csv_builds_no_strips(config, capsys):
     # on a 10 x 10 box the one-term strips have no height; the cloud reads
-    # only [c0, c1], so CSV prints it, and JSON, which prints hat_d, refuses
+    # neither them nor [c0, c1], so CSV prints it, and JSON, which prints
+    # hat_d, refuses
     path = config({**GRADED, "domain": {"kind": "box",
                                         "lengths": [10.0, 10.0]}})
     code, out = run(capsys, ["enclosure", "--config", path, "--format", "csv"])

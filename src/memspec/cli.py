@@ -8,8 +8,10 @@ enclosure   enclosure constants as JSON, or the boundary cloud as CSV
 discretize  1D finite-difference eigenvalues as CSV with containment report
 validate    run the invariant suite; exit 0 on success, 1 on failure
 
-Exit codes: 0 success, 1 validation failure, 2 configuration or hypothesis
-error or an unwritable --output path.  Identical inputs and flags produce byte-identical output.
+Exit codes: 0 success; 1 a validate FAIL line or a numerical failure (a
+missed residual guarantee, a point within the pole guard); 2 a configuration
+or hypothesis error or an unwritable --output path.  Identical inputs and
+flags produce byte-identical output.
 """
 
 from __future__ import annotations

@@ -176,10 +176,12 @@ def parse_config(path) -> ProblemSpec:
     """Read and validate a JSON configuration file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError also covers an integer literal beyond Python's digit limit;
+    # RecursionError, arrays or objects nested too deep for the parser
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     return load_spec(doc)

@@ -561,18 +561,20 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
     eigenvalue fails too, but a pivot that is exactly zero is raised to
     eps max |T(lam)| first, as LAPACK's inverse iteration does.
     """
+    if not isinstance(mat_a, SymTridiagonal):
+        raise ValueError("mat_a must be a SymTridiagonal")
     m = mat_a.shape[0]
-    if (k.n_terms + 2) * m > MAX_REALIZATION:
-        raise ValueError(
-            f"realization size {(k.n_terms + 2) * m} exceeds "
-            f"MAX_REALIZATION = {MAX_REALIZATION}"
-        )
     for name, mat in (("mat_a", mat_a), ("mat_b", mat_b)):
         if not (isinstance(mat, SymTridiagonal) and np.shape(mat.diag) == (m,)
                 and np.shape(mat.off) == (m - 1,)
                 and np.isfinite(np.concatenate((mat.diag, mat.off))).all()):
             raise ValueError(f"{name} must be a SymTridiagonal of {m} rows "
                              f"with finite bands")
+    if (k.n_terms + 2) * m > MAX_REALIZATION:
+        raise ValueError(
+            f"realization size {(k.n_terms + 2) * m} exceeds "
+            f"MAX_REALIZATION = {MAX_REALIZATION}"
+        )
     rank = _damping_rank(mat_b)
     vals = _aberth_roots(mat_a, mat_b, k, rank, imag_cap)
     if vals is None:  # the rank largest eigenpairs of A_b give F

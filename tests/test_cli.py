@@ -578,6 +578,69 @@ def test_huge_kernel_rate_refused(command, tmp_path):
     assert "Warning" not in proc.stderr
 
 
+def test_essential_merges_intervals_at_a_pole(config, capsys):
+    # the two branch intervals lie 2.0e-11 apart across the pole -1, so the
+    # JSON holds one interval (test_enclosure pins both sides of the gap)
+    doc = _with(TWO_TERM, kernel__a=[1e-8, 0.5], kernel__b=[1.0, 1.001],
+                damping__b_min=0.0, damping__b_max=1.7, domain__lengths=[1.0])
+    code, out = run(capsys, ["essential", "--config",
+                             config(json.loads(doc))])
+    assert code == 0
+    assert json.loads(out) == {
+        "intervals": [[-1.000999994995, -0.1501499829799966]]}
+
+
+@pytest.mark.parametrize("doc, inside", [
+    (FD_TWO_TERM, 232),
+    (json.loads(_with(FD_TWO_TERM, kernel__a=[1.0], kernel__b=[1.0],
+                      domain__grid_points=600)), 630),
+], ids=["two-term-n100", "one-term-n600"])
+def test_discretize_anchors_all_inside(config, capsys, doc, inside):
+    # the benchmark's two FD anchors: every printed eigenvalue is inside
+    code, out = run(capsys, ["discretize", "--config", config(doc)])
+    assert code == 0
+    assert out.splitlines()[-3:] == [f"# inside={inside}", "# outside=0",
+                                     "# max_violation=0"]
+
+
+# Kernels that exit 1 today: each strict xfail must lose its marker in the
+# change that mends it; rate 1e15 is the passing control of the rate gap.
+POLE_GUARD = _with(CONSTANT, coefficient_a=1.0, kernel__a=[1e-3],
+                   kernel__b=[1e8], domain__lengths=[1.0, 1.0])
+_POLE_GUARD_EXIT = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                     reason=(
+    "a mode root rounds onto the pole -1e8 and trips the pole guard (eigs: "
+    "rational_symbol in _mode_records; validate: jordan_ratio)"))
+
+
+def _rate_gap(rate):
+    return _with(TWO_TERM, kernel__a=[0.1, 0.1], kernel__b=[1.0, rate],
+                 damping__b_min=0.4, damping__b_max=0.5)
+
+
+_RATE_GAP_EXIT = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                   reason=(
+    "eigvals on the realization errs by about eps * b_N, so the O(1) mode "
+    "roots fail the residual guarantee"))
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("eigs", POLE_GUARD, marks=_POLE_GUARD_EXIT,
+                 id="eigs-pole-guard"),
+    pytest.param("validate", POLE_GUARD, marks=_POLE_GUARD_EXIT,
+                 id="validate-pole-guard"),
+    pytest.param("enclosure", _rate_gap(1e20), marks=_RATE_GAP_EXIT,
+                 id="enclosure-rate-1e20"),
+    pytest.param("validate", _rate_gap(1e20), marks=_RATE_GAP_EXIT,
+                 id="validate-rate-1e20"),
+    pytest.param("enclosure", _rate_gap(1e15), id="enclosure-rate-1e15"),
+    pytest.param("validate", _rate_gap(1e15), id="validate-rate-1e15"),
+])
+def test_wide_rate_kernels_solve(config, capsys, command, text):
+    code, _ = run(capsys, [command, "--config", config(json.loads(text))])
+    assert code == 0
+
+
 @pytest.mark.parametrize("argv, doc, count", [
     (["essential"], GRADED, 1), (["eigs"], CONSTANT, 0),
     (["enclosure"], TWO_TERM, 1), (["discretize"], FD, 1),

@@ -98,6 +98,14 @@ def test_parse_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         parse_config(bad)
+    # bytes that are not UTF-8, nesting too deep for the JSON parser and an
+    # integer literal beyond Python's digit limit each name the file
+    for content in (b'\xff\xfe{"coefficient_a": 1.0}',
+                    b"[" * 100_000 + b"]" * 100_000,
+                    b'{"coefficient_a": ' + b"1" * 5000 + b"}"):
+        bad.write_bytes(content)
+        with pytest.raises(ConfigError, match="bad.json"):
+            parse_config(bad)
 
 
 def test_kernel_rate_bound():

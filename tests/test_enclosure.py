@@ -70,6 +70,23 @@ class TestEssentialSpectrum:
         with pytest.raises(HypothesisError):
             essential_spectrum(k_one, DampingBound(0.5, 1.5))
 
+    @pytest.mark.parametrize("b_min, want", [
+        (0.0, ((-1.000999994995, -0.1501499829799966),)),
+        (0.1, ((-1.0000000000203875, -1.0000000000200036),
+               (-0.9509499989796125, -0.1501499829799966))),
+    ], ids=["merged", "apart"])
+    def test_intervals_meeting_at_a_pole_merge(self, b_min, want):
+        # a tiny first amplitude leaves the first branch almost on the pole
+        # -1; at the floored b_min = 0 its zero at b_max ends 2.0e-11 short of
+        # the second branch's zero at b_min, under MERGE_GAP, while b_min =
+        # 0.1 moves the second branch's start away from the pole
+        k = ExponentialKernel((1e-8, 0.5), (1.0, 1.001))
+        d = DampingBound(b_min, 1.7)
+        low, high = fredholm_factor_zeros(k, enclosure.damping_levels(d))
+        gap = low[1] - high[0]
+        assert (gap < enclosure.MERGE_GAP) == (len(want) == 1)
+        assert essential_spectrum(k, d).intervals == want
+
     def test_contains(self, k_one, d_graded):
         ess = essential_spectrum(k_one, d_graded)
         assert ess.contains(-0.3)

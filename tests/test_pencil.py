@@ -296,10 +296,10 @@ class TestNonlinearFd:
                     SymTridiagonal(mat_b.diag, mat_b.off[:, None]),
                     SymTridiagonal(nan_diag, mat_b.off),
                     SymTridiagonal(mat_b.diag, mat_b.off * np.inf),
-                    mat_b.toarray()):
+                    mat_b.toarray(), mat_b.toarray().tolist()):
             with pytest.raises(ValueError, match="mat_b"):
                 nonlinear_eigenvalues_fd(mat_a, bad, k_wave)
-            if bad.shape[0] == 10:
+            if np.shape(getattr(bad, "diag", bad))[0] == 10:
                 with pytest.raises(ValueError, match="mat_a"):
                     nonlinear_eigenvalues_fd(bad, mat_b, k_wave)
         # bands given as lists are held as float arrays

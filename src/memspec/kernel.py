@@ -1,9 +1,9 @@
 """Exponential-sum relaxation kernels and their Laplace transforms.
 
-The kernel K(t) = sum_j a_j exp(-b_j t) with a_j > 0 and strictly increasing
-decay rates 0 < b_1 < ... < b_N is the only kernel class supported.  Its
-Laplace transform is the rational function sum_j a_j b_j / (lam + b_j) with
-simple real poles at -b_j.
+The kernel K(t) = sum_j a_j b_j exp(-b_j t) with a_j > 0 and strictly
+increasing decay rates 0 < b_1 < ... < b_N is the only kernel class
+supported.  Its Laplace transform Khat(lam) = sum_j a_j b_j / (lam + b_j)
+is rational, with simple real poles at -b_j and Khat(0) = sum_j a_j.
 """
 
 from __future__ import annotations

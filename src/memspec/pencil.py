@@ -10,16 +10,11 @@ polynomial is the cleared mode polynomial up to the sign (-1)^(N+2).
 The 1D finite-difference route for graded damping wants the eigenvalues of
 the same realization with the banded FD stencils (:class:`SymTridiagonal`),
 the D = 2 n + N r roots of det T(lam) prod_j (lam + b_j)^r for the
-tridiagonal T(lam) = lam^2 + A - Khat(lam) A_b of rank-r damping.  At every
-size they come from Ehrlich-Aberth iteration on that polynomial, from
-unpolished mode-spectra starts, with p'/p from one pass over the pivots of
-T(lam) per sweep, by complex step at real points, in O(D^2) time and O(D)
-memory; one dense ``eigvals`` call on the realization is only the fallback
-where the sweeps run out or two roots coincide.  Each root stops on the
-step that converges it, or once its step stops shrinking; only the roots
-within the caller's |Im| cap are refined fully.  Each eigenvalue kept is
-checked against T(lam) by inverse iteration; its pivots d - o^2 / piv also
-give p'/p and the rank r.
+tridiagonal T(lam) = lam^2 + A - Khat(lam) A_b of rank-r damping.  They come
+from Ehrlich-Aberth iteration, the real ones certified per pole gap by the
+inertia of T(x), in O(D^2) time and O(D) memory, and each is checked by
+inverse iteration; the pivots d - o^2 / piv of T give p'/p, the inertia,
+the residual and the rank r.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RootFindingError
-from .kernel import ExponentialKernel
+from .kernel import POLE_GUARD, ExponentialKernel
 from .scalar import ModeCoefficients, rational_symbol
 
 _LIFT_TOL = 1e-6
@@ -39,15 +34,16 @@ _EPS = np.finfo(float).eps
 #: Largest realization size (N+2) n that the FD route accepts.
 MAX_REALIZATION = 2000
 
-#: Most Ehrlich-Aberth sweeps before the FD route falls back to ``eigvals``.
+#: Most Ehrlich-Aberth sweeps of the FD route.
 ABERTH_SWEEPS = 100
 
 #: Relative step below which a root may stop (see :func:`_aberth_roots`).
 ABERTH_STALL = 1e-11
 
 #: Elements per block of the (grid rows, points) arrays of the
-#: Ehrlich-Aberth sweeps (real and complex points in one) and the complex
-#: residual sweep; the float64 residual sweep takes twice as many.
+#: Ehrlich-Aberth sweeps (real and complex points in one), the inertia counts
+#: and the complex residual sweep; the float64 residual sweep takes twice as
+#: many.
 ROW_BLOCK = 1 << 16
 
 
@@ -162,7 +158,7 @@ class ModePencil:
         if v1 == 0:
             raise ValueError("v1 must be nonzero")
         rates = np.asarray(self.kernel.rates)
-        if np.min(np.abs(rates + lam)) < 1e-12:
+        if np.min(np.abs(rates + lam)) < POLE_GUARD:
             raise ValueError(f"lam = {lam} is at a kernel pole")
         symbol = rational_symbol(
             self.kernel, ModeCoefficients(self.alpha, self.beta), lam)
@@ -385,8 +381,7 @@ def _deflation(points, own, moved, n_real: int):
 def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int,
                   imag_cap: float = np.inf):
     """The D = 2 m + N rank roots of det T(lam) prod_j (lam + b_j)^rank by
-    Ehrlich-Aberth, or None where they do not settle in ABERTH_SWEEPS or two
-    settle on one root (:func:`_coincident`).
+    Ehrlich-Aberth, the real ones through :func:`_certified_real`.
 
     The starts are the roots of the modes at the stiffness eigenvalues of
     the stencil A, with damping values from the sorted profile
@@ -459,31 +454,79 @@ def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int,
             active = active[~(stall | beyond | done
                               | (size <= 2.0 * _EPS * scale))]
             if not active.size:
-                return None if _coincident(moved) else np.concatenate(
-                    (moved, np.conj(moved[n_real:])))
-    return None
+                break
+    roots = np.concatenate((moved, np.conj(moved[n_real:])))
+    cplx = active[active >= n_real]  # still moving at the cap
+    cplx = cplx[~(np.abs(moved[cplx].imag) > imag_cap)]
+    if cplx.size:
+        raise RootFindingError(
+            f"fd eigenvalues {moved[cplx]} still move after {ABERTH_SWEEPS} "
+            f"Ehrlich-Aberth sweeps", best=roots)
+    roots[:n_real] = _certified_real(moved[:n_real].real,
+                                     active[active < n_real], setup)
+    return roots
 
 
-def _coincident(moved) -> bool:
-    """Whether two of the roots, ``moved`` and the conjugates of its members
-    with Im > 0, lie within 10 ABERTH_STALL |z|, as two iterates on one root
-    of a tight cluster do, leaving its neighbour out.  Neighbours in 150
-    graded configs (200 <= D <= 900) lay >= 1.1e-9 |z| apart; it flagged
-    159 of 400 small wide-rate draws for real neighbours, all then refused
-    by the dense fallback.  At imag_cap 50, 23 of 300 nearly constant
-    linear profiles (the tests' recipe, seed 1) fall back, 12 on the sweep
-    cap and 11 here, all solved by the dense route in 0.3-4.1 s; unchecked,
-    with 1000 sweeps, all 23 settle in under 0.7 s, but 13-15 keep two
-    iterates on one root.  One of 100 graded draws (D <= 2000) falls back
-    here, a false alarm on a real pair 3.3e-11 apart."""
-    order = np.argsort(np.abs(moved))  # ||z| - |w|| <= |z - w|
-    z, size = moved[order], np.abs(moved[order])
-    reach = 10.0 * ABERTH_STALL * size
-    lo, hi = (np.searchsorted(size, size + sign * reach, side)
-              for sign, side in ((-1.0, "left"), (1.0, "right")))
-    return np.any((z.imag > 0.0) & (2.0 * z.imag <= reach)) or any(
-        np.count_nonzero(np.abs(z[lo[i]:hi[i]] - z[i]) <= reach[i]) > 1
-        for i in np.flatnonzero(hi - lo > 1))
+def _inertia(x, setup) -> np.ndarray:
+    """nu(x), the number of negative pivots of the real symmetric T(x) at
+    each float64 x, by one :func:`_pivots` pass in blocks of rows: the Sturm
+    count of LAPACK's dstebz (Barth, Martin & Wilkinson, Numer. Math. 9,
+    1967)."""
+    al, ad, bl, bd, rates, weights, _ = setup
+    count, piv, rows = 0, np.ones_like(x), max(8, ROW_BLOCK // max(x.size, 1))
+    with np.errstate(all="ignore"):  # a midpoint may round onto a pole
+        khat = np.sum(weights[:, None] / np.add.outer(rates, x), axis=0)
+        for i in range(0, ad.size, rows):
+            diag = ad[i:i + rows] - khat * bd[i:i + rows] + x * x
+            off = al[i:i + rows] - khat * bl[i:i + rows]
+            piv = _pivots(off * off, diag, piv)
+            count += np.count_nonzero(diag < 0.0, axis=0)
+    return count
+
+
+def _certified_real(real, moving, setup) -> np.ndarray:
+    """The real roots, each pole gap checked by its inertia count and
+    repaired where it fails or holds a root still ``moving`` (indices into
+    ``real``), as :func:`nonlinear_eigenvalues_fd` states."""
+    *_, rates, _, rank = setup
+    edges = np.append(-rates[::-1], 0.0)
+    inside = (real > edges[0]) & (real < 0.0) & ~np.isin(real, edges)
+    if not inside.all():
+        raise RootFindingError(f"real fd eigenvalues {real[~inside]} lie "
+                               f"outside the pole gaps of (-b_N, 0)")
+    pts = np.concatenate((edges, real))
+    order = np.argsort(pts)
+    pts, fixed = pts[order], real.copy()
+    mids, edge = 0.5 * (pts[:-1] + pts[1:]), np.flatnonzero(order < edges.size)
+    nu, stuck = _inertia(mids, setup), np.isin(order, edges.size + moving)
+    for lo, hi in zip(edge[:-1], edge[1:]):  # the gap (pts[lo], pts[hi])
+        # nu = r just right of pts[lo], then the midpoints', 0 just left of
+        # pts[hi]: a step of 0 at the ends and of 1 across each root
+        known = np.concatenate(([rank], nu[lo:hi], [0]))
+        steps = np.abs(np.diff(known))
+        if (steps[0] == steps[-1] == 0 and np.all(steps[1:-1] == 1)
+                and not stuck[lo:hi].any()):
+            continue
+        if hi - lo - 1 != rank:
+            raise RootFindingError(
+                f"pole gap ({pts[lo]:.12g}, {pts[hi]:.12g}) holds "
+                f"{hi - lo - 1} real fd eigenvalues for r = {rank} and fails "
+                f"its inertia count")
+        # nu falls below k past the last known point with nu >= k
+        ks = np.arange(rank, 0, -1)
+        j = np.searchsorted(-np.maximum.accumulate(known[::-1])[::-1], -ks,
+                            "right") - 1
+        xs = np.concatenate((pts[lo:lo + 1], mids[lo:hi], pts[hi:hi + 1]))
+        lo_x, hi_x = xs[j], xs[j + 1]
+        while True:  # bisection on nu down to adjacent doubles
+            mid = 0.5 * (lo_x + hi_x)
+            live = np.flatnonzero((lo_x < mid) & (mid < hi_x))
+            if not live.size:
+                break
+            up = _inertia(mid[live], setup) >= ks[live]
+            lo_x[live[up]], hi_x[live[~up]] = mid[live[up]], mid[live[~up]]
+        fixed[order[lo + 1:hi] - edges.size] = hi_x
+    return fixed
 
 
 def _residuals(mat_a, mat_b, k: ExponentialKernel, lam):
@@ -547,16 +590,28 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
     (size at most (N+2) m <= MAX_REALIZATION) sits at a pole.  Its
     D = 2 m + N r eigenvalues are the roots of det T(lam) prod_j
     (lam + b_j)^r by Ehrlich-Aberth on the bands' :func:`_pivots` alone
-    (:func:`_aberth_roots`), refined fully only within imag_cap.  Where they
-    do not settle within ABERTH_SWEEPS sweeps or two settle on one root, the
-    fallback takes F = sqrt(S) V^T from the r largest eigenpairs of the
-    dense A_b and one ``np.linalg.eigvals`` call on the dense realization,
-    with no eigenvector.
+    (:func:`_aberth_roots`), refined fully only within imag_cap, where a
+    complex root still moving after ABERTH_SWEEPS sweeps raises
+    RootFindingError.
+
+    Let nu(x) count the negative pivots of the real symmetric T(x)
+    (:func:`_inertia`).  T(x) is positive definite for x <= -b_N (Khat < 0)
+    and, under the hypothesis 1 > b_max sum_j a_j, for x >= 0 (T >= A -
+    Khat(0) A_b >= (1 - b_max sum_j a_j) A), so every real root lies in a
+    pole gap (-b_(j+1), -b_j), b_0 = 0, across which nu runs from r
+    (Khat -> +inf) to 0, changing only at roots.  A gap passes when, at the
+    midpoints of the sorted poles, real roots and 0, nu = r in its first
+    interval and 0 in its last and changes by +-1 across each root; this
+    cannot see a real root that is not simple, nor three crossings between
+    two test points.  A gap that fails, or holds a root still moving at the
+    cap, takes its crossings by bisection on nu within those intervals, down
+    to adjacent doubles, if it holds r real roots; otherwise, or for a real
+    root outside (-b_N, 0), RootFindingError is raised.
 
     Real eigenvalues are exactly real and the others come in exact
-    conjugate pairs from both.  For each lam with |Im| <= imag_cap, the
-    residual ||T(lam) u|| / ||u|| of :func:`_residuals` must stay below
-    1e-6 ||A||_inf, or RootFindingError is raised, with all D values in its
+    conjugate pairs.  For each lam with |Im| <= imag_cap, the residual
+    ||T(lam) u|| / ||u|| of :func:`_residuals` must stay below 1e-6
+    ||A||_inf, or RootFindingError is raised, with all D values in its
     ``best`` (those beyond the cap may be unrefined iterates); a NaN
     eigenvalue fails too, but a pivot that is exactly zero is raised to
     eps max |T(lam)| first, as LAPACK's inverse iteration does.
@@ -575,13 +630,7 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
             f"realization size {(k.n_terms + 2) * m} exceeds "
             f"MAX_REALIZATION = {MAX_REALIZATION}"
         )
-    rank = _damping_rank(mat_b)
-    vals = _aberth_roots(mat_a, mat_b, k, rank, imag_cap)
-    if vals is None:  # the rank largest eigenpairs of A_b give F
-        damp, vecs = np.linalg.eigh(mat_b.toarray())
-        factor = np.sqrt(damp[m - rank:])[:, None] * vecs[:, m - rank:].T
-        vals = np.linalg.eigvals(
-            k.realization(mat_a.toarray(), factor)).astype(complex)
+    vals = _aberth_roots(mat_a, mat_b, k, _damping_rank(mat_b), imag_cap)
     lam = vals[~(np.abs(vals.imag) > imag_cap)]  # a NaN stays, and fails
     # near-equal blocks of ROW_BLOCK // m complex or twice as many real
     # columns bound the sweep's arrays; within one block all lam take one

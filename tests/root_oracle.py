@@ -1,14 +1,16 @@
 """Test oracles: companion-matrix roots of dense real polynomials, given as
-arrays of ascending coefficients, and the split real/imaginary form of the
-mode symbol.
+arrays of ascending coefficients, the split real/imaginary form of the mode
+symbol, and a 40-digit inertia count of the FD matrix T(x).
 
 No solver path uses :func:`all_roots` (companion-matrix eigenvalues via
 ``numpy.roots``, Newton polish, exact conjugate pairs, a relative residual
 bound); the tests check it against closed forms and use it as a second,
 independent root finder.  :func:`real_imag_residual` evaluates the mode
-symbol term by term in real arithmetic.
+symbol term by term in real arithmetic.  :func:`mpmath_inertia` counts the
+negative pivots of T(x) at 40 digits, with its own Khat.
 """
 
+import mpmath
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
@@ -120,3 +122,22 @@ def real_imag_residual(k, m, x: float, y: float) -> tuple[float, float]:
         res1 += m.beta * a * b / den
         res2 -= m.beta * a * b * (x + b) / den
     return res1, res2
+
+
+def mpmath_inertia(x: float, mat_a, mat_b, k) -> int:
+    """nu(x), the number of negative pivots d_i - o_i^2 / piv_(i-1) of the
+    real symmetric tridiagonal T(x) = x^2 + A - Khat(x) A_b at 40 digits,
+    with Khat(x) = sum_j a_j b_j / (x + b_j) summed here, for the banded
+    stencils ``mat_a`` and ``mat_b`` (``diag`` and ``off``) of A and A_b.
+    By Sylvester's law of inertia it is the number of negative eigenvalues
+    of T(x)."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        khat = sum(mpmath.mpf(a) * b / (x + b)
+                   for a, b in zip(k.amplitudes, k.rates))
+        off = [0] + [-khat * b + a for a, b in zip(mat_a.off, mat_b.off)]
+        count, piv = 0, 1
+        for d_a, d_b, o in zip(mat_a.diag, mat_b.diag, off):
+            piv = x * x - khat * d_b + d_a - o * o / piv
+            count += piv < 0
+        return count

@@ -8,8 +8,10 @@ checked against the modal route, 50-digit mode roots, and the full
 eigendecomposition of a realization written out in the test; its
 Ehrlich-Aberth source is checked against one dense eigvals call on the
 realization, on seeded graded and wide-rate problems and the benchmark's
-two-term anchor, with the p'/p work of both FD anchors counted,
-and its log-derivative against a dense trace and 40-digit values.
+two-term anchor, with the p'/p work of both FD anchors counted and the
+inertia count of each pole gap passed, its repaired real roots against a
+40-digit inertia count, and its log-derivative against a dense trace and
+40-digit values.
 """
 
 import tracemalloc
@@ -31,6 +33,7 @@ from memspec import (
     nonlinear_eigenvalues_fd,
 )
 from memspec import pencil, scalar
+from root_oracle import mpmath_inertia
 from test_reference_loops import dual_log_derivative
 from test_scalar import mpmath_mode_roots
 
@@ -339,28 +342,28 @@ class TestNonlinearFd:
         assert np.all(res <= 1e-6 * np.linalg.norm(mat_a, np.inf))
 
     @pytest.mark.parametrize("spoil", [
-        lambda z: z * (1.0 + 1e-3),
-        lambda z: complex(np.nan, np.nan),
+        lambda x: 0.5 * x,
+        lambda x: np.nan,
     ], ids=["shifted", "nan"])
-    def test_spoiled_eigenvalue_fails_residual(self, k_two, monkeypatch,
-                                               spoil):
-        # the dense fallback's one 2-D eigvals call is spoiled; the stacked
-        # mode spectra that start Ehrlich-Aberth are not
-        mat_a, mat_b = discretize_1d(
-            1.0, np.linspace(0.5, 0.75, 20), 20)
-        eigvals = np.linalg.eigvals
+    def test_spoiled_eigenvalue_fails_residual(self, monkeypatch, spoil):
+        # a real root of the repair path is spoiled: near-constant draw 88,
+        # whose gap next to 0 fails its inertia count and takes its 175
+        # roots by bisection.  Its roots cluster within 2e-2 relative, where
+        # a shift of 1e-3 relative stays within the bound (ratio 0.01-0.05);
+        # halfway to 0 each misses it 5 times over
+        k, mat_a, mat_b = _near_constant_draw(88)
+        certified, repaired = pencil._certified_real, []
 
-        def spoiled(mat):
-            vals = eigvals(mat).astype(complex)
-            if np.ndim(mat) == 2:
-                i = int(np.argmax(np.abs(vals)))
-                vals[i] = spoil(vals[i])
-            return vals
+        def spoiled(real, moving, setup):
+            fixed = certified(real, moving, setup)
+            repaired.extend(np.flatnonzero(fixed != real))
+            fixed[repaired[0]] = spoil(fixed[repaired[0]])
+            return fixed
 
-        monkeypatch.setattr(pencil, "ABERTH_SWEEPS", 0)
-        monkeypatch.setattr(np.linalg, "eigvals", spoiled)
-        with pytest.raises(RootFindingError):
-            nonlinear_eigenvalues_fd(mat_a, mat_b, k_two, imag_cap=np.inf)
+        monkeypatch.setattr(pencil, "_certified_real", spoiled)
+        with pytest.raises(RootFindingError, match="residuals"):
+            nonlinear_eigenvalues_fd(mat_a, mat_b, k, imag_cap=np.inf)
+        assert len(repaired) > 100
 
 
 def _dense_realization_eigvals(mat_a, mat_b, k):
@@ -434,6 +437,29 @@ def _wide_rate_config(rng, min_size, max_size=pencil.MAX_REALIZATION,
     return k, *discretize_1d(a, profile, n, 1.2 * np.sqrt(a))
 
 
+def _gap_counts(real, mat_a, mat_b, k):
+    """nu, the negative pivots of T(x), at the midpoints of the sorted
+    poles, real roots ``real`` and 0, as one array per pole gap from the
+    left."""
+    edges = np.append(-np.array(k.rates[::-1]), 0.0)
+    pts = np.sort(np.concatenate((edges, real)))
+    nu = pencil._inertia(0.5 * (pts[:-1] + pts[1:]), pencil._sweep_setup(
+        mat_a, mat_b, k, pencil._damping_rank(mat_b)))
+    return np.split(nu, np.flatnonzero(np.isin(pts, edges))[1:-1])
+
+
+def _assert_gaps_certified(roots, mat_a, mat_b, k):
+    # every real root lies in a pole gap of (-b_N, 0), and in each gap nu
+    # falls from r in the first interval to 0 in the last, changing by 1
+    # across each root
+    rank, real = pencil._damping_rank(mat_b), roots.real[roots.imag == 0.0]
+    poles = -np.array(k.rates)
+    assert np.all((real > poles[-1]) & (real < 0.0) & ~np.isin(real, poles))
+    for gap in _gap_counts(real, mat_a, mat_b, k):
+        assert gap[0] == rank and gap[-1] == 0
+        assert np.all(np.abs(np.diff(gap)) == 1)
+
+
 def _near_constant_config(rng):
     """A nearly constant linear profile b (1 - eps x) with eps in
     [1e-9, 1e-3]: N = 1-3 terms, rates in [0.2, 5] (up to 1.3 at N = 1), and
@@ -451,6 +477,15 @@ def _near_constant_config(rng):
     return k, *discretize_1d(a, b * (1.0 - eps * x), n, 1.2 * np.sqrt(a))
 
 
+def _near_constant_draw(draw):
+    """Draw number ``draw`` (from 0) of :func:`_near_constant_config` on
+    seed 1."""
+    rng = np.random.default_rng(1)
+    for _ in range(draw + 1):
+        config = _near_constant_config(rng)
+    return config
+
+
 class TestAberthFd:
     """The Ehrlich-Aberth source of the FD eigenvalues, against one dense
     eigvals call on the realization as the oracle."""
@@ -462,28 +497,28 @@ class TestAberthFd:
             rank = pencil._damping_rank(mat_b)
             got = pencil._aberth_roots(mat_a, mat_b, k, rank)
             want = _dense_realization_eigvals(mat_a, mat_b, k)
-            assert got is not None
             assert len(got) == len(want) == 2 * mat_a.shape[0] + k.n_terms * rank
             assert _relative_hausdorff(got, want) <= 1e-11
             _assert_real_or_conjugate_closed(got)
+            _assert_gaps_certified(got, mat_a, mat_b, k)
             assert (np.count_nonzero(got.imag == 0.0)
                     == np.count_nonzero(want.imag == 0.0))
 
     def test_wide_rate_fuzz_matches_dense(self):
-        # 40 wide-rate configs, D = 150-1000, every root refined: none falls
-        # back, and each settles within 1e-11 of the dense eigenvalues with
-        # the same count of exactly real roots
+        # 40 wide-rate configs, D = 150-1000, every root refined: each
+        # settles within 1e-11 of the dense eigenvalues with the same count
+        # of exactly real roots, which pass the inertia count of each gap
         rng = np.random.default_rng(4)
         for _ in range(40):
             k, mat_a, mat_b = _wide_rate_config(rng, 150)
             rank = pencil._damping_rank(mat_b)
             got = pencil._aberth_roots(mat_a, mat_b, k, rank)
             want = _dense_realization_eigvals(mat_a, mat_b, k)
-            assert got is not None
             assert len(got) == len(want) == 2 * mat_a.shape[0] + k.n_terms * rank
             assert _relative_hausdorff(got, want) <= 1e-11
             assert (np.count_nonzero(got.imag == 0.0)
                     == np.count_nonzero(want.imag == 0.0))
+            _assert_gaps_certified(got, mat_a, mat_b, k)
 
     @pytest.mark.parametrize("n, amps, rates, calls, points", [
         (100, (1.0, 0.2), (1.0, 1.5), 10, 1200),
@@ -542,8 +577,8 @@ class TestAberthFd:
 
     @pytest.fixture
     def aberth_results(self, monkeypatch):
-        """What each :func:`pencil._aberth_roots` call returns (None where
-        the dense fallback runs)."""
+        """What each :func:`pencil._aberth_roots` call returns: the D roots,
+        the real ones certified or repaired per pole gap."""
         roots, results = pencil._aberth_roots, []
 
         def recorded(*args):
@@ -561,7 +596,8 @@ class TestAberthFd:
     def test_no_dense_solve_at_any_size(self, above, monkeypatch):
         # the start values come from one eigvals call on the (m, N+2, N+2)
         # stack of mode realizations; nothing touches a D-square matrix, on
-        # the smallest grid (D = 12) as on n = 100 (D = 400)
+        # the smallest grid (D = 12) as on n = 100 (D = 400), nor on the
+        # near-constant draws 88 (a gap repaired by bisection) and 130
         mat_a, mat_b, k = above
         shapes, eigvals, eigh = [], np.linalg.eigvals, np.linalg.eigh
 
@@ -577,19 +613,20 @@ class TestAberthFd:
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         nonlinear_eigenvalues_fd(mat_a, mat_b, k)
         nonlinear_eigenvalues_fd(*discretize_1d(1.0, [0.5, 0.6, 0.75], 3), k)
-        assert shapes == [(100, 4, 4), (3, 4, 4)]
+        for draw in (88, 130):
+            k, mat_a, mat_b = _near_constant_draw(draw)
+            nonlinear_eigenvalues_fd(mat_a, mat_b, k, imag_cap=np.inf)
+        assert shapes == [(100, 4, 4), (3, 4, 4), (175, 4, 4), (137, 5, 5)]
 
     def test_sweep_cap_falls_back_to_dense(self, above, monkeypatch):
-        # full-rank A_b: the fallback's F is the oracle's, so the rows are
-        # the oracle's eigenvalues within the cap of 50, bit for bit
+        # there is no other source: at a cap of 0 sweeps every start still
+        # moves, and those within the |Im| cap of 50 are refused with all D
+        # starts in ``best``
         mat_a, mat_b, k = above
-        want = _dense_realization_eigvals(mat_a, mat_b, k)
-        want = want[np.abs(want.imag) <= 50.0]
-        want = want[np.lexsort((want.imag, want.real))]
         monkeypatch.setattr(pencil, "ABERTH_SWEEPS", 0)
-        got, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k)
-        assert np.array_equal(got, want)
-        assert np.array_equal(res, pencil._residuals(mat_a, mat_b, k, want))
+        with pytest.raises(RootFindingError, match="after 0 Ehrlich") as info:
+            nonlinear_eigenvalues_fd(mat_a, mat_b, k)
+        assert info.value.best.size == 4 * 100
 
     @pytest.mark.parametrize("spoil", [
         lambda z: z * (1.0 + 1e-3),
@@ -608,6 +645,26 @@ class TestAberthFd:
         monkeypatch.setattr(pencil, "_aberth_roots", spoiled)
         with pytest.raises(RootFindingError):
             nonlinear_eigenvalues_fd(mat_a, mat_b, k, imag_cap=np.inf)
+
+    def test_gap_repair_and_refusals(self, above):
+        # on the n = 100 anchor: a root still moving sends its gap (-1, 0)
+        # to the bisection on nu, which puts each root of that gap within
+        # 1e-13 of its Ehrlich-Aberth value and leaves the other gap's bits;
+        # a gap short of a root, and a root right of 0, are refused
+        mat_a, mat_b, k = above
+        rank = pencil._damping_rank(mat_b)
+        setup = pencil._sweep_setup(mat_a, mat_b, k, rank)
+        roots = pencil._aberth_roots(mat_a, mat_b, k, rank)
+        real, none = roots.real[roots.imag == 0.0], np.empty(0, int)
+        near = real > -1.0
+        fixed = pencil._certified_real(real, np.flatnonzero(near)[:1], setup)
+        assert not np.array_equal(fixed[near], real[near])
+        assert np.max(np.abs(fixed - real) / np.abs(real)) <= 1e-13
+        assert np.array_equal(fixed[~near], real[~near])
+        with pytest.raises(RootFindingError, match="holds 99 real fd"):
+            pencil._certified_real(real[real != real[near][0]], none, setup)
+        with pytest.raises(RootFindingError, match="outside the pole gaps"):
+            pencil._certified_real(np.append(real, 0.5), none, setup)
 
     def test_residual_blocks_are_bitwise_independent(self, above):
         # the residual sweep runs in column blocks; each lam's residual is
@@ -695,6 +752,7 @@ class TestAberthFd:
             assert _relative_hausdorff(got, want) <= 1e-11
             assert (np.count_nonzero(got.imag == 0.0)
                     == np.count_nonzero(want.imag == 0.0))
+            _assert_gaps_certified(got, mat_a, mat_b, k)
 
     def test_fuzz_from_smallest_grid_to_199(self, aberth_results):
         # graded configs with D from the smallest grid (n = 3) to 199,
@@ -709,7 +767,8 @@ class TestAberthFd:
             got, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k,
                                               imag_cap=np.inf)
             want = _dense_realization_eigvals(mat_a, mat_b, k)
-            assert len(results) == 1 and results[0] is not None
+            assert len(results) == 1
+            _assert_gaps_certified(results[0], mat_a, mat_b, k)
             assert len(got) == len(want) == size
             assert _relative_hausdorff(got, want) <= 1e-11
             assert (np.count_nonzero(got.imag == 0.0)
@@ -736,6 +795,7 @@ class TestAberthFd:
                 assert (np.count_nonzero(got.imag == 0.0)
                         == np.count_nonzero(want.imag == 0.0))
                 assert _relative_hausdorff(got, want) <= 1e-11
+                _assert_gaps_certified(got, mat_a, mat_b, k)
 
     def test_cap_leaves_roots_beyond_it_unrefined(self, above, monkeypatch):
         # with a cap of 5 the sweeps evaluate p'/p at fewer points than
@@ -800,7 +860,7 @@ class TestAberthFd:
         # small wide-rate draws (N = 1-12 terms over 1-9 decades, D < 165,
         # here D = 12-126) on which the dense realization's eigenvalues fail
         # the residual check; one Ehrlich-Aberth solve puts every row
-        # within it, with no fallback
+        # within it, and its real roots pass the inertia count of each gap
         results = aberth_results
         k, mat_a, mat_b = _wide_rate_config(np.random.default_rng(seed), 0,
                                             164, 12, (1.0, 9.0))
@@ -809,7 +869,8 @@ class TestAberthFd:
         dense = dense[np.abs(dense.imag) <= 50.0]
         assert np.max(pencil._residuals(mat_a, mat_b, k, dense)) > bound
         _, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k)
-        assert len(results) == 1 and results[0] is not None
+        assert len(results) == 1
+        _assert_gaps_certified(results[0], mat_a, mat_b, k)
         assert len(results[0]) == (2 * mat_a.shape[0]
                                    + k.n_terms * pencil._damping_rank(mat_b))
         _assert_real_or_conjugate_closed(results[0])
@@ -817,9 +878,9 @@ class TestAberthFd:
 
     def test_iterates_on_one_root_fall_back_to_dense(self):
         # a nearly constant profile: 97 real roots cluster next to -2.3184,
-        # and two Ehrlich-Aberth iterates settled 4.5e-12 apart on one of
-        # them, leaving its neighbour 1.7e-8 away out; such a result goes
-        # to the dense source
+        # where two Ehrlich-Aberth iterates once settled 4.5e-12 apart on
+        # one of them, leaving its neighbour 1.7e-8 away out; the inertia
+        # count of that gap sees such a pair and bisection repairs it
         k = ExponentialKernel(
             tuple(map(float.fromhex, ("0x1.e8a6e5a58f3e2p-1",
                                       "0x1.03b052930cef0p-2",
@@ -839,38 +900,49 @@ class TestAberthFd:
         assert len(got) == len(want) == 5 * n
         assert _relative_hausdorff(got, want) <= 1e-11
 
-    @pytest.mark.parametrize("draw, n_terms, n", [(88, 2, 175), (130, 3, 137)],
+    @pytest.mark.parametrize("draw, n_terms, n, off", [(88, 2, 175, 2),
+                                                       (130, 3, 137, 0)],
                              ids=["duplicate-88", "false-alarm-130"])
-    def test_near_constant_profiles_need_the_fallback(self, draw, n_terms, n):
-        # two nearly constant profiles that only the dense fallback solves
-        # today, both flagged by _coincident.  Draw 88 is a true duplicate:
-        # unchecked, two iterates settle 9.4e-14 apart (relative) where the
-        # closest dense pair is 6.7e-9 apart.  Draw 130 is a false alarm on
-        # a genuine real pair 9.4e-11 apart.  A change that drops
-        # _coincident or the fallback needs a replacement that passes both
-        rng = np.random.default_rng(1)
-        for _ in range(draw + 1):
-            k, mat_a, mat_b = _near_constant_config(rng)
+    def test_near_constant_profiles_need_the_fallback(self, monkeypatch, draw,
+                                                      n_terms, n, off):
+        # two nearly constant profiles that once needed a dense fallback.
+        # Draw 88 is a true duplicate: two iterates settle 9.4e-14 apart
+        # (relative) where the closest dense pair is 6.7e-9 apart, so before
+        # the repair its gap next to 0 has ``off`` = 2 intervals with
+        # |dnu| = 0 and 2 with |dnu| = 2, fails its inertia count and is
+        # bisected.  Draw 130 holds a genuine real pair 9.4e-11 apart and
+        # passes.  The complex roots stay within 1e-11 of the dense ones;
+        # the real roots are checked within 1e-11 relative of the 40-digit
+        # count, since the dense ones are 1.06e-11 off on draw 88: the i-th
+        # root from the left of a gap lies where nu falls from r - i + 1 to
+        # r - i
+        k, mat_a, mat_b = _near_constant_draw(draw)
         assert (k.n_terms, mat_a.shape[0]) == (n_terms, n)
+        certified, iterates = pencil._certified_real, []
+
+        def recorded(real, moving, setup):
+            iterates.append(real.copy())
+            return certified(real, moving, setup)
+
+        monkeypatch.setattr(pencil, "_certified_real", recorded)
         got, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k, imag_cap=np.inf)
+        steps = [np.bincount(np.abs(np.diff(gap)), minlength=3).tolist()
+                 for gap in _gap_counts(iterates[0], mat_a, mat_b, k)]
+        assert steps == [[0, n, 0]] * (n_terms - 1) + [[off, n - 2 * off, off]]
         want = _dense_realization_eigvals(mat_a, mat_b, k)
         assert len(got) == len(want) == (n_terms + 2) * n
-        assert _relative_hausdorff(got, want) <= 1e-11
-        assert (np.count_nonzero(got.imag == 0.0)
-                == np.count_nonzero(want.imag == 0.0))
-
-    def test_coincident_roots(self):
-        # real, complex and conjugate iterates within 1e-10 |z| coincide;
-        # genuine neighbours in 150 graded configs were 1.1e-9 apart or more
-        moved = np.concatenate((-3.0 - np.arange(50) * 1e-8,
-                                -0.5 + 1j * np.arange(1.0, 51.0)))
-        assert not pencil._coincident(moved)
-        for i, j in ((3, 4), (60, 61), (0, 75)):
-            near = moved.copy()
-            near[j] = near[i] * (1.0 + 5e-11)
-            assert pencil._coincident(near)
-        for im, near in ((2e-11, True), (2e-9, False)):
-            assert pencil._coincident(np.array([-2.0, -1.0 + 1j * im])) == near
+        real = got.imag == 0.0
+        assert np.count_nonzero(real) == np.count_nonzero(want.imag == 0.0)
+        assert _relative_hausdorff(got[~real], want[want.imag != 0.0]) <= 1e-11
+        _assert_gaps_certified(got, mat_a, mat_b, k)
+        edges = np.append(-np.array(k.rates[::-1]), 0.0)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            roots = got.real[real & (got.real > lo) & (got.real < hi)]
+            assert roots.size == n
+            for i, x in enumerate(roots):  # got is sorted
+                step = 1e-11 * abs(x)
+                assert mpmath_inertia(x - step, mat_a, mat_b, k) >= n - i
+                assert mpmath_inertia(x + step, mat_a, mat_b, k) < n - i
 
     def test_real_cluster_settles(self):
         # a nearly constant profile: all 162 roots of one real cluster lie
@@ -1226,11 +1298,10 @@ def test_damping_rank_matches_dense_count():
         assert pencil._damping_rank(mat_b) == want
 
 
-def test_dense_source_keeps_the_sturm_rank(monkeypatch):
+def test_dense_source_keeps_the_sturm_rank():
     # A_b with ||A_b||_inf = 150, largest eigenvalue 125.2 and a decoupled
-    # diagonal entry 6.4e-13, between m eps times the two: the dense
-    # fallback (forced by a sweep cap of 0) drops it as the Sturm count
-    # does, and adds no eigenvalue next to the pole -1
+    # diagonal entry 6.4e-13, between m eps times the two: the Sturm count
+    # drops it, so the root count has no eigenvalue next to the pole -1
     m = 21
     diag, off = np.zeros(m), np.zeros(m - 1)
     diag[0:10:2], diag[1:10:2], off[0:10:2] = 110.0, 20.0, -40.0
@@ -1238,9 +1309,9 @@ def test_dense_source_keeps_the_sturm_rank(monkeypatch):
     mat_b = SymTridiagonal(diag, off)
     mat_a, _ = discretize_1d(1.0, np.zeros(m), m)
     k = ExponentialKernel((0.5,), (1.0,))
-    monkeypatch.setattr(pencil, "ABERTH_SWEEPS", 0)
     lam, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k, np.inf)
     assert lam.size == 2 * m + k.n_terms * pencil._damping_rank(mat_b) == 52
+    assert np.min(np.abs(lam + 1.0)) > 1e-3
 
 
 def test_fd_memory_stays_banded(k_one):

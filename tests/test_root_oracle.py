@@ -1,14 +1,17 @@
-"""The companion-matrix root oracle on ascending coefficient arrays.
+"""The companion-matrix root oracle on ascending coefficient arrays, and
+the 40-digit inertia count of the FD matrix.
 
 The oracle's all_roots is checked against the quadratic formula and against
-known factored forms.
+known factored forms; mpmath_inertia against the float count of the FD
+route on the benchmark's two-term anchor.
 """
 
 import numpy as np
 import pytest
 
+from memspec import discretize_1d, nonlinear_eigenvalues_fd, pencil
 from memspec.errors import RootFindingError
-from root_oracle import all_roots, from_roots
+from root_oracle import all_roots, from_roots, mpmath_inertia
 
 
 class TestFromRoots:
@@ -76,3 +79,21 @@ class TestAllRoots:
         with pytest.raises(RootFindingError) as exc:
             all_roots(p, tol=1e-300)
         assert exc.value.best is not None
+
+
+def test_inertia_matches_float_count(k_two):
+    # the benchmark's two-term anchor (profile 0.5..0.75, n = 100): at the
+    # midpoints of the sorted poles, real roots and 0, the 40-digit count is
+    # the float count of the FD route, and falls from r = n to 0 by one
+    # across each root of both pole gaps
+    n = 100
+    x = np.arange(1, n + 1) / (n + 1)
+    mat_a, mat_b = discretize_1d(1.0, np.interp(x, [0, 1], [0.5, 0.75]), n)
+    lam, _ = nonlinear_eigenvalues_fd(mat_a, mat_b, k_two)
+    edges = np.append(-np.array(k_two.rates), 0.0)
+    pts = np.sort(np.concatenate((edges, lam.real[lam.imag == 0.0])))
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    want = [mpmath_inertia(mid, mat_a, mat_b, k_two) for mid in mids]
+    got = pencil._inertia(mids, pencil._sweep_setup(mat_a, mat_b, k_two, n))
+    assert got.tolist() == want
+    assert want == [*range(n, -1, -1)] * 2

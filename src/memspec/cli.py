@@ -9,9 +9,9 @@ discretize  1D finite-difference eigenvalues as CSV with containment report
 validate    run the invariant suite; exit 0 on success, 1 on failure
 
 Exit codes: 0 success; 1 a validate FAIL line or a numerical failure (a
-missed residual guarantee, a point within the pole guard); 2 a configuration
-or hypothesis error or an unwritable --output path.  Identical inputs and
-flags produce byte-identical output.
+missed residual guarantee, or, in eigs alone, a root within the pole guard);
+2 a configuration or hypothesis error or an unwritable --output path.
+Identical inputs and flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .errors import ConfigError, HypothesisError, MemspecError
 
 CSV_HEADER = "re,im,source,branch,residual,jordan_ok"
 
-#: Smallest |jordan_condition| accepted as a Jordan chain of length one,
-#: relative to the size of its terms (see scalar.jordan_ratio).
+#: Smallest |f'(lam0)| of the mode symbol accepted as a Jordan chain of
+#: length one, relative to the size of its terms (see scalar.jordan_ratio).
 _JORDAN_FLOOR = 1e-3
 
 #: CSV text of the jordan_ok column: not evaluated, true, false.
@@ -107,13 +107,12 @@ def _mode_records(spec: ProblemSpec, box: boxmodes.BoxDomain,
     z, alpha = z[kept], alphas[owner[kept]]
     residual = np.abs(scalar.rational_symbol(
         k, scalar.ModeCoefficients(alpha, b * alpha), z)) / (1.0 + alpha)
-    real = z.imag == 0.0
-    at = real & (z.real != 0.0)
-    jordan = np.zeros(z.shape, dtype=bool)
-    jordan[at] = scalar.jordan_ratio(k, b, z.real[at]) > _JORDAN_FLOOR
+    at = (z.imag == 0.0) & (z.real != 0.0)
+    jordan = np.full(z.shape, None)
+    jordan[at] = scalar.jordan_ratio(k, b * alpha[at],
+                                     z.real[at]) > _JORDAN_FLOOR
     tags = np.array(["m=" + "-".join(map(str, idx)) for idx in modes.tolist()])
-    return (z, tags[owner[kept]].tolist(), residual,
-            np.where(at, jordan, None).tolist())
+    return z, tags[owner[kept]].tolist(), residual, jordan.tolist()
 
 
 def cmd_essential(spec: ProblemSpec, args) -> int:
@@ -349,8 +348,8 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
                  1e-10 * np.abs(want_p))
 
     if bounds.is_constant and bounds.b_max > 0.0:
-        lam0 = z.real[(z.imag == 0.0) & (z.real != 0.0)]
-        ratio = scalar.jordan_ratio(k, bounds.b_max, lam0)
+        i, j = np.nonzero((z.imag == 0.0) & (z.real != 0.0))
+        ratio = scalar.jordan_ratio(k, beta_mid * alphas[i], z.real[i, j])
         check("jordan_condition", bool(np.all(ratio > _JORDAN_FLOOR)),
               f"smallest |value| / size of its terms "
               f"{ratio.min(initial=np.inf):.3g}")

@@ -282,7 +282,7 @@ def _damping_rank(mat_b: SymTridiagonal) -> int:
 
 def _sweep_setup(mat_a, mat_b, k: ExponentialKernel, rank: int):
     """The band columns of A and A_b, the rates, the weights a_j b_j and the
-    rank, which every :func:`_log_derivative` call of one solve reads."""
+    rank, which every sweep of one solve reads."""
     # o_i couples rows i - 1 and i; row 0 follows an uncoupled piv = 1
     (al, ad), (bl, bd) = ((np.concatenate(([0.0], mat.off))[:, None],
                            mat.diag[:, None]) for mat in (mat_a, mat_b))
@@ -529,27 +529,28 @@ def _certified_real(real, moving, setup) -> np.ndarray:
     return fixed
 
 
-def _residuals(mat_a, mat_b, k: ExponentialKernel, lam):
+def _residuals(lam, setup):
     """||T(lam) u|| / ||u|| for each lam, with u from two steps of inverse
     iteration on the tridiagonal T(lam) from a fixed random start (a
     symmetric start would miss the odd modes of a symmetric profile), as one
-    Thomas sweep over all lam on the pivots of :func:`_pivots`.  Each lam's
-    column is computed on its own; real lam run in float64."""
-    m, real = mat_a.shape[0], not np.iscomplexobj(lam)
-    u = np.outer(np.random.default_rng(0).standard_normal(m),
+    Thomas sweep over all lam on the pivots of :func:`_pivots` of T(lam)
+    from ``setup``; each lam's column is its own, real lam run in float64."""
+    al, ad, bl, bd, rates, weights, _ = setup
+    real = not np.iscomplexobj(lam)
+    u = np.outer(np.random.default_rng(0).standard_normal(ad.size),
                  np.ones_like(lam))
     with np.errstate(all="ignore"):
-        # T(lam) with the grid along the rows and one lam per column; a pole
-        # is named by its complex lam either way
-        khat = k.laplace(lam.astype(complex))
+        # T(lam) with the grid along the rows and one lam per column; Khat
+        # summed in rate order at lam + 0j, for real and complex lam alike
+        khat = sum(w / (lam + 0j + b) for w, b in zip(weights, rates))
         khat = khat.real if real else khat
 
         def diag(out=None):  # built in place
-            out = np.multiply(khat, mat_b.diag[:, None], out)
-            out = np.subtract(mat_a.diag[:, None], out, out)
+            out = np.multiply(khat, bd, out)
+            out = np.subtract(ad, out, out)
             return np.add(out, lam * lam, out)
 
-        off = mat_a.off[:, None] - khat * mat_b.off[:, None]
+        off = al[1:] - khat * bl[1:]
         piv = diag()
         _pivots(off * off, piv[1:], piv[0])
         # with a pivot exactly zero (lam an eigenvalue to the last bit),
@@ -630,7 +631,8 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
             f"realization size {(k.n_terms + 2) * m} exceeds "
             f"MAX_REALIZATION = {MAX_REALIZATION}"
         )
-    vals = _aberth_roots(mat_a, mat_b, k, _damping_rank(mat_b), imag_cap)
+    setup = _sweep_setup(mat_a, mat_b, k, _damping_rank(mat_b))
+    vals = _aberth_roots(mat_a, mat_b, k, setup[-1], imag_cap)
     lam = vals[~(np.abs(vals.imag) > imag_cap)]  # a NaN stays, and fails
     # near-equal blocks of ROW_BLOCK // m complex or twice as many real
     # columns bound the sweep's arrays; within one block all lam take one
@@ -641,7 +643,7 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
     for half, part in ((real, lam[real].real), (~real, lam[~real])):
         if part.size:
             res[half] = np.concatenate([
-                _residuals(mat_a, mat_b, k, block) for block in np.array_split(
+                _residuals(block, setup) for block in np.array_split(
                     part, -(-part.itemsize * part.size // (16 * cols)))])
     bound = 1e-6 * mat_a.norm_inf()
     if not np.all(res <= bound):

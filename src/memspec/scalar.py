@@ -212,24 +212,30 @@ def cleared_mode_polynomial(k: ExponentialKernel, m: ModeCoefficients):
             - beta * np.pad(sum_term, (0, 2)))
 
 
+def _pole_split(k: ExponentialKernel, z: np.ndarray):
+    """The weights a_j b_j, the index of the pole -b_j nearest each z, the
+    offsets z + b_j and the (N, ...) rows 1 / (z + b_i), zeroed at -b_j."""
+    rates = np.asarray(k.rates)
+    near = np.argmin(np.abs(z[..., None] + rates), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / np.add.outer(rates, z)
+    np.put_along_axis(inv, near[None], 0.0, axis=0)
+    return np.asarray(k.amplitudes) * rates, near, z + rates[near], inv
+
+
 def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):
     """g = f (z + b_j) for the mode symbol f and the pole -b_j nearest z.
 
     Returns g, g', |f| and the residual scale of g from one pass over the
-    terms.  Newton on g stays quadratic next to a pole.  The scale sums the
-    terms of g in magnitude, with z + b_j replaced by |z| + b_j, since
-    rounding in z itself can meet the bound.  The sums run from zero in rate
-    order over the rows of one stack of 1 / (z + b_j), zeroed at the nearest
-    pole; np.sum over that axis could switch to pairwise summation and move
-    the roots by an ulp.  At conj(z) the form gives conj(g), conj(g') and
-    the same |f| and scale, bit for bit.
+    rows of :func:`_pole_split`.  Newton on g stays quadratic next to a
+    pole.  The scale sums the terms of g in magnitude, with z + b_j replaced
+    by |z| + b_j, since rounding in z itself can meet the bound.  The sums
+    run from zero in rate order; np.sum over the rows could switch to
+    pairwise summation and move the roots by an ulp.  At conj(z) the form
+    gives conj(g), conj(g') and the same |f| and scale, bit for bit.
     """
-    rates = np.asarray(k.rates)
-    weights = np.asarray(k.amplitudes) * rates
-    near = np.argmin(np.abs(z[..., None] + rates), axis=-1)
-    offset, reach = z + rates[near], np.abs(z) + rates[near]
-    inv = 1.0 / np.add.outer(rates, z)
-    np.put_along_axis(inv, near[None], 0.0, axis=0)
+    weights, near, offset, inv = _pole_split(k, z)
+    reach = np.abs(z) + np.asarray(k.rates)[near]
     rest, rest_deriv, rest_size = np.zeros_like(z), np.zeros_like(z), 0.0
     for w, row in zip(weights, inv):
         rest += w * row
@@ -346,25 +352,18 @@ def jordan_condition(k: ExponentialKernel, bhat: float, lam0):
 
     Only the constant-damping specialization is evaluated here.
     """
-    return _jordan_terms(k, bhat, lam0)[0]
-
-
-def jordan_ratio(k: ExponentialKernel, bhat: float, lam0):
-    """|jordan_condition| over the size of its terms,
-    (2/|lam0|)(bhat |Khat| + 1) + bhat |Khat'|, elementwise.  The value
-    scales like 1 / time and the size with it, so a verdict on the ratio
-    does not depend on the unit of time."""
-    value, size = _jordan_terms(k, bhat, lam0)
-    return np.abs(value) / size
-
-
-def _jordan_terms(k: ExponentialKernel, bhat: float, lam0):
-    """The value of :func:`jordan_condition` and the size of its terms."""
     if np.any(lam0 == 0.0):
         raise ValueError("lam0 = 0 is excluded (the formula divides by lam0)")
-    kh = k.laplace(lam0).real if bhat != 0.0 else 0.0
-    khp = k.laplace_deriv(lam0).real if bhat != 0.0 else 0.0
-    value = (2.0 / lam0) * (bhat * kh - 1.0) - bhat * khp
-    size = ((2.0 / np.abs(lam0)) * (bhat * np.abs(kh) + 1.0)
-            + bhat * np.abs(khp))
-    return value, size
+    return ((2.0 / lam0) * (bhat * k.laplace(lam0).real - 1.0)
+            - bhat * k.laplace_deriv(lam0).real)
+
+
+def jordan_ratio(k: ExponentialKernel, beta, lam0):
+    """|f'(lam0)| / (2 |lam0| + beta |Khat'(lam0)|) for the mode symbol
+    f = lam^2 + alpha - beta Khat at a 1-D array of real lam0, free of the
+    unit of time; at a root f' / alpha is :func:`jordan_condition`.  Both
+    terms are scaled by (lam0 + b_j)^2 on :func:`_pole_split`."""
+    weights, near, offset, inv = _pole_split(k, lam0)
+    sq = offset * offset  # beta |Khat'| sq is a sum of positive terms
+    slope = beta * (weights[near] + sq * (weights @ (inv * inv)))
+    return np.abs(2.0 * lam0 * sq + slope) / (2.0 * np.abs(lam0) * sq + slope)

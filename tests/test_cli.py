@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -604,13 +605,19 @@ def test_discretize_anchors_all_inside(config, capsys, doc, inside):
 
 
 # Kernels that exit 1 today: each strict xfail must lose its marker in the
-# change that mends it; rate 1e15 is the passing control of the rate gap.
+# change that mends it; rate 1e15 is the passing control of the rate gap,
+# and validate, which weighs the Jordan condition in the near-pole form,
+# that of the pole guard.
 POLE_GUARD = _with(CONSTANT, coefficient_a=1.0, kernel__a=[1e-3],
                    kernel__b=[1e8], domain__lengths=[1.0, 1.0])
+# a mode root 5.4e-13 from the pole -36
+TINY_DAMPING = _with(CONSTANT, coefficient_a=1.0, kernel__a=[1.0],
+                     kernel__b=[36.0], damping__value=1e-12,
+                     domain__lengths=[1.0, 1.0])
 _POLE_GUARD_EXIT = pytest.mark.xfail(strict=True, raises=AssertionError,
                                      reason=(
-    "a mode root rounds onto the pole -1e8 and trips the pole guard (eigs: "
-    "rational_symbol in _mode_records; validate: jordan_ratio)"))
+    "a mode root lies within 1e-12 of its pole, where the printed residual "
+    "(rational_symbol in _mode_records) trips the pole guard"))
 
 
 def _rate_gap(rate):
@@ -627,8 +634,10 @@ _RATE_GAP_EXIT = pytest.mark.xfail(strict=True, raises=AssertionError,
 @pytest.mark.parametrize("command, text", [
     pytest.param("eigs", POLE_GUARD, marks=_POLE_GUARD_EXIT,
                  id="eigs-pole-guard"),
-    pytest.param("validate", POLE_GUARD, marks=_POLE_GUARD_EXIT,
-                 id="validate-pole-guard"),
+    pytest.param("validate", POLE_GUARD, id="validate-pole-guard"),
+    pytest.param("eigs", TINY_DAMPING, marks=_POLE_GUARD_EXIT,
+                 id="eigs-tiny-damping"),
+    pytest.param("validate", TINY_DAMPING, id="validate-tiny-damping"),
     pytest.param("enclosure", _rate_gap(1e20), marks=_RATE_GAP_EXIT,
                  id="enclosure-rate-1e20"),
     pytest.param("validate", _rate_gap(1e20), marks=_RATE_GAP_EXIT,
@@ -639,6 +648,63 @@ _RATE_GAP_EXIT = pytest.mark.xfail(strict=True, raises=AssertionError,
 def test_wide_rate_kernels_solve(config, capsys, command, text):
     code, _ = run(capsys, [command, "--config", config(json.loads(text))])
     assert code == 0
+
+
+def _edge_configs():
+    """Eight valid configs at the edges of the input set, the kernels,
+    lengths and profiles seeded: damping 1e-12 next to a pole, a margin of
+    1e-6, rates over six decades, a profile with a zero sample, 1-D and 3-D
+    boxes and two 3-point grids."""
+    rng = np.random.default_rng(30)
+
+    def kernel(rates):
+        amps = rng.uniform(0.2, 1.0, len(rates))
+        return {"a": amps.tolist(), "b": list(rates)}, amps.sum()
+
+    def doc(kern, damping, domain):
+        return {"coefficient_a": float(rng.uniform(0.5, 2.0)),
+                "kernel": kern, "damping": damping, "domain": domain}
+
+    box = {"kind": "box", "lengths": [1.0, 1.0]}
+    one = {"a": [1.0], "b": [1.0]}
+    wide, wide_sum = kernel(np.array([1e-3, 1.0, 1e3]) * rng.uniform(1, 2))
+    two, two_sum = kernel(np.sort(rng.uniform(0.5, 5.0, 2)))
+    return {
+        "tiny-damping": json.loads(TINY_DAMPING),
+        "margin-1e-6": {"coefficient_a": 1.0, "kernel": one, "domain": box,
+                        "damping": {"kind": "constant", "value": 0.999999}},
+        "six-decades": doc(wide, {"kind": "range", "b_min": 0.1 / wide_sum,
+                                  "b_max": 0.9 / wide_sum}, box),
+        "zero-sample": doc(two, {"kind": "profile_1d", "samples": [
+            0.0, *rng.uniform(0.1, 0.9, 2) / two_sum]},
+            {"kind": "interval_fd", "grid_points": 40}),
+        "box-1d": doc(two, {"kind": "constant", "value": 0.5 / two_sum},
+                      {"kind": "box", "lengths": [rng.uniform(0.5, 2.0)]}),
+        "box-3d": doc(two, {"kind": "constant", "value": 0.7 / two_sum},
+                      {"kind": "box",
+                       "lengths": rng.uniform(0.8, 1.5, 3).tolist()}),
+        "grid-3": doc(two, {"kind": "constant", "value": 0.6 / two_sum},
+                      {"kind": "interval_fd", "grid_points": 3}),
+        "grid-3-profile": doc(wide, {"kind": "profile_1d", "samples": (
+            rng.uniform(0.0, 0.99, 3) / wide_sum).tolist()},
+            {"kind": "interval_fd", "grid_points": 3}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_edge_configs()))
+def test_edge_configs_exit_cleanly(config, capsys, name):
+    # every subcommand returns 0, 1 or 2, names its failure on an `error:`
+    # or a FAIL line, and only eigs (rational_symbol on the printed
+    # residual) can stop at the pole guard
+    path = config(_edge_configs()[name])
+    for command in ("essential", "eigs", "enclosure", "discretize",
+                    "validate"):
+        code = main([command, "--config", path])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), command
+        if code:
+            assert "error: " in err or "\nFAIL " in "\n" + out, command
+        assert command == "eigs" or "pole guard" not in out + err, command
 
 
 @pytest.mark.parametrize("argv, doc, count", [
@@ -767,6 +833,32 @@ def test_jordan_verdict_survives_a_change_of_time_unit(config, capsys):
         real = [row for row in rows if row[3] == "real"]
         assert len(real) > 100
         assert all(row[5] == "true" for row in real)
+
+
+def test_jordan_verdict_at_a_margin_of_1e_6(config, capsys):
+    # README's kernel at constant damping 0.999999: each mode has a real
+    # root near -1e-6, where f' is about beta; the paper's form over the
+    # size of its terms, (2/|lam|)(b |Khat| + 1) + b |Khat'|, read 2.5e-7
+    doc = json.loads(_with(GRADED, damping={"kind": "constant",
+                                            "value": 0.999999}))
+    code, out = run(capsys, ["validate", "--config", config(doc)])
+    assert code == 0
+    assert "PASS jordan_condition" in out
+    code, out = run(capsys, ["eigs", "--config", config(doc),
+                             "--alpha-cap", "50"])
+    real = [row.split(",") for row in out.splitlines()[1:]
+            if ",real," in row]
+    assert code == 0
+    assert [row[5] for row in real] == ["true"] * 3
+    # at 40 digits, |f'| / (2 |lam| + beta |Khat'|) at the printed roots
+    with mpmath.workdps(40):
+        for re_s, _, source, *_ in real:
+            lam = mpmath.mpf(re_s)
+            beta = mpmath.mpf(0.999999) * mpmath.pi ** 2 * sum(
+                int(m) ** 2 for m in source[2:].split("-"))
+            d_khat = -1 / (lam + 1) ** 2
+            assert abs(2 * lam - beta * d_khat) >= 0.99 * (
+                2 * abs(lam) + beta * abs(d_khat))
 
 
 def test_validate_names_the_smallest_jordan_ratio(config, capsys,

@@ -397,7 +397,8 @@ def test_residual_sweep_matches_indexed_loop(k_two):
     cases.append((*discretize_1d(2.0, np.zeros(3), 3, 4.0), k_two,
                    np.array([2j, -2j, 0.3 + 2.5j, 0.3 - 2.5j])))
     for mat_a, mat_b, k, part in cases:
-        got = pencil._residuals(mat_a, mat_b, k, part)
+        setup = pencil._sweep_setup(mat_a, mat_b, k, 0)
+        got = pencil._residuals(part, setup)
         assert got.tobytes() == indexed_residuals(mat_a, mat_b, k,
                                                   part).tobytes()
 

@@ -373,14 +373,14 @@ class TestJordanCondition:
         )
 
     def test_ratio_survives_a_change_of_time_unit(self, k_two):
-        # rates x s and lam0 x s scale the value and its size by 1 / s
+        # rates x s, lam0 x s and beta x s^2 scale f' and its size by s
         lam0 = np.random.default_rng(5).uniform(-3.0, 2.0, 50)
-        want = jordan_ratio(k_two, 0.5, lam0)
+        want = jordan_ratio(k_two, 10.0, lam0)
         for s in (1e-3, 1e3, 1e6):
             k_s = ExponentialKernel(k_two.amplitudes,
                                     tuple(s * b for b in k_two.rates))
-            assert np.allclose(jordan_ratio(k_s, 0.5, s * lam0), want,
-                               rtol=1e-12, atol=0.0)
+            assert np.allclose(jordan_ratio(k_s, 10.0 * s * s, s * lam0),
+                               want, rtol=1e-12, atol=0.0)
 
     def test_zero_eigenvalue_rejected(self, k_wave):
         with pytest.raises(ValueError):

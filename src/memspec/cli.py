@@ -299,12 +299,16 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
     check("branch_monotonicity", drop >= -tol,
           f"a branch zero falls by {-drop:g} over {len(grid)} levels")
 
-    # 40 draws of (alpha, bhat, Re lam, Im lam), in this order
+    # 40 draws of (alpha, bhat, Re lam, Im lam), in this order, with the bits
+    # of rng.uniform(lo, hi) = lo + (hi - lo) u and rng.normal(scale=2.0)
+    # = 0.0 + 2.0 n
     b_low = min(max(bounds.b_min, 1e-3), bounds.b_max)
-    alpha, bhat, re, im = np.array([
-        (rng.uniform(w_min, 10.0 * w_min), rng.uniform(b_low, bounds.b_max),
-         rng.normal(scale=2.0), rng.normal(scale=2.0)) for _ in range(40)]).T
-    beta, lam = bhat * alpha, re + 1j * im
+    u, v, n_re, n_im = np.array([
+        (rng.random(), rng.random(), rng.standard_normal(),
+         rng.standard_normal()) for _ in range(40)]).T
+    alpha = w_min + (10.0 * w_min - w_min) * u
+    bhat = b_low + (bounds.b_max - b_low) * v
+    beta, lam = bhat * alpha, (0.0 + 2.0 * n_re) + 1j * (0.0 + 2.0 * n_im)
     lam = np.where(np.abs(lam) < 1e-3, lam + 0.5, lam)
     mp = pencil.ModePencil(alpha, beta, k)
 

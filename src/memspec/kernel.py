@@ -105,10 +105,10 @@ class ExponentialKernel:
         big = np.zeros(batch + (size, size))
         big[..., :n, n:2 * n] = np.eye(n)
         big[..., n:2 * n, :n] = -mat_a
-        for j, (a, b) in enumerate(zip(self.amplitudes, self.rates)):
-            c = math.sqrt(a * b)
-            mem = slice(2 * n + j * r, 2 * n + (j + 1) * r)
-            big[..., n:2 * n, mem] = -c * np.swapaxes(factor, -1, -2)
-            big[..., mem, :n] = -c * factor
-            big[..., mem, mem] = -b * np.eye(r)
+        c = np.sqrt(np.multiply(self.amplitudes, self.rates))[:, None, None]
+        mem = 2 * n + r * np.arange(self.n_terms)[:, None] + np.arange(r)
+        big[..., mem, :n] = -c * factor[..., None, :, :]
+        big[..., n:2 * n, 2 * n:] = np.swapaxes(big[..., 2 * n:, :n], -1, -2)
+        big[..., mem[..., None], mem[:, None]] = (
+            -np.asarray(self.rates)[:, None, None] * np.eye(r))
         return big

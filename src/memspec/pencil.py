@@ -128,24 +128,21 @@ class ModePencil:
     def equivalence_residual(self, lam):
         """Max entrywise residual of the two extension-equivalence identities.
 
-        The permutation identity relating the two padded block functions is
-        always checked; the factorization through the linearization needs the
-        middle factor block -lam to be invertible and is masked at lam = 0.
+        The permutation identity P H P^T = S between the padded block
+        functions (P applied by indexing) is always checked; the factorization
+        S = E L F through the linearization L (elementary E, F applied as row
+        and column operations) needs -lam invertible and is masked at lam = 0.
         """
-        n = self.n_terms
-        perm = np.eye(n + 2)[[0, n + 1, *range(1, n + 1)]]
+        order = [0, self.size - 1, *range(1, self.size - 1)]
         lhs = self._padded_swapped(lam)
-        res = np.max(np.abs(perm @ self._padded_block(lam) @ perm.T - lhs),
-                     axis=(-2, -1))
-        left = np.broadcast_to(np.eye(n + 2), lhs.shape).astype(complex)
-        right = left.copy()
-        left[..., 0, 0] = -1.0
-        left[..., 0, 1] = left[..., 1, 1] = -lam
-        right[..., 0, 0] = lam
-        right[..., 0, 1] = right[..., 1, 0] = 1.0
-        right[..., 1, 1] = 0.0
-        res2 = np.max(np.abs(left @ self.linearization(lam) @ right - lhs),
-                      axis=(-2, -1))
+        res = np.max(np.abs(self._padded_block(lam)[..., order, :][..., order]
+                            - lhs), axis=(-2, -1))
+        x = np.asarray(lam)[..., None]
+        y = self.linearization(lam)  # becomes E L F
+        y[..., 0, :] = -y[..., 0, :] - x * y[..., 1, :]
+        y[..., 1, :] *= -x
+        y[..., :2] = np.stack((x * y[..., 0] + y[..., 1], y[..., 0]), -1)
+        res2 = np.max(np.abs(y - lhs), axis=(-2, -1))
         return np.maximum(res, np.where(np.asarray(lam) != 0, res2, 0.0))
 
     def system_operator(self) -> np.ndarray:

@@ -63,8 +63,8 @@ class ModeCoefficients:
 ZERO_LADDER = np.array([-1024.0, -256.0, -64.0, -16.0, -8.0, -4.0, -2.0,
                         -1.0, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0, 1024.0])
 
-#: Most ladder points tested at once.  A long sweep tests its brackets in
-#: slices, so the stacked terms hold at most 6 MB at N = 12.
+#: Most ladder points tested, or form terms summed, at once; the stacked
+#: terms of a long sweep's slices hold at most 6 MB at N = 12.
 LADDER_CHUNK = 1 << 16
 
 
@@ -213,34 +213,42 @@ def cleared_mode_polynomial(k: ExponentialKernel, m: ModeCoefficients):
 
 
 def _pole_split(k: ExponentialKernel, z: np.ndarray):
-    """The weights a_j b_j, the index of the pole -b_j nearest each z, the
-    offsets z + b_j and the (N, ...) rows 1 / (z + b_i), zeroed at -b_j."""
+    """Weights a_j b_j, index j of the pole -b_j nearest each point of a 1-D z,
+    offsets z + b_j and the (N, z.size) rows 1 / (z + b_i), zeroed at -b_j."""
     rates = np.asarray(k.rates)
-    near = np.argmin(np.abs(z[..., None] + rates), axis=-1)
+    near = np.argmin(np.abs(z[:, None] + rates), axis=-1)
+    inv = np.add.outer(rates, z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / np.add.outer(rates, z)
-    np.put_along_axis(inv, near[None], 0.0, axis=0)
+        np.divide(1.0, inv, out=inv)
+    inv[near, np.arange(z.size)] = 0.0
     return np.asarray(k.amplitudes) * rates, near, z + rates[near], inv
 
 
 def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):
     """g = f (z + b_j) for the mode symbol f and the pole -b_j nearest z.
 
-    Returns g, g', |f| and the residual scale of g from one pass over the
-    rows of :func:`_pole_split`.  Newton on g stays quadratic next to a
-    pole.  The scale sums the terms of g in magnitude, with z + b_j replaced
-    by |z| + b_j, since rounding in z itself can meet the bound.  The sums
-    run from zero in rate order; np.sum over the rows could switch to
-    pairwise summation and move the roots by an ulp.  At conj(z) the form
+    Returns g, g', |f| and the residual scale of g at a 1-D array z from one
+    pass over the rows of :func:`_pole_split`.  Newton on g stays quadratic
+    next to a pole.  The scale sums the terms of g in magnitude, with z + b_j
+    replaced by |z| + b_j, since rounding in z itself can meet the bound.
+    Each sum is Python's sum over the rows, in blocks of LADDER_CHUNK terms,
+    which adds them one by one from 0 in rate order; np.sum could sum
+    pairwise and move the roots by an ulp, and np.cumsum keeps the order but
+    runs one inner loop per point, slower here but at many terms and few
+    points.  Each point's values depend on it alone; at conj(z) the form
     gives conj(g), conj(g') and the same |f| and scale, bit for bit.
     """
     weights, near, offset, inv = _pole_split(k, z)
     reach = np.abs(z) + np.asarray(k.rates)[near]
-    rest, rest_deriv, rest_size = np.zeros_like(z), np.zeros_like(z), 0.0
-    for w, row in zip(weights, inv):
-        rest += w * row
-        rest_deriv += w * row * row
-        rest_size += w * np.abs(row)
+    rest, rest_deriv = np.empty((2, z.size), complex)
+    rest_size = np.empty(z.size)
+    w, cols = weights[:, None], LADDER_CHUNK // weights.size
+    for start in range(0, z.size, cols):
+        part = slice(start, start + cols)
+        terms = w * inv[:, part]
+        rest[part] = sum(terms)
+        rest_deriv[part] = sum(terms * inv[:, part])
+        rest_size[part] = sum(w * np.abs(inv[:, part]))
     value = (z * z + alpha) * offset - beta * (weights[near] + offset * rest)
     deriv = (2.0 * z * offset + z * z + alpha
              - beta * (rest - offset * rest_deriv))
@@ -269,11 +277,13 @@ def mode_spectra(k: ExponentialKernel, alphas,
     takes at most three Newton steps on :func:`_near_pole_form`, each kept
     only where |f| falls; a kept step's form values serve the next step,
     and a rejected step would repeat exactly, so only the eigenvalues whose
-    last step was kept take the next.  |Im| <= REAL_SNAP (1 + |z|) becomes
-    real where the real point meets the residual bound
-    |g| <= RESIDUAL_TOL * scale of one more evaluation of the form, and
-    stays complex where only the complex point does; a point that meets
-    neither raises :class:`RootFindingError`.
+    last step was kept take the next.  The residual bound
+    |g| <= RESIDUAL_TOL * scale reads the form's values at the kept point,
+    so a solve evaluates the form at most four times, unless some point has
+    0 < |Im| <= REAL_SNAP (1 + |z|): it becomes real where one more
+    evaluation at its real point meets the bound, and stays complex where
+    only the complex point does; a point that meets neither raises
+    :class:`RootFindingError`.
     """
     rates = np.asarray(k.rates)
     alpha, beta = (np.asarray(v, dtype=float).ravel() for v in (alphas, betas))
@@ -281,8 +291,8 @@ def mode_spectra(k: ExponentialKernel, alphas,
     out = np.empty((alpha.size, rates.size + 2), dtype=complex)
     out[:, :2] = np.sqrt(alpha)[:, None] * [-1j, 1j]  # real parts +0.0
     alpha, beta = alpha[damped, None], beta[damped, None]
-    mats = k.realization(alpha[:, :, None], np.sqrt(beta)[:, :, None])
-    raw = np.linalg.eigvals(mats).astype(complex)
+    raw = np.linalg.eigvals(k.realization(
+        alpha[:, :, None], np.sqrt(beta)[:, :, None])).astype(complex)
     # LAPACK's absolute error is about eps times the norm, at least
     # eps * max(1, b_N), so where the small-lam model
     # lam^2 + beta s lam + alpha - beta sum(a_j), s = sum(a_j / b_j) (Khat
@@ -308,33 +318,33 @@ def mode_spectra(k: ExponentialKernel, alphas,
     modes = lead // raw.shape[1]
     alpha, beta = alpha[modes, 0], beta[modes, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        moving, at, a, b = lead, z[lead], alpha, beta
-        g, dg, f, _ = _near_pole_form(k, a, b, at)
+        moving, at, a, b = np.arange(lead.size), z[lead], alpha, beta
+        g, dg, f, scale = _near_pole_form(k, a, b, at)
         for _ in range(3):
-            step = at - g / dg
-            g, dg, f_step, _ = _near_pole_form(k, a, b, step)
+            step = at - g[moving] / dg
+            g_step, dg, f_step, scale_step = _near_pole_form(k, a, b, step)
             took = f_step < f
-            moving, at, a, b, g, dg, f = (
-                v[took] for v in (moving, step, a, b, g, dg, f_step))
-            z[moving] = at
+            moving, at, a, b, dg, f = (
+                v[took] for v in (moving, step, a, b, dg, f_step))
+            z[lead[moving]], g[moving], scale[moving] = (
+                at, g_step[took], scale_step[took])
             if not moving.size:
                 break
         z[partner] = np.conj(z[partner - 1])
         snap = np.abs(z.imag) <= REAL_SNAP * (1.0 + np.abs(z))
         real = np.where(snap, z.real + 0j, z)
         ok = np.ones(z.shape, dtype=bool)
-        g, _, _, scale = _near_pole_form(k, alpha, beta, real[lead])
         ok[lead] = np.abs(g) <= RESIDUAL_TOL * scale
+        # a pair snapped off the axis stays a pair where its real point fails
+        off = np.flatnonzero(snap[lead] & (z.imag[lead] != 0.0))
+        if off.size:
+            g, _, _, scale = _near_pole_form(k, alpha[off], beta[off],
+                                             real[lead[off]])
+            passed = np.abs(g) <= RESIDUAL_TOL * scale
+            ok[lead[off]] |= passed
+            undo = lead[off[~passed]]
+            real[undo], real[undo + 1] = z[undo], z[undo + 1]
         ok[partner] = ok[partner - 1]
-        # a snapped pair whose real point fails stays a pair if that passes
-        undo = ~ok & snap & (z.imag != 0.0)
-        if undo.any():
-            again = undo[lead]
-            g, _, _, scale = _near_pole_form(k, alpha[again], beta[again],
-                                             z[lead[again]])
-            ok[lead[again]] = np.abs(g) <= RESIDUAL_TOL * scale
-            ok[partner] = ok[partner - 1]
-            real[undo] = z[undo]
         z = real.reshape(raw.shape)
     if not ok.all():
         raise RootFindingError(

@@ -405,7 +405,7 @@ def test_validate_two_term_kernel(config, capsys):
     assert "PASS branch_monotonicity" in out
 
 
-def test_validate_char_poly_near_a_root(config, capsys):
+def test_validate_char_poly_near_a_root(config, capsys, monkeypatch):
     # a draw lands so near a root that |p(lam)| falls far below the
     # rounding of p itself; the identity holds on the scale
     # sum_k |c_k| |lam|^k at which p(lam) is evaluated
@@ -413,9 +413,24 @@ def test_validate_char_poly_near_a_root(config, capsys):
            "kernel": {"a": [0.1] * 8, "b": [0.25 * j for j in range(1, 9)]},
            "damping": {"kind": "range", "b_min": 0.3125, "b_max": 0.625},
            "domain": {"kind": "box", "lengths": [0.2]}}
+    draws, residual = [], ModePencil.equivalence_residual
+
+    def recorded(self, lam):
+        draws.append((self.alpha, self.beta, lam))
+        return residual(self, lam)
+
+    monkeypatch.setattr(ModePencil, "equivalence_residual", recorded)
     code, out = run(capsys, ["validate", "--config", config(doc)])
     assert code == 0, out
     assert "PASS char_poly_identity" in out
+    # the premise: the closest of the 40 seeded draws has |p(lam)| / scale
+    # 1.8e-6; another stream of draws could pass with no draw near a root
+    (alpha, beta, lam), = draws
+    coeffs = scalar.cleared_mode_polynomial(
+        ExponentialKernel(doc["kernel"]["a"], doc["kernel"]["b"]),
+        scalar.ModeCoefficients(alpha, beta)).T[::-1]
+    assert np.min(np.abs(np.polyval(coeffs, lam))
+                  / np.polyval(np.abs(coeffs), np.abs(lam))) < 1e-5
 
 
 @pytest.mark.parametrize("method, entry, failing", [

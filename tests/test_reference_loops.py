@@ -319,9 +319,51 @@ def test_mode_spectra_match_seven_evaluation_loop_on_large_batches():
         assert got.tobytes() == np.concatenate(want).tobytes()
 
 
-def test_mode_spectra_evaluates_the_form_five_times(monkeypatch, k_two):
-    # one evaluation at the eigvals start, one per Newton step, and one for
-    # the residual check
+@pytest.mark.parametrize("n_terms", [*range(1, 13), "twelve-term"])
+def test_near_pole_form_sums_in_rate_order(monkeypatch, n_terms):
+    # the form's sums down the term rows give the bytes of the loop that
+    # adds the terms one by one in rate order, signed zeros
+    # included, at single points and in batches, in one column block and
+    # in many; np.sum over the rows, pairwise at one point, fails at N >= 4
+    rng = np.random.default_rng(21)
+    if n_terms == "twelve-term":  # the benchmark's twelve-term kernel
+        k = ExponentialKernel((0.05,) * 12,
+                              tuple(np.geomspace(1e-3, 3e2, 12)))
+    else:
+        rates = np.sort(10.0 ** rng.uniform(-3.0, 3.0, n_terms))
+        k = ExponentialKernel(tuple(10.0 ** rng.uniform(-3.0, 0.0, n_terms)),
+                              tuple(rates))
+    rates = np.asarray(k.rates)
+    # real points (Im +0 and -0) left of, between and at the poles, and
+    # complex points near the poles and far from them
+    real = np.concatenate((-rates, -rates * (1.0 + 1e-9), -rates * 0.7,
+                           -2.0 * rates[-1] * rng.uniform(size=20),
+                           rng.uniform(-1.0, 1.0, 10)))
+    near = -rng.choice(rates, 40) * (1.0 + 1e-6 * rng.standard_normal(40))
+    z = np.concatenate((real + 0j, real - 0j,
+                        near + 1e-7j * rng.standard_normal(40),
+                        10.0 ** rng.uniform(-3.0, 3.0, 60) * np.exp(
+                            1j * rng.uniform(-np.pi, np.pi, 60))))
+    alpha = 10.0 ** rng.uniform(-2.0, 5.0, z.size)
+    beta = alpha * rng.uniform(0.0, 0.99, z.size) / k.amplitude_sum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = [np.concatenate(v) for v in zip(*(
+            full_near_pole_form(k, alpha[i:i + 1], beta[i:i + 1], z[i:i + 1])
+            for i in range(z.size)))]
+        single = [np.concatenate(v) for v in zip(*(
+            scalar._near_pole_form(k, alpha[i:i + 1], beta[i:i + 1],
+                                   z[i:i + 1]) for i in range(z.size)))]
+        batch = scalar._near_pole_form(k, alpha, beta, z)
+        monkeypatch.setattr(scalar, "LADDER_CHUNK", 7 * k.n_terms)
+        blocks = scalar._near_pole_form(k, alpha, beta, z)
+    for got in (single, batch, blocks):
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_mode_spectra_evaluates_the_form_four_times(monkeypatch, k_two):
+    # one evaluation at the eigvals start and one per Newton step; the
+    # residual check reads the values of each root's kept point, so it
+    # evaluates nothing where no root is snapped off the axis
     calls = []
     form = scalar._near_pole_form
 
@@ -331,19 +373,24 @@ def test_mode_spectra_evaluates_the_form_five_times(monkeypatch, k_two):
 
     monkeypatch.setattr(scalar, "_near_pole_form", counted)
     mode_spectra(k_two, [3.0, 40.0], [1.0, 0.0])
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 def test_mode_spectra_polishes_each_pair_once(monkeypatch, k_two):
     # the start evaluation sees only the kept LAPACK eigenvalues with
     # Im >= 0, each later polish round only the points whose last step was
-    # kept, and the residual check every kept root with Im >= 0
+    # kept, and the residual check only the real points of the roots
+    # snapped off the axis
     points = []
     form = scalar._near_pole_form
 
     def recorded(k, alpha, beta, z):
         points.append(z.copy())
         return form(k, alpha, beta, z)
+
+    def off_axis(z):
+        return (z.imag != 0.0) & (np.abs(z.imag)
+                                  <= REAL_SNAP * (1.0 + np.abs(z)))
 
     monkeypatch.setattr(scalar, "_near_pole_form", recorded)
     rng = np.random.default_rng(13)
@@ -355,17 +402,29 @@ def test_mode_spectra_polishes_each_pair_once(monkeypatch, k_two):
         roots, _ = mode_spectra(k, alphas, betas)
         raw = np.linalg.eigvals(k.realization(
             alphas[:, None, None], np.sqrt(betas)[:, None, None]))
-        *polish, checked = points
-        assert np.array_equal(polish[0], raw[raw.imag >= 0.0])
-        sizes = [len(z) for z in polish]
+        # each root's kept point is a point the polish saw, and none of
+        # those is off the axis within the snap band, so no root is snapped
+        # off the axis and every evaluation is a polish round
+        assert not off_axis(np.concatenate(points)).any()
+        assert np.array_equal(points[0], raw[raw.imag >= 0.0])
+        sizes = [len(z) for z in points]
         assert 2 <= len(sizes) <= 4
         assert sizes[1] == sizes[0]
         assert all(a >= b for a, b in zip(sizes[1:], sizes[2:]))
         assert sizes[-1] < sizes[0]
-        assert checked.size == sizes[0]
-        assert np.all(checked.imag >= 0.0)
-        assert np.isin(checked, roots).all()
-        assert np.isin(roots[roots.imag >= 0.0], checked).all()
+        assert np.isin(roots[roots.imag >= 0.0],
+                       np.concatenate(points)).all()
+    # a mode with alpha = 1e-17 has a pair about 2e-9 off the axis, inside
+    # the snap band: the check sees its real point alone, which fails, so
+    # the pair stays complex
+    points.clear()
+    roots, _ = mode_spectra(k_two, [1e-17, 3.0], [0.5e-17, 1.0])
+    *polish, checked = points
+    pair = roots[off_axis(roots)]
+    assert pair.size == 2 and np.array_equal(pair, np.conj(pair[::-1]))
+    assert np.array_equal(checked, pair.real[1:] + 0j)
+    assert np.isin(roots[(roots.imag >= 0.0) & ~off_axis(roots)],
+                   np.concatenate(polish)).all()
     # undamped modes are written, not polished: beside a damped mode the
     # form sees the damped mode's eigenvalues alone, and on its own an
     # undamped mode puts no point through the form

@@ -19,9 +19,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fd_recipes import graded_config
 from memspec import (
     ExponentialKernel,
     RootFindingError,
+    SymTridiagonal,
     discretize_1d,
     nonlinear_eigenvalues_fd,
     pencil,
@@ -152,6 +154,30 @@ def indexed_residuals(mat_a, mat_b, k, lam):
         t_u[1:] += np.multiply(off, u[:-1], mult)
         t_u[:-1] += np.multiply(off, u[1:], mult)
         return np.linalg.norm(t_u, axis=0) / np.linalg.norm(u, axis=0)
+
+
+def pivots_damping_rank(mat_b):
+    """The Sturm count of A_b above m eps ||A_b||_inf by one
+    :func:`pencil._pivots` pass on a (m, 1) column, two ufunc calls a row."""
+    level = mat_b.shape[0] * np.finfo(float).eps * mat_b.norm_inf()
+    piv = mat_b.diag[:, None] - level
+    with np.errstate(all="ignore"):
+        pencil._pivots(mat_b.off[:, None] ** 2, piv[1:], piv[0])
+    return int(np.count_nonzero(piv > 0.0))
+
+
+def every_row_residuals(lam, setup, m):
+    """The FD residual check's column blocks over every row of ``lam``,
+    the conjugate rows swept too rather than copied from their partners."""
+    cols = max(1, pencil.ROW_BLOCK // m)
+    real = (lam.imag == 0.0) & (lam.size > cols)
+    res = np.empty(lam.size)
+    for half, part in ((real, lam[real].real), (~real, lam[~real])):
+        if part.size:
+            res[half] = np.concatenate([
+                pencil._residuals(block, setup) for block in np.array_split(
+                    part, -(-part.itemsize * part.size // (16 * cols)))])
+    return res
 
 
 def dual_log_derivative(z, mat_a, mat_b, k, rank):
@@ -460,6 +486,68 @@ def test_residual_sweep_matches_indexed_loop(k_two):
         got = pencil._residuals(part, setup)
         assert got.tobytes() == indexed_residuals(mat_a, mat_b, k,
                                                   part).tobytes()
+
+
+@pytest.mark.parametrize("row_block", [pencil.ROW_BLOCK, 2000],
+                         ids=["one-block", "split-blocks"])
+def test_fd_residuals_match_sweeping_every_row(k_two, monkeypatch, row_block):
+    # graded draws at caps 5, 50 and none; the n = 100 two-term grid with a
+    # cap that keeps one pair beside 100 real roots; an undamped grid whose
+    # cap keeps one pair and no real root: the residuals of
+    # nonlinear_eigenvalues_fd, each conjugate row's copied from its
+    # partner, are the bits of sweeping every row
+    monkeypatch.setattr(pencil, "ROW_BLOCK", row_block)
+    rng = np.random.default_rng(8)
+    cases = [(*graded_config(rng, 300), cap) for _ in range(6)
+             for cap in (5.0, 50.0, np.inf)]
+    mat_a, mat_b = discretize_1d(1.0, np.linspace(0.5, 0.75, 100), 100)
+    upper = np.unique(nonlinear_eigenvalues_fd(mat_a, mat_b, k_two,
+                                               np.inf)[0].imag)
+    upper = upper[upper > 0.0]
+    cases.append((k_two, mat_a, mat_b, 0.5 * (upper[0] + upper[1])))
+    cases.append((k_two, *discretize_1d(1.0, np.zeros(40), 40), 5.0))
+    pairs = []
+    for k, mat_a, mat_b, cap in cases:
+        lam, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k, cap)
+        setup = pencil._sweep_setup(mat_a, mat_b, k, 0)
+        want = every_row_residuals(lam, setup, mat_a.shape[0])
+        assert res.tobytes() == want.tobytes()
+        pairs.append(np.count_nonzero(lam.imag > 0.0))
+    assert pairs[-2:] == [1, 1] and max(pairs) > 50
+
+
+def test_damping_rank_matches_pivots_count():
+    # the scalar loop against the (m, 1) pivot pass: random bands of either
+    # sign, graded and rank-deficient profiles, A_b = 0, one and two rows,
+    # and bands whose second pivot is exactly zero (followed by a coupled
+    # row, so -inf, and by an uncoupled one, so NaN from 0 / 0)
+    rng = np.random.default_rng(31)
+    mats = [SymTridiagonal(rng.normal(0.0, 1.0, m), rng.normal(0.0, 1.0,
+                                                                m - 1))
+            for m in (1, 2, *rng.integers(3, 200, 20))]
+    mats += [graded_config(rng, 600)[2] for _ in range(40)]
+    x = np.arange(1, 51) / 51
+    mats += [discretize_1d(1.0, profile, 50)[1] for profile in (
+        np.clip(x - 0.4, 0.0, None), np.clip(0.6 - x, 0.0, None),
+        np.where(np.abs(x - 0.5) < 0.2, 0.0, 1.0), np.zeros(50))]
+    eps = np.finfo(float).eps
+    for coupled in (1.5, 0.0):
+        # row 3 fixes ||A_b||_inf = 100 and the level 4 eps 100; d_1 is
+        # moved by ulps until d_1 - level is the first quotient exactly
+        diag, off = np.array([2.0, 0.0, 1.0, 99.0]), np.array([1.5, coupled,
+                                                                1.0])
+        level = 4 * eps * 100.0
+        quot = off[0] ** 2 / (diag[0] - level)
+        diag[1] = quot + level
+        while diag[1] - level != quot:
+            diag[1] = np.nextafter(diag[1], np.inf if diag[1] - level < quot
+                                   else -np.inf)
+        mat = SymTridiagonal(diag, off)
+        assert mat.norm_inf() == 100.0
+        mats.append(mat)
+    for mat in mats:
+        assert pencil._damping_rank(mat) == pivots_damping_rank(mat)
+    assert [pivots_damping_rank(mat) for mat in mats[-2:]] == [2, 1]
 
 
 def test_pivots_match_indexed_loop():

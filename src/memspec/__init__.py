@@ -14,7 +14,6 @@ from .errors import (
     ConfigError,
     HypothesisError,
     MemspecError,
-    PoleProximityError,
     RootFindingError,
 )
 from .kernel import ExponentialKernel
@@ -46,7 +45,6 @@ __all__ = [
     "ModeCoefficients",
     "ModePencil",
     "OnePoleStrips",
-    "PoleProximityError",
     "RootFindingError",
     "SymTridiagonal",
     "boundary_cloud",

@@ -5,19 +5,6 @@ class MemspecError(Exception):
     """Base class for all library errors."""
 
 
-class PoleProximityError(MemspecError):
-    """Evaluation point is within the guard distance of a kernel pole."""
-
-    def __init__(self, lam, pole_index, pole):
-        self.lam = lam
-        self.pole_index = pole_index
-        self.pole = pole
-        super().__init__(
-            f"point {lam} is within the pole guard of pole {pole} "
-            f"(term index {pole_index})"
-        )
-
-
 class HypothesisError(MemspecError):
     """A standing assumption of the underlying theory is violated."""
 

@@ -13,11 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleProximityError
-
-#: Absolute distance below which evaluation near a pole is rejected.
-POLE_GUARD = 1e-12
-
 
 @dataclass(frozen=True)
 class ExponentialKernel:
@@ -60,8 +55,9 @@ class ExponentialKernel:
 
     def laplace(self, lam):
         """Laplace transform sum_j a_j b_j / (lam + b_j), elementwise over a
-        number or array ``lam``; a point within POLE_GUARD of a pole raises
-        PoleProximityError."""
+        number or array ``lam``, summed in rate order as numpy computes it:
+        next to a pole the sum is finite and large, and on a pole it is not
+        finite (with numpy's divide warning)."""
         return self._pole_sum(lam, 1)
 
     def laplace_deriv(self, lam):
@@ -70,11 +66,6 @@ class ExponentialKernel:
 
     def _pole_sum(self, lam, power: int):
         lam = np.asarray(lam)
-        near = np.abs(lam[..., None] + np.asarray(self.rates)) < POLE_GUARD
-        if near.any():
-            *point, j = np.argwhere(near)[0]
-            raise PoleProximityError(lam[tuple(point)].item(), int(j),
-                                     -self.rates[j])
         total = 0.0  # terms added in rate order
         for a, b in zip(self.amplitudes, self.rates):
             total = total + a * b / (lam + b) ** power

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RootFindingError
-from .kernel import POLE_GUARD, ExponentialKernel
+from .kernel import ExponentialKernel
 from .scalar import ModeCoefficients, rational_symbol
 
 _LIFT_TOL = 1e-6
@@ -110,8 +110,9 @@ class ModePencil:
 
     def _padded_block(self, lam) -> np.ndarray:
         """Block function padded with the trivial block -lam (order H, Dhat, W)."""
-        big = self._stack(lam, self.size)
-        big[..., :-1, :-1] = self.block_function(lam)
+        block = self.block_function(lam)
+        big = np.zeros(block.shape[:-2] + (self.size, self.size), complex)
+        big[..., :-1, :-1] = block
         big[..., -1, -1] = -lam
         return big
 
@@ -156,11 +157,10 @@ class ModePencil:
         if v1 == 0:
             raise ValueError("v1 must be nonzero")
         rates = np.asarray(self.kernel.rates)
-        if np.min(np.abs(rates + lam)) < POLE_GUARD:
-            raise ValueError(f"lam = {lam} is at a kernel pole")
-        symbol = rational_symbol(
-            self.kernel, ModeCoefficients(self.alpha, self.beta), lam)
-        if abs(symbol) * abs(v1) > _LIFT_TOL * (1.0 + self.alpha):
+        with np.errstate(divide="ignore", invalid="ignore"):  # at a pole
+            symbol = rational_symbol(
+                self.kernel, ModeCoefficients(self.alpha, self.beta), lam)
+        if not abs(symbol) * abs(v1) <= _LIFT_TOL * (1.0 + self.alpha):
             raise ValueError(
                 f"lam = {lam} is not an eigenvalue of the scalar symbol"
             )
@@ -673,10 +673,11 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
     vals = _aberth_roots(mat_a, mat_b, k, setup[-1], imag_cap)
     lam = vals[~(np.abs(vals.imag) > imag_cap)]  # a NaN stays, and fails
     # near-equal blocks of ROW_BLOCK // m complex or twice as many real
-    # columns bound the sweep's arrays; within one block all lam take one
-    # complex call, beyond it the real lam take float64 blocks of their own
+    # columns bound the sweep's arrays; where all D roots fit one block they
+    # take one complex call, else the real lam take float64 blocks of their
+    # own, so a real row's bits do not depend on imag_cap
     cols = max(1, ROW_BLOCK // m)
-    real = (lam.imag == 0.0) & (lam.size > cols)
+    real = (lam.imag == 0.0) & (vals.size > cols)
     # the last n rows copy the residuals of the n before them, whose exact
     # conjugates they are (the cap keeps or drops both of a pair), unless a
     # row breaks the pairing or the complex sweep would keep one column: a

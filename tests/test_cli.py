@@ -619,22 +619,18 @@ def test_discretize_anchors_all_inside(config, capsys, doc, inside):
                                      "# max_violation=0"]
 
 
-# Kernels that exit 1 today: each strict xfail must lose its marker in the
-# change that mends it; rate 1e15 is the passing control of the rate gap,
-# and validate, which weighs the Jordan condition in the near-pole form,
-# that of the pole guard.
-POLE_GUARD = _with(CONSTANT, coefficient_a=1.0, kernel__a=[1e-3],
-                   kernel__b=[1e8], domain__lengths=[1.0, 1.0])
+# a mode root that rounds onto its pole -1e8 (the ids below keep the name
+# of the absolute pole guard that once refused the eigs calls)
+ON_POLE = _with(CONSTANT, coefficient_a=1.0, kernel__a=[1e-3],
+                kernel__b=[1e8], domain__lengths=[1.0, 1.0])
 # a mode root 5.4e-13 from the pole -36
 TINY_DAMPING = _with(CONSTANT, coefficient_a=1.0, kernel__a=[1.0],
                      kernel__b=[36.0], damping__value=1e-12,
                      domain__lengths=[1.0, 1.0])
-_POLE_GUARD_EXIT = pytest.mark.xfail(strict=True, raises=AssertionError,
-                                     reason=(
-    "a mode root lies within 1e-12 of its pole, where the printed residual "
-    "(rational_symbol in _mode_records) trips the pole guard"))
 
 
+# Kernels that exit 1 today: each strict xfail must lose its marker in the
+# change that mends it; rate 1e15 is the passing control of the rate gap.
 def _rate_gap(rate):
     return _with(TWO_TERM, kernel__a=[0.1, 0.1], kernel__b=[1.0, rate],
                  damping__b_min=0.4, damping__b_max=0.5)
@@ -647,11 +643,9 @@ _RATE_GAP_EXIT = pytest.mark.xfail(strict=True, raises=AssertionError,
 
 
 @pytest.mark.parametrize("command, text", [
-    pytest.param("eigs", POLE_GUARD, marks=_POLE_GUARD_EXIT,
-                 id="eigs-pole-guard"),
-    pytest.param("validate", POLE_GUARD, id="validate-pole-guard"),
-    pytest.param("eigs", TINY_DAMPING, marks=_POLE_GUARD_EXIT,
-                 id="eigs-tiny-damping"),
+    pytest.param("eigs", ON_POLE, id="eigs-pole-guard"),
+    pytest.param("validate", ON_POLE, id="validate-pole-guard"),
+    pytest.param("eigs", TINY_DAMPING, id="eigs-tiny-damping"),
     pytest.param("validate", TINY_DAMPING, id="validate-tiny-damping"),
     pytest.param("enclosure", _rate_gap(1e20), marks=_RATE_GAP_EXIT,
                  id="enclosure-rate-1e20"),
@@ -663,6 +657,22 @@ _RATE_GAP_EXIT = pytest.mark.xfail(strict=True, raises=AssertionError,
 def test_wide_rate_kernels_solve(config, capsys, command, text):
     code, _ = run(capsys, [command, "--config", config(json.loads(text))])
     assert code == 0
+
+
+@pytest.mark.parametrize("text", [json.dumps(CONSTANT), ON_POLE,
+                                  TINY_DAMPING],
+                         ids=["readme-box", "on-pole", "tiny-damping"])
+def test_eigs_residuals_meet_the_solver_bound(config, capsys, text):
+    # the printed residual is the ratio |g| / scale that mode_spectra
+    # bounds, read at the printed root, so every row meets RESIDUAL_TOL,
+    # also a root that rounds onto its pole
+    code, out = run(capsys, ["eigs", "--config", config(json.loads(text)),
+                             "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["eigenvalues"]
+    assert rows and all(row["residual"] <= scalar.RESIDUAL_TOL for row in rows)
+    if text == ON_POLE:
+        assert any(row["re"] == -1e8 for row in rows)
 
 
 def _edge_configs():
@@ -709,8 +719,7 @@ def _edge_configs():
 @pytest.mark.parametrize("name", sorted(_edge_configs()))
 def test_edge_configs_exit_cleanly(config, capsys, name):
     # every subcommand returns 0, 1 or 2, names its failure on an `error:`
-    # or a FAIL line, and only eigs (rational_symbol on the printed
-    # residual) can stop at the pole guard
+    # or a FAIL line, and none stops at a pole guard
     path = config(_edge_configs()[name])
     for command in ("essential", "eigs", "enclosure", "discretize",
                     "validate"):
@@ -719,7 +728,7 @@ def test_edge_configs_exit_cleanly(config, capsys, name):
         assert code in (0, 1, 2), command
         if code:
             assert "error: " in err or "\nFAIL " in "\n" + out, command
-        assert command == "eigs" or "pole guard" not in out + err, command
+        assert "pole guard" not in out + err, command
 
 
 @pytest.mark.parametrize("argv, doc, count", [

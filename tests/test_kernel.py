@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from memspec import ExponentialKernel, PoleProximityError
+from memspec import ExponentialKernel
 
 
 def test_terms_sorted_by_rate():
@@ -64,25 +64,23 @@ def test_laplace_deriv_matches_finite_difference():
         assert k.laplace_deriv(lam) == pytest.approx(fd, rel=1e-8)
 
 
-def test_pole_guard():
+def test_laplace_next_to_and_on_a_pole():
+    # 1e-13 from a pole both transforms are the finite partial-fraction
+    # sums; on a pole they are not finite, with numpy's divide warning
     k = ExponentialKernel((0.9, 0.1), (0.5, 2.0))
-    with pytest.raises(PoleProximityError) as exc:
-        k.laplace(-2.0)
-    assert exc.value.pole_index == 1
-    assert exc.value.pole == -2.0
-    with pytest.raises(PoleProximityError):
-        k.laplace(-0.5 + 1e-13)
-    with pytest.raises(PoleProximityError):
-        k.laplace_deriv(-0.5)
-    # just outside the guard the evaluation succeeds
-    assert np.isfinite(k.laplace(-0.5 + 1e-9))
-    # on an array, the first point within the guard is named with its pole
-    lam = np.array([[0.3, 1.0 + 2.0j], [-2.0 + 1e-13j, -0.5]])
+    lam = np.array([-0.5 + 1e-13, -2.0 + 1e-13j])
+    terms = np.array([0.45 / (lam + 0.5), 0.2 / (lam + 2.0)])
+    assert np.all(np.isfinite(k.laplace(lam)))
+    assert k.laplace(lam) == pytest.approx(terms.sum(axis=0), rel=1e-14)
+    assert k.laplace_deriv(lam) == pytest.approx(
+        -(terms ** 2 / np.array([0.45, 0.2])[:, None]).sum(axis=0),
+        rel=1e-14)
     for evaluate in (k.laplace, k.laplace_deriv):
-        with pytest.raises(PoleProximityError) as exc:
-            evaluate(lam)
-        assert (exc.value.lam, exc.value.pole_index, exc.value.pole) == \
-            (-2.0 + 1e-13j, 1, -2.0)
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            assert not np.isfinite(evaluate(-2.0))
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            values = evaluate(np.array([[0.3, -0.5], [-2.0, 1.0]]))
+        assert np.isfinite(values).tolist() == [[True, False], [False, True]]
 
 
 def test_array_evaluation_matches_scalar_calls():

@@ -662,6 +662,26 @@ class TestAberthFd:
             mat_a, mat_b, k, lam[~real]))
         assert np.all(res <= 1e-6 * mat_a.norm_inf())
 
+    def test_real_residuals_do_not_depend_on_the_cap(self, k_one):
+        # kernel (1; 1) on 250 nodes of the profile discretize interpolates
+        # from [0.5, 0.75]: cap 0 keeps the 250 real rows, fewer than one
+        # block of 262 columns, and cap 50 30 more rows; the D = 750 roots
+        # exceed one block, so the real rows take float64 blocks at both
+        # caps, and each real lam with the same bits at both has the same
+        # residual bits (the beyond-cap exit moves one in its last bits)
+        n = 250
+        profile = np.interp(np.arange(1, n + 1) / (n + 1), [0.0, 1.0],
+                            [0.5, 0.75])
+        mat_a, mat_b = discretize_1d(1.0, profile, n)
+        (low, res_low), (high, res_high) = (
+            nonlinear_eigenvalues_fd(mat_a, mat_b, k_one, cap)
+            for cap in (0.0, 50.0))
+        real = high.imag == 0.0
+        assert low.size == np.count_nonzero(real) == n < high.size
+        same = low == high[real]
+        assert np.count_nonzero(same) >= n - 1
+        assert res_low[same].tobytes() == res_high[real][same].tobytes()
+
     def test_conjugate_rows_carry_equal_residuals(self, above, monkeypatch):
         # n = 30 and n = 100, one complex block and split blocks: a complex
         # lam and its conjugate print the same residual bits

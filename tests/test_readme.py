@@ -107,6 +107,15 @@ def test_library_sketch():
     assert out.getvalue().splitlines() == want
 
 
+def test_exported_names_resolve_in_order():
+    # the names whose docstrings the library section points to: each one
+    # resolves, and __all__ is sorted without repeats
+    import memspec
+    assert memspec.__all__ == sorted(set(memspec.__all__))
+    for name in memspec.__all__:
+        assert hasattr(memspec, name), name
+
+
 def test_enclosure_formats_agree(readme_dir, capsys):
     # on the README anchor, JSON counts the cloud that CSV solves, row for
     # row; the CSV info line names no interval, since CSV solves only the

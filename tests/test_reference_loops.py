@@ -166,11 +166,12 @@ def pivots_damping_rank(mat_b):
     return int(np.count_nonzero(piv > 0.0))
 
 
-def every_row_residuals(lam, setup, m):
-    """The FD residual check's column blocks over every row of ``lam``,
-    the conjugate rows swept too rather than copied from their partners."""
+def every_row_residuals(lam, setup, m, size):
+    """The FD residual check's column blocks over every row of ``lam``, of
+    the ``size`` roots before the cap, the conjugate rows swept too rather
+    than copied from their partners."""
     cols = max(1, pencil.ROW_BLOCK // m)
-    real = (lam.imag == 0.0) & (lam.size > cols)
+    real = (lam.imag == 0.0) & (size > cols)
     res = np.empty(lam.size)
     for half, part in ((real, lam[real].real), (~real, lam[~real])):
         if part.size:
@@ -509,8 +510,10 @@ def test_fd_residuals_match_sweeping_every_row(k_two, monkeypatch, row_block):
     pairs = []
     for k, mat_a, mat_b, cap in cases:
         lam, res = nonlinear_eigenvalues_fd(mat_a, mat_b, k, cap)
+        m = mat_a.shape[0]
         setup = pencil._sweep_setup(mat_a, mat_b, k, 0)
-        want = every_row_residuals(lam, setup, mat_a.shape[0])
+        want = every_row_residuals(
+            lam, setup, m, 2 * m + k.n_terms * pencil._damping_rank(mat_b))
         assert res.tobytes() == want.tobytes()
         pairs.append(np.count_nonzero(lam.imag > 0.0))
     assert pairs[-2:] == [1, 1] and max(pairs) > 50

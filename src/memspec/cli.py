@@ -107,10 +107,8 @@ def _mode_records(spec: ProblemSpec, box: boxmodes.BoxDomain,
     owner = np.repeat(np.arange(len(modes)), counts)
     kept = np.abs(z.imag) <= imag_cap
     z, alpha = z[kept], alphas[owner[kept]]
-    # the bits mode_spectra's residual check read; a root on its pole
-    # divides by zero only in |f|, which is not printed
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g, _, _, scale = scalar._near_pole_form(k, alpha, b * alpha, z)
+    # the bits mode_spectra's residual check read
+    g, scale = scalar._near_pole_form(k, alpha, b * alpha, z)
     residual = np.abs(g) / scale
     at = (z.imag == 0.0) & (z.real != 0.0)
     jordan = np.full(z.shape, None)

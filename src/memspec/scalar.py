@@ -4,9 +4,11 @@ For a kernel with Laplace transform Khat and a damping level bhat, the scalar
 machinery revolves around the factor 1 - bhat * Khat(lam), whose zeros, the
 eigenvalues of the kernel's N-square memory block, obstruct Fredholmness of
 the symbol and sweep out the essential spectrum, and the per-mode rational
-symbol lam^2 + alpha - beta * Khat(lam), whose roots are the eigenvalues of
-the kernel's (N+2)-square realization; its cleared polynomial of degree
-N + 2, an array of ascending coefficients, is kept as an independent oracle.
+symbol lam^2 + alpha - beta * Khat(lam), whose roots, one in each pole gap
+found in its offset from the pole and a pair from their sum and product, are
+the eigenvalues of the kernel's (N+2)-square realization; its cleared
+polynomial of degree N + 2, an array of ascending coefficients, is kept as
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ from .kernel import ExponentialKernel
 
 #: Relative residual |g| / scale above which a mode eigenvalue is refused.
 RESIDUAL_TOL = 1e-10
-
-#: Mode eigenvalues with |Im| <= REAL_SNAP (1 + |z|) are made real where the
-#: real point meets the residual bound.
-REAL_SNAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -81,6 +79,13 @@ def _secular_test(weights, shifts, d):
     return np.sum(terms, axis=-1) > 1.0, terms
 
 
+def _middle(lo, hi):
+    """The middle double of each bracket +0.0 <= lo <= hi, the integer
+    midpoint of the bit patterns: at most 64 halvings close a bracket."""
+    bits = lo.view(np.int64)
+    return (bits + (hi.view(np.int64) - bits) // 2).view(float)
+
+
 def _narrow(lo, hi, d, below):
     """Move lo up to the points d that test below the zero and hi down to
     the others, counting only points strictly inside (lo, hi); ``d`` is a
@@ -126,7 +131,7 @@ def fredholm_factor_zeros(k: ExponentialKernel, bhat) -> list:
     kept where strictly inside the narrowed bracket, since an error of about
     eps * b_N puts many eigenvalues beyond the ladder and this form is exact
     for the pole term alone; the doubles ZERO_LADDER apart around the step,
-    in stacked tests of LADDER_CHUNK points; and bisection for the rest.
+    in stacked tests of LADDER_CHUNK points; and bisection on middle doubles.
     The zero next to 0 is conditioned like the inverse of the margin
     1 - bhat * sum(a_j), so its relative error grows as the margin closes.
     """
@@ -162,12 +167,12 @@ def fredholm_factor_zeros(k: ExponentialKernel, bhat) -> list:
             _narrow(lo[part], hi[part], ladder, _secular_test(
                 weights[part], shifts[part], ladder)[0])
         while True:
-            mid = 0.5 * (lo + hi)
+            mid = _middle(lo, hi)
             if not ((lo < mid) & (mid < hi)).any():
                 break
             _narrow(lo, hi, mid[None],
                     _secular_test(weights, shifts, mid)[0][None])
-    zeros = (mid.reshape(-1, n) - rates)[:, ::-1].tolist()
+    zeros = ((0.5 * (lo + hi)).reshape(-1, n) - rates)[:, ::-1].tolist()
     zeros = [row if level > 0.0 else [] for level, row in zip(flat, zeros)]
     return zeros if levels.ndim else zeros[0]
 
@@ -190,11 +195,12 @@ def cleared_mode_polynomial(k: ExponentialKernel, m: ModeCoefficients):
     N takes every rate), and the sum-term is one matrix product of the
     weights a_j b_j with the leave-one-out rows.  Every product coefficient
     is a sum of products of positive rates, so none carries cancellation.
-    The mode solver does not use this polynomial; it is the independent
-    oracle for the characteristic polynomial of the realization.  One mode
-    gives its N+3 ascending coefficients as a 1-D array, evaluated by
-    ``np.polyval(row[::-1], lam)``; ``m`` holding 1-D arrays gives all modes
-    as one (M, N+3) array, one row per mode, from the same products.
+    The mode solver reads only its lam^(N+1) and constant coefficients, in
+    closed form; it is the independent oracle for the characteristic
+    polynomial of the realization.  One mode gives its N+3 ascending
+    coefficients as a 1-D array, evaluated by ``np.polyval(row[::-1], lam)``;
+    ``m`` holding 1-D arrays gives all modes as one (M, N+3) array, one row
+    per mode, from the same products.
     """
     rates = np.asarray(k.rates)
     alpha = np.asarray(m.alpha, dtype=float)[..., None]
@@ -227,34 +233,26 @@ def _pole_split(k: ExponentialKernel, z: np.ndarray):
 def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):
     """g = f (z + b_j) for the mode symbol f and the pole -b_j nearest z.
 
-    Returns g, g', |f| and the residual scale of g at a 1-D array z from one
-    pass over the rows of :func:`_pole_split`.  Newton on g stays quadratic
-    next to a pole.  The scale sums the terms of g in magnitude, with z + b_j
-    replaced by |z| + b_j, since rounding in z itself can meet the bound.
-    Each sum is Python's sum over the rows, in blocks of LADDER_CHUNK terms,
-    which adds them one by one from 0 in rate order; np.sum could sum
-    pairwise and move the roots by an ulp, and np.cumsum keeps the order but
-    runs one inner loop per point, slower here but at many terms and few
-    points.  Each point's values depend on it alone; at conj(z) the form
-    gives conj(g), conj(g') and the same |f| and scale, bit for bit.
+    Returns g and the residual scale of g at a 1-D array z from one pass
+    over the rows of :func:`_pole_split`.  The scale sums the terms of g in
+    magnitude, with z + b_j replaced by |z| + b_j, since rounding in z
+    itself can meet the bound.  Each sum is Python's sum over the rows, in
+    blocks of LADDER_CHUNK terms, which adds them one by one from 0 in rate
+    order (np.sum could sum pairwise), so each point's values depend on it
+    alone; at conj(z) the form gives conj(g) and the same scale.
     """
     weights, near, offset, inv = _pole_split(k, z)
     reach = np.abs(z) + np.asarray(k.rates)[near]
-    rest, rest_deriv = np.empty((2, z.size), complex)
-    rest_size = np.empty(z.size)
+    rest, rest_size = np.empty(z.size, complex), np.empty(z.size)
     w, cols = weights[:, None], LADDER_CHUNK // weights.size
     for start in range(0, z.size, cols):
         part = slice(start, start + cols)
-        terms = w * inv[:, part]
-        rest[part] = sum(terms)
-        rest_deriv[part] = sum(terms * inv[:, part])
+        rest[part] = sum(w * inv[:, part])
         rest_size[part] = sum(w * np.abs(inv[:, part]))
     value = (z * z + alpha) * offset - beta * (weights[near] + offset * rest)
-    deriv = (2.0 * z * offset + z * z + alpha
-             - beta * (rest - offset * rest_deriv))
     scale = ((np.abs(z) ** 2 + alpha) * reach
              + beta * (weights[near] + reach * rest_size))
-    return value, deriv, np.abs(value / offset), scale
+    return value, scale
 
 
 def root_counts(k: ExponentialKernel, betas) -> np.ndarray:
@@ -263,93 +261,96 @@ def root_counts(k: ExponentialKernel, betas) -> np.ndarray:
     return np.where(np.asarray(betas) > 0.0, k.n_terms + 2, 2)
 
 
+def _gap_step(terms, shifts, alpha, beta, pole, own, d):
+    """G = f d at offsets d = lam + b_j of gap rows from their left poles,
+    and the Newton step G / G'; ``own`` is the pole term a_j b_j, and the
+    other weights (``terms``, 0 at j) are summed in rate order."""
+    lam, inv = d - pole, 1.0 / (d + shifts)
+    part = terms * inv
+    rest, rest_deriv = sum(part), sum(part * inv)
+    quad = lam * lam + alpha
+    value = quad * d - beta * (own + d * rest)
+    slope = quad + 2.0 * lam * d - beta * (rest - d * rest_deriv)
+    return value, value / slope
+
+
 def mode_spectra(k: ExponentialKernel, alphas,
                  betas) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the modes (alphas[i], betas[i]): one flat array, mode
     after mode and sorted by (re, im) within each, and the count per mode.
 
-    At beta = 0 the symbol is lam^2 + alpha, and its roots are written as
-    -i sqrt(alpha), i sqrt(alpha).  One ``np.linalg.eigvals`` call solves
-    the stacked realizations of the damped modes, N + 2 roots each.  LAPACK
-    returns conjugate pairs adjacent, positive part first; only the
-    eigenvalues with Im >= 0 are polished and checked, and each partner
-    with Im < 0 takes the conjugate of the first and its verdict.  Each
-    takes at most three Newton steps on :func:`_near_pole_form`, each kept
-    only where |f| falls; a kept step's form values serve the next step,
-    and a rejected step would repeat exactly, so only the eigenvalues whose
-    last step was kept take the next.  The residual bound
-    |g| <= RESIDUAL_TOL * scale reads the form's values at the kept point,
-    so a solve evaluates the form at most four times, unless some point has
-    0 < |Im| <= REAL_SNAP (1 + |z|): it becomes real where one more
-    evaluation at its real point meets the bound, and stays complex where
-    only the complex point does; a point that meets neither raises
-    :class:`RootFindingError`.
+    At beta = 0 the roots are -i sqrt(alpha), i sqrt(alpha).  Otherwise f
+    runs from -inf to +inf across each pole gap (-b_j, -b_(j-1)), b_0 = 0,
+    and has no other real root: a mode has a root in each gap, found in its
+    offset d_j = lam + b_j by Newton steps on G = f d_j (:func:`_gap_step`)
+    in a bracket narrowed by the sign of G, to its middle double where a
+    step leaves it, until a step is at most 2 ulps of d_j; and a pair, the
+    roots of mu^2 - s mu + p by the cancellation-free formula, with
+    s = -sum_j d_j and p = (alpha - beta sum_j a_j) prod_j b_j / (b_j - d_j)
+    from the cleared polynomial's lam^(N+1) and constant coefficients.  A
+    root near 0 errs by about eps b_1, like the inverse of the margin.
+    RootFindingError refuses a root with |g| > RESIDUAL_TOL scale on
+    :func:`_near_pole_form`.
     """
-    rates = np.asarray(k.rates)
+    rates, weights = np.asarray(k.rates), np.multiply(k.amplitudes, k.rates)
+    n = rates.size
     alpha, beta = (np.asarray(v, dtype=float).ravel() for v in (alphas, betas))
     counts, damped = root_counts(k, beta), beta > 0.0
-    out = np.empty((alpha.size, rates.size + 2), dtype=complex)
+    out = np.empty((alpha.size, n + 2), dtype=complex)
     out[:, :2] = np.sqrt(alpha)[:, None] * [-1j, 1j]  # real parts +0.0
-    alpha, beta = alpha[damped, None], beta[damped, None]
+    alpha, beta, m = alpha[damped], beta[damped], np.count_nonzero(damped)
+    # gap j starts at the mode's j-th largest exactly real eigenvalue where
+    # it lies in the gap beyond eigvals' error, else at the pole term's root
     raw = np.linalg.eigvals(k.realization(
-        alpha[:, :, None], np.sqrt(beta)[:, :, None])).astype(complex)
-    # LAPACK's absolute error is about eps times the norm, at least
-    # eps * max(1, b_N), so where the small-lam model
-    # lam^2 + beta s lam + alpha - beta sum(a_j), s = sum(a_j / b_j) (Khat
-    # to first order at 0), puts both its roots below that (alpha under
-    # about 1e-32), they replace the two eigenvalues nearest 0, as an
-    # adjacent pair
+        alpha[:, None, None], np.sqrt(beta)[:, None, None]))
+    width = np.diff(rates, prepend=0.0)[:, None]
+    start = rates[:, None] - np.sort(np.where(
+        raw.imag == 0.0, -raw.real, np.inf), axis=1)[:, :n].T
+    guess = beta * weights[:, None] / (rates[:, None] ** 2 + alpha)
     level = np.finfo(float).eps * max(1.0, rates[-1])
-    half = 0.5 * beta[:, 0] * np.sum(np.divide(k.amplitudes, rates))
-    product = alpha[:, 0] - beta[:, 0] * k.amplitude_sum
-    small = (product <= level * level) & (half <= level)
-    if small.any():
-        root = np.sqrt(half[small] ** 2 - product[small] + 0j)
-        nearest = np.argsort(np.argsort(np.abs(raw[small]), axis=1),
-                             axis=1) < 2
-        rows = np.take_along_axis(raw[small], np.argsort(
-            nearest, axis=1, kind="stable"), axis=1)
-        rows[:, -2], rows[:, -1] = root - half[small], -root - half[small]
-        raw[small] = rows
-    z = raw.ravel()
-    lead = np.flatnonzero(z.imag >= 0.0)
-    # a pair's second member directly follows the first
-    partner = np.flatnonzero(z.imag < 0.0)
-    modes = lead // raw.shape[1]
-    alpha, beta = alpha[modes, 0], beta[modes, 0]
+    d = np.where((level < start) & (start < width - level), start,
+                 np.where(guess < width, guess, 0.5 * width)).ravel()
+    # row j * m + i is gap j of mode i, whose term j has weight 0
+    terms = np.repeat(weights[:, None] * (1.0 - np.eye(n)), m, axis=1)
+    shifts = np.repeat(rates[:, None] - rates, m, axis=1)
+    pole, own = np.repeat(rates, m), np.repeat(weights, m)
+    a, b = np.tile(alpha, n), np.tile(beta, n)
+    lo, hi = np.zeros(d.size), np.repeat(width, m)
+    rows, offsets = np.arange(d.size), np.empty((n, m))
     with np.errstate(divide="ignore", invalid="ignore"):
-        moving, at, a, b = np.arange(lead.size), z[lead], alpha, beta
-        g, dg, f, scale = _near_pole_form(k, a, b, at)
-        for _ in range(3):
-            step = at - g[moving] / dg
-            g_step, dg, f_step, scale_step = _near_pole_form(k, a, b, step)
-            took = f_step < f
-            moving, at, a, b, dg, f = (
-                v[took] for v in (moving, step, a, b, dg, f_step))
-            z[lead[moving]], g[moving], scale[moving] = (
-                at, g_step[took], scale_step[took])
-            if not moving.size:
-                break
-        z[partner] = np.conj(z[partner - 1])
-        snap = np.abs(z.imag) <= REAL_SNAP * (1.0 + np.abs(z))
-        real = np.where(snap, z.real + 0j, z)
-        ok = np.ones(z.shape, dtype=bool)
-        ok[lead] = np.abs(g) <= RESIDUAL_TOL * scale
-        # a pair snapped off the axis stays a pair where its real point fails
-        off = np.flatnonzero(snap[lead] & (z.imag[lead] != 0.0))
-        if off.size:
-            g, _, _, scale = _near_pole_form(k, alpha[off], beta[off],
-                                             real[lead[off]])
-            passed = np.abs(g) <= RESIDUAL_TOL * scale
-            ok[lead[off]] |= passed
-            undo = lead[off[~passed]]
-            real[undo], real[undo + 1] = z[undo], z[undo + 1]
-        ok[partner] = ok[partner - 1]
-        z = real.reshape(raw.shape)
+        while rows.size:
+            value, step = _gap_step(terms, shifts, a, b, pole, own, d)
+            _narrow(lo, hi, d[None], value[None] < 0.0)
+            new = d - step
+            inside = (lo < new) & (new < hi)
+            ahead = np.where(inside, new, _middle(lo, hi))
+            go = ((np.abs(step) > 2.0 * np.spacing(d))
+                  & (lo < ahead) & (ahead < hi))
+            offsets.flat[rows[~go]] = np.where(inside, new, d)[~go]
+            rows, d, lo, hi, a, b, pole, own = (
+                v[go] for v in (rows, ahead, lo, hi, a, b, pole, own))
+            terms, shifts = terms[:, go], shifts[:, go]
+    half, lam = -0.5 * sum(offsets), offsets[0] - rates[0]
+    product = alpha - beta * k.amplitude_sum
+    # f(lam_1) = 0 gives product / -lam_1 = lam_1 + beta sum_i a_i / (lam_1
+    # + b_i), free of the product's cancellation where lam_1^2 is below it
+    inner = sum(amp / (offsets[0] + shift)
+                for amp, shift in zip(k.amplitudes, rates - rates[0]))
+    product = rates[0] * np.where(lam * lam < product, lam + beta * inner,
+                                  product / -lam)
+    for rate, offset in zip(rates[1:], offsets[1:]):
+        product = product * (rate / (rate - offset))
+    disc = half * half - product
+    root = np.sqrt(np.abs(disc))  # half < 0: |half - root| is the larger
+    pair = np.where(disc >= 0.0, [half - root, product / (half - root)],
+                    [half + 1j * root, half - 1j * root])
+    z = np.column_stack((offsets.T - rates, pair.T))
+    g, scale = _near_pole_form(k, np.repeat(alpha, n + 2),
+                               np.repeat(beta, n + 2), z.ravel())
+    ok = np.abs(g) <= RESIDUAL_TOL * scale
     if not ok.all():
-        raise RootFindingError(
-            f"residual guarantee failed for mode eigenvalues "
-            f"{z.ravel()[~ok]}", best=z)
+        raise RootFindingError("residual guarantee failed for mode "
+                               f"eigenvalues {z.ravel()[~ok]}", best=z)
     out[damped] = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=1),
                                      axis=1)
     return out[np.arange(out.shape[1]) < counts[:, None]], counts

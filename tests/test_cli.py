@@ -325,7 +325,7 @@ def test_validate_passes(config, capsys):
 
 
 # a box side of 1e10 gives w_min = pi^2 / 1e20, whose mode roots include
-# complex pairs with |Im| near 2e-10, below the snap floor REAL_SNAP
+# complex pairs with |Im| near 2e-10
 TINY_W_MIN = {**GRADED, "domain": {"kind": "box", "lengths": [1e10]}}
 
 
@@ -629,17 +629,12 @@ TINY_DAMPING = _with(CONSTANT, coefficient_a=1.0, kernel__a=[1.0],
                      domain__lengths=[1.0, 1.0])
 
 
-# Kernels that exit 1 today: each strict xfail must lose its marker in the
-# change that mends it; rate 1e15 is the passing control of the rate gap.
+# Kernels whose slow and fast rates lie 1e15 and 1e20 apart; eigvals on the
+# realization errs by about eps * b_N there, which the mode roots of each
+# pole gap, found in their offsets from the pole, no longer inherit.
 def _rate_gap(rate):
     return _with(TWO_TERM, kernel__a=[0.1, 0.1], kernel__b=[1.0, rate],
                  damping__b_min=0.4, damping__b_max=0.5)
-
-
-_RATE_GAP_EXIT = pytest.mark.xfail(strict=True, raises=AssertionError,
-                                   reason=(
-    "eigvals on the realization errs by about eps * b_N, so the O(1) mode "
-    "roots fail the residual guarantee"))
 
 
 @pytest.mark.parametrize("command, text", [
@@ -647,16 +642,37 @@ _RATE_GAP_EXIT = pytest.mark.xfail(strict=True, raises=AssertionError,
     pytest.param("validate", ON_POLE, id="validate-pole-guard"),
     pytest.param("eigs", TINY_DAMPING, id="eigs-tiny-damping"),
     pytest.param("validate", TINY_DAMPING, id="validate-tiny-damping"),
-    pytest.param("enclosure", _rate_gap(1e20), marks=_RATE_GAP_EXIT,
-                 id="enclosure-rate-1e20"),
-    pytest.param("validate", _rate_gap(1e20), marks=_RATE_GAP_EXIT,
-                 id="validate-rate-1e20"),
+    pytest.param("enclosure", _rate_gap(1e20), id="enclosure-rate-1e20"),
+    pytest.param("validate", _rate_gap(1e20), id="validate-rate-1e20"),
     pytest.param("enclosure", _rate_gap(1e15), id="enclosure-rate-1e15"),
     pytest.param("validate", _rate_gap(1e15), id="validate-rate-1e15"),
 ])
 def test_wide_rate_kernels_solve(config, capsys, command, text):
-    code, _ = run(capsys, [command, "--config", config(json.loads(text))])
+    path = config(json.loads(text))
+    code, _ = run(capsys, [command, "--config", path])
     assert code == 0
+    if text != _rate_gap(1e15):
+        return
+    if command == "enclosure":
+        # each cloud mode has one root per pole gap and a complex pair
+        code, out = run(capsys, ["enclosure", "--config", path,
+                                 "--format", "csv"])
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert code == 0 and rows
+        assert 2 * sum(float(row[1]) != 0.0 for row in rows) == len(rows)
+    else:
+        # the mode (1, 1) at constant damping 0.45: -1e15, one root near
+        # -0.955 and the pair, each printed once (80-digit roots:
+        # -0.955054338599084 and -0.0224728307 +- 4.33676305890i)
+        doc = _with(json.loads(text),
+                    damping={"kind": "constant", "value": 0.45})
+        code, out = run(capsys, ["eigs", "--config", config(json.loads(doc)),
+                                 "--alpha-cap", "20"])
+        assert code == 0
+        assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+            ["-1e+15", "0"], ["-0.955054338599", "0"],
+            ["-0.0224728307005", "-4.3367630589"],
+            ["-0.0224728307005", "4.3367630589"]]
 
 
 @pytest.mark.parametrize("text", [json.dumps(CONSTANT), ON_POLE,

@@ -1,12 +1,10 @@
-"""The branch-zero search, the mode solver, the FD residual sweep and the
-FD log-derivative against reference loops.
+"""The branch-zero search, the near-pole form, the FD residual sweep and
+the FD log-derivative against reference loops.
 
 The references are the earlier, slower forms of these loops, kept verbatim:
 the bisection that gathers the live brackets' rows on every step, the
-Newton polish that evaluates the near-pole form at z and again at the step
-(seven evaluations in all), on every eigenvalue of every pair (modes with
-beta = 0 take their closed-form pair, as in the library), the Thomas
-sweep and pivot loop that index the grid rows as u[i] (on the
+near-pole form that adds its terms in a Python loop over the rates, the
+Thomas sweep and pivot loop that index the grid rows as u[i] (on the
 d - o^2 / piv pivots of the library's one recurrence), and the float64
 recurrence that carries the pivots' derivatives beside them.  The library's
 loops must give the same bits on wide-rate kernels and on graded FD
@@ -22,7 +20,6 @@ import pytest
 from fd_recipes import graded_config
 from memspec import (
     ExponentialKernel,
-    RootFindingError,
     SymTridiagonal,
     discretize_1d,
     nonlinear_eigenvalues_fd,
@@ -30,12 +27,7 @@ from memspec import (
     scalar,
 )
 from memspec.enclosure import DAMPING_FLOOR
-from memspec.scalar import (
-    REAL_SNAP,
-    RESIDUAL_TOL,
-    fredholm_factor_zeros,
-    mode_spectra,
-)
+from memspec.scalar import fredholm_factor_zeros, mode_spectra
 
 
 def gathered_bisection(k, bhat):
@@ -62,49 +54,20 @@ def gathered_bisection(k, bhat):
 
 
 def full_near_pole_form(k, alpha, beta, z):
-    """g, g', |f| and the residual scale, all from one evaluation."""
+    """g and the residual scale, the terms added in a loop over the rates."""
     rates = np.asarray(k.rates)
     weights = np.asarray(k.amplitudes) * rates
     near = np.argmin(np.abs(z[..., None] + rates), axis=-1)
     offset, reach = z + rates[near], np.abs(z) + rates[near]
-    rest, rest_deriv, rest_size = np.zeros_like(z), np.zeros_like(z), 0.0
+    rest, rest_size = np.zeros_like(z), 0.0
     for i, (w, b) in enumerate(zip(weights, rates)):
         inv = np.where(near == i, 0.0, 1.0 / (z + b))
         rest += w * inv
-        rest_deriv += w * inv * inv
         rest_size += w * np.abs(inv)
     value = (z * z + alpha) * offset - beta * (weights[near] + offset * rest)
-    deriv = (2.0 * z * offset + z * z + alpha
-             - beta * (rest - offset * rest_deriv))
     scale = ((np.abs(z) ** 2 + alpha) * reach
              + beta * (weights[near] + reach * rest_size))
-    return value, deriv, np.abs(value / offset), scale
-
-
-def seven_evaluation_spectra(k, alphas, betas):
-    """Mode eigenvalues with the form evaluated at z and at every step; the
-    rows with beta = 0 in closed form, -i sqrt(alpha) and i sqrt(alpha)."""
-    alpha = np.asarray(alphas, dtype=float).reshape(-1, 1)
-    beta = np.asarray(betas, dtype=float).reshape(-1, 1)
-    mats = k.realization(alpha[:, :, None], np.sqrt(beta)[:, :, None])
-    z = raw = np.linalg.eigvals(mats).astype(complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(3):
-            g, dg, f, _ = full_near_pole_form(k, alpha, beta, z)
-            step = z - g / dg
-            z = np.where(full_near_pole_form(k, alpha, beta, step)[2] < f,
-                         step, z)
-        z = np.where(raw.imag < 0.0, np.conj(np.roll(z, 1, axis=1)), z)
-        z = np.where(np.abs(z.imag) <= REAL_SNAP * (1.0 + np.abs(z)),
-                     z.real + 0j, z)
-        g, _, _, scale = full_near_pole_form(k, alpha, beta, z)
-        bad = (beta > 0.0) & ~(np.abs(g) <= RESIDUAL_TOL * scale)
-    if bad.any():
-        raise RootFindingError("residual guarantee failed", best=z)
-    z = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=1), axis=1)
-    pairs = np.array([-1j, 1j]) * np.sqrt(alpha)
-    return [row if b > 0.0 else pair
-            for row, b, pair in zip(z, beta[:, 0], pairs)]
+    return value, scale
 
 
 def indexed_pivots(off, piv, tiny=None):
@@ -298,6 +261,26 @@ def test_branch_zeros_take_few_evaluations(monkeypatch, k_two):
             assert 0 < len(calls) <= 8
 
 
+def test_branch_zeros_bisect_on_middle_doubles(monkeypatch):
+    # at level 1e-300 each zero lies within about 1e-300 of its pole; the
+    # arithmetic midpoint halves a bracket about 1070 times to get there,
+    # and the middle double of the bit patterns at most 64 times
+    points = []
+    test = scalar._secular_test
+
+    def counted(weights, shifts, d):
+        points.append(d.size)
+        return test(weights, shifts, d)
+
+    monkeypatch.setattr(scalar, "_secular_test", counted)
+    for rates in [(1e-3, 1.0, 1e3), (0.1, 0.2, 0.3), (1.0, 10.0, 100.0)]:
+        k = ExponentialKernel((0.5, 0.3, 0.2), rates)
+        points.clear()
+        assert fredholm_factor_zeros(k, 1e-300) == \
+            gathered_bisection(k, 1e-300)
+        assert sum(points) <= 3 * (1 + scalar.ZERO_LADDER.size + 64)
+
+
 def test_longest_sweep_memory():
     # the CLI's largest --sweep on the 12-term kernel: the (levels, N, N)
     # block stack is the size of the weights
@@ -313,37 +296,28 @@ def test_longest_sweep_memory():
     assert peak <= 70e6
 
 
-def test_mode_spectra_match_seven_evaluation_loop():
-    rng = np.random.default_rng(9)
-    for _ in range(300):
-        k = wide_rate_kernel(rng)
-        alphas = 10.0 ** rng.uniform(-1.0, 4.0, 6)
-        betas = alphas * rng.uniform(0.0, 0.9, 6) / k.amplitude_sum
-        betas[::3] = 0.0
-        try:
-            want = seven_evaluation_spectra(k, alphas, betas)
-        except RootFindingError:
-            with pytest.raises(RootFindingError):
-                mode_spectra(k, alphas, betas)
-            continue
-        got, counts = mode_spectra(k, alphas, betas)
-        assert np.array_equal(counts, [len(ref) for ref in want])
-        assert np.array_equal(got, np.concatenate(want))
+def test_mode_roots_take_few_passes(monkeypatch, k_one, k_two):
+    # the pole-gap kernels (0.1, 0.1; 1, g), g = 1e4..1e40, where eigvals
+    # errs by about eps * g, and alpha down to 1e-299, where it returns 0
+    # for the pair; each mode alone, so the passes are its own
+    passes = []
+    step = scalar._gap_step
 
+    def counted(*args):
+        passes.append(1)
+        return step(*args)
 
-def test_mode_spectra_match_seven_evaluation_loop_on_large_batches():
-    # 300 modes per kernel, a fifth of them undamped; the roots must be the
-    # same doubles, sign bits of zero parts included
-    rng = np.random.default_rng(12)
-    for _ in range(40):
-        k = wide_rate_kernel(rng)
-        alphas = 10.0 ** rng.uniform(-2.0, 5.0, 300)
-        betas = alphas * rng.uniform(0.0, 0.99, 300) / k.amplitude_sum
-        betas[rng.uniform(size=300) < 0.2] = 0.0
-        want = seven_evaluation_spectra(k, alphas, betas)
-        got, counts = mode_spectra(k, alphas, betas)
-        assert counts.tolist() == [len(ref) for ref in want]
-        assert got.tobytes() == np.concatenate(want).tobytes()
+    monkeypatch.setattr(scalar, "_gap_step", counted)
+    modes = [(ExponentialKernel((0.1, 0.1), (1.0, gap)), alpha, 0.45 * alpha)
+             for gap in 10.0 ** np.arange(4, 41)
+             for alpha in (np.pi ** 2, 2.0 * np.pi ** 2, 1e3)]
+    modes += [(k, np.pi ** 2 / side ** 2, bhat * np.pi ** 2 / side ** 2)
+              for side in (1e10, 1e24, 1e50, 1e100, 1e150)
+              for k in (k_one, k_two) for bhat in (0.5, 0.75)]
+    for k, alpha, beta in modes:
+        passes.clear()
+        mode_spectra(k, [alpha], [beta])
+        assert 0 < len(passes) <= 12
 
 
 @pytest.mark.parametrize("n_terms", [*range(1, 13), "twelve-term"])
@@ -385,83 +359,6 @@ def test_near_pole_form_sums_in_rate_order(monkeypatch, n_terms):
         blocks = scalar._near_pole_form(k, alpha, beta, z)
     for got in (single, batch, blocks):
         assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
-
-
-def test_mode_spectra_evaluates_the_form_four_times(monkeypatch, k_two):
-    # one evaluation at the eigvals start and one per Newton step; the
-    # residual check reads the values of each root's kept point, so it
-    # evaluates nothing where no root is snapped off the axis
-    calls = []
-    form = scalar._near_pole_form
-
-    def counted(*args):
-        calls.append(1)
-        return form(*args)
-
-    monkeypatch.setattr(scalar, "_near_pole_form", counted)
-    mode_spectra(k_two, [3.0, 40.0], [1.0, 0.0])
-    assert len(calls) == 4
-
-
-def test_mode_spectra_polishes_each_pair_once(monkeypatch, k_two):
-    # the start evaluation sees only the kept LAPACK eigenvalues with
-    # Im >= 0, each later polish round only the points whose last step was
-    # kept, and the residual check only the real points of the roots
-    # snapped off the axis
-    points = []
-    form = scalar._near_pole_form
-
-    def recorded(k, alpha, beta, z):
-        points.append(z.copy())
-        return form(k, alpha, beta, z)
-
-    def off_axis(z):
-        return (z.imag != 0.0) & (np.abs(z.imag)
-                                  <= REAL_SNAP * (1.0 + np.abs(z)))
-
-    monkeypatch.setattr(scalar, "_near_pole_form", recorded)
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        k = wide_rate_kernel(rng)
-        alphas = 10.0 ** rng.uniform(-1.0, 4.0, 50)
-        betas = alphas * rng.uniform(0.0, 0.9, 50) / k.amplitude_sum
-        points.clear()
-        roots, _ = mode_spectra(k, alphas, betas)
-        raw = np.linalg.eigvals(k.realization(
-            alphas[:, None, None], np.sqrt(betas)[:, None, None]))
-        # each root's kept point is a point the polish saw, and none of
-        # those is off the axis within the snap band, so no root is snapped
-        # off the axis and every evaluation is a polish round
-        assert not off_axis(np.concatenate(points)).any()
-        assert np.array_equal(points[0], raw[raw.imag >= 0.0])
-        sizes = [len(z) for z in points]
-        assert 2 <= len(sizes) <= 4
-        assert sizes[1] == sizes[0]
-        assert all(a >= b for a, b in zip(sizes[1:], sizes[2:]))
-        assert sizes[-1] < sizes[0]
-        assert np.isin(roots[roots.imag >= 0.0],
-                       np.concatenate(points)).all()
-    # a mode with alpha = 1e-17 has a pair about 2e-9 off the axis, inside
-    # the snap band: the check sees its real point alone, which fails, so
-    # the pair stays complex
-    points.clear()
-    roots, _ = mode_spectra(k_two, [1e-17, 3.0], [0.5e-17, 1.0])
-    *polish, checked = points
-    pair = roots[off_axis(roots)]
-    assert pair.size == 2 and np.array_equal(pair, np.conj(pair[::-1]))
-    assert np.array_equal(checked, pair.real[1:] + 0j)
-    assert np.isin(roots[(roots.imag >= 0.0) & ~off_axis(roots)],
-                   np.concatenate(polish)).all()
-    # undamped modes are written, not polished: beside a damped mode the
-    # form sees the damped mode's eigenvalues alone, and on its own an
-    # undamped mode puts no point through the form
-    points.clear()
-    mode_spectra(k_two, [40.0, 3.0], [0.0, 1.0])
-    raw = np.linalg.eigvals(k_two.realization([[3.0]], [[1.0]]))
-    assert np.array_equal(points[0], raw[raw.imag >= 0.0])
-    points.clear()
-    mode_spectra(k_two, [40.0], [0.0])
-    assert sum(len(z) for z in points) == 0
 
 
 def test_residual_sweep_matches_indexed_loop(k_two):

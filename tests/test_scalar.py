@@ -76,6 +76,31 @@ def mpmath_mode_roots(k, alpha, beta, starts):
         return roots
 
 
+def mpmath_polyroots(k, alpha, beta):
+    """All N + 2 roots of the cleared mode symbol, by 80-digit
+    ``mpmath.polyroots`` of its coefficients expanded from the doubles."""
+    def times(poly, b):  # ascending coefficients times (lam + b)
+        return [b * x + y for x, y in zip(poly + [0], [0] + poly)]
+
+    with mpmath.workdps(80):
+        rates = [mpmath.mpf(b) for b in k.rates]
+        alpha, beta = mpmath.mpf(alpha), mpmath.mpf(beta)
+        full = [mpmath.mpf(1)]
+        for b in rates:
+            full = times(full, b)
+        coeffs = times(times(full, 0), 0)  # lam^2 prod(lam + b_j)
+        for i, c in enumerate(full):
+            coeffs[i] += alpha * c
+        for j, a in enumerate(k.amplitudes):
+            rest = [mpmath.mpf(1)]
+            for b in rates[:j] + rates[j + 1:]:
+                rest = times(rest, b)
+            for i, c in enumerate(rest):
+                coeffs[i] -= beta * a * rates[j] * c
+        roots = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)
+        return np.array([complex(r) for r in roots])
+
+
 def two_term_zero_oracle(k, bhat):
     """Quadratic-formula roots of (1 - bhat*Khat) * (lam+b1)(lam+b2)."""
     (a1, a2), (b1, b2) = k.amplitudes, k.rates
@@ -239,8 +264,8 @@ class TestModePolynomial:
     def test_tiny_complex_pair_stays_complex(self, k_one):
         # alpha = pi^2 / 1e20 (a box side of 1e10): the pair
         # -alpha bhat / 2 +- i sqrt(alpha (1 - bhat)) has |Im| near 2e-10,
-        # below the snap floor REAL_SNAP, but its real part fails the
-        # residual bound; the pair is kept, conjugate-closed
+        # and its real part fails the residual bound; the pair is kept,
+        # conjugate-closed
         alpha = np.pi ** 2 / 1e20
         for bhat in (0.5, 0.75):
             roots = mode_spectra(k_one, [alpha], [bhat * alpha])[0]
@@ -254,9 +279,9 @@ class TestModePolynomial:
     def test_tiny_alpha_pair_against_mpmath(self, k_one, k_two, side):
         # alpha = pi^2 / side^2 is 1e-47 .. 1e-299: the pair near
         # +- i sqrt(alpha (1 - bhat sum(a))) is below LAPACK's absolute
-        # accuracy, which returns zeros for it; the solver starts it from
-        # the small-lam model and must meet the 50-digit roots, found in
-        # the scaled variable mu = lam / sqrt(alpha)
+        # accuracy, which returns zeros for it; the solver takes it from
+        # the sum and product of the pair and must meet the 50-digit roots,
+        # found in the scaled variable mu = lam / sqrt(alpha)
         alpha = np.pi ** 2 / side ** 2
         for k in (k_one, k_two):
             for bhat in (0.0, 0.5, 0.75):
@@ -282,8 +307,8 @@ class TestModePolynomial:
 
     def test_huge_alpha_keeps_its_near_pole_roots(self, k_two):
         # at alpha = 1e16 and up, the two near-pole roots lie far below
-        # eps times the matrix norm, yet LAPACK resolves them; only a pair
-        # the small-lam model puts below eps max(1, b_N) is replaced
+        # eps times the matrix norm; their offsets from the poles resolve
+        # them
         for alpha in (1e16, 1e20, 1e40):
             roots = mode_spectra(k_two, [alpha], [0.6 * alpha])[0]
             want = mpmath_mode_roots(k_two, alpha, 0.6 * alpha, roots)
@@ -314,6 +339,55 @@ class TestModePolynomial:
                 gaps = np.abs(np.subtract.outer(want, want))
                 np.fill_diagonal(gaps, np.inf)
                 assert gaps.min() > 1e-8 * np.abs(want).max()
+
+    def test_rate_gap_mode_roots_against_polyroots(self):
+        # slow and fast rates 1e4..1e40 apart, and N <= 10 with one fast
+        # rate of 1e8..1e16: eigvals on the realization errs by about
+        # eps * b_N, which once gave one slow root three times and no pair;
+        # each root must be within 1e-13 of its own 80-digit root
+        cases = [(ExponentialKernel((0.1, 0.1), (1.0, gap)), alpha,
+                  0.45 * alpha)
+                 for gap in 10.0 ** np.r_[4:21, 25:41:5]
+                 for alpha in (np.pi ** 2, 2.0 * np.pi ** 2, 1e3)]
+        rng = np.random.default_rng(35)
+        for _ in range(120):
+            n = int(rng.integers(2, 11))
+            rates = np.append(np.sort(10.0 ** rng.uniform(-1.0, 1.0, n - 1)),
+                              10.0 ** rng.uniform(8.0, 16.0))
+            k = ExponentialKernel(tuple(10.0 ** rng.uniform(-3.0, 0.0, n)),
+                                  tuple(rates))
+            alpha = 10.0 ** rng.uniform(-1.0, 4.0)
+            cases.append((k, alpha,
+                          alpha * rng.uniform(0.05, 0.9) / k.amplitude_sum))
+        for k, alpha, beta in cases:
+            roots = mode_spectra(k, [alpha], [beta])[0]
+            want = mpmath_polyroots(k, alpha, beta)
+            near = np.argmin(np.abs(roots[:, None] - want), axis=1)
+            assert sorted(near) == list(range(k.n_terms + 2))
+            assert np.all(np.abs(roots - want[near])
+                          <= 1e-13 * np.abs(want[near]))
+
+    @pytest.mark.parametrize("margin", [1e-6, 1e-9, 1e-12])
+    def test_small_margin_mode_roots_against_polyroots(self, k_one, k_two,
+                                                       margin):
+        # beta sum(a_j) = (1 - margin) alpha: alpha - beta sum(a_j) cancels
+        # to about eps / margin, and so does the root near 0, whose
+        # conditioning it is; the pair's product, that difference over the
+        # root near 0, must not carry the two errors, so the pair and the
+        # other roots stay within 1e-12
+        twelve = ExponentialKernel((0.05,) * 12,
+                                   tuple(np.geomspace(1e-3, 3e2, 12)))
+        for k in (k_one, k_two, twelve):
+            for alpha in (1e-3, 1.0, 1e3):
+                beta = alpha * (1.0 - margin) / k.amplitude_sum
+                roots = mode_spectra(k, [alpha], [beta])[0]
+                want = mpmath_polyroots(k, alpha, beta)
+                near = np.argmin(np.abs(roots[:, None] - want), axis=1)
+                assert sorted(near) == list(range(k.n_terms + 2))
+                error = np.abs(roots - want[near]) / np.abs(want[near])
+                small = np.argmin(np.abs(roots))
+                assert error[small] <= 4.0 * np.finfo(float).eps / margin
+                assert np.delete(error, small).max() <= 1e-12
 
     def test_batched_equals_one_mode_calls(self, k_two):
         rng = np.random.default_rng(11)

@@ -568,7 +568,7 @@ def _residuals(lam, setup):
     modes of a symmetric profile), as one Thomas sweep over all lam on the
     pivots of :func:`_pivots` of T(lam) from ``setup``; each lam's column
     is its own (in blocks of two or more; a lone column sums its norms in
-    another order), real lam run in float64."""
+    another order) and conj(lam) gives its bits, real lam run in float64."""
     al, ad, bl, bd, rates, weights, _ = setup
     real = not np.iscomplexobj(lam)
     u = np.outer(_start()[:ad.size], np.ones_like(lam))
@@ -649,11 +649,10 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
     ||A||_inf, or RootFindingError is raised, with all D values in its
     ``best`` (those beyond the cap may be unrefined iterates); a NaN
     eigenvalue fails too, but a pivot that is exactly zero is raised to
-    eps max |T(lam)| first, as LAPACK's inverse iteration does.  The
-    residuals are swept for the real rows and one row of each pair; the
-    conjugate row, n_pairs rows after its partner by index (so a NaN row
-    pairs too), copies its bits, which T(conj lam) = conj T(lam), the real
-    start and numpy's conjugation-symmetric complex arithmetic make equal.
+    eps max |T(lam)| first, as LAPACK's inverse iteration does.  Every
+    printed row is swept, a real row in float64 where D exceeds one block,
+    so a conjugate pair's residuals are equal by T(conj lam) = conj T(lam),
+    the real start and numpy's conjugation-symmetric complex arithmetic.
     """
     if not isinstance(mat_a, SymTridiagonal):
         raise ValueError("mat_a must be a SymTridiagonal")
@@ -678,24 +677,12 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
     # own, so a real row's bits do not depend on imag_cap
     cols = max(1, ROW_BLOCK // m)
     real = (lam.imag == 0.0) & (vals.size > cols)
-    # the last n rows copy the residuals of the n before them, whose exact
-    # conjugates they are (the cap keeps or drops both of a pair), unless a
-    # row breaks the pairing or the complex sweep would keep one column: a
-    # lone column sums its norms in another order than beside its partner
-    # (blocks of cols >= 3 columns hold two or more)
-    n = np.count_nonzero(lam.imag != 0.0) // 2
-    swept = lam.size - n
-    if (np.count_nonzero(~real[:swept]) == 1 or not np.array_equal(
-            lam[swept:], np.conj(lam[swept - n:swept]), equal_nan=True)):
-        swept = lam.size
     res = np.empty(lam.size)
-    own, kind = lam[:swept], real[:swept]
-    for half, part in ((kind, own[kind].real), (~kind, own[~kind])):
+    for kind, part in ((real, lam[real].real), (~real, lam[~real])):
         if part.size:
-            res[:swept][half] = np.concatenate([
+            res[kind] = np.concatenate([
                 _residuals(block, setup) for block in np.array_split(
                     part, -(-part.itemsize * part.size // (16 * cols)))])
-    res[swept:] = res[2 * swept - lam.size:swept]
     bound = 1e-6 * mat_a.norm_inf()
     if not np.all(res <= bound):
         raise RootFindingError(

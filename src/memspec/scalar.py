@@ -261,17 +261,17 @@ def root_counts(k: ExponentialKernel, betas) -> np.ndarray:
     return np.where(np.asarray(betas) > 0.0, k.n_terms + 2, 2)
 
 
-def _gap_step(terms, shifts, alpha, beta, pole, own, d):
-    """G = f d at offsets d = lam + b_j of gap rows from their left poles,
-    and the Newton step G / G'; ``own`` is the pole term a_j b_j, and the
-    other weights (``terms``, 0 at j) are summed in rate order."""
+def _gap_step(terms, shifts, alpha, beta, pole, own, right, d):
+    """G = f d at offsets d = lam + b_j from the gap's left pole, and Newton's
+    step on H = G (right - d), free of both poles: right = b_j - b_(j-1), inf
+    next to 0; own = a_j b_j; ``terms`` (0 at j) are summed in rate order."""
     lam, inv = d - pole, 1.0 / (d + shifts)
     part = terms * inv
     rest, rest_deriv = sum(part), sum(part * inv)
     quad = lam * lam + alpha
     value = quad * d - beta * (own + d * rest)
     slope = quad + 2.0 * lam * d - beta * (rest - d * rest_deriv)
-    return value, value / slope
+    return value, value / (slope + value / (d - right))
 
 
 def mode_spectra(k: ExponentialKernel, alphas,
@@ -282,15 +282,15 @@ def mode_spectra(k: ExponentialKernel, alphas,
     At beta = 0 the roots are -i sqrt(alpha), i sqrt(alpha).  Otherwise f
     runs from -inf to +inf across each pole gap (-b_j, -b_(j-1)), b_0 = 0,
     and has no other real root: a mode has a root in each gap, found in its
-    offset d_j = lam + b_j by Newton steps on G = f d_j (:func:`_gap_step`)
-    in a bracket narrowed by the sign of G, to its middle double where a
-    step leaves it, until a step is at most 2 ulps of d_j; and a pair, the
-    roots of mu^2 - s mu + p by the cancellation-free formula, with
-    s = -sum_j d_j and p = (alpha - beta sum_j a_j) prod_j b_j / (b_j - d_j)
-    from the cleared polynomial's lam^(N+1) and constant coefficients.  A
-    root near 0 errs by about eps b_1, like the inverse of the margin.
-    RootFindingError refuses a root with |g| > RESIDUAL_TOL scale on
-    :func:`_near_pole_form`.
+    offset d_j = lam + b_j by Newton steps on G (w_j - d_j), G = f d_j, free
+    of both poles (w_j = b_j - b_(j-1), :func:`_gap_step`), in a bracket
+    narrowed by the sign of G, to its middle double where a step leaves it,
+    until a step is at most 2 ulps of d_j; and a pair, the roots of
+    mu^2 - s mu + p by the cancellation-free formula, with s = -sum_j d_j
+    and p = (alpha - beta sum_j a_j) prod_j b_j / (b_j - d_j) from the
+    cleared polynomial's lam^(N+1) and constant coefficients.  A root near 0
+    errs by about eps b_1, like the inverse of the margin.  RootFindingError
+    refuses a root with |g| > RESIDUAL_TOL scale on :func:`_near_pole_form`.
     """
     rates, weights = np.asarray(k.rates), np.multiply(k.amplitudes, k.rates)
     n = rates.size
@@ -309,17 +309,18 @@ def mode_spectra(k: ExponentialKernel, alphas,
     guess = beta * weights[:, None] / (rates[:, None] ** 2 + alpha)
     level = np.finfo(float).eps * max(1.0, rates[-1])
     d = np.where((level < start) & (start < width - level), start,
-                 np.where(guess < width, guess, 0.5 * width)).ravel()
+                 np.minimum(guess, 0.5 * width)).ravel()  # at most mid-gap
     # row j * m + i is gap j of mode i, whose term j has weight 0
     terms = np.repeat(weights[:, None] * (1.0 - np.eye(n)), m, axis=1)
     shifts = np.repeat(rates[:, None] - rates, m, axis=1)
     pole, own = np.repeat(rates, m), np.repeat(weights, m)
+    right = np.repeat(np.append(np.inf, width[1:]), m)
     a, b = np.tile(alpha, n), np.tile(beta, n)
     lo, hi = np.zeros(d.size), np.repeat(width, m)
     rows, offsets = np.arange(d.size), np.empty((n, m))
     with np.errstate(divide="ignore", invalid="ignore"):
         while rows.size:
-            value, step = _gap_step(terms, shifts, a, b, pole, own, d)
+            value, step = _gap_step(terms, shifts, a, b, pole, own, right, d)
             _narrow(lo, hi, d[None], value[None] < 0.0)
             new = d - step
             inside = (lo < new) & (new < hi)
@@ -327,8 +328,8 @@ def mode_spectra(k: ExponentialKernel, alphas,
             go = ((np.abs(step) > 2.0 * np.spacing(d))
                   & (lo < ahead) & (ahead < hi))
             offsets.flat[rows[~go]] = np.where(inside, new, d)[~go]
-            rows, d, lo, hi, a, b, pole, own = (
-                v[go] for v in (rows, ahead, lo, hi, a, b, pole, own))
+            rows, d, lo, hi, a, b, pole, own, right = (
+                v[go] for v in (rows, ahead, lo, hi, a, b, pole, own, right))
             terms, shifts = terms[:, go], shifts[:, go]
     half, lam = -0.5 * sum(offsets), offsets[0] - rates[0]
     product = alpha - beta * k.amplitude_sum

@@ -88,6 +88,28 @@ def near_constant_config(rng):
     return k, *discretize_1d(a, b * (1.0 - eps * x), n, 1.2 * np.sqrt(a))
 
 
+def span_config(rng):
+    """A graded ``discretize`` config as a dict for ``--config``: N = 1-12
+    rates over 0-12 decades up from 10^lo, lo in [-2, 2] (repeats dropped,
+    so N counts the distinct rates), amplitudes in [1e-3, 1], 2-5 profile
+    samples in [0.3 b_max, b_max] with b_max sum_j a_j in [0.05, 0.95], 3 to
+    min(80, 2000 // (N + 2)) grid points, a in [0.1, 10] and a length in
+    [10^-0.5, 10^0.5], all drawn in this order."""
+    n_terms = int(rng.integers(1, 13))
+    span, lo = rng.uniform(0.0, 12.0), rng.uniform(-2.0, 2.0)
+    rates = np.unique(10.0 ** rng.uniform(lo, lo + span, n_terms))
+    amps = 10.0 ** rng.uniform(-3.0, 0.0, rates.size)
+    b_max = rng.uniform(0.05, 0.95) / amps.sum()
+    samples = rng.uniform(0.3 * b_max, b_max, int(rng.integers(2, 6)))
+    grid_points = int(rng.integers(3, min(80, 2000 // (rates.size + 2)) + 1))
+    a, length = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-0.5, 0.5)
+    return {"coefficient_a": float(a),
+            "kernel": {"a": amps.tolist(), "b": rates.tolist()},
+            "damping": {"kind": "profile_1d", "samples": samples.tolist()},
+            "domain": {"kind": "interval_fd", "length": float(length),
+                       "grid_points": grid_points}}
+
+
 def nth_draw(recipe, seed, index, *args):
     """Draw number ``index`` (from 0) of ``recipe(rng, *args)`` on
     ``default_rng(seed)``."""

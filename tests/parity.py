@@ -8,7 +8,8 @@ workloads at seeds 1-5, anchors included), runs each call through
 ``memspec.cli.main`` in this process with one BLAS thread, imported from
 SRC (default: this tree's ``src``), and writes {call: [exit, stdout,
 stderr]} as JSON.  ``diff`` prints, per subcommand, the calls whose three
-values differ.  Nothing is written under ``perfbench/``.
+values differ, and exits 1 if any call differs.  Nothing is written under
+``perfbench/``.
 """
 
 import contextlib
@@ -55,12 +56,15 @@ def run(out, src=os.path.join(ROOT, "src")):
 def diff(old, new):
     with open(old, encoding="utf-8") as a, open(new, encoding="utf-8") as b:
         old, new = json.load(a), json.load(b)
+    differ = 0
     for sub in sorted({key.rsplit("/", 1)[1] for key in old.keys() | new}):
         keys = sorted(k for k in old.keys() | new if k.endswith("/" + sub))
         moved = [k for k in keys if old.get(k) != new.get(k)]
+        differ += len(moved)
         print(f"{sub}: {len(moved)} of {len(keys)} calls differ",
               *moved[:5], sep="\n  ")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    {"run": run, "diff": diff}[sys.argv[1]](*sys.argv[2:])
+    sys.exit({"run": run, "diff": diff}[sys.argv[1]](*sys.argv[2:]))

@@ -805,8 +805,8 @@ class TestAberthFd:
         assert _relative_hausdorff(capped, within) <= 1e-13
 
     def test_spoiled_conjugate_row_fails_residual(self, above, monkeypatch):
-        # a last row that is not the exact conjugate of its partner takes
-        # no residual copied from it: it is swept, and fails the bound
+        # a last row that is not the exact conjugate of its partner is
+        # swept like every row, and fails the bound
         mat_a, mat_b, k = above
         roots = pencil._aberth_roots
 

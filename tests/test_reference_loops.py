@@ -299,7 +299,10 @@ def test_longest_sweep_memory():
 def test_mode_roots_take_few_passes(monkeypatch, k_one, k_two):
     # the pole-gap kernels (0.1, 0.1; 1, g), g = 1e4..1e40, where eigvals
     # errs by about eps * g, and alpha down to 1e-299, where it returns 0
-    # for the pair; each mode alone, so the passes are its own
+    # for the pair, at most 12 passes; and 300 modes with N - 1 clustered
+    # slow rates and one fast rate of 1e8..1e16, where roots sit next to a
+    # gap's right pole, at most 17 (18 with steps on G = f d alone); each
+    # mode alone, so the passes are its own
     passes = []
     step = scalar._gap_step
 
@@ -314,10 +317,21 @@ def test_mode_roots_take_few_passes(monkeypatch, k_one, k_two):
     modes += [(k, np.pi ** 2 / side ** 2, bhat * np.pi ** 2 / side ** 2)
               for side in (1e10, 1e24, 1e50, 1e100, 1e150)
               for k in (k_one, k_two) for bhat in (0.5, 0.75)]
-    for k, alpha, beta in modes:
-        passes.clear()
-        mode_spectra(k, [alpha], [beta])
-        assert 0 < len(passes) <= 12
+    rng, clustered = np.random.default_rng(2024), []
+    for _ in range(300):
+        n = int(rng.integers(2, 11))
+        rates = np.append(np.sort(rng.uniform(0.1, 1.0, n - 1)),
+                          10.0 ** rng.uniform(8.0, 16.0))
+        amps = 10.0 ** rng.uniform(-3.0, 0.0, n)
+        alpha = 10.0 ** rng.uniform(-1.0, 4.0)
+        beta = alpha * rng.uniform(0.05, 0.9) / amps.sum()
+        clustered.append((ExponentialKernel(tuple(amps), tuple(rates)),
+                          alpha, beta))
+    for group, bound in ((modes, 12), (clustered, 17)):
+        for k, alpha, beta in group:
+            passes.clear()
+            mode_spectra(k, [alpha], [beta])
+            assert 0 < len(passes) <= bound
 
 
 @pytest.mark.parametrize("n_terms", [*range(1, 13), "twelve-term"])

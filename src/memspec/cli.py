@@ -12,8 +12,9 @@ Exit codes: 0 success; 1 a validate FAIL line or a numerical failure (a
 missed residual guarantee); 2 a configuration or hypothesis error or an
 unwritable --output path.  Identical inputs and flags produce byte-identical
 output.  The residual column of eigs is the ratio |g| / scale of the
-symbol's near-pole form that the mode solver bounds by RESIDUAL_TOL, read at
-the printed root, so no subcommand evaluates Khat at a computed real root.
+symbol's near-pole form that the mode solver returns and bounds by
+RESIDUAL_TOL, read at the printed root, so no subcommand evaluates Khat at a
+computed real root.
 """
 
 from __future__ import annotations
@@ -103,13 +104,10 @@ def _mode_records(spec: ProblemSpec, box: boxmodes.BoxDomain,
     k = spec.kernel
     b = spec.damping.value
     alphas = boxmodes.mode_alpha(spec.coefficient_a, box, modes)
-    z, counts = scalar.mode_spectra(k, alphas, b * alphas)
+    z, counts, residual = scalar.mode_spectra(k, alphas, b * alphas)
     owner = np.repeat(np.arange(len(modes)), counts)
     kept = np.abs(z.imag) <= imag_cap
-    z, alpha = z[kept], alphas[owner[kept]]
-    # the bits mode_spectra's residual check read
-    g, scale = scalar._near_pole_form(k, alpha, b * alpha, z)
-    residual = np.abs(g) / scale
+    z, alpha, residual = z[kept], alphas[owner[kept]], residual[kept]
     at = (z.imag == 0.0) & (z.real != 0.0)
     jordan = np.full(z.shape, None)
     jordan[at] = scalar.jordan_ratio(k, b * alpha[at],
@@ -273,7 +271,7 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
     # damping level for enclosure_interval's c0 and c1; every validation
     # mode has the same beta / alpha, so the same number of roots
     levels = enclosure.damping_levels(bounds)
-    roots, counts = scalar.mode_spectra(
+    roots, counts, _ = scalar.mode_spectra(
         k, np.concatenate((alphas, np.full(len(levels), w_min))),
         np.concatenate((beta_mid * alphas, np.multiply(levels, w_min))))
     z = roots[:counts[:alphas.size].sum()].reshape(alphas.size, -1)

@@ -159,8 +159,8 @@ def enclosure_interval(k: ExponentialKernel, d: DampingBound,
         raise ValueError(f"w_min = {w_min} must be positive")
     levels = damping_levels(d)
     zero = max(fredholm_factor_zeros(k, levels[-1]))
-    roots, _ = mode_spectra(k, [w_min] * len(levels),
-                            [bhat * w_min for bhat in levels])
+    roots = mode_spectra(k, [w_min] * len(levels),
+                         [bhat * w_min for bhat in levels])[0]
     return _interval_from_roots(roots, zero)
 
 
@@ -226,7 +226,7 @@ def boundary_cloud(k: ExponentialKernel, d: DampingBound, alphas,
     """
     _require_margin(k, d)
     alphas, betas = _cloud_grid(d, alphas, samples_beta)
-    z, counts = mode_spectra(k, alphas, betas)
+    z, counts, _ = mode_spectra(k, alphas, betas)
     return np.column_stack((z.real, z.imag, np.repeat(alphas, counts),
                             np.repeat(betas, counts)))
 

@@ -1,5 +1,9 @@
 """Exception hierarchy shared by all memspec modules."""
 
+import sys
+
+import numpy as np
+
 
 class MemspecError(Exception):
     """Base class for all library errors."""
@@ -22,3 +26,13 @@ class RootFindingError(MemspecError):
 
 class ConfigError(MemspecError):
     """Malformed configuration input; maps to CLI exit code 2."""
+
+
+def listing(values) -> str:
+    """The offending ``values`` of a message on one line: all of them when
+    at most three, else the first three and the count."""
+    values = np.ravel(values)
+    head = np.array2string(values[:3], max_line_width=sys.maxsize)
+    if values.size <= 3:
+        return head
+    return f"{head[:-1]} ...] ({values.size} in all)"

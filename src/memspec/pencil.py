@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RootFindingError
+from .errors import RootFindingError, listing
 from .kernel import ExponentialKernel
 from .scalar import ModeCoefficients, rational_symbol
 
@@ -479,8 +479,8 @@ def _aberth_roots(mat_a, mat_b, k: ExponentialKernel, rank: int,
     cplx = cplx[~(np.abs(moved[cplx].imag) > imag_cap)]
     if cplx.size:
         raise RootFindingError(
-            f"fd eigenvalues {moved[cplx]} still move after {ABERTH_SWEEPS} "
-            f"Ehrlich-Aberth sweeps", best=roots)
+            f"fd eigenvalues {listing(moved[cplx])} still move after "
+            f"{ABERTH_SWEEPS} Ehrlich-Aberth sweeps", best=roots)
     roots[:n_real] = _certified_real(moved[:n_real].real,
                                      active[active < n_real], setup)
     return roots
@@ -511,8 +511,8 @@ def _certified_real(real, moving, setup) -> np.ndarray:
     edges = np.append(-rates[::-1], 0.0)
     inside = (real > edges[0]) & (real < 0.0) & ~np.isin(real, edges)
     if not inside.all():
-        raise RootFindingError(f"real fd eigenvalues {real[~inside]} lie "
-                               f"outside the pole gaps of (-b_N, 0)")
+        raise RootFindingError(f"real fd eigenvalues {listing(real[~inside])} "
+                               f"lie outside the pole gaps of (-b_N, 0)")
     pts = np.concatenate((edges, real))
     order = np.argsort(pts)
     pts, fixed = pts[order], real.copy()
@@ -686,7 +686,7 @@ def nonlinear_eigenvalues_fd(mat_a: SymTridiagonal, mat_b: SymTridiagonal,
     bound = 1e-6 * mat_a.norm_inf()
     if not np.all(res <= bound):
         raise RootFindingError(
-            f"fd eigenvalues {lam[~(res <= bound)]} have residuals above "
-            f"{bound:g}", best=vals)
+            f"fd eigenvalues {listing(lam[~(res <= bound)])} have "
+            f"residuals above {bound:g}", best=vals)
     order = np.lexsort((lam.imag, lam.real))
     return lam[order], res[order]

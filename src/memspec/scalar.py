@@ -6,9 +6,11 @@ eigenvalues of the kernel's N-square memory block, obstruct Fredholmness of
 the symbol and sweep out the essential spectrum, and the per-mode rational
 symbol lam^2 + alpha - beta * Khat(lam), whose roots, one in each pole gap
 found in its offset from the pole and a pair from their sum and product, are
-the eigenvalues of the kernel's (N+2)-square realization; its cleared
-polynomial of degree N + 2, an array of ascending coefficients, is kept as
-an independent oracle.
+the eigenvalues of the kernel's (N+2)-square realization.  Each gap root
+starts from the branch zero at its mode's ratio beta / alpha, the limit it
+approaches as alpha grows, so the modes of one ratio share one memory
+block.  The realization and the cleared polynomial of degree N + 2, an array
+of ascending coefficients, are kept as independent oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError, RootFindingError
+from .errors import HypothesisError, RootFindingError, listing
 from .kernel import ExponentialKernel
 
 #: Relative residual |g| / scale above which a mode eigenvalue is refused.
@@ -108,6 +110,16 @@ def _newton_step(weights, shifts, lo, hi, d):
     return d * slope / (slope + 1.0 - total)
 
 
+def _block_offsets(rates, scaled):
+    """Offsets lam + b_j of the eigenvalues lam of the memory blocks
+    root root^T - diag(b), root = sqrt(scaled[i]), gap j in column j, from
+    one batched ``np.linalg.eigvalsh``: its eigenvalues ascend, the gaps'
+    descend."""
+    root = np.sqrt(scaled)
+    return np.linalg.eigvalsh(root[:, :, None] * root[:, None, :]
+                              - np.diag(rates))[:, ::-1] + rates
+
+
 def fredholm_factor_zeros(k: ExponentialKernel, bhat) -> list:
     """The N real zeros of 1 - bhat * Khat, one per pole gap, ascending.
 
@@ -125,8 +137,8 @@ def fredholm_factor_zeros(k: ExponentialKernel, bhat) -> list:
     quotient is monotone in d, and rounded addition is monotone in each
     argument), so the pair is unique and every sequence of test points
     strictly inside the bracket ends on it: the zeros are the bits of plain
-    bisection.  The points are the eigenvalues of one batched
-    ``np.linalg.eigvalsh`` of the (levels, N, N) stack of M, clipped into
+    bisection.  The points are the eigenvalues of the stack of M
+    (:func:`_block_offsets`, which starts the mode roots too), clipped into
     the brackets; one Newton step on d (sum(weights / (d + shifts)) - 1),
     kept where strictly inside the narrowed bracket, since an error of about
     eps * b_N puts many eigenvalues beyond the ladder and this form is exact
@@ -152,10 +164,7 @@ def fredholm_factor_zeros(k: ExponentialKernel, bhat) -> list:
     shifts = np.tile(rates[None, :] - rates[:, None], (flat.size, 1))
     width = np.outer(flat > 0.0, np.diff(rates, prepend=0.0)).ravel()
     lo, hi = np.zeros(flat.size * n), width.copy()
-    root = np.sqrt(scaled)  # M = root root^T - diag(b), eigenvalues descend
-    d = np.linalg.eigvalsh(root[:, :, None] * root[:, None, :]
-                           - np.diag(rates))[:, ::-1].ravel()
-    d = np.clip(d + np.tile(rates, flat.size), lo, hi)
+    d = np.clip(_block_offsets(rates, scaled).ravel(), lo, hi)
     # settled brackets' pole rows may divide by zero; such steps are dropped
     with np.errstate(all="ignore"):
         step = _newton_step(weights, shifts, lo, hi, d)
@@ -262,50 +271,85 @@ def root_counts(k: ExponentialKernel, betas) -> np.ndarray:
 
 
 def _gap_step(terms, shifts, alpha, beta, pole, own, right, d):
-    """G = f d at offsets d = lam + b_j from the gap's left pole, and Newton's
-    step on H = G (right - d), free of both poles: right = b_j - b_(j-1), inf
-    next to 0; own = a_j b_j; ``terms`` (0 at j) are summed in rate order."""
-    lam, inv = d - pole, 1.0 / (d + shifts)
+    """G = f d at offsets d = lam + b_j from the gap's left pole, the step
+    to the nearer root of the osculating parabola of H = G (right - d), free
+    of both poles (right = b_j - b_(j-1), inf next to 0), or inf where H' <=
+    0 or the parabola has no real root, and the rounding noise of G, 4 eps
+    times the sum of its terms in magnitude; own = a_j b_j; ``terms`` (0 at
+    j) are summed in rate order."""
+    lam, inv = d - pole, d + shifts
+    np.divide(1.0, inv, out=inv)
     part = terms * inv
-    rest, rest_deriv = sum(part), sum(part * inv)
+    rest = sum(part)
+    part *= inv
+    rest_1 = sum(part)  # -rest'
+    part *= inv
+    rest_2 = sum(part)  # rest'' / 2
+    del inv, part  # before the row arrays below, at the solve's peak
     quad = lam * lam + alpha
     value = quad * d - beta * (own + d * rest)
-    slope = quad + 2.0 * lam * d - beta * (rest - d * rest_deriv)
-    return value, value / (slope + value / (d - right))
+    slope = quad + 2.0 * lam * d - beta * (rest - d * rest_1)
+    curve = 4.0 * lam + 2.0 * d + 2.0 * beta * (rest_1 - d * rest_2)
+    # H / H' = value / h1 and H'' / H' = h2 / h1
+    t = 1.0 / (d - right)
+    h1, h2 = slope + value * t, curve + 2.0 * slope * t
+    newton = value / h1
+    disc = 1.0 - 2.0 * newton * h2 / h1
+    step = np.where((h1 > 0.0) & (disc >= 0.0),
+                    2.0 * newton / (1.0 + np.sqrt(disc)), np.inf)
+    noise = 4.0 * np.finfo(float).eps * (quad * d + beta * (
+        own + d * np.abs(rest)))
+    return value, step, noise
 
 
 def mode_spectra(k: ExponentialKernel, alphas,
-                 betas) -> tuple[np.ndarray, np.ndarray]:
+                 betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues of the modes (alphas[i], betas[i]): one flat array, mode
-    after mode and sorted by (re, im) within each, and the count per mode.
+    after mode and sorted by (re, im) within each, the count per mode, and
+    each root's residual ratio |g| / scale on :func:`_near_pole_form`.
 
     At beta = 0 the roots are -i sqrt(alpha), i sqrt(alpha).  Otherwise f
     runs from -inf to +inf across each pole gap (-b_j, -b_(j-1)), b_0 = 0,
-    and has no other real root: a mode has a root in each gap, found in its
-    offset d_j = lam + b_j by Newton steps on G (w_j - d_j), G = f d_j, free
-    of both poles (w_j = b_j - b_(j-1), :func:`_gap_step`), in a bracket
-    narrowed by the sign of G, to its middle double where a step leaves it,
-    until a step is at most 2 ulps of d_j; and a pair, the roots of
-    mu^2 - s mu + p by the cancellation-free formula, with s = -sum_j d_j
-    and p = (alpha - beta sum_j a_j) prod_j b_j / (b_j - d_j) from the
-    cleared polynomial's lam^(N+1) and constant coefficients.  A root near 0
-    errs by about eps b_1, like the inverse of the margin.  RootFindingError
-    refuses a root with |g| > RESIDUAL_TOL scale on :func:`_near_pole_form`.
+    and has no other real root: a mode has a root in each gap, and a pair.
+    The gap root is sought in its offset d_j = lam + b_j, on G (w_j - d_j),
+    G = f d_j, free of both poles (w_j = b_j - b_(j-1), :func:`_gap_step`),
+    by Ostrowski's square-root steps (the nearer root of the osculating
+    parabola, cubically convergent), in a bracket narrowed by the sign of
+    G.  A step that leaves the bracket, or has none, gives way to the
+    bracket's middle double or, while no point has tested below the root, to
+    the secant through G(0) = -beta a_j b_j, at most half the bracket, since
+    that middle would be about 1e-154 of it.  The search stops where a step
+    is at most 2 ulps of d_j, G is within its rounding noise or the bracket
+    closes.
+
+    Gap j starts at the j-th branch zero z_j at level beta / alpha, from
+    one memory block per distinct ratio (see :func:`fredholm_factor_zeros`).
+    Since f = alpha (1 - (beta / alpha) Khat) + lam^2, f(z_j) = z_j^2 > 0
+    and the root lies left of z_j, the closer the larger alpha.  The root is
+    the branch zero at level beta / (alpha + lam^2), and a zero's offset is
+    about proportional to its level (exactly so for the pole term alone),
+    so the start is z_j's offset times alpha / (alpha + z_j^2), which moves
+    it for alpha below about b_N^2.  A start within eps max(1, b_N) of a
+    gap end is replaced by the pole term's root, at most mid-gap.
+
+    The pair is the roots of mu^2 - s mu + p by the cancellation-free
+    formula, with s = -sum_j d_j and p = (alpha - beta sum_j a_j) prod_j b_j
+    / (b_j - d_j) from the cleared polynomial's lam^(N+1) and constant
+    coefficients.  A root near 0 errs by about eps b_1, like the inverse of
+    the margin.  RootFindingError refuses a damped mode's root with |g| /
+    scale above RESIDUAL_TOL.
     """
     rates, weights = np.asarray(k.rates), np.multiply(k.amplitudes, k.rates)
     n = rates.size
-    alpha, beta = (np.asarray(v, dtype=float).ravel() for v in (alphas, betas))
-    counts, damped = root_counts(k, beta), beta > 0.0
-    out = np.empty((alpha.size, n + 2), dtype=complex)
-    out[:, :2] = np.sqrt(alpha)[:, None] * [-1j, 1j]  # real parts +0.0
-    alpha, beta, m = alpha[damped], beta[damped], np.count_nonzero(damped)
-    # gap j starts at the mode's j-th largest exactly real eigenvalue where
-    # it lies in the gap beyond eigvals' error, else at the pole term's root
-    raw = np.linalg.eigvals(k.realization(
-        alpha[:, None, None], np.sqrt(beta)[:, None, None]))
+    alphas, betas = (np.asarray(v, float).ravel() for v in (alphas, betas))
+    counts, damped = root_counts(k, betas), betas > 0.0
+    out = np.empty((alphas.size, n + 2), dtype=complex)
+    out[:, :2] = np.sqrt(alphas)[:, None] * [-1j, 1j]  # real parts +0.0
+    alpha, beta, m = alphas[damped], betas[damped], np.count_nonzero(damped)
+    ratios, which = np.unique(beta / alpha, return_inverse=True)
+    start = _block_offsets(rates, ratios[:, None] * weights)[which].T
+    start *= alpha / (alpha + (start - rates[:, None]) ** 2)
     width = np.diff(rates, prepend=0.0)[:, None]
-    start = rates[:, None] - np.sort(np.where(
-        raw.imag == 0.0, -raw.real, np.inf), axis=1)[:, :n].T
     guess = beta * weights[:, None] / (rates[:, None] ** 2 + alpha)
     level = np.finfo(float).eps * max(1.0, rates[-1])
     d = np.where((level < start) & (start < width - level), start,
@@ -320,13 +364,17 @@ def mode_spectra(k: ExponentialKernel, alphas,
     rows, offsets = np.arange(d.size), np.empty((n, m))
     with np.errstate(divide="ignore", invalid="ignore"):
         while rows.size:
-            value, step = _gap_step(terms, shifts, a, b, pole, own, right, d)
+            value, step, noise = _gap_step(terms, shifts, a, b, pole, own,
+                                           right, d)
             _narrow(lo, hi, d[None], value[None] < 0.0)
             new = d - step
             inside = (lo < new) & (new < hi)
-            ahead = np.where(inside, new, _middle(lo, hi))
+            # lo = 0: every test so far was >= 0, the last at d = hi
+            secant = np.minimum(d * b * own / (value + b * own), 0.5 * hi)
+            ahead = np.where(inside, new,
+                             np.where(lo > 0.0, _middle(lo, hi), secant))
             go = ((np.abs(step) > 2.0 * np.spacing(d))
-                  & (lo < ahead) & (ahead < hi))
+                  & (np.abs(value) > noise) & (lo < ahead) & (ahead < hi))
             offsets.flat[rows[~go]] = np.where(inside, new, d)[~go]
             rows, d, lo, hi, a, b, pole, own, right = (
                 v[go] for v in (rows, ahead, lo, hi, a, b, pole, own, right))
@@ -346,15 +394,17 @@ def mode_spectra(k: ExponentialKernel, alphas,
     pair = np.where(disc >= 0.0, [half - root, product / (half - root)],
                     [half + 1j * root, half - 1j * root])
     z = np.column_stack((offsets.T - rates, pair.T))
-    g, scale = _near_pole_form(k, np.repeat(alpha, n + 2),
-                               np.repeat(beta, n + 2), z.ravel())
-    ok = np.abs(g) <= RESIDUAL_TOL * scale
-    if not ok.all():
-        raise RootFindingError("residual guarantee failed for mode "
-                               f"eigenvalues {z.ravel()[~ok]}", best=z)
     out[damped] = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=1),
                                      axis=1)
-    return out[np.arange(out.shape[1]) < counts[:, None]], counts
+    z = out[np.arange(n + 2) < counts[:, None]]
+    beta = np.repeat(betas, counts)
+    g, scale = _near_pole_form(k, np.repeat(alphas, counts), beta, z)
+    residual = np.abs(g) / scale
+    bad = (beta > 0.0) & ~(residual <= RESIDUAL_TOL)
+    if bad.any():
+        raise RootFindingError("residual guarantee failed for mode "
+                               f"eigenvalues {listing(z[bad])}", best=z)
+    return z, counts, residual
 
 
 def jordan_condition(k: ExponentialKernel, bhat: float, lam0):

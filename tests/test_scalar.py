@@ -21,6 +21,7 @@ from memspec import (
     jordan_condition,
     mode_spectra,
     rational_symbol,
+    scalar,
 )
 from memspec.scalar import jordan_ratio
 from root_oracle import real_imag_residual
@@ -328,7 +329,7 @@ class TestModePolynomial:
             alphas = 10.0 ** rng.uniform(-1.0, 4.0, 4)
             betas = alphas * np.append(
                 rng.uniform(0.0, 0.9, 3) / k.amplitude_sum, 0.0)
-            z, counts = mode_spectra(k, alphas, betas)
+            z, counts, _ = mode_spectra(k, alphas, betas)
             for alpha, beta, roots in zip(alphas, betas,
                                           np.split(z, np.cumsum(counts))):
                 assert len(roots) == (n + 2 if beta > 0.0 else 2)
@@ -397,7 +398,7 @@ class TestModePolynomial:
             alphas = 10.0 ** rng.uniform(0.0, 4.0, 40)
             betas = alphas * rng.uniform(0.0, 0.9, 40) / k.amplitude_sum
             betas[::7] = 0.0
-            z, counts = mode_spectra(k, alphas, betas)
+            z, counts, _ = mode_spectra(k, alphas, betas)
             for alpha, beta, roots in zip(alphas, betas,
                                           np.split(z, np.cumsum(counts))):
                 one = mode_spectra(k, [alpha], [beta])[0]
@@ -411,23 +412,74 @@ class TestModePolynomial:
         assert np.allclose(sorted(roots, key=lambda z: z.imag), [-3j, 3j],
                            atol=1e-9)
 
-    def test_undamped_pair_ignores_eigvals(self, k_two, monkeypatch):
+    def test_undamped_pair_enters_no_block(self, k_two, monkeypatch):
         # beta = 0 modes are written as -i sqrt(alpha), i sqrt(alpha), not
-        # solved: eigenvalues a few ulp off change no bit of them, at the
-        # extremes of alpha too and beside a damped mode, and eigvals sees
-        # the damped realizations alone
-        eigvals, stacks = np.linalg.eigvals, []
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: stacks.append(
-            len(a)) or eigvals(a) * (1.0 + 4e-16))
+        # solved: starts a few ulp off change no bit of them, at the
+        # extremes of alpha too and beside a damped mode.  Only damped
+        # modes enter a memory block, one block per distinct ratio beta /
+        # alpha, and no realization or eigvals runs
+        offsets, blocks = scalar._block_offsets, []
+
+        def spoiled(rates, scaled):
+            blocks.append(len(scaled))
+            return offsets(rates, scaled) * (1.0 + 4e-16)
+
+        def refused(*args):
+            raise AssertionError("a realization or eigvals ran")
+
+        monkeypatch.setattr(scalar, "_block_offsets", spoiled)
+        monkeypatch.setattr(np.linalg, "eigvals", refused)
+        monkeypatch.setattr(ExponentialKernel, "realization", refused)
         alphas = np.array([9.0, 2.0, 1e-299, 1e40])
         want = (np.array([-1j, 1j]) * np.sqrt(alphas)[:, None]).ravel()
-        roots, counts = mode_spectra(k_two, alphas, np.zeros(4))
+        roots, counts, _ = mode_spectra(k_two, alphas, np.zeros(4))
         assert counts.tolist() == [2] * 4
         assert roots.tobytes() == want.tobytes()
         assert not np.signbit(roots.real).any()
-        roots, counts = mode_spectra(k_two, [9.0, 9.0], [0.0, 3.0])
+        roots, counts, _ = mode_spectra(k_two, [9.0, 9.0], [0.0, 3.0])
         assert roots[:2].tobytes() == want[:2].tobytes()
-        assert stacks == [0, 1]
+        # three distinct ratios, 0.1, 0.2 and 0.3, over six damped modes
+        mode_spectra(k_two, [1.0, 2.0, 4.0, 8.0, 1.0, 2.0, 10.0],
+                     [0.1, 0.4, 0.8, 1.6, 0.0, 0.6, 1.0])
+        assert blocks == [0, 1, 3]
+
+    def test_low_stiffness_mode_roots_against_polyroots(self, monkeypatch):
+        # alpha from 0.1 b_1^2 to 10 b_N^2, where the branch-zero start lies
+        # farthest from the root, and beta / alpha up to 0.99 of the
+        # hypothesis limit 1 / sum(a_j): each root within 1e-13 of its own
+        # 80-digit root, in at most 8 passes.  The first two modes are the
+        # containment solves of a benchmark FD call (its w_min at its
+        # damping bounds), on which Newton steps from the unscaled start
+        # took 9
+        step, passes = scalar._gap_step, []
+
+        def counted(*args):
+            passes.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(scalar, "_gap_step", counted)
+        k = ExponentialKernel((0.2134618277441704, 0.4428071412796086),
+                              (0.39227654195309175, 3.6827250623539953))
+        cases = [(k, 6.849775257335027, beta)
+                 for beta in (6.004479714055345, 9.387605585668279)]
+        rng = np.random.default_rng(37)
+        for _ in range(150):
+            n = int(rng.integers(1, 11))
+            rates = np.sort(10.0 ** rng.uniform(-1.0, 1.0, n))
+            amps = 10.0 ** rng.uniform(-3.0, 0.0, n)
+            alpha = 10.0 ** rng.uniform(np.log10(0.1 * rates[0] ** 2),
+                                        np.log10(10.0 * rates[-1] ** 2))
+            cases.append((ExponentialKernel(tuple(amps), tuple(rates)),
+                          alpha, alpha * rng.uniform(0.05, 0.99) / amps.sum()))
+        for k, alpha, beta in cases:
+            passes.clear()
+            roots = mode_spectra(k, [alpha], [beta])[0]
+            assert 0 < len(passes) <= 8
+            want = mpmath_polyroots(k, alpha, beta)
+            near = np.argmin(np.abs(roots[:, None] - want), axis=1)
+            assert sorted(near) == list(range(k.n_terms + 2))
+            assert np.all(np.abs(roots - want[near])
+                          <= 1e-13 * np.abs(want[near]))
 
 
 class TestJordanCondition:

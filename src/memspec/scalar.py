@@ -354,19 +354,26 @@ def mode_spectra(k: ExponentialKernel, alphas,
     level = np.finfo(float).eps * max(1.0, rates[-1])
     d = np.where((level < start) & (start < width - level), start,
                  np.minimum(guess, 0.5 * width)).ravel()  # at most mid-gap
-    # row j * m + i is gap j of mode i, whose term j has weight 0
-    terms = np.repeat(weights[:, None] * (1.0 - np.eye(n)), m, axis=1)
-    shifts = np.repeat(rates[:, None] - rates, m, axis=1)
-    pole, own = np.repeat(rates, m), np.repeat(weights, m)
-    right = np.repeat(np.append(np.inf, width[1:]), m)
-    a, b = np.tile(alpha, n), np.tile(beta, n)
-    lo, hi = np.zeros(d.size), np.repeat(width, m)
-    rows, offsets = np.arange(d.size), np.empty((n, m))
+    # column j * m + i is gap j of mode i; its rows: offset d, bracket lo
+    # and hi, alpha, beta, pole b_j, own a_j b_j, right, the column's index,
+    # then the N terms (term j has weight 0) and the N shifts b_i - b_j
+    state = np.empty((9 + 2 * n, n, m))
+    for i, field in enumerate((
+            d.reshape(n, m), 0.0, width, alpha, beta, rates[:, None],
+            weights[:, None], np.append(np.inf, width[1:])[:, None],
+            np.arange(n * m).reshape(n, m))):
+        state[i] = field
+    state[9:9 + n] = (weights[:, None] * (1.0 - np.eye(n)))[:, :, None]
+    state[9 + n:] = (rates[:, None] - rates)[:, :, None]
+    state, offsets = state.reshape(9 + 2 * n, -1), np.empty((n, m))
     with np.errstate(divide="ignore", invalid="ignore"):
-        while rows.size:
-            value, step, noise = _gap_step(terms, shifts, a, b, pole, own,
-                                           right, d)
-            _narrow(lo, hi, d[None], value[None] < 0.0)
+        while state.shape[1]:
+            d, lo, hi, a, b, pole, own, right, index = state[:9]
+            value, step, noise = _gap_step(state[9:9 + n], state[9 + n:], a,
+                                           b, pole, own, right, d)
+            test, below = (lo < d) & (d < hi), value < 0.0
+            np.copyto(lo, d, where=test & below)
+            np.copyto(hi, d, where=test & ~below)
             new = d - step
             inside = (lo < new) & (new < hi)
             # lo = 0: every test so far was >= 0, the last at d = hi
@@ -375,10 +382,10 @@ def mode_spectra(k: ExponentialKernel, alphas,
                              np.where(lo > 0.0, _middle(lo, hi), secant))
             go = ((np.abs(step) > 2.0 * np.spacing(d))
                   & (np.abs(value) > noise) & (lo < ahead) & (ahead < hi))
-            offsets.flat[rows[~go]] = np.where(inside, new, d)[~go]
-            rows, d, lo, hi, a, b, pole, own, right = (
-                v[go] for v in (rows, ahead, lo, hi, a, b, pole, own, right))
-            terms, shifts = terms[:, go], shifts[:, go]
+            offsets.flat[index[~go].astype(int)] = np.where(inside, new,
+                                                            d)[~go]
+            d[...] = ahead
+            state = state[:, go]
     half, lam = -0.5 * sum(offsets), offsets[0] - rates[0]
     product = alpha - beta * k.amplitude_sum
     # f(lam_1) = 0 gives product / -lam_1 = lam_1 + beta sum_i a_i / (lam_1

@@ -104,14 +104,13 @@ def _mode_records(spec: ProblemSpec, box: boxmodes.BoxDomain,
     k = spec.kernel
     b = spec.damping.value
     alphas = boxmodes.mode_alpha(spec.coefficient_a, box, modes)
-    z, counts, residual = scalar.mode_spectra(k, alphas, b * alphas)
+    z, counts, residual, ratio = scalar.mode_spectra(k, alphas, b * alphas)
     owner = np.repeat(np.arange(len(modes)), counts)
     kept = np.abs(z.imag) <= imag_cap
-    z, alpha, residual = z[kept], alphas[owner[kept]], residual[kept]
+    z, residual, ratio = z[kept], residual[kept], ratio[kept]
     at = (z.imag == 0.0) & (z.real != 0.0)
     jordan = np.full(z.shape, None)
-    jordan[at] = scalar.jordan_ratio(k, b * alpha[at],
-                                     z.real[at]) > _JORDAN_FLOOR
+    jordan[at] = ratio[at] > _JORDAN_FLOOR
     tags = np.array(["m=" + "-".join(map(str, idx)) for idx in modes.tolist()])
     return z, tags[owner[kept]].tolist(), residual, jordan.tolist()
 
@@ -271,7 +270,7 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
     # damping level for enclosure_interval's c0 and c1; every validation
     # mode has the same beta / alpha, so the same number of roots
     levels = enclosure.damping_levels(bounds)
-    roots, counts, _ = scalar.mode_spectra(
+    roots, counts, _, jordan = scalar.mode_spectra(
         k, np.concatenate((alphas, np.full(len(levels), w_min))),
         np.concatenate((beta_mid * alphas, np.multiply(levels, w_min))))
     z = roots[:counts[:alphas.size].sum()].reshape(alphas.size, -1)
@@ -353,8 +352,7 @@ def cmd_validate(spec: ProblemSpec, args) -> int:
                  1e-10 * np.abs(want_p))
 
     if bounds.is_constant and bounds.b_max > 0.0:
-        i, j = np.nonzero((z.imag == 0.0) & (z.real != 0.0))
-        ratio = scalar.jordan_ratio(k, beta_mid * alphas[i], z.real[i, j])
+        ratio = jordan[:z.size][((z.imag == 0.0) & (z.real != 0.0)).ravel()]
         check("jordan_condition", bool(np.all(ratio > _JORDAN_FLOOR)),
               f"smallest |value| / size of its terms "
               f"{ratio.min(initial=np.inf):.3g}")

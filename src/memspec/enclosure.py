@@ -226,7 +226,7 @@ def boundary_cloud(k: ExponentialKernel, d: DampingBound, alphas,
     """
     _require_margin(k, d)
     alphas, betas = _cloud_grid(d, alphas, samples_beta)
-    z, counts, _ = mode_spectra(k, alphas, betas)
+    z, counts = mode_spectra(k, alphas, betas)[:2]
     return np.column_stack((z.real, z.imag, np.repeat(alphas, counts),
                             np.repeat(betas, counts)))
 

@@ -229,9 +229,10 @@ def cleared_mode_polynomial(k: ExponentialKernel, m: ModeCoefficients):
 
 def _pole_split(k: ExponentialKernel, z: np.ndarray):
     """Weights a_j b_j, index j of the pole -b_j nearest each point of a 1-D z,
-    offsets z + b_j and the (N, z.size) rows 1 / (z + b_i), zeroed at -b_j."""
+    that of Re z, offsets z + b_j and the (N, z.size) rows 1 / (z + b_i),
+    zeroed at -b_j."""
     rates = np.asarray(k.rates)
-    near = np.argmin(np.abs(z[:, None] + rates), axis=-1)
+    near = np.argmin(np.abs(np.real(z)[:, None] + rates), axis=-1)
     inv = np.add.outer(rates, z)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(1.0, inv, out=inv)
@@ -242,10 +243,11 @@ def _pole_split(k: ExponentialKernel, z: np.ndarray):
 def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):
     """g = f (z + b_j) for the mode symbol f and the pole -b_j nearest z.
 
-    Returns g and the residual scale of g at a 1-D array z from one pass
-    over the rows of :func:`_pole_split`.  The scale sums the terms of g in
-    magnitude, with z + b_j replaced by |z| + b_j, since rounding in z
-    itself can meet the bound.  Each sum is Python's sum over the rows, in
+    Returns g, the residual scale of g and, at the real points of a 1-D
+    array z (nan elsewhere), the Jordan ratio of :func:`jordan_ratio`, from
+    one pass over the rows of :func:`_pole_split`.  The scale sums the terms
+    of g in magnitude, with z + b_j replaced by |z| + b_j, since rounding in
+    z itself can meet the bound.  Each sum is Python's sum over the rows, in
     blocks of LADDER_CHUNK terms, which adds them one by one from 0 in rate
     order (np.sum could sum pairwise), so each point's values depend on it
     alone; at conj(z) the form gives conj(g) and the same scale.
@@ -253,15 +255,22 @@ def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):
     weights, near, offset, inv = _pole_split(k, z)
     reach = np.abs(z) + np.asarray(k.rates)[near]
     rest, rest_size = np.empty(z.size, complex), np.empty(z.size)
+    real, curve = z.imag == 0.0, np.zeros(z.size)
     w, cols = weights[:, None], LADDER_CHUNK // weights.size
     for start in range(0, z.size, cols):
         part = slice(start, start + cols)
         rest[part] = sum(w * inv[:, part])
         rest_size[part] = sum(w * np.abs(inv[:, part]))
+        flat = inv[:, part][:, real[part]].real
+        curve[part][real[part]] = sum(w * (flat * flat))
     value = (z * z + alpha) * offset - beta * (weights[near] + offset * rest)
     scale = ((np.abs(z) ** 2 + alpha) * reach
              + beta * (weights[near] + reach * rest_size))
-    return value, scale
+    sq = offset.real ** 2
+    slope = beta * (weights[near] + sq * curve)
+    return value, scale, np.divide(
+        np.abs(2.0 * z.real * sq + slope), 2.0 * np.abs(z.real) * sq + slope,
+        out=np.full(z.size, np.nan), where=real)
 
 
 def root_counts(k: ExponentialKernel, betas) -> np.ndarray:
@@ -302,11 +311,13 @@ def _gap_step(terms, shifts, alpha, beta, pole, own, right, d):
     return value, step, noise
 
 
-def mode_spectra(k: ExponentialKernel, alphas,
-                 betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mode_spectra(k: ExponentialKernel, alphas, betas) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues of the modes (alphas[i], betas[i]): one flat array, mode
-    after mode and sorted by (re, im) within each, the count per mode, and
-    each root's residual ratio |g| / scale on :func:`_near_pole_form`.
+    after mode and sorted by (re, im) within each, the count per mode, each
+    root's residual ratio |g| / scale on :func:`_near_pole_form`, and each
+    real root's Jordan ratio from the same pass (:func:`jordan_ratio`, nan
+    at the other roots).
 
     At beta = 0 the roots are -i sqrt(alpha), i sqrt(alpha).  Otherwise f
     runs from -inf to +inf across each pole gap (-b_j, -b_(j-1)), b_0 = 0,
@@ -318,9 +329,11 @@ def mode_spectra(k: ExponentialKernel, alphas,
     G.  A step that leaves the bracket, or has none, gives way to the
     bracket's middle double or, while no point has tested below the root, to
     the secant through G(0) = -beta a_j b_j, at most half the bracket, since
-    that middle would be about 1e-154 of it.  The search stops where a step
-    is at most 2 ulps of d_j, G is within its rounding noise or the bracket
-    closes.
+    that middle would be about 1e-154 of it.  The search stops after a step
+    inside the bracket of at most 1e-6 d_j, which is applied: the steps
+    converge cubically, so the error it leaves is below an ulp.  It stops
+    too where a step is at most 2 ulps of d_j, G is within its rounding
+    noise or the bracket closes.
 
     Gap j starts at the j-th branch zero z_j at level beta / alpha, from
     one memory block per distinct ratio (see :func:`fredholm_factor_zeros`).
@@ -353,18 +366,18 @@ def mode_spectra(k: ExponentialKernel, alphas,
     guess = beta * weights[:, None] / (rates[:, None] ** 2 + alpha)
     level = np.finfo(float).eps * max(1.0, rates[-1])
     d = np.where((level < start) & (start < width - level), start,
-                 np.minimum(guess, 0.5 * width)).ravel()  # at most mid-gap
+                 np.minimum(guess, 0.5 * width))  # at most mid-gap
     # column j * m + i is gap j of mode i; its rows: offset d, bracket lo
     # and hi, alpha, beta, pole b_j, own a_j b_j, right, the column's index,
     # then the N terms (term j has weight 0) and the N shifts b_i - b_j
     state = np.empty((9 + 2 * n, n, m))
-    for i, field in enumerate((
-            d.reshape(n, m), 0.0, width, alpha, beta, rates[:, None],
-            weights[:, None], np.append(np.inf, width[1:])[:, None],
-            np.arange(n * m).reshape(n, m))):
-        state[i] = field
-    state[9:9 + n] = (weights[:, None] * (1.0 - np.eye(n)))[:, :, None]
-    state[9 + n:] = (rates[:, None] - rates)[:, :, None]
+    state[0], state[3], state[4] = d, alpha, beta
+    state[8] = np.arange(n * m).reshape(n, m)
+    state[[1, 2, 5, 6, 7]] = np.array((
+        np.zeros(n), width[:, 0], rates, weights,
+        np.append(np.inf, width[1:])))[:, :, None]
+    state[9:] = np.vstack((weights[:, None] * (1.0 - np.eye(n)),
+                           rates[:, None] - rates))[:, :, None]
     state, offsets = state.reshape(9 + 2 * n, -1), np.empty((n, m))
     with np.errstate(divide="ignore", invalid="ignore"):
         while state.shape[1]:
@@ -380,7 +393,9 @@ def mode_spectra(k: ExponentialKernel, alphas,
             secant = np.minimum(d * b * own / (value + b * own), 0.5 * hi)
             ahead = np.where(inside, new,
                              np.where(lo > 0.0, _middle(lo, hi), secant))
-            go = ((np.abs(step) > 2.0 * np.spacing(d))
+            # a step inside the bracket of at most 1e-6 d is the last
+            go = ((np.abs(step) > np.where(inside, 1e-6 * d,
+                                           2.0 * np.spacing(d)))
                   & (np.abs(value) > noise) & (lo < ahead) & (ahead < hi))
             offsets.flat[index[~go].astype(int)] = np.where(inside, new,
                                                             d)[~go]
@@ -405,13 +420,13 @@ def mode_spectra(k: ExponentialKernel, alphas,
                                      axis=1)
     z = out[np.arange(n + 2) < counts[:, None]]
     beta = np.repeat(betas, counts)
-    g, scale = _near_pole_form(k, np.repeat(alphas, counts), beta, z)
+    g, scale, jordan = _near_pole_form(k, np.repeat(alphas, counts), beta, z)
     residual = np.abs(g) / scale
     bad = (beta > 0.0) & ~(residual <= RESIDUAL_TOL)
     if bad.any():
         raise RootFindingError("residual guarantee failed for mode "
                                f"eigenvalues {listing(z[bad])}", best=z)
-    return z, counts, residual
+    return z, counts, residual, jordan
 
 
 def jordan_condition(k: ExponentialKernel, bhat: float, lam0):

@@ -28,7 +28,7 @@ from memspec import (
 )
 from memspec.enclosure import synthetic_alpha_grid
 from memspec.pencil import stiffness_eigenvalues
-from memspec.cli import CSV_HEADER, main
+from memspec.cli import _JORDAN_FLOOR, CSV_HEADER, main
 from memspec.config import parse_config
 
 GRADED = {
@@ -709,15 +709,19 @@ def test_eigs_residual_is_the_solve_ratio(config, capsys, monkeypatch,
     code, out = run(capsys, ["eigs", "--config", config(doc), "--format",
                              "json"])
     assert code == 0 and len(solved) == 1
-    (k, alphas, betas), (z, counts, residual) = solved[0]
+    (k, alphas, betas), (z, counts, residual, jordan) = solved[0]
     assert (betas > 0.0).all() if value else not betas.any()
     keep = np.abs(z.imag) <= 50.0
     rows = json.loads(out)["eigenvalues"]
     assert [row["residual"] for row in rows] == residual[keep].tolist()
-    g, scale = scalar._near_pole_form(k, np.repeat(alphas, counts)[keep],
-                                      np.repeat(betas, counts)[keep],
-                                      z[keep])
+    g, scale, _ = scalar._near_pole_form(k, np.repeat(alphas, counts)[keep],
+                                         np.repeat(betas, counts)[keep],
+                                         z[keep])
     assert (np.abs(g) / scale).tobytes() == residual[keep].tobytes()
+    # jordan_ok reads the solve's Jordan ratio at the real nonzero roots
+    at = (z.imag == 0.0) & (z.real != 0.0)
+    want = np.where(at, jordan > _JORDAN_FLOOR, None)[keep]
+    assert [row["jordan_ok"] for row in rows] == want.tolist()
 
 
 def _edge_configs():
@@ -967,8 +971,14 @@ def test_jordan_verdict_at_a_margin_of_1e_6(config, capsys):
 
 def test_validate_names_the_smallest_jordan_ratio(config, capsys,
                                                   monkeypatch):
-    monkeypatch.setattr(scalar, "jordan_ratio",
-                        lambda k, bhat, lam0: np.full(np.shape(lam0), 2e-4))
+    # the check reads the Jordan ratios that the mode solve returns
+    solve = scalar.mode_spectra
+
+    def spoiled(*args):
+        z, counts, residual, jordan = solve(*args)
+        return z, counts, residual, np.where(np.isnan(jordan), jordan, 2e-4)
+
+    monkeypatch.setattr(scalar, "mode_spectra", spoiled)
     code, out = run(capsys, ["validate", "--config", config(CONSTANT)])
     assert code == 1
     assert "FAIL jordan_condition: smallest |value| / size of its terms " \

@@ -54,20 +54,27 @@ def gathered_bisection(k, bhat):
 
 
 def full_near_pole_form(k, alpha, beta, z):
-    """g and the residual scale, the terms added in a loop over the rates."""
+    """g, the residual scale and the Jordan ratio at real z (nan elsewhere),
+    the terms added in a loop over the rates."""
     rates = np.asarray(k.rates)
     weights = np.asarray(k.amplitudes) * rates
     near = np.argmin(np.abs(z[..., None] + rates), axis=-1)
     offset, reach = z + rates[near], np.abs(z) + rates[near]
-    rest, rest_size = np.zeros_like(z), 0.0
+    rest, rest_size, curve = np.zeros_like(z), 0.0, 0.0
     for i, (w, b) in enumerate(zip(weights, rates)):
         inv = np.where(near == i, 0.0, 1.0 / (z + b))
         rest += w * inv
         rest_size += w * np.abs(inv)
+        curve += w * (inv.real * inv.real)
     value = (z * z + alpha) * offset - beta * (weights[near] + offset * rest)
     scale = ((np.abs(z) ** 2 + alpha) * reach
              + beta * (weights[near] + reach * rest_size))
-    return value, scale
+    sq = offset.real ** 2
+    slope = beta * (weights[near] + sq * curve)
+    jordan = np.where(z.imag == 0.0,
+                      np.abs(2.0 * z.real * sq + slope)
+                      / (2.0 * np.abs(z.real) * sq + slope), np.nan)
+    return value, scale, jordan
 
 
 def indexed_pivots(off, piv, tiny=None):
@@ -297,12 +304,15 @@ def test_longest_sweep_memory():
 
 
 def test_mode_roots_take_few_passes(monkeypatch, k_one, k_two):
-    # the pole-gap kernels (0.1, 0.1; 1, g), g = 1e4..1e40, where eigvals
-    # errs by about eps * g, and alpha down to 1e-299, where it returns 0
-    # for the pair, at most 12 passes; and 300 modes with N - 1 clustered
-    # slow rates and one fast rate of 1e8..1e16, where roots sit next to a
-    # gap's right pole, at most 17 (18 with steps on G = f d alone); each
-    # mode alone, so the passes are its own
+    # the rate-gap kernels (0.1, 0.1; 1, g), g = 1e4..1e40, whose start
+    # filter's level eps * g spans the slow gap from g of about 1e16 on, so
+    # that gap starts at the pole term's root, and alpha down to 1e-299,
+    # where the gap roots lie about beta from their poles and the pair about
+    # sqrt(alpha) from 0, at most 12 passes; and 300 modes with N - 1
+    # clustered slow rates and one fast rate of 1e8..1e16, where roots sit
+    # next to a gap's right pole, at most 17; each mode alone, so the passes
+    # are its own.  The branch-zero starts and the stop after a step of at
+    # most 1e-6 d_j take at most 2, 1 and 7 passes on these families
     passes = []
     step = scalar._gap_step
 
@@ -332,6 +342,39 @@ def test_mode_roots_take_few_passes(monkeypatch, k_one, k_two):
             passes.clear()
             mode_spectra(k, [alpha], [beta])
             assert 0 < len(passes) <= bound
+
+
+def test_pole_split_nearest_pole_by_the_real_part(benchmark_run):
+    # |z + b_j|^2 = (Re z + b_j)^2 + (Im z)^2, so the pole nearest Re z is
+    # the pole nearest z: _pole_split's choice by the real part is the
+    # loop's choice by the modulus wherever the two smallest moduli differ
+    # by more than their rounding, on the benchmark's mode roots and on
+    # seeded points at, near and between the poles, real and complex
+    cases = list(benchmark_run[2])
+    rng = np.random.default_rng(36)
+    for n in range(2, 13):
+        rates = np.sort(10.0 ** rng.uniform(-3.0, 3.0, n))
+        k = ExponentialKernel(tuple(10.0 ** rng.uniform(-3.0, 0.0, n)),
+                              tuple(rates))
+        mids = -0.5 * (rates[1:] + rates[:-1])
+        re = np.concatenate((-rates, -rates * (1.0 + 1e-9), mids,
+                             mids * (1.0 + 1e-12 * rng.standard_normal(
+                                 n - 1)), -1.1 * rates[-1] * rng.uniform(
+                                     size=50)))
+        im = np.concatenate((np.zeros(re.size), 10.0 ** rng.uniform(
+            -12.0, 3.0, re.size)))
+        cases.append((k, np.concatenate((re, re)) + 1j * im))
+    clear = 0
+    for k, z in cases:
+        if k.n_terms == 1:
+            continue
+        dist = np.abs(z[:, None] + np.asarray(k.rates))
+        first, second = np.sort(dist, axis=1)[:, :2].T
+        apart = second - first > 4.0 * np.finfo(float).eps * second
+        got = scalar._pole_split(k, z)[1]
+        assert np.array_equal(got[apart], np.argmin(dist, axis=1)[apart])
+        clear += np.count_nonzero(apart)
+    assert clear > 30_000
 
 
 @pytest.mark.parametrize("n_terms", [*range(1, 13), "twelve-term"])

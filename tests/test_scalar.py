@@ -329,7 +329,7 @@ class TestModePolynomial:
             alphas = 10.0 ** rng.uniform(-1.0, 4.0, 4)
             betas = alphas * np.append(
                 rng.uniform(0.0, 0.9, 3) / k.amplitude_sum, 0.0)
-            z, counts, _ = mode_spectra(k, alphas, betas)
+            z, counts, _, _ = mode_spectra(k, alphas, betas)
             for alpha, beta, roots in zip(alphas, betas,
                                           np.split(z, np.cumsum(counts))):
                 assert len(roots) == (n + 2 if beta > 0.0 else 2)
@@ -398,7 +398,7 @@ class TestModePolynomial:
             alphas = 10.0 ** rng.uniform(0.0, 4.0, 40)
             betas = alphas * rng.uniform(0.0, 0.9, 40) / k.amplitude_sum
             betas[::7] = 0.0
-            z, counts, _ = mode_spectra(k, alphas, betas)
+            z, counts, _, _ = mode_spectra(k, alphas, betas)
             for alpha, beta, roots in zip(alphas, betas,
                                           np.split(z, np.cumsum(counts))):
                 one = mode_spectra(k, [alpha], [beta])[0]
@@ -432,11 +432,11 @@ class TestModePolynomial:
         monkeypatch.setattr(ExponentialKernel, "realization", refused)
         alphas = np.array([9.0, 2.0, 1e-299, 1e40])
         want = (np.array([-1j, 1j]) * np.sqrt(alphas)[:, None]).ravel()
-        roots, counts, _ = mode_spectra(k_two, alphas, np.zeros(4))
+        roots, counts, _, _ = mode_spectra(k_two, alphas, np.zeros(4))
         assert counts.tolist() == [2] * 4
         assert roots.tobytes() == want.tobytes()
         assert not np.signbit(roots.real).any()
-        roots, counts, _ = mode_spectra(k_two, [9.0, 9.0], [0.0, 3.0])
+        roots, counts, _, _ = mode_spectra(k_two, [9.0, 9.0], [0.0, 3.0])
         assert roots[:2].tobytes() == want[:2].tobytes()
         # three distinct ratios, 0.1, 0.2 and 0.3, over six damped modes
         mode_spectra(k_two, [1.0, 2.0, 4.0, 8.0, 1.0, 2.0, 10.0],
@@ -507,6 +507,25 @@ class TestJordanCondition:
                                     tuple(s * b for b in k_two.rates))
             assert np.allclose(jordan_ratio(k_s, 10.0 * s * s, s * lam0),
                                want, rtol=1e-12, atol=0.0)
+
+    def test_mode_solve_returns_the_ratio(self):
+        # the Jordan ratios that mode_spectra returns at its real roots,
+        # from its residual pass, agree with jordan_ratio to rounding, on
+        # N = 1-12 terms over rates 1e-3..1e3; nan at the complex roots
+        rng = np.random.default_rng(40)
+        for _ in range(20):
+            n = int(rng.integers(1, 13))
+            k = ExponentialKernel(
+                tuple(10.0 ** rng.uniform(-3.0, 0.0, n)),
+                tuple(np.sort(10.0 ** rng.uniform(-3.0, 3.0, n))))
+            alphas = 10.0 ** rng.uniform(-1.0, 4.0, 5)
+            betas = alphas * rng.uniform(0.0, 0.9, 5) / k.amplitude_sum
+            z, counts, _, ratio = mode_spectra(k, alphas, betas)
+            real = z.imag == 0.0
+            assert np.isnan(ratio[~real]).all()
+            want = jordan_ratio(k, np.repeat(betas, counts)[real],
+                                z.real[real])
+            assert np.allclose(ratio[real], want, rtol=1e-14, atol=0.0)
 
     def test_zero_eigenvalue_rejected(self, k_wave):
         with pytest.raises(ValueError):

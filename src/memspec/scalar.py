@@ -255,14 +255,14 @@ def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):
     weights, near, offset, inv = _pole_split(k, z)
     reach = np.abs(z) + np.asarray(k.rates)[near]
     rest, rest_size = np.empty(z.size, complex), np.empty(z.size)
-    real, curve = z.imag == 0.0, np.zeros(z.size)
+    curve = np.empty(z.size)  # -Khat' less its near pole's term, at real z
     w, cols = weights[:, None], LADDER_CHUNK // weights.size
     for start in range(0, z.size, cols):
         part = slice(start, start + cols)
         rest[part] = sum(w * inv[:, part])
         rest_size[part] = sum(w * np.abs(inv[:, part]))
-        flat = inv[:, part][:, real[part]].real
-        curve[part][real[part]] = sum(w * (flat * flat))
+        flat = inv[:, part].real
+        curve[part] = sum(w * (flat * flat))
     value = (z * z + alpha) * offset - beta * (weights[near] + offset * rest)
     scale = ((np.abs(z) ** 2 + alpha) * reach
              + beta * (weights[near] + reach * rest_size))
@@ -270,7 +270,7 @@ def _near_pole_form(k: ExponentialKernel, alpha, beta, z: np.ndarray):
     slope = beta * (weights[near] + sq * curve)
     return value, scale, np.divide(
         np.abs(2.0 * z.real * sq + slope), 2.0 * np.abs(z.real) * sq + slope,
-        out=np.full(z.size, np.nan), where=real)
+        out=np.full(z.size, np.nan), where=z.imag == 0.0)
 
 
 def root_counts(k: ExponentialKernel, betas) -> np.ndarray:

@@ -388,11 +388,12 @@ def mode_spectra(k: ExponentialKernel, alphas, betas) -> tuple[
             np.copyto(lo, d, where=test & below)
             np.copyto(hi, d, where=test & ~below)
             new = d - step
-            inside = (lo < new) & (new < hi)
-            # lo = 0: every test so far was >= 0, the last at d = hi
-            secant = np.minimum(d * b * own / (value + b * own), 0.5 * hi)
-            ahead = np.where(inside, new,
-                             np.where(lo > 0.0, _middle(lo, hi), secant))
+            inside, ahead = (lo < new) & (new < hi), new
+            if not inside.all():
+                # lo = 0: every test so far was >= 0, the last at d = hi
+                secant = np.minimum(d * b * own / (value + b * own), 0.5 * hi)
+                ahead = np.where(inside, new,
+                                 np.where(lo > 0.0, _middle(lo, hi), secant))
             # a step inside the bracket of at most 1e-6 d is the last
             go = ((np.abs(step) > np.where(inside, 1e-6 * d,
                                            2.0 * np.spacing(d)))

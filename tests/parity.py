@@ -12,7 +12,8 @@ values differ, then a cell report: for each CSV column, JSON key (its path
 of dict keys) or other stdout line, and for the exit code and stderr, the
 count of changed cells, their largest relative move and largest new
 magnitude; and every changed ``re`` or ``im`` cell with its call, place and
-both texts.  It exits 1 if any call differs.  Nothing is written under ``perfbench/``.
+both texts.  It exits 1 if any call differs.  Nothing is written under
+``perfbench/``.
 """
 
 import contextlib

@@ -1,4 +1,4 @@
-"""The cell report of ``tests/parity.py diff`` on two hand-made result files."""
+"""The cell report of ``tests/parity.py diff`` on hand-made result files."""
 
 import json
 

@@ -447,7 +447,8 @@ def jordan_ratio(k: ExponentialKernel, beta, lam0):
     """|f'(lam0)| / (2 |lam0| + beta |Khat'(lam0)|) for the mode symbol
     f = lam^2 + alpha - beta Khat at a 1-D array of real lam0, free of the
     unit of time; at a root f' / alpha is :func:`jordan_condition`.  Both
-    terms are scaled by (lam0 + b_j)^2 on :func:`_pole_split`."""
+    terms are scaled by (lam0 + b_j)^2 on :func:`_pole_split`.  The mode
+    solve returns this ratio from its residual pass; this is its oracle."""
     weights, near, offset, inv = _pole_split(k, lam0)
     sq = offset * offset  # beta |Khat'| sq is a sum of positive terms
     slope = beta * (weights[near] + sq * (weights @ (inv * inv)))
